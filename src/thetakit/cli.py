@@ -27,21 +27,20 @@ from .hypergeometric import (
     canonical_shift_class,
     contiguity_check,
     exponents,
-    factor_reducible,
     factorization_certificate,
     is_reducible,
     partition,
     verify_certificate,
 )
 from .monodromy import build_monodromy
-from .polynomials import poly_gcd
 from .rigidity import (
     MatrixTuple,
     algebra_span_dimension,
+    char_poly_gcd,
     common_frame,
     is_irreducible_pair,
-    is_pseudo_reflection,
     levelt_normal_form,
+    pseudo_reflection_pairs,
 )
 from .scalars import Q
 from .serialization import (
@@ -86,11 +85,16 @@ def _load_params(path: str) -> HGParams:
 
 
 def _load_tuple(path: str) -> MatrixTuple:
+    """A tuple of invertible matrices read from path."""
     data = _load_json(path)
     try:
-        return MatrixTuple.from_dict(data)
+        t = MatrixTuple.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("invalid matrix tuple file: %s" % (exc,)) from exc
+    for k, m in enumerate(t):
+        if not m.is_invertible():
+            raise InputError("member %d is singular" % (k + 1,))
+    return t
 
 
 def _pair_1based(pair) -> list:
@@ -116,14 +120,17 @@ def cmd_analyze(args) -> int:
     status = 0
     factorization = None
     if reducible:
-        steps = factorization_certificate(p)
-        removed, reduced = factor_reducible(p)
+        try:
+            steps = factorization_certificate(p)
+        except ValueError as exc:
+            # every integer difference is negative: out of the chain's domain
+            raise InputError(str(exc)) from exc
         verified = verify_certificate(p)
         if not verified:
             status = VERIFICATION_FAILURE
         factorization = {
-            "reduced": reduced.to_dict(),
-            "removed_alphas": [str(a) for a in removed],
+            "reduced": steps[-1].params_after.to_dict(),
+            "removed_alphas": [str(s.linear_factor) for s in steps],
             "steps": [
                 {
                     "gap": s.gap,
@@ -186,17 +193,7 @@ def _normal_form_report(u, canon) -> dict:
 
 def cmd_rigidity(args) -> int:
     t = _load_tuple(args.input)
-    for k, m in enumerate(t):
-        if not m.is_invertible():
-            raise InputError("member %d is singular" % (k + 1,))
-
-    table = []
-    for i in range(t.p):
-        for j in range(i + 1, t.p):
-            ratio = t[i] * t[j].inverse()
-            table.append(
-                {"pair": [i + 1, j + 1], "value": is_pseudo_reflection(ratio)}
-            )
+    table = pseudo_reflection_pairs(t)
 
     frame_rep = frame = None
     frame_reason = None
@@ -206,9 +203,7 @@ def cmd_rigidity(args) -> int:
     except ValueError as exc:
         frame_reason = str(exc)
 
-    gcd = None
-    for q in t.char_polys():
-        gcd = q if gcd is None else poly_gcd(gcd, q)
+    gcd = char_poly_gcd(t.char_polys())
     certificate = str(gcd) if gcd.degree >= 1 else None
 
     normal_form = None
@@ -235,12 +230,15 @@ def cmd_rigidity(args) -> int:
         "common_frame_reason": frame_reason,
         "irreducible": (
             is_irreducible_pair(t[0], t[1])
-            if t.p == 2 and table[0]["value"]
+            if t.p == 2 and table[(0, 1)]
             else None
         ),
         "normal_form": normal_form,
         "normal_form_reason": normal_form_reason,
-        "pseudo_reflection_pairs": table,
+        "pseudo_reflection_pairs": [
+            {"pair": _pair_1based(pair), "value": value}
+            for pair, value in table.items()
+        ],
     }
     _emit(report, args.pretty)
     return 0
@@ -248,9 +246,6 @@ def cmd_rigidity(args) -> int:
 
 def cmd_normal_form(args) -> int:
     t = _load_tuple(args.input)
-    for k, m in enumerate(t):
-        if not m.is_invertible():
-            raise InputError("member %d is singular" % (k + 1,))
     try:
         frame = common_frame(t)
         u, canon = levelt_normal_form(t, frame)

@@ -18,8 +18,9 @@ that print pairs 1-based do their own conversion.
 
 from dataclasses import dataclass, field
 
+from .polynomials import Poly
 from .scalars import Q, GaussianRational
-from .theta import ThetaOperator, op_product
+from .theta import ThetaOperator
 
 
 def _scalar_tuple(values) -> tuple:
@@ -108,9 +109,12 @@ def build_D(p: HGParams) -> ThetaOperator:
     >>> D == ThetaOperator.parse("(1-z)*t^2*(t-2)")
     True
     """
-    left = op_product([ThetaOperator.theta_plus(b - 1) for b in p.beta])
-    right = op_product([ThetaOperator.theta_plus(a) for a in p.alpha])
-    return left - ThetaOperator.z() * right
+    return ThetaOperator.from_parts(
+        {
+            0: Poly.from_roots([1 - b for b in p.beta]),
+            1: -Poly.from_roots([-a for a in p.alpha]),
+        }
+    )
 
 
 def exponents(p: HGParams) -> LocalExponents:
@@ -304,22 +308,26 @@ class FactorStep:
 def factorization_certificate(p: HGParams):
     """The chain of FactorSteps realizing the greedy factorization.
 
-    Raises ValueError("no admissible matching") when no alpha_i - beta_j
-    is a nonnegative integer.
+    Raises ValueError starting "no admissible matching" when no
+    alpha_i - beta_j is a nonnegative integer; when some difference is a
+    negative integer, the message names the first such pair 1-based.
     """
     chosen = greedy_matching(p)
     if not chosen:
-        raise ValueError("no admissible matching")
+        negative = sorted(partition(p).negative)
+        if not negative:
+            raise ValueError("no admissible matching: no integer difference")
+        i, j = negative[0]
+        raise ValueError(
+            "no admissible matching: alpha_%d - beta_%d = %s is a negative "
+            "integer" % (i + 1, j + 1, p.alpha[i] - p.beta[j])
+        )
     steps = []
     removed_i, removed_j = set(), set()
     for i, j, m in chosen:
         a, b = p.alpha[i], p.beta[j]
-        right = op_product(
-            [ThetaOperator.theta_plus(b + l) for l in range(m)]
-        )
-        left = op_product(
-            [ThetaOperator.theta_plus(b + l - 1) for l in range(m)]
-        ) * ThetaOperator.theta_plus(a - 1)
+        right = Poly.from_roots([-(b + l) for l in range(m)])
+        left = Poly.from_roots([1 - b - l for l in range(m)] + [1 - a])
         removed_i.add(i)
         removed_j.add(j)
         after = HGParams(
@@ -331,8 +339,8 @@ def factorization_certificate(p: HGParams):
                 pair=(i, j),
                 gap=m,
                 linear_factor=a,
-                left=left,
-                right=right,
+                left=ThetaOperator.from_parts({0: left}),
+                right=ThetaOperator.from_parts({0: right}),
                 params_after=after,
             )
         )

@@ -308,14 +308,6 @@ class ExactMatrix:
         return Poly(coeffs)
 
 
-def rank(m):
-    return m.rank()
-
-
-def char_poly(m):
-    return m.char_poly()
-
-
 class Subspace:
     """Subspace of Q(i)^n stored with a canonical RREF basis.
 
@@ -442,18 +434,6 @@ class Subspace:
 def kernel(m):
     """Kernel of a matrix as a Subspace; basis length = ncols - rank."""
     return Subspace(m.kernel_vectors(), ambient=m.ncols)
-
-
-def intersect(a, b):
-    return a.intersect(b)
-
-
-def image(m, s):
-    return s.image(m)
-
-
-def is_invariant(m, s):
-    return s.is_invariant_under(m)
 
 
 def complete_basis(vectors, ambient):

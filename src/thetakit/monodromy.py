@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergeometric import HGParams
+from .hypergeometric import HGParams, is_reducible
 
 
 def _real_parameter_floats(p: HGParams) -> tuple:
@@ -138,7 +138,7 @@ class MonodromyTriple:
             object.__setattr__(self, name, m)
         if self.m0.shape != self.m1.shape or self.m1.shape != self.minf.shape:
             raise ValueError("members must share one dimension")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:
             raise ValueError("tolerance must be nonnegative")
         res = self.product_residual()
         if res > self.tolerance:
@@ -159,9 +159,9 @@ class MonodromyTriple:
 def build_monodromy(p: HGParams, tol: float = 1e-10) -> MonodromyTriple:
     """Monodromy triple of D(alpha; beta) in the order (inf, 1, 0).
 
-    The exponential spectra at 0 and infinity must be disjoint within
-    tol (no alpha_i - beta_j an integer); otherwise the parameters are
-    reducible and the construction refuses.
+    The parameters must be irreducible (no alpha_i - beta_j an integer,
+    decided exactly); otherwise the construction refuses.  tol bounds
+    the product residual and must be a nonnegative number.
 
     >>> t = build_monodromy(HGParams(("1/4", "3/4"), ("1/2", 1)))
     >>> np.allclose(t.minf, [[0, -1], [1, 0]])
@@ -170,17 +170,14 @@ def build_monodromy(p: HGParams, tol: float = 1e-10) -> MonodromyTriple:
     True
     """
     alphas, betas = _real_parameter_floats(p)
-    a_vals = [_circle_point(a) for a in alphas]
-    b_vals = [_circle_point(b) for b in betas]
-    for i, av in enumerate(a_vals):
-        for j, bv in enumerate(b_vals):
-            if abs(av - bv) <= tol:
-                raise ValueError(
-                    "reducible parameters: alpha_%d - beta_%d is an integer "
-                    "(exponential spectra collide)" % (i + 1, j + 1)
-                )
-    a = _companion(a_vals)
-    b = _companion(b_vals)
+    reducible, pair = is_reducible(p)
+    if reducible:
+        raise ValueError(
+            "reducible parameters: alpha_%d - beta_%d is an integer"
+            % (pair[0] + 1, pair[1] + 1)
+        )
+    a = _companion([_circle_point(x) for x in alphas])
+    b = _companion([_circle_point(x) for x in betas])
     n = a.shape[0]
     m0 = np.linalg.solve(b, np.eye(n, dtype=complex))
     m1 = np.linalg.solve(a, b)
@@ -195,7 +192,7 @@ def check_pseudo_reflection_numeric(m: np.ndarray, tol: float) -> bool:
     >>> check_pseudo_reflection_numeric(np.eye(3), 1e-8)
     False
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     m = np.asarray(m, dtype=complex)
     s = np.linalg.svd(m - np.eye(m.shape[0]), compute_uv=False)
@@ -239,7 +236,7 @@ def rigidity_check_numeric(
     basis is ill-conditioned; the message carries the offending
     singular-value / condition-number diagnostic.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     n = t.n
     a = t.minf

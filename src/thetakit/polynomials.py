@@ -172,6 +172,21 @@ class Poly:
     def derivative(self):
         return Poly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
 
+    def shift(self, a):
+        """The Taylor shift p(X + a), by repeated synthetic division.
+
+        >>> Poly([0, 0, 1]).shift(1)
+        X^2+2*X+1
+        """
+        if not a:
+            return self
+        a = Q(a)
+        out = list(self.coeffs)
+        for i in range(len(out) - 1):
+            for k in range(len(out) - 2, i - 1, -1):
+                out[k] = out[k] + a * out[k + 1]
+        return Poly(out)
+
     def evaluate(self, x):
         acc = Q(0)
         for c in reversed(self.coeffs):
@@ -233,7 +248,6 @@ def poly_gcd(p, q):
     return a.monic()
 
 
-ZERO_POLY = Poly()
 X = Poly.variable()
 
 
@@ -271,10 +285,6 @@ class RationalFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
 
     def is_zero(self):
         return self.num.is_zero()

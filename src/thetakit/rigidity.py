@@ -22,6 +22,7 @@ programmatic indices are 0-based.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .extension import companion_of_operator
 from .linalg import ExactMatrix, Subspace, complete_basis, kernel
@@ -114,7 +115,7 @@ class Spectrum:
 class CommonFrame:
     """A change of basis exhibiting n-1 shared rows or columns.
 
-    In the new basis, member A becomes transform(A) = U·A·U^{-1}; all
+    In the new basis, member A becomes U·A·U^{-1} (see apply); all
     tuple members then agree exactly on the rows (side == "rows") or
     columns (side == "columns") listed in shared_indices.
     """
@@ -122,10 +123,6 @@ class CommonFrame:
     basis_change: ExactMatrix
     side: str
     shared_indices: tuple
-
-    def transform(self, m: ExactMatrix) -> ExactMatrix:
-        u = self.basis_change
-        return u * m * u.inverse()
 
     def apply(self, t: MatrixTuple):
         u = self.basis_change
@@ -158,19 +155,43 @@ def is_pseudo_reflection(h: ExactMatrix) -> bool:
     return (h - ExactMatrix.identity(h.n)).rank() == 1
 
 
+def pseudo_reflection_pairs(t: MatrixTuple) -> dict:
+    """{(i, j): whether A_i·A_j^{-1} is a pseudo-reflection} for i < j,
+    in lexicographic order.  Every member must be invertible.
+
+    >>> t = levelt_tuple([Spectrum((1, 2)), Spectrum((3, 4))])
+    >>> pseudo_reflection_pairs(t)
+    {(0, 1): True}
+    """
+    inverses = [m.inverse() for m in t]
+    return {
+        (i, j): is_pseudo_reflection(t[i] * inverses[j])
+        for i in range(t.p)
+        for j in range(i + 1, t.p)
+    }
+
+
+def char_poly_gcd(char_polys) -> Poly:
+    """Monic gcd of two or more characteristic polynomials; it is
+    nonconstant exactly when the spectra share a value.
+
+    >>> char_poly_gcd([Poly.from_roots([1, 2]), Poly.from_roots([2, 3])])
+    X-2
+    """
+    return reduce(poly_gcd, char_polys)
+
+
 def _check_ratios(t: MatrixTuple):
     """Invertibility + pairwise pseudo-reflection ratios, or a named error."""
     for idx, m in enumerate(t):
         if not m.is_invertible():
             raise ValueError("member %d is singular" % (idx + 1,))
-    inverses = [m.inverse() for m in t]
-    for i in range(t.p):
-        for j in range(i + 1, t.p):
-            if not is_pseudo_reflection(t[i] * inverses[j]):
-                raise ValueError(
-                    "ratio of members %d and %d is not a pseudo-reflection"
-                    % (i + 1, j + 1)
-                )
+    for (i, j), ok in pseudo_reflection_pairs(t).items():
+        if not ok:
+            raise ValueError(
+                "ratio of members %d and %d is not a pseudo-reflection"
+                % (i + 1, j + 1)
+            )
 
 
 def common_frame(t: MatrixTuple) -> CommonFrame:
@@ -336,16 +357,13 @@ def common_spectrum_certificate(
             raise ValueError(
                 "subspace is not invariant under member %d" % (idx + 1,)
             )
-    g = None
-    for m in t:
-        cp = m.char_poly()
-        g = cp if g is None else poly_gcd(g, cp)
+    g = char_poly_gcd(t.char_polys())
     if g.degree < 1:
         raise ValueError(
             "characteristic polynomials are coprime; "
             "the invariant-subspace hypothesis cannot hold"
         )
-    return g.monic()
+    return g
 
 
 def companion_from_spectrum(s: Spectrum) -> ExactMatrix:
@@ -387,16 +405,6 @@ def levelt_tuple(spectra) -> MatrixTuple:
     return MatrixTuple(tuple(companion_from_spectrum(s) for s in spectra))
 
 
-def _is_companion(m: ExactMatrix) -> bool:
-    n = m.n
-    for i in range(n):
-        for j in range(n - 1):
-            expected = Q(1) if i == j + 1 else Q(0)
-            if m[i, j] != expected:
-                return False
-    return True
-
-
 def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     """Conjugate a column-framed tuple to its unique companion form.
 
@@ -420,9 +428,8 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
             raise ValueError("member %d is singular" % (idx + 1,))
     if not frame.verify(t):
         raise ValueError("members do not share the given frame")
-    g = None
-    for cp in t.char_polys():
-        g = cp if g is None else poly_gcd(g, cp)
+    char_polys = t.char_polys()
+    g = char_poly_gcd(char_polys)
     if g.degree >= 1:
         raise ValueError(
             "spectrum-intersection hypothesis violated: "
@@ -465,9 +472,9 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     u_total = basis.inverse() * u_frame
     u_total_inv = u_total.inverse()
     canon = []
-    for idx, m in enumerate(t):
+    for idx, (m, cp) in enumerate(zip(t, char_polys)):
         c = u_total * m * u_total_inv
-        if not _is_companion(c):
+        if c != companion_of_operator(cp):
             raise ValueError(
                 "normal form verification failed for member %d" % (idx + 1,)
             )

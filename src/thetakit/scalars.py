@@ -7,8 +7,8 @@ denominators), so equality is structural and hashing is safe.
 Two interchangeable rational backends are supported.  gmpy2's mpq is used
 when importable because bignum rational arithmetic dominates the runtime of
 the exact algorithms; fractions.Fraction is the pure-Python fallback.  Set
-THETAKIT_SCALAR_BACKEND=fraction (or =gmpy2) to force a backend; see
-scripts/bench_backends.py for a comparison of the two.
+THETAKIT_SCALAR_BACKEND=fraction (or =gmpy2) to force a backend; the
+benchmark in benchmark/ runs with the scalar backend pinned to fraction.
 """
 
 import os
@@ -38,12 +38,16 @@ def _to_rat(x):
     """Coerce x to the backend rational type.
 
     Accepts ints, 'p/q' strings and anything with numerator/denominator
-    attributes (Fraction, mpq, other rationals).
+    attributes (Fraction, mpq, other rationals).  A zero denominator is
+    malformed input and raises ValueError.
     """
     if isinstance(x, _rat):
         return x
     if isinstance(x, (int, str)):
-        return _rat(x)
+        try:
+            return _rat(x)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (x,)) from None
     num = getattr(x, "numerator", None)
     den = getattr(x, "denominator", None)
     if num is not None and den is not None:
@@ -98,14 +102,14 @@ class GaussianRational:
         m = _IMAG_RE.match(text)
         if m:
             sign, coef = m.group(1), m.group(2)
-            b = _rat(coef) if coef is not None else _rat(1)
+            b = _to_rat(coef) if coef is not None else _rat(1)
             if sign == "-":
                 b = -b
             return cls(0, b)
         m = _MIXED_RE.match(text)
         if m:
-            a = _rat(m.group(1))
-            b = _rat(m.group(3)) if m.group(3) is not None else _rat(1)
+            a = _to_rat(m.group(1))
+            b = _to_rat(m.group(3)) if m.group(3) is not None else _rat(1)
             if m.group(2) == "-":
                 b = -b
             return cls(a, b)

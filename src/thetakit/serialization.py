@@ -13,7 +13,6 @@ import numpy as np
 
 from .linalg import ExactMatrix
 from .monodromy import MonodromyTriple
-from .scalars import Q
 
 
 def canonical_dumps(obj, pretty: bool = False) -> str:
@@ -34,19 +33,9 @@ def scalar_matrix_to_lists(m: ExactMatrix) -> list:
     return [[str(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)]
 
 
-def scalar_matrix_from_lists(rows) -> ExactMatrix:
-    return ExactMatrix([[Q(x) for x in row] for row in rows])
-
-
 def complex_matrix_to_lists(m) -> list:
     m = np.asarray(m, dtype=complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def complex_matrix_from_lists(rows) -> "np.ndarray":
-    return np.array(
-        [[complex(v[0], v[1]) for v in row] for row in rows], dtype=complex
-    )
 
 
 def triple_report(t: MonodromyTriple) -> dict:
@@ -57,12 +46,3 @@ def triple_report(t: MonodromyTriple) -> dict:
         "minf": complex_matrix_to_lists(t.minf),
         "residual": t.product_residual(),
     }
-
-
-def triple_from_report(d: dict, tolerance: float = 1e-10) -> MonodromyTriple:
-    return MonodromyTriple(
-        m0=complex_matrix_from_lists(d["m0"]),
-        m1=complex_matrix_from_lists(d["m1"]),
-        minf=complex_matrix_from_lists(d["minf"]),
-        tolerance=tolerance,
-    )

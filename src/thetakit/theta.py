@@ -1,10 +1,10 @@
 """The Ore ring of differential operators in theta = z*d/dz.
 
-Elements are kept in the canonical normal form sum c_{jk} z^j t^k (t is the
-textual name of theta), with z-powers to the left of theta-powers.  The ring
-multiplication is determined by the rewrite rule
+Elements are kept in the canonical normal form sum_j z^j p_j(t) (t is the
+textual name of theta), with z-powers to the left of theta-polynomials p_j.
+The ring multiplication is determined by the rewrite rule
 
-    t * z = z*t + z,   equivalently   t^k z^j = z^j (t + j)^k,
+    t * z = z*t + z,   equivalently   p(t) z^j = z^j p(t + j),
 
 so the product of normal forms is again a normal form.  Negative z-powers
 are allowed (Laurent coefficients); they are what the integer-shift
@@ -27,7 +27,11 @@ from .scalars import Q, GaussianRational
 
 
 class ThetaOperator:
-    """Normal-form operator sum c_{jk} z^j t^k.
+    """Normal-form operator sum_j z^j p_j(t), each p_j a Poly in theta.
+
+    The ring rule z^j p(t) · z^l q(t) = z^(j+l) p(t+l) q(t) makes the
+    product one Taylor shift and one polynomial product per pair of
+    z-parts.
 
     >>> t, z = ThetaOperator.theta(), ThetaOperator.z()
     >>> t * z
@@ -38,23 +42,35 @@ class ThetaOperator:
     True
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_parts",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for (j, k), c in terms.items():
-                c = c if isinstance(c, GaussianRational) else Q(c)
-                if k < 0:
-                    raise ValueError("negative theta powers are not operators")
-                if c:
-                    data[(int(j), int(k))] = c
-        object.__setattr__(self, "_terms", data)
+        rows = {}
+        for (j, k), c in (terms or {}).items():
+            if k < 0:
+                raise ValueError("negative theta powers are not operators")
+            rows.setdefault(int(j), {})[int(k)] = c
+        parts = {
+            j: Poly([row.get(k, 0) for k in range(max(row) + 1)])
+            for j, row in rows.items()
+        }
+        object.__setattr__(self, "_parts", {j: p for j, p in parts.items() if p})
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaOperator is immutable")
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def from_parts(cls, parts):
+        """The operator sum_j z^j parts[j](t) from {z_power: Poly in theta}.
+
+        >>> ThetaOperator.from_parts({0: Poly([0, 1]), 1: Poly([1])})
+        t + z
+        """
+        op = object.__new__(cls)
+        object.__setattr__(op, "_parts", {j: p for j, p in parts.items() if p})
+        return op
 
     @classmethod
     def zero(cls):
@@ -89,51 +105,50 @@ class ThetaOperator:
 
     def terms(self):
         """Copy of the term map {(z_degree, theta_degree): coefficient}."""
-        return dict(self._terms)
+        return {
+            (j, k): c
+            for j, p in self._parts.items()
+            for k, c in enumerate(p.coeffs)
+            if c
+        }
 
     def is_zero(self):
-        return not self._terms
+        return not self._parts
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._parts)
 
     @property
     def theta_degree(self):
         """Largest theta power; -inf for the zero operator."""
-        return max((k for _, k in self._terms), default=-inf)
+        return max((p.degree for p in self._parts.values()), default=-inf)
 
     @property
     def z_degree(self):
         """Largest z power; -inf for the zero operator."""
-        return max((j for j, _ in self._terms), default=-inf)
+        return max(self._parts, default=-inf)
 
     @property
     def z_order(self):
         """Smallest z power; +inf for the zero operator."""
-        return min((j for j, _ in self._terms), default=inf)
+        return min(self._parts, default=inf)
 
     def coefficient(self, z_power, theta_power):
-        return self._terms.get((z_power, theta_power), Q(0))
-
-    def theta_coefficients(self):
-        """Map theta_degree -> Laurent coefficient as {z_power: scalar}."""
-        out = {}
-        for (j, k), c in self._terms.items():
-            out.setdefault(k, {})[j] = c
-        return out
+        p = self._parts.get(z_power)
+        return p.coefficient(theta_power) if p is not None else Q(0)
 
     def __eq__(self, other):
         o = _coerce_theta(other)
         if o is None:
             return NotImplemented
-        return self._terms == o._terms
+        return self._parts == o._parts
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self._parts.items()))
 
     # -- ring operations ----------------------------------------------------
 
@@ -141,14 +156,10 @@ class ThetaOperator:
         o = _coerce_theta(other)
         if o is None:
             return NotImplemented
-        data = dict(self._terms)
-        for key, c in o._terms.items():
-            s = data.get(key, Q(0)) + c
-            if s:
-                data[key] = s
-            else:
-                data.pop(key, None)
-        return ThetaOperator(data)
+        parts = dict(self._parts)
+        for j, p in o._parts.items():
+            parts[j] = parts[j] + p if j in parts else p
+        return ThetaOperator.from_parts(parts)
 
     __radd__ = __add__
 
@@ -165,28 +176,18 @@ class ThetaOperator:
         return o + (-self)
 
     def __neg__(self):
-        return ThetaOperator({key: -c for key, c in self._terms.items()})
+        return ThetaOperator.from_parts({j: -p for j, p in self._parts.items()})
 
     def __mul__(self, other):
         o = _coerce_theta(other)
         if o is None:
             return NotImplemented
-        data = {}
-        for (j1, k1), c1 in self._terms.items():
-            for (j2, k2), c2 in o._terms.items():
-                # t^k1 z^j2 = z^j2 (t + j2)^k1, expanded binomially
-                base = c1 * c2
-                for m in range(k1 + 1):
-                    c = base * (comb(k1, m) * j2 ** (k1 - m))
-                    if not c:
-                        continue
-                    key = (j1 + j2, m + k2)
-                    s = data.get(key, Q(0)) + c
-                    if s:
-                        data[key] = s
-                    else:
-                        data.pop(key, None)
-        return ThetaOperator(data)
+        parts = {}
+        for j, p in self._parts.items():
+            for l, q in o._parts.items():
+                term = p.shift(l) * q
+                parts[j + l] = parts[j + l] + term if j + l in parts else term
+        return ThetaOperator.from_parts(parts)
 
     def __rmul__(self, other):
         o = _coerce_theta(other)
@@ -199,10 +200,10 @@ class ThetaOperator:
             raise TypeError("operator exponent must be an int")
         if e < 0:
             # only single-term z-monomials are invertible in the Laurent ring
-            if len(self._terms) == 1:
-                ((j, k), c), = self._terms.items()
-                if k == 0:
-                    return ThetaOperator({(j * e, 0): c ** e})
+            if len(self._parts) == 1:
+                (j, p), = self._parts.items()
+                if p.degree == 0:
+                    return ThetaOperator({(j * e, 0): p.leading() ** e})
             raise ValueError("negative power of a non-invertible operator")
         result = ThetaOperator.one()
         for _ in range(e):
@@ -213,16 +214,14 @@ class ThetaOperator:
 
     def to_frac(self):
         """Lift to rational-function theta-coefficients (for division)."""
-        coeffs = {}
-        for k, laurent in self.theta_coefficients().items():
-            shift = min(laurent)
-            num = [Q(0)] * (max(laurent) - min(shift, 0) + 1)
-            den_power = -shift if shift < 0 else 0
-            for j, c in laurent.items():
-                num[j + den_power] = c
-            den = [Q(0)] * den_power + [Q(1)]
-            coeffs[k] = RationalFunction(Poly(num), Poly(den))
-        return FracThetaOperator(coeffs)
+        low = min(0, self.z_order)
+        nums = {}
+        for (j, k), c in self.terms().items():
+            nums.setdefault(k, [Q(0)] * (self.z_degree - low + 1))[j - low] = c
+        den = Poly([Q(0)] * -low + [Q(1)])
+        return FracThetaOperator(
+            {k: RationalFunction(Poly(num), den) for k, num in nums.items()}
+        )
 
     # -- rendering -----------------------------------------------------------
 
@@ -244,22 +243,6 @@ def _coerce_theta(x):
     return None
 
 
-def op_mul(p, q):
-    """Product in the Ore ring (same as p * q)."""
-    p, q = _coerce_theta(p), _coerce_theta(q)
-    if p is None or q is None:
-        raise TypeError("op_mul expects theta operators")
-    return p * q
-
-
-def op_product(factors):
-    """Left-to-right product of a sequence of operators."""
-    result = ThetaOperator.one()
-    for f in factors:
-        result = result * f
-    return result
-
-
 # ---------------------------------------------------------------------------
 # rendering / parsing
 # ---------------------------------------------------------------------------
@@ -273,11 +256,12 @@ def _power_text(sym, e):
 
 def render(op):
     """Canonical text form: terms by falling theta power, then rising z power."""
-    if op.is_zero():
+    terms = op.terms()
+    if not terms:
         return "0"
     pieces = []
-    for (j, k) in sorted(op._terms, key=lambda jk: (-jk[1], jk[0])):
-        c = op._terms[(j, k)]
+    for (j, k) in sorted(terms, key=lambda jk: (-jk[1], jk[0])):
+        c = terms[(j, k)]
         factors = []
         if j != 0:
             factors.append(_power_text("z", j))
@@ -654,9 +638,9 @@ def left_factor_check(p, f):
     unknowns = [(j, k) for j in range(j_lo, j_hi + 1) for k in range(kq + 1)]
     # column for each unknown monomial, rows over the union of positions
     images = [f * ThetaOperator({u: Q(1)}) for u in unknowns]
-    positions = set(p._terms)
+    positions = set(p.terms())
     for img in images:
-        positions.update(img._terms)
+        positions.update(img.terms())
     positions = sorted(positions)
     from .linalg import ExactMatrix
 

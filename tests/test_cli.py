@@ -78,6 +78,36 @@ def test_analyze_empty_lists_error(capsys, tmp_path):
     assert "error" in err
 
 
+def test_analyze_negative_gap(capsys, tmp_path):
+    # the only integer difference, alpha_2 - beta_2 = -2, is negative
+    path = write_json(
+        tmp_path, "neg.json", {"alpha": ["1/2", "1"], "beta": ["1/3", "3"]}
+    )
+    code, out, err = run(capsys, ["analyze", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "alpha_2 - beta_2" in err
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("analyze", {"alpha": ["1/0", "1/3"], "beta": ["1", "2"]}),
+        ("analyze", {"alpha": ["1/2+1/0*i", "1/3"], "beta": ["1", "2"]}),
+        (
+            "rigidity",
+            {"matrices": [[["1/0", "0"], ["0", "1"]], [["1", "0"], ["0", "2"]]]},
+        ),
+    ],
+)
+def test_zero_denominator_is_malformed(capsys, tmp_path, command, payload):
+    path = write_json(tmp_path, "zero.json", payload)
+    code, out, err = run(capsys, [command, "--input", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "zero denominator" in err
+
+
 def test_analyze_malformed_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
@@ -113,6 +143,32 @@ def test_monodromy_reducible_rejected(capsys, tmp_path):
     code, out, err = run(capsys, ["monodromy", "--input", path])
     assert code == 2
     assert "reducible" in err
+
+
+def test_monodromy_near_integer_gap(capsys, tmp_path):
+    path = write_json(
+        tmp_path,
+        "near.json",
+        {"alpha": ["1/3", "1000000000001/1000000000000"], "beta": ["1/2", "1"]},
+    )
+    code, out, _ = run(capsys, ["monodromy", "--input", path])
+    assert code == 0
+    assert json.loads(out)["residual"] <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"alpha": ["1/4", "3/4"], "beta": ["1/4", "1"]},
+        {"alpha": ["1/4", "3/4"], "beta": ["1/2", "1"]},
+    ],
+)
+def test_monodromy_nan_tolerance(capsys, tmp_path, payload):
+    path = write_json(tmp_path, "m.json", payload)
+    code, out, err = run(capsys, ["monodromy", "--input", path, "--tol", "nan"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_rigidity_disjoint_pair(capsys, pair_file):
@@ -214,6 +270,81 @@ def test_verify_identities_zero_count(capsys):
     code, _, err = run(capsys, ["verify-identities", "--count", "0"])
     assert code == 2
     assert "count" in err
+
+
+# Exact stdout bytes pinned when the operator layer was re-based; a
+# change in rendering, key order or arithmetic shows up here.
+GOLDEN_ANALYZE_GAP_3 = (
+    '{"canonical_class":null'
+    ',"canonical_class_reason":"shift class undefined: alpha_1 - beta_1 is an integer"'
+    ',"exponents":{"at_infinity":["7/2","1/3","1/5"],"at_one":["0"'
+    ',"1","-1679/420"],"at_zero":["1/2","3/4","5/7"]}'
+    ',"factorization":{"reduced":{"alpha":["1/3","1/5"],"beta":["1/4"'
+    ',"2/7"]},"removed_alphas":["7/2"],"steps":[{"gap":3'
+    ',"left":"t^4 + 4*t^3 + 7/2*t^2 - t - 15/16","pair":[1,1]'
+    ',"params_after":{"alpha":["1/3","1/5"],"beta":["1/4","2/7"]}'
+    ',"right":"t^3 + 9/2*t^2 + 23/4*t + 15/8"}],"verified":true}'
+    ',"parameters":{"alpha":["7/2","1/3","1/5"],"beta":["1/2","1/4"'
+    ',"2/7"]},"partition":{"negative":[],"positive":[[1,1]]'
+    ',"zero":[]},"reducible":true,"witness":[1,1]}\n'
+)
+
+GOLDEN_VERIFY_IDENTITIES_42_5 = (
+    '{"count":5,"kinds":{"alpha_lower":{"fail":0,"pass":5}'
+    ',"beta_raise":{"fail":0,"pass":5},"left_append":{"fail":0'
+    ',"pass":5},"power_shift":{"fail":0,"pass":5}'
+    ',"right_append":{"fail":0,"pass":5}},"ok":true,"seed":42}\n'
+)
+
+GOLDEN_RIGIDITY_TRIPLE = (
+    '{"algebra_dimension":9,"certificate":null'
+    ',"common_frame":{"basis_change":[["0","1","1"],["0","1","0"]'
+    ',["1","-1","-1"]],"shared_indices":[1,2],"side":"columns"}'
+    ',"common_frame_reason":null,"irreducible":null'
+    ',"normal_form":{"basis_change":[["1/3","-1/3","2/3"],["2/3"'
+    ',"1/3","-2/3"],["-1/3","1/3","1/3"]],"members":[[["0","0","6"]'
+    ',["1","0","-11"],["0","1","6"]],[["0","0","120"],["1","0","-74"]'
+    ',["0","1","15"]],[["0","0","-7/2"],["1","0","4"],["0","1"'
+    ',"13/2"]]]},"normal_form_reason":null'
+    ',"pseudo_reflection_pairs":[{"pair":[1,2],"value":true}'
+    ',{"pair":[1,3],"value":true},{"pair":[2,3],"value":true}]}\n'
+)
+
+
+def test_golden_analyze_factorization_steps(capsys, tmp_path):
+    path = write_json(
+        tmp_path,
+        "gap3.json",
+        {"alpha": ["7/2", "1/3", "1/5"], "beta": ["1/2", "1/4", "2/7"]},
+    )
+    code, out, _ = run(capsys, ["analyze", "--input", path])
+    assert code == 0
+    assert out == GOLDEN_ANALYZE_GAP_3
+
+
+def test_golden_verify_identities(capsys):
+    argv = ["verify-identities", "--seed", "42", "--count", "5"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == GOLDEN_VERIFY_IDENTITIES_42_5
+
+
+def test_golden_rigidity_triple(capsys, tmp_path):
+    # a conjugated companion triple whose frame shares columns 2 and 3
+    path = write_json(
+        tmp_path,
+        "triple.json",
+        {
+            "matrices": [
+                [["2", "-2", "-1"], ["4/3", "2/3", "-1/3"], ["-10/3", "13/3", "10/3"]],
+                [["-15", "15", "16"], ["49/3", "-43/3", "-46/3"], ["-133/3", "136/3", "133/3"]],
+                [["1/6", "-1/6", "5/6"], ["-4", "6", "5"], ["-1/3", "4/3", "1/3"]],
+            ]
+        },
+    )
+    code, out, _ = run(capsys, ["rigidity", "--input", path])
+    assert code == 0
+    assert out == GOLDEN_RIGIDITY_TRIPLE
 
 
 def test_byte_identical_determinism(capsys):

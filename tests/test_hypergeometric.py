@@ -17,7 +17,7 @@ from thetakit.hypergeometric import (
     verify_certificate,
 )
 from thetakit.scalars import Q
-from thetakit.theta import ThetaOperator, op_product, right_divide
+from thetakit.theta import ThetaOperator, right_divide
 
 from util import params as random_params
 
@@ -44,8 +44,9 @@ def test_build_gauss_operator():
     # over alpha of (t+a)
     p = HGParams(("1/2", "1/2"), (1, 1))
     d = build_D(p)
-    lhs = op_product([T, T])
-    rhs = Z * op_product([T + ThetaOperator.constant(Q("1/2"))] * 2)
+    half = T + ThetaOperator.constant(Q("1/2"))
+    lhs = T * T
+    rhs = Z * half * half
     assert d == lhs - rhs
 
 

@@ -59,6 +59,26 @@ def test_nonreal_parameters_rejected():
 def test_reducible_parameters_rejected():
     with pytest.raises(ValueError, match="reducible"):
         build_monodromy(HGParams(("1/2", "1/3"), ("3/2", "1/5")))
+    with pytest.raises(ValueError, match="alpha_1 - beta_1"):
+        build_monodromy(HGParams(("1/4", "3/4"), ("1/4", "1")), tol=float("nan"))
+
+
+def test_near_integer_gap_is_irreducible():
+    # alpha_2 - beta_2 = 10^-12 is not an integer, however close the
+    # exponentials are: the exact test decides
+    p = HGParams(("1/3", "1000000000001/1000000000000"), ("1/2", "1"))
+    t = build_monodromy(p)
+    assert t.product_residual() <= 1e-10
+
+
+def test_nan_tolerance_rejected():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="tolerance"):
+        build_monodromy(GAUSS, tol=nan)
+    with pytest.raises(ValueError, match="tolerance"):
+        check_pseudo_reflection_numeric(np.eye(2), nan)
+    with pytest.raises(ValueError, match="tolerance"):
+        rigidity_check_numeric(build_monodromy(GAUSS), nan)
 
 
 def test_pseudo_reflection_svd():

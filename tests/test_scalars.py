@@ -23,7 +23,7 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "one", "1/", "2+*i", "1//2"):
+    for bad in ("", "one", "1/", "2+*i", "1//2", "1/0", "1/0*i", "1+1/0*i"):
         with pytest.raises(ValueError):
             Q(bad)
 

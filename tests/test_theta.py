@@ -10,7 +10,6 @@ from thetakit.theta import (
     FracThetaOperator,
     ThetaOperator,
     left_factor_check,
-    op_product,
     parse,
     render,
     right_divide,
@@ -90,25 +89,44 @@ def _random_op(rng, z_lo=-2):
 
 
 coeffs = st.integers(-3, 3)
+op_terms = st.lists(
+    st.tuples(coeffs, st.integers(-1, 2), st.integers(0, 2)), min_size=1, max_size=3
+)
+
+
+def _build(terms):
+    op = ThetaOperator.zero()
+    for c, j, k in terms:
+        op = op + ThetaOperator.monomial(Q(c), j, k)
+    return op
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(coeffs, st.integers(-1, 2), st.integers(0, 2)), min_size=1, max_size=3),
-    st.lists(st.tuples(coeffs, st.integers(-1, 2), st.integers(0, 2)), min_size=1, max_size=3),
-    st.lists(st.tuples(coeffs, st.integers(-1, 2), st.integers(0, 2)), min_size=1, max_size=3),
-)
+@given(op_terms, op_terms, op_terms)
 def test_ring_axioms(ta, tb, tc):
-    def build(terms):
-        op = ThetaOperator.zero()
-        for c, j, k in terms:
-            op = op + ThetaOperator.monomial(Q(c), j, k)
-        return op
-
-    a, b, c = build(ta), build(tb), build(tc)
+    a, b, c = _build(ta), _build(tb), _build(tc)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
+
+
+def _apply(op, laurent):
+    """Image of {power: coeff} under op: z^j t^k sends z^s to s^k z^(j+s)."""
+    out = {}
+    for s, f in laurent.items():
+        for (j, k), c in op.terms().items():
+            out[j + s] = out.get(j + s, Q(0)) + c * Q(s) ** k * f
+    return {power: v for power, v in out.items() if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(op_terms, op_terms)
+def test_product_acts_as_composition(ta, tb):
+    # a product has theta-degree <= 4, so agreeing on seven monomials z^s
+    # decides each z-part: the check is an operator identity
+    a, b = _build(ta), _build(tb)
+    for s in range(-3, 4):
+        assert _apply(a * b, {s: Q(1)}) == _apply(a, _apply(b, {s: Q(1)}))
 
 
 def test_parse_render_round_trip():
@@ -198,12 +216,6 @@ class TestLeftFactor:
             found = left_factor_check(p, f)
             assert found is not None
             assert f * found == p
-
-
-def test_op_product():
-    ops = [T, T + ONE_OP, T + 2 * ONE_OP]
-    assert op_product(ops) == T * (T + ONE_OP) * (T + 2 * ONE_OP)
-    assert op_product([]) == ONE_OP
 
 
 def test_frac_operator_monic():
