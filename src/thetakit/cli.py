@@ -24,21 +24,21 @@ from .extension import parameter_counts
 from .hypergeometric import (
     CONTIGUITY_KINDS,
     HGParams,
+    _verify_steps,
     canonical_shift_class,
     contiguity_check,
     exponents,
     factorization_certificate,
     is_reducible,
     partition,
-    verify_certificate,
 )
 from .monodromy import build_monodromy
 from .rigidity import (
     MatrixTuple,
+    _irreducible_pair,
     algebra_span_dimension,
     char_poly_gcd,
     common_frame,
-    is_irreducible_pair,
     levelt_normal_form,
     pseudo_reflection_pairs,
 )
@@ -125,7 +125,7 @@ def cmd_analyze(args) -> int:
         except ValueError as exc:
             # every integer difference is negative: out of the chain's domain
             raise InputError(str(exc)) from exc
-        verified = verify_certificate(p)
+        verified = _verify_steps(p, steps)
         if not verified:
             status = VERIFICATION_FAILURE
         factorization = {
@@ -229,9 +229,7 @@ def cmd_rigidity(args) -> int:
         "common_frame": frame_rep,
         "common_frame_reason": frame_reason,
         "irreducible": (
-            is_irreducible_pair(t[0], t[1])
-            if t.p == 2 and table[(0, 1)]
-            else None
+            _irreducible_pair(t) if t.p == 2 and table[(0, 1)] else None
         ),
         "normal_form": normal_form,
         "normal_form_reason": normal_form_reason,

@@ -365,8 +365,13 @@ def factor_reducible(p: HGParams):
 
 def verify_certificate(p: HGParams) -> bool:
     """Exact expansion check of every link of the factorization chain."""
+    return _verify_steps(p, factorization_certificate(p))
+
+
+def _verify_steps(p: HGParams, steps) -> bool:
+    """verify_certificate on a chain already built for p."""
     current = p
-    for step in factorization_certificate(p):
+    for step in steps:
         lhs = build_D(current) * step.right
         rhs = step.left * build_D(step.params_after)
         if lhs != rhs:

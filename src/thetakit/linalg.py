@@ -6,7 +6,7 @@ that equal subspaces compare equal structurally.
 """
 
 from .polynomials import Poly
-from .scalars import Q, GaussianRational
+from .scalars import ONE, ZERO, Q, GaussianRational
 
 
 def _entry(x):
@@ -136,7 +136,7 @@ class ExactMatrix:
             out = []
             for ra in self.rows:
                 out.append(
-                    [sum((a * b for a, b in zip(ra, col)), Q(0)) for col in bt]
+                    [sum((a * b for a, b in zip(ra, col)), ZERO) for col in bt]
                 )
             return ExactMatrix(out)
         return NotImplemented
@@ -162,10 +162,10 @@ class ExactMatrix:
         if len(vector) != self.ncols:
             raise ValueError("vector length mismatch")
         vec = [_entry(x) for x in vector]
-        return tuple(sum((a * b for a, b in zip(r, vec)), Q(0)) for r in self.rows)
+        return tuple(sum((a * b for a, b in zip(r, vec)), ZERO) for r in self.rows)
 
     def trace(self):
-        return sum((self.rows[i][i] for i in range(self.n)), Q(0))
+        return sum((self.rows[i][i] for i in range(self.n)), ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -290,22 +290,60 @@ class ExactMatrix:
     def char_poly(self):
         """Characteristic polynomial det(X*I - self), monic of degree n.
 
-        Faddeev-LeVerrier recurrence: exact, no eigenvalue extraction.
+        Hessenberg reduction (Cohen, A Course in Computational Algebraic
+        Number Theory, Alg. 2.2.9): elementary similarities with the
+        first nonzero pivot bring the matrix to upper Hessenberg form H,
+        then p_0 = 1 and
+
+            p_m = (X - h_mm)*p_{m-1}
+                  - sum_{i<m} h_im * h_{i+1,i} * .. * h_{m,m-1} * p_{i-1}
+
+        gives p_n.  Exact, O(n^3), no matrix products.
 
         >>> ExactMatrix([[0, -2], [1, 3]]).char_poly()
         X^2-3*X+2
         """
         n = self.n
-        coeffs = [Q(0)] * (n + 1)
-        coeffs[n] = Q(1)
-        m = ExactMatrix.identity(n)
-        for k in range(1, n + 1):
-            if k > 1:
-                m = self * (m + ExactMatrix.identity(n) * coeffs[n - k + 1])
-            else:
-                m = self
-            coeffs[n - k] = -(m.trace() / Q(k))
-        return Poly(coeffs)
+        h = [list(r) for r in self.rows]
+        for m in range(1, n - 1):
+            c = m - 1
+            pivot = next((i for i in range(m, n) if h[i][c]), None)
+            if pivot is None:
+                continue
+            if pivot != m:
+                h[m], h[pivot] = h[pivot], h[m]
+                for r in h:
+                    r[m], r[pivot] = r[pivot], r[m]
+            inv = h[m][c].inverse()
+            row_m = h[m]
+            for i in range(m + 1, n):
+                if not h[i][c]:
+                    continue
+                u = h[i][c] * inv
+                # row_i -= u*row_m, then column_m += u*column_i: a similarity
+                h[i] = h[i][:c] + [a - u * b for a, b in zip(h[i][c:], row_m[c:])]
+                for r in h:
+                    if r[i]:
+                        r[m] = r[m] + u * r[i]
+        polys = [[ONE]]  # polys[k]: coefficients of p_k, constant first
+        for m in range(n):
+            prev = polys[m]
+            diag = h[m][m]
+            coeffs = [ZERO] + prev
+            if diag:
+                for k, x in enumerate(prev):
+                    coeffs[k] = coeffs[k] - diag * x
+            t = ONE
+            for i in range(m - 1, -1, -1):
+                t = t * h[i + 1][i]
+                if not t:
+                    break
+                f = h[i][m] * t
+                if f:
+                    for k, x in enumerate(polys[i]):
+                        coeffs[k] = coeffs[k] - f * x
+            polys.append(coeffs)
+        return Poly(polys[n])
 
 
 class Subspace:

@@ -22,7 +22,7 @@ programmatic indices are 0-based.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .extension import companion_of_operator
 from .linalg import ExactMatrix, Subspace, complete_basis, kernel
@@ -65,7 +65,24 @@ class MatrixTuple:
         return MatrixTuple(tuple(m.transpose() for m in self.matrices))
 
     def char_polys(self):
-        return [m.char_poly() for m in self.matrices]
+        return list(self._char_polys)
+
+    # Facts derived from the (immutable) members are kept on the tuple,
+    # so that one run asks each of them once, whatever asks first.
+
+    @cached_property
+    def _char_polys(self):
+        return tuple(m.char_poly() for m in self.matrices)
+
+    @cached_property
+    def _ratio_table(self):
+        ms = self.matrices
+        inverses = [None] + [m.inverse() for m in ms[1:]]  # A_0^{-1} unused
+        return {
+            (i, j): is_pseudo_reflection(ms[i] * inverses[j])
+            for i in range(self.p)
+            for j in range(i + 1, self.p)
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -117,30 +134,43 @@ class CommonFrame:
 
     In the new basis, member A becomes U·A·U^{-1} (see apply); all
     tuple members then agree exactly on the rows (side == "rows") or
-    columns (side == "columns") listed in shared_indices.
+    columns (side == "columns") listed in shared_indices.  The frame
+    carries U^{-1} as inverse, checked on construction.
     """
 
     basis_change: ExactMatrix
     side: str
     shared_indices: tuple
+    inverse: ExactMatrix
+
+    def __post_init__(self):
+        if self.basis_change * self.inverse != ExactMatrix.identity(
+            self.basis_change.n
+        ):
+            raise ValueError("frame inverse does not invert the basis change")
 
     def apply(self, t: MatrixTuple):
-        u = self.basis_change
-        u_inv = u.inverse()
+        u, u_inv = self.basis_change, self.inverse
         return [u * m * u_inv for m in t]
 
     def verify(self, t: MatrixTuple) -> bool:
-        """Exact check of the shared rows/columns across all members."""
-        changed = self.apply(t)
-        first = changed[0]
-        for other in changed[1:]:
-            for k in self.shared_indices:
-                if self.side == "rows":
-                    if first.row(k) != other.row(k):
-                        return False
-                else:
-                    if first.column(k) != other.column(k):
-                        return False
+        """Exact check of the shared rows/columns across all members.
+
+        U·A_i·U^{-1} and U·A_0·U^{-1} agree on the columns S exactly when
+        (A_i - A_0)·U^{-1}[:, S] = 0, and on the rows S exactly when
+        U[S, :]·(A_i - A_0) = 0, so no member is conjugated.
+        """
+        if self.side == "rows":
+            vectors = [self.basis_change.row(k) for k in self.shared_indices]
+            members = [m.transpose() for m in t]
+        else:
+            vectors = [self.inverse.column(k) for k in self.shared_indices]
+            members = list(t)
+        first = members[0]
+        for v in vectors:
+            image = first.apply(v)
+            if any(m.apply(v) != image for m in members[1:]):
+                return False
         return True
 
 
@@ -163,12 +193,7 @@ def pseudo_reflection_pairs(t: MatrixTuple) -> dict:
     >>> pseudo_reflection_pairs(t)
     {(0, 1): True}
     """
-    inverses = [m.inverse() for m in t]
-    return {
-        (i, j): is_pseudo_reflection(t[i] * inverses[j])
-        for i in range(t.p)
-        for j in range(i + 1, t.p)
-    }
+    return dict(t._ratio_table)
 
 
 def char_poly_gcd(char_polys) -> Poly:
@@ -181,12 +206,17 @@ def char_poly_gcd(char_polys) -> Poly:
     return reduce(poly_gcd, char_polys)
 
 
+def _check_invertible(t: MatrixTuple):
+    """A named error for the first singular member: det = ±cp(0)."""
+    for idx, cp in enumerate(t._char_polys):
+        if not cp.coeffs[0]:
+            raise ValueError("member %d is singular" % (idx + 1,))
+
+
 def _check_ratios(t: MatrixTuple):
     """Invertibility + pairwise pseudo-reflection ratios, or a named error."""
-    for idx, m in enumerate(t):
-        if not m.is_invertible():
-            raise ValueError("member %d is singular" % (idx + 1,))
-    for (i, j), ok in pseudo_reflection_pairs(t).items():
+    _check_invertible(t)
+    for (i, j), ok in t._ratio_table.items():
         if not ok:
             raise ValueError(
                 "ratio of members %d and %d is not a pseudo-reflection"
@@ -221,19 +251,23 @@ def common_frame(t: MatrixTuple) -> CommonFrame:
     kernels = [kernel(d) for d in diffs]
     frame = None
     if all(k == kernels[0] for k in kernels[1:]) and kernels[0].dim == n - 1:
-        basis = complete_basis(kernels[0].basis, n)
-        u = ExactMatrix.from_columns(basis).inverse()
+        basis = ExactMatrix.from_columns(complete_basis(kernels[0].basis, n))
         frame = CommonFrame(
-            basis_change=u, side="columns", shared_indices=tuple(range(n - 1))
+            basis_change=basis.inverse(),
+            side="columns",
+            shared_indices=tuple(range(n - 1)),
+            inverse=basis,
         )
     else:
         images = [Subspace([d.column(j) for j in range(n)]) for d in diffs]
         if all(im == images[0] for im in images) and images[0].dim == 1:
             v = images[0].basis[0]
-            basis = complete_basis([v], n)
-            u = ExactMatrix.from_columns(basis).inverse()
+            basis = ExactMatrix.from_columns(complete_basis([v], n))
             frame = CommonFrame(
-                basis_change=u, side="rows", shared_indices=tuple(range(1, n))
+                basis_change=basis.inverse(),
+                side="rows",
+                shared_indices=tuple(range(1, n)),
+                inverse=basis,
             )
     if frame is None or not frame.verify(t):
         raise ValueError(
@@ -297,16 +331,15 @@ def find_stabilized_subspace(t: MatrixTuple, frame: CommonFrame, lam) -> dict:
     on the transposed tuple.
     """
     lam = Q(lam)
-    for idx, m in enumerate(t):
-        if m.char_poly().evaluate(lam):
+    for idx, cp in enumerate(t._char_polys):
+        if cp.evaluate(lam):
             raise ValueError(
                 "%s is not an eigenvalue of member %d" % (lam, idx + 1)
             )
     if not frame.verify(t):
         raise ValueError("members do not share the given frame")
     n = t.n
-    u = frame.basis_change
-    u_inv = u.inverse()
+    u, u_inv = frame.basis_change, frame.inverse
     changed = frame.apply(t)
     if frame.side == "rows":
         kind, data = _shared_row_subspace(changed, frame.shared_indices, lam, n)
@@ -423,12 +456,10 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     """
     if frame.side != "columns":
         raise ValueError("normal form requires a column frame")
-    for idx, m in enumerate(t):
-        if not m.is_invertible():
-            raise ValueError("member %d is singular" % (idx + 1,))
+    _check_invertible(t)
     if not frame.verify(t):
         raise ValueError("members do not share the given frame")
-    char_polys = t.char_polys()
+    char_polys = t._char_polys
     g = char_poly_gcd(char_polys)
     if g.degree >= 1:
         raise ValueError(
@@ -436,17 +467,14 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
             "common characteristic factor %s" % (g,)
         )
     n = t.n
-    u_frame = frame.basis_change
+    u_frame, u_frame_inv = frame.basis_change, frame.inverse
     if frame.shared_indices != tuple(range(n - 1)):
+        # move the shared columns first: permute U's rows, U^{-1}'s columns
         order = list(frame.shared_indices)
         order.append(next(k for k in range(n) if k not in frame.shared_indices))
-        perm = ExactMatrix.from_columns(
-            [tuple(Q(1) if r == order[c] else Q(0) for r in range(n)) for c in range(n)]
-        )
-        u_frame = perm.inverse() * u_frame
-    u_inv = u_frame.inverse()
-    changed = [u_frame * m * u_inv for m in t]
-    b = changed[0]
+        u_frame = ExactMatrix([u_frame.row(k) for k in order])
+        u_frame_inv = ExactMatrix.from_columns([u_frame_inv.column(k) for k in order])
+    b = u_frame * t[0] * u_frame_inv
     w = Subspace(
         [tuple(Q(1) if i == k else Q(0) for i in range(n)) for k in range(n - 1)]
     )
@@ -460,17 +488,23 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
             "spectrum-intersection hypothesis violated: "
             "column intersection has dimension %d" % (v_space.dim,)
         )
-    v = (b ** (-(n - 2))).apply(v_space.basis[0])
+    v = v_space.basis[0]
+    if n > 2:
+        b_inv = b.inverse()
+        for _ in range(n - 2):
+            v = b_inv.apply(v)
     vectors = [v]
     for _ in range(n - 1):
         vectors.append(b.apply(vectors[-1]))
     basis = ExactMatrix.from_columns(vectors)
-    if not basis.is_invertible():
+    try:
+        basis_inv = basis.inverse()
+    except ValueError:
         raise ValueError(
             "spectrum-intersection hypothesis violated: degenerate basis chain"
-        )
-    u_total = basis.inverse() * u_frame
-    u_total_inv = u_total.inverse()
+        ) from None
+    u_total = basis_inv * u_frame
+    u_total_inv = u_frame_inv * basis
     canon = []
     for idx, (m, cp) in enumerate(zip(t, char_polys)):
         c = u_total * m * u_total_inv
@@ -518,9 +552,15 @@ def is_irreducible_pair(a: ExactMatrix, b: ExactMatrix) -> bool:
     """
     if not a.is_invertible() or not b.is_invertible():
         raise ValueError("both matrices must be invertible")
-    if not is_pseudo_reflection(a * b.inverse()):
+    return _irreducible_pair(MatrixTuple((a, b)))
+
+
+def _irreducible_pair(t: MatrixTuple) -> bool:
+    """is_irreducible_pair(t[0], t[1]) for a pair of invertible members,
+    from the ratio table and char polys that t already holds."""
+    if not t._ratio_table[(0, 1)]:
         raise ValueError("the ratio is not a pseudo-reflection")
-    return poly_gcd(a.char_poly(), b.char_poly()).degree == 0
+    return char_poly_gcd(t._char_polys).degree == 0
 
 
 class _EchelonAccumulator:

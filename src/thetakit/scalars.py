@@ -4,6 +4,14 @@ This is the coefficient field for every exact computation in the package.
 Values are immutable and canonical (fractions in lowest terms, positive
 denominators), so equality is structural and hashing is safe.
 
+Most scalars in the exact algorithms are real, so arithmetic takes a fast
+path on a zero imaginary part: real x real is one rational product, real x
+complex two, and only complex x complex does the four of the general
+formula; sums and differences of reals skip the imaginary sum; the inverse
+of a real is 1/re.  Results are built by _make from two backend rationals,
+without re-coercion, and the imaginary part of a real is always the
+backend's 0, so equality, hashing and printing do not depend on the path.
+
 Two interchangeable rational backends are supported.  gmpy2's mpq is used
 when importable because bignum rational arithmetic dominates the runtime of
 the exact algorithms; fractions.Fraction is the pure-Python fallback.  Set
@@ -139,17 +147,21 @@ class GaussianRational:
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, GaussianRational):
+        if type(other) is GaussianRational:
             return other
         if isinstance(other, int):
-            return GaussianRational(other)
+            return _make(_rat(other), _ZERO)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if not o.im:
+            return _make(self.re + o.re, self.im)
+        if not self.im:
+            return _make(self.re + o.re, o.im)
+        return _make(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -157,7 +169,11 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if not o.im:
+            return _make(self.re - o.re, self.im)
+        if not self.im:
+            return _make(self.re - o.re, -o.im)
+        return _make(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -166,24 +182,30 @@ class GaussianRational:
         return o - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not b:
+            if not d:
+                return _make(a * c, _ZERO)
+            return _make(a * c, a * d)
+        if not d:
+            return _make(a * c, b * c)
+        return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
+        if not self.im:
+            if not self.re:
+                raise ZeroDivisionError("inverse of zero")
+            return _make(_ONE / self.re, _ZERO)
         n = self.re * self.re + self.im * self.im
-        return GaussianRational(self.re / n, -self.im / n)
+        return _make(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -213,7 +235,7 @@ class GaussianRational:
         return result
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -244,6 +266,25 @@ class GaussianRational:
         return "%s%s%s" % (self.re, sign, imag)
 
     __repr__ = __str__
+
+
+_ZERO = _rat(0)
+_ONE = _rat(1)
+_new = object.__new__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _make(re, im):
+    """A GaussianRational from two backend rationals, taken as they are.
+
+    The caller guarantees both are of the backend type; a real result
+    passes the backend's 0 (not a Python int) as im.
+    """
+    x = _new(GaussianRational)
+    _set_re(x, re)
+    _set_im(x, im)
+    return x
 
 
 def Q(x=0, y=0):

@@ -311,12 +311,20 @@ GOLDEN_RIGIDITY_TRIPLE = (
 )
 
 
+# a conjugated companion triple whose frame shares columns 2 and 3
+RIGIDITY_TRIPLE = {
+    "matrices": [
+        [["2", "-2", "-1"], ["4/3", "2/3", "-1/3"], ["-10/3", "13/3", "10/3"]],
+        [["-15", "15", "16"], ["49/3", "-43/3", "-46/3"], ["-133/3", "136/3", "133/3"]],
+        [["1/6", "-1/6", "5/6"], ["-4", "6", "5"], ["-1/3", "4/3", "1/3"]],
+    ]
+}
+
+GAP_3_PARAMS = {"alpha": ["7/2", "1/3", "1/5"], "beta": ["1/2", "1/4", "2/7"]}
+
+
 def test_golden_analyze_factorization_steps(capsys, tmp_path):
-    path = write_json(
-        tmp_path,
-        "gap3.json",
-        {"alpha": ["7/2", "1/3", "1/5"], "beta": ["1/2", "1/4", "2/7"]},
-    )
+    path = write_json(tmp_path, "gap3.json", GAP_3_PARAMS)
     code, out, _ = run(capsys, ["analyze", "--input", path])
     assert code == 0
     assert out == GOLDEN_ANALYZE_GAP_3
@@ -330,21 +338,47 @@ def test_golden_verify_identities(capsys):
 
 
 def test_golden_rigidity_triple(capsys, tmp_path):
-    # a conjugated companion triple whose frame shares columns 2 and 3
-    path = write_json(
-        tmp_path,
-        "triple.json",
-        {
-            "matrices": [
-                [["2", "-2", "-1"], ["4/3", "2/3", "-1/3"], ["-10/3", "13/3", "10/3"]],
-                [["-15", "15", "16"], ["49/3", "-43/3", "-46/3"], ["-133/3", "136/3", "133/3"]],
-                [["1/6", "-1/6", "5/6"], ["-4", "6", "5"], ["-1/3", "4/3", "1/3"]],
-            ]
-        },
-    )
+    path = write_json(tmp_path, "triple.json", RIGIDITY_TRIPLE)
     code, out, _ = run(capsys, ["rigidity", "--input", path])
     assert code == 0
     assert out == GOLDEN_RIGIDITY_TRIPLE
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name; the returned list gets one entry per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_rigidity_builds_the_ratio_table_once(capsys, tmp_path, monkeypatch):
+    import thetakit.rigidity
+
+    calls = count_calls(monkeypatch, thetakit.rigidity, "is_pseudo_reflection")
+    path = write_json(tmp_path, "triple.json", RIGIDITY_TRIPLE)
+    code, out, _ = run(capsys, ["rigidity", "--input", path])
+    assert code == 0 and out == GOLDEN_RIGIDITY_TRIPLE
+    assert len(calls) == 3  # one per pair of members
+
+
+def test_analyze_builds_the_factorization_chain_once(capsys, tmp_path, monkeypatch):
+    import thetakit.cli
+    import thetakit.hypergeometric
+
+    hg = thetakit.hypergeometric
+    calls = count_calls(monkeypatch, hg, "factorization_certificate")
+    # cli holds its own reference; point it at the counting wrapper too
+    monkeypatch.setattr(thetakit.cli, "factorization_certificate", hg.factorization_certificate)
+    path = write_json(tmp_path, "gap3.json", GAP_3_PARAMS)
+    code, out, _ = run(capsys, ["analyze", "--input", path])
+    assert code == 0 and out == GOLDEN_ANALYZE_GAP_3
+    assert len(calls) == 1
 
 
 def test_byte_identical_determinism(capsys):

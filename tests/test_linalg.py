@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetakit.linalg import ExactMatrix, Subspace, complete_basis, kernel
 from thetakit.polynomials import Poly, X
@@ -183,3 +185,41 @@ def test_random_inverse_round_trip():
         g = invertible_matrix(rng, n)
         assert g * g.inverse() == ExactMatrix.identity(n)
         assert g.inverse() * g == ExactMatrix.identity(n)
+
+
+small_entries = st.one_of(
+    st.just(Q(0)),
+    st.builds(lambda a, d: Q(a) / Q(d), st.integers(-4, 4), st.integers(1, 3)),
+    st.builds(lambda a, b: Q(a, b), st.integers(-3, 3), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def char_poly_cases(draw):
+    """Square matrices, n = 1..6, some singular, some block triangular."""
+    n = draw(st.integers(1, 6))
+    rows = [[draw(small_entries) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["dense", "singular", "block"]))
+    if shape == "singular":
+        # last row a multiple of the first (zero when n = 1)
+        c = draw(small_entries)
+        rows[-1] = [c * x for x in rows[0]] if n > 1 else [Q(0)]
+    elif shape == "block":
+        # zero block below the diagonal: a zero subdiagonal entry at k
+        k = draw(st.integers(0, n - 1))
+        for i in range(k + 1, n):
+            for j in range(k + 1):
+                rows[i][j] = Q(0)
+    return ExactMatrix(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(char_poly_cases())
+def test_char_poly_interpolates_det(a):
+    # a monic degree-n polynomial is fixed by its values at n + 1 points
+    n = a.n
+    p = a.char_poly()
+    assert p.degree == n and p.leading() == Q(1)
+    for x in range(n + 1):
+        shifted = ExactMatrix.identity(n) * Q(x) - a
+        assert p.evaluate(Q(x)) == shifted.det()

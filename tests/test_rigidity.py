@@ -5,6 +5,7 @@ import pytest
 from thetakit.linalg import ExactMatrix, Subspace
 from thetakit.polynomials import Poly, X, poly_gcd
 from thetakit.rigidity import (
+    CommonFrame,
     MatrixTuple,
     Spectrum,
     algebra_span_dimension,
@@ -118,6 +119,60 @@ class TestCommonFrame:
         t = MatrixTuple((m_([[2, 0], [0, 3]]), ExactMatrix.identity(2)))
         with pytest.raises(ValueError, match="pseudo-reflection"):
             common_frame(t)
+
+
+def framed_pair(rng, n, side, agree):
+    """(frame, tuple) with a random basis change U and members
+    U^{-1}·C_k·U, where C_0 and C_1 agree on the frame's shared rows or
+    columns exactly when agree is set."""
+    u = invertible_matrix(rng, n)
+    u_inv = u.inverse()
+    shared = tuple(range(n - 1)) if side == "columns" else tuple(range(1, n))
+    free = n - 1 if side == "columns" else 0
+    base = [[Q(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
+    other = [list(r) for r in base]
+    changed = [(free, k) for k in range(n)]  # the free column / row
+    if not agree:
+        changed.append((rng.choice(shared), rng.randrange(n)))
+    for a, b in changed:
+        i, j = (b, a) if side == "columns" else (a, b)
+        other[i][j] = other[i][j] + Q(rng.randrange(1, 4))
+    members = tuple(u_inv * ExactMatrix(c) * u for c in (base, other))
+    frame = CommonFrame(
+        basis_change=u, side=side, shared_indices=shared, inverse=u_inv
+    )
+    return frame, MatrixTuple(members)
+
+
+class TestFrameInverse:
+    def test_mismatched_inverse_rejected(self):
+        u = m_([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+
+        def frame(inverse):
+            return CommonFrame(
+                basis_change=u, side="columns", shared_indices=(0, 1), inverse=inverse
+            )
+
+        assert frame(u.inverse()).inverse == m_([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
+        near = m_([[1, -1, 0], [0, 1, 0], [0, 0, 2]])
+        for wrong in (u, ExactMatrix.identity(3), near):
+            with pytest.raises(ValueError, match="inverse"):
+                frame(wrong)
+
+    @pytest.mark.parametrize("side", ["columns", "rows"])
+    def test_verify_detects_a_tuple_off_the_frame(self, side):
+        rng = random.Random(17 if side == "columns" else 18)
+        for trial in range(12):
+            n = rng.randrange(2, 6)
+            agree = trial % 2 == 0
+            frame, t = framed_pair(rng, n, side, agree)
+            assert frame.verify(t) is agree
+            # the definition: conjugated members agree on the shared part
+            a, b = frame.apply(t)
+            if side == "rows":
+                a, b = a.transpose(), b.transpose()
+            shared = frame.shared_indices
+            assert agree == all(a.column(k) == b.column(k) for k in shared)
 
 
 class TestStabilizedSubspace:
@@ -237,6 +292,32 @@ class TestNormalForm:
         frame = common_frame(t)
         with pytest.raises(ValueError, match="common characteristic factor"):
             levelt_normal_form(t, frame)
+
+    def test_frame_sharing_the_last_columns(self):
+        # conjugating companions by the cyclic shift e_k -> e_{k+1} moves
+        # their shared columns to 1..n-1; a hand-built frame saying so
+        # takes the permuted branch
+        rng = random.Random(5)
+        for n in (2, 3, 4):
+            spectra = disjoint_spectra(rng, 3, n)
+            shift = ExactMatrix(
+                [[1 if r == (k + 1) % n else 0 for k in range(n)] for r in range(n)]
+            )
+            t = MatrixTuple(
+                tuple(shift * m * shift.inverse() for m in levelt_tuple(spectra))
+            )
+            identity = ExactMatrix.identity(n)
+            frame = CommonFrame(
+                basis_change=identity,
+                side="columns",
+                shared_indices=tuple(range(1, n)),
+                inverse=identity,
+            )
+            assert frame.verify(t)
+            u, canon = levelt_normal_form(t, frame)
+            for k, s in enumerate(spectra):
+                assert canon[k] == companion_from_spectrum(s)
+                assert u * t[k] * u.inverse() == canon[k]
 
     def test_rows_side_rejected(self):
         rng = random.Random(41)

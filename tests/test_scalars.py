@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,3 +101,56 @@ def test_int_coercion_in_arithmetic():
     assert Q("1/2") + 1 == Q("3/2")
     assert 2 * Q("1/2") == ONE
     assert Q(3) - 1 == Q(2)
+
+
+# Parts as plain Fractions; a zero imaginary part is drawn often, so that
+# every real/complex combination of the fast paths is reached.
+parts = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+imag_parts = st.one_of(st.just(Fraction(0)), parts)
+pairs = st.tuples(parts, imag_parts)
+
+
+def same_value(x, re, im):
+    """x equals, hashes and prints like Q(re, im), in canonical form."""
+    expected = Q(re, im)
+    assert x == expected
+    assert hash(x) == hash(expected)
+    assert str(x) == str(expected)
+    assert type(x.re) is type(expected.re)
+    assert type(x.im) is type(expected.im)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs, pairs)
+def test_arithmetic_matches_four_product_formula(x, y):
+    (a, b), (c, d) = x, y
+    gx, gy = Q(a, b), Q(c, d)
+    same_value(gx * gy, a * c - b * d, a * d + b * c)
+    same_value(gx + gy, a + c, b + d)
+    same_value(gx - gy, a - c, b - d)
+    same_value(-gx, -a, -b)
+    if a or b:
+        n = a * a + b * b
+        same_value(gx.inverse(), a / n, -b / n)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ((Fraction(3, 4), 0), (Fraction(-2, 5), 0)),  # real x real
+        ((Fraction(3, 4), 0), (Fraction(-2, 5), Fraction(1, 3))),  # real x complex
+        ((Fraction(3, 4), Fraction(1, 2)), (Fraction(-2, 5), 0)),  # complex x real
+        ((Fraction(3, 4), Fraction(1, 2)), (Fraction(-2, 5), Fraction(1, 3))),
+        ((0, Fraction(1, 2)), (0, 2)),  # complex x complex with a real product
+    ],
+)
+def test_mul_each_combination(x, y):
+    (a, b), (c, d) = (tuple(Fraction(v) for v in p) for p in (x, y))
+    same_value(Q(a, b) * Q(c, d), a * c - b * d, a * d + b * c)
+    same_value(Q(c, d) * Q(a, b), a * c - b * d, a * d + b * c)
+
+
+def test_int_operands_take_the_real_path():
+    same_value(Q(0, 1) * 3, Fraction(0), Fraction(3))
+    same_value(3 - Q("1/2", 1), Fraction(5, 2), Fraction(-1))
+    same_value(Q("-2/3").inverse(), Fraction(-3, 2), Fraction(0))
