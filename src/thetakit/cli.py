@@ -35,6 +35,7 @@ from .hypergeometric import (
 from .monodromy import build_monodromy
 from .rigidity import (
     MatrixTuple,
+    _check_invertible,
     _irreducible_pair,
     algebra_span_dimension,
     char_poly_gcd,
@@ -91,9 +92,10 @@ def _load_tuple(path: str) -> MatrixTuple:
         t = MatrixTuple.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("invalid matrix tuple file: %s" % (exc,)) from exc
-    for k, m in enumerate(t):
-        if not m.is_invertible():
-            raise InputError("member %d is singular" % (k + 1,))
+    try:
+        _check_invertible(t)  # from the char polys, which the commands reuse
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     return t
 
 

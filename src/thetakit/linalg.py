@@ -349,10 +349,11 @@ class ExactMatrix:
 class Subspace:
     """Subspace of Q(i)^n stored with a canonical RREF basis.
 
-    >>> a = Subspace([(1, 0, 0), (0, 1, 0)])
-    >>> b = Subspace([(0, 1, 0), (0, 0, 1)])
-    >>> a.intersect(b) == Subspace([(0, 1, 0)])
-    True
+    >>> a = Subspace([(2, 4, 0), (1, 2, 1)])
+    >>> a
+    span{(1, 2, 0), (0, 0, 1)}
+    >>> a == Subspace([(1, 2, 5), (0, 0, 3)]), a.contains((1, 2, 3))
+    (True, True)
     """
 
     __slots__ = ("ambient", "basis")
@@ -395,12 +396,6 @@ class Subspace:
     def is_zero(self):
         return not self.basis
 
-    def matrix(self):
-        """Basis vectors as the columns of a matrix."""
-        if not self.basis:
-            raise ValueError("zero subspace has no basis matrix")
-        return ExactMatrix(self.basis).transpose()
-
     def contains(self, vector):
         vec = tuple(_entry(x) for x in vector)
         if len(vec) != self.ambient:
@@ -426,37 +421,6 @@ class Subspace:
 
     def __le__(self, other):
         return all(other.contains(v) for v in self.basis)
-
-    def intersect(self, other):
-        """Canonical basis of the intersection.
-
-        Solves A*x = B*y by a kernel computation on [A | -B].
-        """
-        if not isinstance(other, Subspace):
-            raise TypeError("expected a Subspace")
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimension mismatch")
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient)
-        a = self.matrix()
-        b = other.matrix()
-        stacked = ExactMatrix.hstack(a, -b)
-        vectors = []
-        for k in stacked.kernel_vectors():
-            x = k[: a.ncols]
-            vectors.append(a.apply(x))
-        vectors = [v for v in vectors if any(v)]
-        if not vectors:
-            return Subspace.zero(self.ambient)
-        return Subspace(vectors)
-
-    def image(self, m):
-        """The subspace m * self."""
-        if m.ncols != self.ambient:
-            raise ValueError("ambient dimension mismatch")
-        if self.is_zero():
-            return Subspace.zero(m.nrows)
-        return Subspace([m.apply(v) for v in self.basis], ambient=m.nrows)
 
     def is_invariant_under(self, m):
         return all(self.contains(m.apply(v)) for v in self.basis)

@@ -76,13 +76,17 @@ class MatrixTuple:
 
     @cached_property
     def _ratio_table(self):
+        _check_invertible(self)
         ms = self.matrices
-        inverses = [None] + [m.inverse() for m in ms[1:]]  # A_0^{-1} unused
         return {
-            (i, j): is_pseudo_reflection(ms[i] * inverses[j])
+            (i, j): _ratio_is_pseudo_reflection(ms[i], ms[j])
             for i in range(self.p)
             for j in range(i + 1, self.p)
         }
+
+    @cached_property
+    def _frame_checks(self):
+        return {}  # id(frame) -> (frame, frame.verify(self)), see _shares_frame
 
     def to_dict(self) -> dict:
         return {
@@ -185,9 +189,16 @@ def is_pseudo_reflection(h: ExactMatrix) -> bool:
     return (h - ExactMatrix.identity(h.n)).rank() == 1
 
 
+def _ratio_is_pseudo_reflection(a: ExactMatrix, b: ExactMatrix) -> bool:
+    """is_pseudo_reflection(a·b^{-1}) for invertible b, without the
+    inverse: a·b^{-1} - I = (a - b)·b^{-1} has the rank of a - b."""
+    return (a - b).rank() == 1
+
+
 def pseudo_reflection_pairs(t: MatrixTuple) -> dict:
     """{(i, j): whether A_i·A_j^{-1} is a pseudo-reflection} for i < j,
-    in lexicographic order.  Every member must be invertible.
+    in lexicographic order.  Every member must be invertible; a
+    singular one is a ValueError naming it.
 
     >>> t = levelt_tuple([Spectrum((1, 2)), Spectrum((3, 4))])
     >>> pseudo_reflection_pairs(t)
@@ -213,9 +224,21 @@ def _check_invertible(t: MatrixTuple):
             raise ValueError("member %d is singular" % (idx + 1,))
 
 
+def _shares_frame(t: MatrixTuple, frame: CommonFrame) -> bool:
+    """frame.verify(t), computed once per tuple and frame.
+
+    Keyed by identity, since hashing a frame hashes 2n² rationals; the
+    stored frame stays alive, so no other object can take its id.
+    """
+    checks = t._frame_checks
+    entry = checks.get(id(frame))
+    if entry is None:
+        entry = checks[id(frame)] = (frame, frame.verify(t))
+    return entry[1]
+
+
 def _check_ratios(t: MatrixTuple):
     """Invertibility + pairwise pseudo-reflection ratios, or a named error."""
-    _check_invertible(t)
     for (i, j), ok in t._ratio_table.items():
         if not ok:
             raise ValueError(
@@ -269,7 +292,7 @@ def common_frame(t: MatrixTuple) -> CommonFrame:
                 shared_indices=tuple(range(1, n)),
                 inverse=basis,
             )
-    if frame is None or not frame.verify(t):
+    if frame is None or not _shares_frame(t, frame):
         raise ValueError(
             "common frame construction failed verification; "
             "the tuple is outside the supported case analysis"
@@ -336,7 +359,7 @@ def find_stabilized_subspace(t: MatrixTuple, frame: CommonFrame, lam) -> dict:
             raise ValueError(
                 "%s is not an eigenvalue of member %d" % (lam, idx + 1)
             )
-    if not frame.verify(t):
+    if not _shares_frame(t, frame):
         raise ValueError("members do not share the given frame")
     n = t.n
     u, u_inv = frame.basis_change, frame.inverse
@@ -381,7 +404,7 @@ def common_spectrum_certificate(
     returned gcd certifies that the spectra intersect without ever
     extracting a root.
     """
-    if not frame.verify(t):
+    if not _shares_frame(t, frame):
         raise ValueError("members do not share the given frame")
     if w.is_zero() or w.dim == t.n:
         raise ValueError("certificate needs a nonzero proper subspace")
@@ -446,18 +469,24 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     value).  Returns (U, canon) with U·A_i·U^{-1} = canon[i], each
     canon[i] the companion matrix of char_poly(A_i).
 
-    The basis is built from the one-dimensional intersection
-    V = W ∩ B·W ∩ ... ∩ B^{n-2}·W, where W is the span of the shared
-    columns' standard vectors and B is the first transformed member:
-    v = B^{-(n-2)}·w turns {v, Bv, .., B^{n-1}v} into a basis in which
-    every member is an exact companion.  dim V != 1 (or a degenerate
-    basis) means some eigenvalue is shared by every member, so the
-    hypothesis fails; this is reported as an error.
+    U^{-1} = X = [x, A_0·x, .., A_0^{n-1}·x] is the Krylov basis of a
+    cyclic vector x (Beukers-Heckman, Invent. Math. 95, 1989, §3).  The
+    members agree on the hyperplane W = {w : y·w = 0}, y the row of the
+    frame's U at its one non-shared index.  x spans the kernel of the
+    n-1 rows y·A_0^k, k = 0..n-2, so A_0^k·x lies in W and
+    A_i·A_0^k·x = A_0^{k+1}·x for k < n-1: in the basis X every member
+    has the companion's first n-1 columns.  A kernel of dimension != 1
+    (or a degenerate basis) means some eigenvalue is shared by every
+    member, so the hypothesis fails; this is reported as an error.  U
+    is unique up to a scalar: x is scaled so that, over the shared
+    indices k in the frame's order, the first nonzero entry of
+    (U_frame·A_0^{n-2}·x)_k is 1.  Each member is checked through
+    A_i·X = X·canon[i], which holds exactly when U·A_i·U^{-1} = canon[i].
     """
     if frame.side != "columns":
         raise ValueError("normal form requires a column frame")
     _check_invertible(t)
-    if not frame.verify(t):
+    if not _shares_frame(t, frame):
         raise ValueError("members do not share the given frame")
     char_polys = t._char_polys
     g = char_poly_gcd(char_polys)
@@ -467,53 +496,43 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
             "common characteristic factor %s" % (g,)
         )
     n = t.n
-    u_frame, u_frame_inv = frame.basis_change, frame.inverse
-    if frame.shared_indices != tuple(range(n - 1)):
-        # move the shared columns first: permute U's rows, U^{-1}'s columns
-        order = list(frame.shared_indices)
-        order.append(next(k for k in range(n) if k not in frame.shared_indices))
-        u_frame = ExactMatrix([u_frame.row(k) for k in order])
-        u_frame_inv = ExactMatrix.from_columns([u_frame_inv.column(k) for k in order])
-    b = u_frame * t[0] * u_frame_inv
-    w = Subspace(
-        [tuple(Q(1) if i == k else Q(0) for i in range(n)) for k in range(n - 1)]
-    )
-    v_space = w
-    power_image = w
+    a0 = t[0]
+    u_frame = frame.basis_change
+    free = next(k for k in range(n) if k not in frame.shared_indices)
+    a0_t = a0.transpose()
+    rows = [u_frame.row(free)]
     for _ in range(n - 2):
-        power_image = power_image.image(b)
-        v_space = v_space.intersect(power_image)
-    if v_space.dim != 1:
+        rows.append(a0_t.apply(rows[-1]))  # y·A_0^k
+    null = ExactMatrix(rows).kernel_vectors()
+    if len(null) != 1:
         raise ValueError(
             "spectrum-intersection hypothesis violated: "
-            "column intersection has dimension %d" % (v_space.dim,)
+            "column intersection has dimension %d" % (len(null),)
         )
-    v = v_space.basis[0]
-    if n > 2:
-        b_inv = b.inverse()
-        for _ in range(n - 2):
-            v = b_inv.apply(v)
-    vectors = [v]
+    vectors = [null[0]]
     for _ in range(n - 1):
-        vectors.append(b.apply(vectors[-1]))
+        vectors.append(a0.apply(vectors[-1]))
+    anchor = u_frame.apply(vectors[n - 2])
+    scale = next(anchor[k] for k in frame.shared_indices if anchor[k]).inverse()
+    vectors = [tuple(scale * a for a in v) for v in vectors]
     basis = ExactMatrix.from_columns(vectors)
     try:
-        basis_inv = basis.inverse()
+        u = basis.inverse()
     except ValueError:
         raise ValueError(
             "spectrum-intersection hypothesis violated: degenerate basis chain"
         ) from None
-    u_total = basis_inv * u_frame
-    u_total_inv = u_frame_inv * basis
     canon = []
     for idx, (m, cp) in enumerate(zip(t, char_polys)):
-        c = u_total * m * u_total_inv
-        if c != companion_of_operator(cp):
+        c = companion_of_operator(cp)
+        # X·C: C's subdiagonal shifts X's columns, its last column mixes them
+        x_c = vectors[1:] + [basis.apply(c.column(n - 1))]
+        if [m.apply(v) for v in vectors] != x_c:
             raise ValueError(
                 "normal form verification failed for member %d" % (idx + 1,)
             )
         canon.append(c)
-    return u_total, MatrixTuple(tuple(canon))
+    return u, MatrixTuple(tuple(canon))
 
 
 def tuple_conjugator(a: MatrixTuple, b: MatrixTuple):

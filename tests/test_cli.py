@@ -322,6 +322,48 @@ RIGIDITY_TRIPLE = {
 
 GAP_3_PARAMS = {"alpha": ["7/2", "1/3", "1/5"], "beta": ["1/2", "1/4", "2/7"]}
 
+# g·L_k·g^{-1} for the companions L_k of the spectra {1, 2, 3, 4, 5},
+# {-1, 6, 7, 8, 9}, {-3, 1, 2, 5, 10} and g = [[1, 1, 0, 0, 0],
+# [0, 1, 2, 0, 0], [0, 0, 1, 0, -1], [1, 0, 0, 2, 0], [0, 1, 0, 1, 1]]
+# (det -4); U is fixed only up to a scalar, and these bytes pin it
+NORMAL_FORM_N5 = {
+    "n": 5,
+    "matrices": [
+        [
+            ["39", "-115", "230", "-38", "76"],
+            ["-85/2", "263/2", "-263", "87/2", "-87"],
+            ["-207/4", "629/4", "-629/2", "207/4", "-209/2"],
+            ["12", "-36", "74", "-12", "24"],
+            ["86", "-257", "515", "-85", "171"],
+        ],
+        [
+            ["1100", "-3298", "6596", "-1099", "2198"],
+            ["-625/2", "1883/2", "-1883", "627/2", "-627"],
+            ["-1283/4", "3857/4", "-3857/2", "1283/4", "-1285/2"],
+            ["908", "-2724", "5450", "-908", "1816"],
+            ["825/2", "-2473/2", "2474", "-823/2", "824"],
+        ],
+        [
+            ["-69/2", "211/2", "-211", "71/2", "-71"],
+            ["-53", "163", "-326", "54", "-108"],
+            ["129/4", "-379/4", "379/2", "-129/4", "127/2"],
+            ["96", "-288", "578", "-96", "192"],
+            ["-103", "310", "-619", "104", "-207"],
+        ],
+    ],
+}
+
+GOLDEN_NORMAL_FORM_N5 = (
+    '{"basis_change":[["1","1","-2","1","-2"],["1","-1","2","-1","2"]'
+    ',["-1/2","3/2","-1","1/2","-1"],["-1/2","-1/2","1","1/2","1"]'
+    ',["-1/2","3/2","-3","1/2","-1"]],"members":[[["0","0","0","0","120"]'
+    ',["1","0","0","0","-274"],["0","1","0","0","225"],["0","0","1","0","-85"]'
+    ',["0","0","0","1","15"]],[["0","0","0","0","-3024"],["1","0","0","0","-1374"]'
+    ',["0","1","0","0","1315"],["0","0","1","0","-305"],["0","0","0","1","29"]]'
+    ',[["0","0","0","0","-300"],["1","0","0","0","440"],["0","1","0","0","-111"]'
+    ',["0","0","1","0","-43"],["0","0","0","1","15"]]]}\n'
+)
+
 
 def test_golden_analyze_factorization_steps(capsys, tmp_path):
     path = write_json(tmp_path, "gap3.json", GAP_3_PARAMS)
@@ -344,6 +386,13 @@ def test_golden_rigidity_triple(capsys, tmp_path):
     assert out == GOLDEN_RIGIDITY_TRIPLE
 
 
+def test_golden_normal_form_n5(capsys, tmp_path):
+    path = write_json(tmp_path, "n5.json", NORMAL_FORM_N5)
+    code, out, _ = run(capsys, ["normal-form", "--input", path])
+    assert code == 0
+    assert out == GOLDEN_NORMAL_FORM_N5
+
+
 def count_calls(monkeypatch, module, name):
     """Wrap module.name; the returned list gets one entry per call."""
     calls = []
@@ -360,7 +409,7 @@ def count_calls(monkeypatch, module, name):
 def test_rigidity_builds_the_ratio_table_once(capsys, tmp_path, monkeypatch):
     import thetakit.rigidity
 
-    calls = count_calls(monkeypatch, thetakit.rigidity, "is_pseudo_reflection")
+    calls = count_calls(monkeypatch, thetakit.rigidity, "_ratio_is_pseudo_reflection")
     path = write_json(tmp_path, "triple.json", RIGIDITY_TRIPLE)
     code, out, _ = run(capsys, ["rigidity", "--input", path])
     assert code == 0 and out == GOLDEN_RIGIDITY_TRIPLE

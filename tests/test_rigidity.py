@@ -17,6 +17,7 @@ from thetakit.rigidity import (
     is_pseudo_reflection,
     levelt_normal_form,
     levelt_tuple,
+    pseudo_reflection_pairs,
     tuple_conjugator,
 )
 from thetakit.scalars import Q
@@ -63,6 +64,16 @@ class TestMatrixTuple:
     def test_char_polys(self):
         t = companion_pair((1, 2), (3, 4))
         assert t.char_polys()[0] == Poly.from_roots([Q(1), Q(2)])
+
+
+def test_ratio_table_names_a_singular_member():
+    a = companion_from_spectrum(Spectrum((Q(1), Q(2))))
+    singular = m_([[1, 1], [1, 1]])
+    t = MatrixTuple((a, singular, ExactMatrix.identity(2)))
+    with pytest.raises(ValueError, match="member 2 is singular"):
+        pseudo_reflection_pairs(t)
+    with pytest.raises(ValueError, match="member 2 is singular"):
+        common_frame(t)
 
 
 def test_pseudo_reflection_rank_criterion():
@@ -173,6 +184,37 @@ class TestFrameInverse:
                 a, b = a.transpose(), b.transpose()
             shared = frame.shared_indices
             assert agree == all(a.column(k) == b.column(k) for k in shared)
+
+
+class TestFrameMismatch:
+    """A frame the members do not share is refused wherever it is given,
+    also after it was accepted for another tuple."""
+
+    def test_frame_of_another_tuple(self):
+        rng = random.Random(29)
+        _, _, a = conjugated_levelt(rng, 3, 3)
+        _, _, b = conjugated_levelt(rng, 3, 3)
+        frame = common_frame(a)
+        assert not frame.verify(b)
+        levelt_normal_form(a, frame)  # accepted, and recorded on a
+        with pytest.raises(ValueError, match="do not share the given frame"):
+            levelt_normal_form(b, frame)
+        levelt_normal_form(a, frame)
+
+    def test_every_entry_point(self):
+        # the companions share eigenvalue 2; conjugating one of them
+        # moves it off the frame of the pair
+        t = companion_pair((1, 2), (2, 5))
+        frame = common_frame(t)
+        g = m_([[1, 1], [0, 1]])
+        off = MatrixTuple((t[0], g * t[1] * g.inverse()))
+        w = find_stabilized_subspace(t, frame, Q(2))["hyperplane"]
+        with pytest.raises(ValueError, match="do not share the given frame"):
+            find_stabilized_subspace(off, frame, Q(2))
+        with pytest.raises(ValueError, match="do not share the given frame"):
+            common_spectrum_certificate(off, frame, w)
+        with pytest.raises(ValueError, match="do not share the given frame"):
+            levelt_normal_form(off, frame)
 
 
 class TestStabilizedSubspace:
@@ -318,6 +360,38 @@ class TestNormalForm:
             for k, s in enumerate(spectra):
                 assert canon[k] == companion_from_spectrum(s)
                 assert u * t[k] * u.inverse() == canon[k]
+
+    def test_golden_u_under_a_permuted_frame(self):
+        # members g^{-1}·L_k·g and the frame P·g, where P swaps e_2 and
+        # e_3, so the shared columns are 1, 2 and 4; U is fixed only up
+        # to a scalar, and these entries pin it
+        g = m_([[1, 1, 0, 0], [0, 1, 2, 0], [1, 0, 1, 1], [0, 0, 1, 3]])
+        swap = m_([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        base = levelt_tuple(
+            [Spectrum((1, 2, 3, 4)), Spectrum((-1, 5, 6, 7)), Spectrum((-2, 2, 3, 8))]
+        )
+        t = MatrixTuple(tuple(g.inverse() * m * g for m in base))
+        frame = CommonFrame(
+            basis_change=swap * g,
+            side="columns",
+            shared_indices=(0, 1, 3),
+            inverse=g.inverse() * swap,
+        )
+        u, canon = levelt_normal_form(t, frame)
+        assert [[str(x) for x in row] for row in u.rows] == [
+            ["1", "1", "0", "0"],
+            ["0", "1", "2", "0"],
+            ["1", "0", "1", "1"],
+            ["0", "0", "1", "3"],
+        ]
+        assert canon == base
+
+    def test_singular_member_rejected(self):
+        t = companion_pair((1, 2), (3, 4))
+        frame = common_frame(t)
+        singular = MatrixTuple((t[0], m_([[0, 0], [1, 0]])))
+        with pytest.raises(ValueError, match="member 2 is singular"):
+            levelt_normal_form(singular, frame)
 
     def test_rows_side_rejected(self):
         rng = random.Random(41)
