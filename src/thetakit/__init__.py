@@ -4,8 +4,9 @@ The package is organised in layers:
 
 - ``scalars`` / ``polynomials`` / ``linalg``: Gaussian-rational
   arithmetic, dense exact matrices and subspaces;
-- ``theta``: the noncommutative ring of polynomials in z and the Euler
-  operator t = z d/dz, with division and factor extraction;
+- ``theta``: the noncommutative ring C[z, 1/z][t] of Laurent polynomials
+  in z and the Euler operator t = z d/dz, with fraction-free right
+  division (c*p = q*d + r), right gcd and left-factor extraction;
 - ``hypergeometric``: construction, local exponents, reducibility,
   contiguity identities and factorization certificates;
 - ``extension``: companion systems, one-step extension blocks and
@@ -18,10 +19,9 @@ The package is organised in layers:
 """
 
 from .scalars import BACKEND, GaussianRational, I, ONE, Q, ZERO
-from .polynomials import Poly, RationalFunction, X, poly_gcd
+from .polynomials import Poly, X, poly_gcd
 from .linalg import ExactMatrix, Subspace, complete_basis, kernel
 from .theta import (
-    FracThetaOperator,
     ThetaOperator,
     left_factor_check,
     parse,
@@ -89,7 +89,6 @@ __all__ = [
     "ExactMatrix",
     "ExtensionBlock",
     "FactorStep",
-    "FracThetaOperator",
     "GaussianRational",
     "HGParams",
     "I",
@@ -100,7 +99,6 @@ __all__ = [
     "ONE",
     "Poly",
     "Q",
-    "RationalFunction",
     "ReducibilityPartition",
     "Spectrum",
     "Subspace",

@@ -54,6 +54,9 @@ from .serialization import (
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
 
+# work bounds: counts builds count² entries, verify-identities count sets
+MAX_COUNT = {"counts": 100, "verify-identities": 1000}
+
 
 class InputError(Exception):
     """Malformed or out-of-domain input; maps to exit status 2."""
@@ -383,6 +386,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     if getattr(args, "count", 1) < 1:
         sys.stderr.write("error: --count must be at least 1\n")
+        return USAGE_ERROR
+    bound = MAX_COUNT.get(args.command)
+    if bound is not None and args.count > bound:
+        sys.stderr.write("error: --count must be at most %d\n" % bound)
         return USAGE_ERROR
     try:
         return args.func(args)

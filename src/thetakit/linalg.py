@@ -77,9 +77,6 @@ class ExactMatrix:
     def column(self, j):
         return tuple(r[j] for r in self.rows)
 
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
     def transpose(self):
         return ExactMatrix(
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]

@@ -1,9 +1,8 @@
-"""Univariate polynomials and rational functions over the Gaussian rationals.
+"""Univariate polynomials over the Gaussian rationals.
 
 Polynomials are stored as ascending coefficient tuples with no trailing
 zeros (the zero polynomial is the empty tuple), so equality is structural.
-The formal variable is rendered as X.  Rational functions keep a monic
-denominator and cancel the gcd on construction.
+The formal variable is rendered as X.
 """
 
 from .scalars import Q, GaussianRational
@@ -169,9 +168,6 @@ class Poly:
         inv = self.leading().inverse()
         return Poly([c * inv for c in self.coeffs])
 
-    def derivative(self):
-        return Poly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
-
     def shift(self, a):
         """The Taylor shift p(X + a), by repeated synthetic division.
 
@@ -249,131 +245,3 @@ def poly_gcd(p, q):
 
 
 X = Poly.variable()
-
-
-class RationalFunction:
-    """Quotient of two polynomials; denominator monic, gcd cancelled.
-
-    >>> RationalFunction(Poly([0, 1]), Poly([0, 0, 1]))
-    (1)/(X)
-    >>> RationalFunction(Poly([1]), Poly([2]))
-    (1/2)/(1)
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if not isinstance(num, Poly):
-            num = Poly([num]) if not isinstance(num, (list, tuple)) else Poly(num)
-        if den is None:
-            den = Poly([1])
-        elif not isinstance(den, Poly):
-            den = Poly([den]) if not isinstance(den, (list, tuple)) else Poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = Poly(), Poly([1])
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.leading().inverse()
-            num = num * lead
-            den = den * lead
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def is_polynomial(self):
-        return self.den == Poly([1])
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Poly):
-            return RationalFunction(other)
-        if isinstance(other, (int, GaussianRational)):
-            return RationalFunction(Poly([other]))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(
-            self.num * o.den + o.num * self.den, self.den * o.den
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero rational function")
-        return RationalFunction(self.den, self.num)
-
-    def derivative(self):
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __str__(self):
-        return "(%s)/(%s)" % (self.num, self.den)
-
-    __repr__ = __str__

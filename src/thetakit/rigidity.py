@@ -75,13 +75,21 @@ class MatrixTuple:
         return tuple(m.char_poly() for m in self.matrices)
 
     @cached_property
-    def _ratio_table(self):
-        _check_invertible(self)
+    def _difference_kernels(self):
         ms = self.matrices
         return {
-            (i, j): _ratio_is_pseudo_reflection(ms[i], ms[j])
+            (i, j): _difference_kernel(ms[i], ms[j])
             for i in range(self.p)
             for j in range(i + 1, self.p)
+        }
+
+    @cached_property
+    def _ratio_table(self):
+        # for invertible A_j, A_i·A_j^{-1} - I = (A_i - A_j)·A_j^{-1} has the
+        # rank of A_i - A_j: rank 1 is a kernel of dimension n - 1
+        _check_invertible(self)
+        return {
+            pair: k.dim == self.n - 1 for pair, k in self._difference_kernels.items()
         }
 
     @cached_property
@@ -189,10 +197,9 @@ def is_pseudo_reflection(h: ExactMatrix) -> bool:
     return (h - ExactMatrix.identity(h.n)).rank() == 1
 
 
-def _ratio_is_pseudo_reflection(a: ExactMatrix, b: ExactMatrix) -> bool:
-    """is_pseudo_reflection(a·b^{-1}) for invertible b, without the
-    inverse: a·b^{-1} - I = (a - b)·b^{-1} has the rank of a - b."""
-    return (a - b).rank() == 1
+def _difference_kernel(a: ExactMatrix, b: ExactMatrix) -> Subspace:
+    """kernel(a - b), which both the ratio table and common_frame read."""
+    return kernel(a - b)
 
 
 def pseudo_reflection_pairs(t: MatrixTuple) -> dict:
@@ -267,11 +274,7 @@ def common_frame(t: MatrixTuple) -> CommonFrame:
     """
     _check_ratios(t)
     n = t.n
-    diffs = []
-    for i in range(t.p):
-        for j in range(i + 1, t.p):
-            diffs.append(t[i] - t[j])
-    kernels = [kernel(d) for d in diffs]
+    kernels = list(t._difference_kernels.values())
     frame = None
     if all(k == kernels[0] for k in kernels[1:]) and kernels[0].dim == n - 1:
         basis = ExactMatrix.from_columns(complete_basis(kernels[0].basis, n))
@@ -282,6 +285,7 @@ def common_frame(t: MatrixTuple) -> CommonFrame:
             inverse=basis,
         )
     else:
+        diffs = [t[i] - t[j] for i, j in t._difference_kernels]
         images = [Subspace([d.column(j) for j in range(n)]) for d in diffs]
         if all(im == images[0] for im in images) and images[0].dim == 1:
             v = images[0].basis[0]

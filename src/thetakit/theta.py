@@ -10,19 +10,18 @@ so the product of normal forms is again a normal form.  Negative z-powers
 are allowed (Laurent coefficients); they are what the integer-shift
 conjugation z^s needs for s < 0.
 
-Right Euclidean division requires a coefficient *field*, so the division
-helpers lift operators to FracThetaOperator, whose theta-coefficients are
-rational functions of z and which multiplies by
-
-    t * c(z) = c(z)*t + z*c'(z).
+The ring is therefore C[z, 1/z][t], and right division stays in it: right_divide
+is a pseudo-division, c*p = q*d + r with c a power of d's leading
+theta-coefficient, and right_gcd runs Euclid on primitive pseudo-remainders.
 
 Textual grammar (parse/render): z, t, +, -, *, ^, rational literals and i,
 e.g. "(1-z)*t^2*(t-2)".
 """
 
-from math import comb, inf
+from functools import reduce
+from math import inf
 
-from .polynomials import Poly, RationalFunction
+from .polynomials import Poly, poly_gcd
 from .scalars import Q, GaussianRational
 
 
@@ -210,19 +209,6 @@ class ThetaOperator:
             result = result * self
         return result
 
-    # -- conversions ---------------------------------------------------------
-
-    def to_frac(self):
-        """Lift to rational-function theta-coefficients (for division)."""
-        low = min(0, self.z_order)
-        nums = {}
-        for (j, k), c in self.terms().items():
-            nums.setdefault(k, [Q(0)] * (self.z_degree - low + 1))[j - low] = c
-        den = Poly([Q(0)] * -low + [Q(1)])
-        return FracThetaOperator(
-            {k: RationalFunction(Poly(num), den) for k, num in nums.items()}
-        )
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):
@@ -403,191 +389,72 @@ def parse(text):
 
 
 # ---------------------------------------------------------------------------
-# rational-function coefficients: the division layer
+# division: fraction-free, in the ring itself
 # ---------------------------------------------------------------------------
 
-_Z_POLY = Poly([0, 1])
+
+def _as_operator(x):
+    o = _coerce_theta(x)
+    if o is None:
+        raise TypeError("expected a theta operator, got %r" % (x,))
+    return o
 
 
-def _delta(c):
-    """The derivation c(z) -> z*c'(z) that theta induces on coefficients."""
-    return RationalFunction(_Z_POLY) * c.derivative()
+def _leading(op):
+    """The theta-free leading coefficient sum_j z^j c_(j, k), k = theta_degree."""
+    k = op.theta_degree
+    return ThetaOperator({(j, 0): c for (j, kk), c in op.terms().items() if kk == k})
 
 
-class FracThetaOperator:
-    """Operator sum c_k(z) t^k with rational-function coefficients."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if not isinstance(c, RationalFunction):
-                    c = RationalFunction(Poly([Q(c)]))
-                if k < 0:
-                    raise ValueError("negative theta powers are not operators")
-                if c:
-                    data[int(k)] = c
-        object.__setattr__(self, "_coeffs", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FracThetaOperator is immutable")
-
-    @classmethod
-    def lift(cls, op):
-        if isinstance(op, FracThetaOperator):
-            return op
-        o = _coerce_theta(op)
-        if o is None:
-            raise TypeError("cannot lift %r" % (op,))
-        return o.to_frac()
-
-    def coefficients(self):
-        return dict(self._coeffs)
-
-    def is_zero(self):
-        return not self._coeffs
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
-    @property
-    def theta_degree(self):
-        return max(self._coeffs, default=-inf)
-
-    def leading(self):
-        if not self._coeffs:
-            raise ValueError("zero operator has no leading coefficient")
-        return self._coeffs[max(self._coeffs)]
-
-    def __eq__(self, other):
-        try:
-            o = FracThetaOperator.lift(other)
-        except TypeError:
-            return NotImplemented
-        return self._coeffs == o._coeffs
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __add__(self, other):
-        o = FracThetaOperator.lift(other)
-        data = dict(self._coeffs)
-        for k, c in o._coeffs.items():
-            s = data.get(k, RationalFunction(Poly())) + c
-            if s:
-                data[k] = s
-            else:
-                data.pop(k, None)
-        return FracThetaOperator(data)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-FracThetaOperator.lift(other))
-
-    def __rsub__(self, other):
-        return FracThetaOperator.lift(other) + (-self)
-
-    def __neg__(self):
-        return FracThetaOperator({k: -c for k, c in self._coeffs.items()})
-
-    def __mul__(self, other):
-        o = FracThetaOperator.lift(other)
-        data = {}
-        for k, a in self._coeffs.items():
-            for l, b in o._coeffs.items():
-                # t^k b(z) = sum_i C(k,i) delta^(k-i)(b) t^i
-                derived = b
-                contributions = [(k, derived)]
-                for step in range(1, k + 1):
-                    derived = _delta(derived)
-                    contributions.append((k - step, derived))
-                for i, d in contributions:
-                    if not d:
-                        continue
-                    c = a * d * comb(k, i)
-                    key = i + l
-                    s = data.get(key, RationalFunction(Poly())) + c
-                    if s:
-                        data[key] = s
-                    else:
-                        data.pop(key, None)
-        return FracThetaOperator(data)
-
-    def __rmul__(self, other):
-        return FracThetaOperator.lift(other) * self
-
-    def scale(self, c):
-        """Left multiplication by a rational function (coefficient-wise)."""
-        if not isinstance(c, RationalFunction):
-            c = RationalFunction(Poly([Q(c)]))
-        return FracThetaOperator({k: c * v for k, v in self._coeffs.items()})
-
-    def monic(self):
-        return self.scale(self.leading().inverse())
-
-    def as_theta(self):
-        """Convert back to Laurent-polynomial form.
-
-        Only possible when every denominator is a power of z; raises
-        ValueError otherwise.
-        """
-        terms = {}
-        for k, c in self._coeffs.items():
-            den = c.den
-            # denominator must be exactly z^m
-            m = den.degree
-            if den != Poly([Q(0)] * m + [Q(1)]):
-                raise ValueError("coefficient %s is not Laurent in z" % (c,))
-            for j, coef in enumerate(c.num.coeffs):
-                if coef:
-                    terms[(j - m, k)] = terms.get((j - m, k), Q(0)) + coef
-        return ThetaOperator(terms)
-
-    def __str__(self):
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self._coeffs, reverse=True):
-            parts.append("[%s]*%s" % (self._coeffs[k], _power_text("t", k) if k else "1"))
-        return " + ".join(parts)
-
-    __repr__ = __str__
+def _primitive(op):
+    """op divided on the left by the gcd of its theta-coefficients, taken
+    as polynomials in z: z-order 0 and a monic leading theta-coefficient."""
+    if not op:
+        return op
+    rows, low = {}, op.z_order
+    for (j, k), c in op.terms().items():
+        rows.setdefault(k, {})[j - low] = c
+    coeffs = {
+        k: Poly([row.get(j, 0) for j in range(max(row) + 1)])
+        for k, row in rows.items()
+    }
+    g = reduce(poly_gcd, coeffs.values())
+    g = g * (coeffs[max(coeffs)] // g).leading()
+    return ThetaOperator(
+        {(j, k): c for k, f in coeffs.items() for j, c in enumerate((f // g).coeffs)}
+    )
 
 
 def right_divide(p, d):
-    """Right Euclidean division: p = quotient*d + remainder.
+    """Right pseudo-division: (c, q, r) with c*p == q*d + r.
 
-    The remainder has strictly smaller theta-degree than d.  Inputs may be
-    ThetaOperator or FracThetaOperator; results are FracThetaOperator (use
-    .as_theta() when the coefficients are Laurent).
+    c is theta-free, a power of d's leading theta-coefficient (1 when d is
+    monic in theta), and r has smaller theta-degree than d.  Each step
+    multiplies through by that coefficient instead of dividing by it, so
+    everything stays in C[z, 1/z][t].
 
-    >>> t = ThetaOperator.theta()
-    >>> q, r = right_divide(t**2, t)
-    >>> q == t and r.is_zero()
-    True
+    >>> t, z = ThetaOperator.theta(), ThetaOperator.z()
+    >>> right_divide(t**2, t)
+    (1, t, 0)
+    >>> c, q, r = right_divide(t**2, z*t + 1)
+    >>> c, c*t**2 == q*(z*t + 1) + r
+    (z^2, True)
     """
-    dd = FracThetaOperator.lift(d)
-    if dd.is_zero():
+    p, d = _as_operator(p), _as_operator(d)
+    if d.is_zero():
         raise ZeroDivisionError("right division by the zero operator")
-    r = FracThetaOperator.lift(p)
-    q = FracThetaOperator()
-    lead_inv = dd.leading().inverse()
-    deg_d = dd.theta_degree
-    while not r.is_zero() and r.theta_degree >= deg_d:
-        shift = r.theta_degree - deg_d
-        c = r.leading() * lead_inv
-        term = FracThetaOperator({shift: c})
-        q = q + term
-        r = r - term * dd
-    return q, r
+    lead = _leading(d)
+    c, q, r = ThetaOperator.one(), ThetaOperator.zero(), p
+    while r.theta_degree >= d.theta_degree:
+        term = _leading(r) * ThetaOperator.theta(r.theta_degree - d.theta_degree)
+        c, q, r = lead * c, lead * q + term, lead * r - term * d
+    return c, q, r
 
 
 def right_gcd(p, q):
-    """Monic right gcd via Euclidean iteration of right_divide.
+    """Primitive right gcd: Euclid on pseudo-remainders, each reduced to
+    its primitive part.  The result has z-order 0 and a monic leading
+    theta-coefficient, which makes it unique.
 
     >>> t = ThetaOperator.theta()
     >>> right_gcd(t*(t-1), t-1) == t-1
@@ -595,16 +462,14 @@ def right_gcd(p, q):
     >>> right_gcd(t**2, t+1) == ThetaOperator.one()
     True
     """
-    a = FracThetaOperator.lift(p)
-    b = FracThetaOperator.lift(q)
+    a, b = _as_operator(p), _as_operator(q)
     if a.is_zero() and b.is_zero():
         raise ValueError("right gcd of two zero operators is undefined")
     if a.theta_degree < b.theta_degree:
         a, b = b, a
-    while not b.is_zero():
-        _, r = right_divide(a, b)
-        a, b = b, r
-    return a.monic()
+    while b:
+        a, b = b, _primitive(right_divide(a, b)[2])
+    return _primitive(a)
 
 
 def left_factor_check(p, f):
@@ -625,9 +490,7 @@ def left_factor_check(p, f):
     f = _coerce_theta(f)
     if f is None or f.is_zero():
         raise ValueError("left factor must be a nonzero operator")
-    p = _coerce_theta(p)
-    if p is None:
-        raise TypeError("expected a theta operator")
+    p = _as_operator(p)
     if p.is_zero():
         return ThetaOperator.zero()
     kq = p.theta_degree - f.theta_degree

@@ -83,10 +83,11 @@ def test_factored_cubic_fixture():
     p = HGParams((Q(0), Q(0), Q(-2)), (Q(1), Q(1), Q(-1)))
     d = build_D(p)
     assert d == (ONE_OP - Z) * T * T * (T - 2 * ONE_OP)
-    q, r = right_divide(d, T)
+    c, q, r = right_divide(d, T)
+    assert c == 1
     assert r.is_zero()
-    assert q.as_theta() == (ONE_OP - Z) * T * (T - 2 * ONE_OP)
-    assert q * T.to_frac() == d.to_frac()
+    assert q == (ONE_OP - Z) * T * (T - 2 * ONE_OP)
+    assert q * T == d
     print("PASS factored cubic fixture: exact equality and zero remainder")
 
 

@@ -272,6 +272,21 @@ def test_verify_identities_zero_count(capsys):
     assert "count" in err
 
 
+@pytest.mark.parametrize(
+    "command, worker",
+    [("counts", "parameter_counts"), ("verify-identities", "contiguity_check")],
+)
+def test_count_above_the_bound(capsys, monkeypatch, command, worker):
+    import thetakit.cli
+
+    bound = thetakit.cli.MAX_COUNT[command]
+    calls = count_calls(monkeypatch, thetakit.cli, worker)
+    code, out, err = run(capsys, [command, "--count", str(bound + 1)])
+    assert code == 2 and out == ""
+    assert err == "error: --count must be at most %d\n" % bound
+    assert calls == []  # refused before any work
+
+
 # Exact stdout bytes pinned when the operator layer was re-based; a
 # change in rendering, key order or arithmetic shows up here.
 GOLDEN_ANALYZE_GAP_3 = (
@@ -409,7 +424,7 @@ def count_calls(monkeypatch, module, name):
 def test_rigidity_builds_the_ratio_table_once(capsys, tmp_path, monkeypatch):
     import thetakit.rigidity
 
-    calls = count_calls(monkeypatch, thetakit.rigidity, "_ratio_is_pseudo_reflection")
+    calls = count_calls(monkeypatch, thetakit.rigidity, "_difference_kernel")
     path = write_json(tmp_path, "triple.json", RIGIDITY_TRIPLE)
     code, out, _ = run(capsys, ["rigidity", "--input", path])
     assert code == 0 and out == GOLDEN_RIGIDITY_TRIPLE

@@ -203,5 +203,5 @@ def test_reduced_operator_right_divides():
     # operator to the reduced one through exact products
     p = HGParams((Q(0), Q(0), Q(-2)), (Q(1), Q(1), Q(-1)))
     d = build_D(p)
-    q, r = right_divide(d, ThetaOperator.theta())
-    assert r.is_zero()
+    c, q, r = right_divide(d, ThetaOperator.theta())
+    assert c == 1 and r.is_zero()

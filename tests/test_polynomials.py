@@ -1,6 +1,6 @@
 import pytest
 
-from thetakit.polynomials import Poly, RationalFunction, X, poly_gcd
+from thetakit.polynomials import Poly, X, poly_gcd
 from thetakit.scalars import Q
 
 
@@ -52,59 +52,8 @@ def test_gcd_is_monic():
     assert poly_gcd(a, b) == Poly.from_roots([Q(1)])
 
 
-def test_derivative():
-    p = X * X * X - 2 * X
-    assert p.derivative() == 3 * X * X - Poly.constant(Q(2))
-    assert Poly.constant(Q(5)).derivative() == Poly([])
-
-
 def test_monic():
     p = 3 * X + Poly.constant(Q(6))
     assert p.monic() == X + Poly.constant(Q(2))
     with pytest.raises(ValueError):
         Poly([]).monic()
-
-
-class TestRationalFunction:
-    def test_cancellation(self):
-        num = Poly.from_roots([Q(1), Q(2)])
-        den = Poly.from_roots([Q(2), Q(3)])
-        f = RationalFunction(num, den)
-        assert f.num == Poly.from_roots([Q(1)])
-        assert f.den == Poly.from_roots([Q(3)])
-
-    def test_den_always_monic(self):
-        f = RationalFunction(X, 2 * X + Poly.constant(Q(2)))
-        assert f.den.monic() == f.den
-
-    def test_arithmetic(self):
-        f = RationalFunction(Poly.constant(Q(1)), X)
-        g = RationalFunction(Poly.constant(Q(1)), X + Poly.constant(Q(1)))
-        h = f + g
-        assert h.num == 2 * X + Poly.constant(Q(1))
-        assert (f * g).den == X * (X + Poly.constant(Q(1)))
-        assert f - f == RationalFunction(Poly([]), Poly.constant(Q(1)))
-
-    def test_inverse(self):
-        f = RationalFunction(X, X + Poly.constant(Q(2)))
-        assert f * f.inverse() == RationalFunction(
-            Poly.constant(Q(1)), Poly.constant(Q(1))
-        )
-        zero = RationalFunction(Poly([]), X)
-        with pytest.raises(ZeroDivisionError):
-            zero.inverse()
-
-    def test_is_polynomial(self):
-        f = RationalFunction(X * X, X)
-        assert f.is_polynomial()
-        g = RationalFunction(Poly.constant(Q(1)), X)
-        assert not g.is_polynomial()
-
-    def test_derivative_quotient_rule(self):
-        f = RationalFunction(Poly.constant(Q(1)), X)
-        df = f.derivative()
-        assert df == RationalFunction(Poly.constant(Q(-1)), X * X)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFunction(X, Poly([]))

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetakit.polynomials import Poly, RationalFunction, X
+from thetakit.hypergeometric import HGParams, build_D
 from thetakit.scalars import Q
 from thetakit.theta import (
-    FracThetaOperator,
     ThetaOperator,
     left_factor_check,
     parse,
@@ -74,7 +73,7 @@ def test_degree_additivity_under_product():
         assert p.theta_degree == a.theta_degree + b.theta_degree
 
 
-def _random_op(rng, z_lo=-2):
+def _random_op(rng, z_lo=-2, theta_hi=3):
     while True:
         op = ThetaOperator.zero()
         for _ in range(rng.randrange(1, 4)):
@@ -82,10 +81,43 @@ def _random_op(rng, z_lo=-2):
             if not c:
                 continue
             op = op + ThetaOperator.monomial(
-                c, rng.randrange(z_lo, 3), rng.randrange(0, 3)
+                c, rng.randrange(z_lo, 3), rng.randrange(0, theta_hi)
             )
         if not op.is_zero():
             return op
+
+
+def _leading_coefficient(op):
+    k = op.theta_degree
+    return ThetaOperator({(j, 0): c for (j, kk), c in op.terms().items() if kk == k})
+
+
+def _gcd_pairs():
+    """Ten seeded pairs (A*f, B*f) with a common right factor f of theta-degree >= 1."""
+    rng = random.Random(31)
+    pairs = []
+    while len(pairs) < 10:
+        a, b, f = _random_op(rng), _random_op(rng), _random_op(rng)
+        if f.theta_degree >= 1:
+            pairs.append((a * f, b * f))
+    return pairs
+
+
+# right_gcd of _gcd_pairs() as computed over C(z) by the earlier rational-
+# function division layer (monic in theta), times the lcm of its coefficient
+# denominators: the primitive gcd, recorded before that layer was removed
+GOLDEN_GCDS = [
+    "z^4*t^2 + 4 + z",
+    "z*t^2 + z^3*t^2 - 4",
+    "t^2",
+    "t^2 - 2*z + 4*z^2",
+    "t",
+    "z*t^3 + 3/2*z*t^2 + t - z*t + 1",
+    "t^2 + 3/2*z^3",
+    "z^2*t^3 + 4*t^2 - 8*t",
+    "t^2 - t",
+    "t^2",
+]
 
 
 coeffs = st.integers(-3, 3)
@@ -151,25 +183,56 @@ def test_str_shows_normal_form():
     assert str(ThetaOperator.zero()) == "0"
 
 
+def _is_power_of(c, lead, bound):
+    return any(c == lead**m for m in range(bound + 1))
+
+
 class TestDivision:
     def test_exact_quotient(self):
         d = (T + 2 * ONE_OP) * (T - ONE_OP)
-        q, r = right_divide(d, T - ONE_OP)
-        assert r.is_zero()
-        assert q.as_theta() == T + 2 * ONE_OP
+        c, q, r = right_divide(d, T - ONE_OP)
+        assert c == ONE_OP and r.is_zero()
+        assert q == T + 2 * ONE_OP
 
     def test_remainder_degree_bound(self):
+        # Laurent operands (z-powers down to -2) and leading theta-coefficients
+        # such as 2*z^-1 - 3*z^2, which are not units
         rng = random.Random(17)
-        for _ in range(20):
+        non_units = 0
+        for _ in range(40):
             p = _random_op(rng)
             d = _random_op(rng)
             if d.theta_degree < 1:
                 continue
-            q, r = right_divide(p, d)
-            lifted_p = FracThetaOperator.lift(p)
-            lifted_d = FracThetaOperator.lift(d)
-            assert q * lifted_d + r == lifted_p
+            c, q, r = right_divide(p, d)
+            assert c * p == q * d + r
             assert r.theta_degree < d.theta_degree
+            lead = _leading_coefficient(d)
+            assert _is_power_of(c, lead, max(0, p.theta_degree - d.theta_degree + 1))
+            non_units += len(lead.terms()) > 1
+        assert non_units >= 5
+
+    def test_divide_by_D(self):
+        # D's leading theta-coefficient is 1 - z
+        d = build_D(HGParams((Q("1/2"), Q("1/3")), (Q(1), Q("3/4"))))
+        assert _leading_coefficient(d) == ONE_OP - Z
+        rng = random.Random(5)
+        for _ in range(10):
+            p = _random_op(rng) * _random_op(rng)
+            c, q, r = right_divide(p, d)
+            assert c * p == q * d + r
+            assert r.theta_degree < 2
+            assert _is_power_of(c, ONE_OP - Z, max(0, p.theta_degree - 1))
+        c, q, r = right_divide(p * d, d)
+        assert r.is_zero() and q * d == c * p * d
+
+    def test_monic_divisor_needs_no_multiplier(self):
+        rng = random.Random(8)
+        for _ in range(10):
+            p = _random_op(rng)
+            d = T * T + _random_op(rng, theta_hi=2)
+            c, q, r = right_divide(p, d)
+            assert c == ONE_OP and p == q * d + r
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
@@ -180,10 +243,9 @@ class TestDivision:
         a = (T + 3 * ONE_OP) * f
         b = (Z * T + ONE_OP) * f
         g = right_gcd(a, b)
-        # gcd is monic of theta-degree >= 1 and divides both
-        assert g.theta_degree >= 1
+        assert g == f
         for op in (a, b):
-            _, r = right_divide(op, g)
+            _, _, r = right_divide(op, g)
             assert r.is_zero()
 
     def test_gcd_of_coprime_operators(self):
@@ -193,6 +255,24 @@ class TestDivision:
     def test_gcd_both_zero(self):
         with pytest.raises(ValueError):
             right_gcd(ThetaOperator.zero(), ThetaOperator.zero())
+
+    def test_gcd_is_primitive_and_canonical(self):
+        rng = random.Random(29)
+        for a, b in _gcd_pairs()[:5]:
+            g = right_gcd(a, b)
+            lead = _leading_coefficient(g)
+            assert g.z_order == 0 and lead.coefficient(lead.z_degree, 0) == Q(1)
+            for op in (a, b):
+                assert right_divide(op, g)[2].is_zero()
+            left = _random_op(rng, theta_hi=1)
+            assert right_gcd(b, a) == g
+            assert right_gcd(left * a, b) == g
+            assert right_gcd(a, left * b) == g
+
+    @pytest.mark.parametrize("index", range(len(GOLDEN_GCDS)))
+    def test_golden_gcd(self, index):
+        a, b = _gcd_pairs()[index]
+        assert right_gcd(a, b) == parse(GOLDEN_GCDS[index])
 
 
 class TestLeftFactor:
@@ -216,9 +296,3 @@ class TestLeftFactor:
             found = left_factor_check(p, f)
             assert found is not None
             assert f * found == p
-
-
-def test_frac_operator_monic():
-    m = FracThetaOperator.lift(2 * T * T + Z * T)
-    monic = m.monic()
-    assert monic.leading() == RationalFunction(Poly.constant(Q(1)))
