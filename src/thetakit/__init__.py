@@ -6,7 +6,7 @@ The package is organised in layers:
   arithmetic, dense exact matrices and subspaces;
 - ``theta``: the noncommutative ring C[z, 1/z][t] of Laurent polynomials
   in z and the Euler operator t = z d/dz, with fraction-free right
-  division (c*p = q*d + r), right gcd and left-factor extraction;
+  division (c*p = q*d + r), right gcd and exact left division;
 - ``hypergeometric``: construction, local exponents, reducibility,
   contiguity identities and factorization certificates;
 - ``extension``: companion systems, one-step extension blocks and

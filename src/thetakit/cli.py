@@ -29,6 +29,7 @@ from .hypergeometric import (
     contiguity_check,
     exponents,
     factorization_certificate,
+    greedy_matching,
     is_reducible,
     partition,
 )
@@ -54,8 +55,10 @@ from .serialization import (
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
 
-# work bounds: counts builds count² entries, verify-identities count sets
+# work bounds: counts builds count² entries, verify-identities count sets,
+# and a factorization step of gap m expands operators of theta-degree n + m
 MAX_COUNT = {"counts": 100, "verify-identities": 1000}
+MAX_GAP = 100
 
 
 class InputError(Exception):
@@ -66,13 +69,16 @@ def _emit(report: dict, pretty: bool) -> None:
     sys.stdout.write(canonical_dumps(report, pretty=pretty))
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
     try:
-        return load_input(path)
+        data = load_input(path)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise InputError("malformed JSON in %s: %s" % (path, exc)) from exc
+    if not isinstance(data, dict):
+        raise InputError("%s must hold a JSON object" % (path,))
+    return data
 
 
 def _load_params(path: str) -> HGParams:
@@ -125,6 +131,12 @@ def cmd_analyze(args) -> int:
     status = 0
     factorization = None
     if reducible:
+        for i, j, m in greedy_matching(p):
+            if m > MAX_GAP:
+                raise InputError(
+                    "alpha_%d - beta_%d = %d exceeds the factorization gap"
+                    " bound %d" % (i + 1, j + 1, m, MAX_GAP)
+                )
         try:
             steps = factorization_certificate(p)
         except ValueError as exc:

@@ -58,10 +58,11 @@ class HGParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HGParams":
-        return cls(
-            tuple(Q(a) for a in data["alpha"]),
-            tuple(Q(b) for b in data["beta"]),
-        )
+        lists = {name: data[name] for name in ("alpha", "beta")}
+        for name, values in lists.items():
+            if not isinstance(values, list):
+                raise TypeError("%s must be a JSON array" % name)
+        return cls(*(tuple(Q(x) for x in values) for values in lists.values()))
 
     def __str__(self):
         return "D(%s; %s)" % (
@@ -78,13 +79,6 @@ class LocalExponents:
     at_one: tuple
     at_infinity: tuple
 
-    def total(self) -> GaussianRational:
-        s = Q(0)
-        for group in (self.at_zero, self.at_one, self.at_infinity):
-            for e in group:
-                s = s + e
-        return s
-
 
 @dataclass(frozen=True)
 class ReducibilityPartition:
@@ -97,9 +91,6 @@ class ReducibilityPartition:
     zero: frozenset = field(default_factory=frozenset)
     positive: frozenset = field(default_factory=frozenset)
     negative: frozenset = field(default_factory=frozenset)
-
-    def all_pairs(self) -> frozenset:
-        return self.zero | self.positive | self.negative
 
 
 def build_D(p: HGParams) -> ThetaOperator:

@@ -3,6 +3,12 @@
 Everything here is deterministic: elimination always takes the first nonzero
 pivot, and subspaces are kept in a canonical reduced-row-echelon basis so
 that equal subspaces compare equal structurally.
+
+One Gauss-Jordan loop on row lists (_gauss_jordan) is behind rref, rank,
+kernel_vectors, inverse (which reduces [A | I] as lists) and the Subspace
+basis.  One incremental echelon (Echelon) answers membership: it reduces a
+vector against rows kept in pivot order, and serves Subspace.contains,
+complete_basis and the algebra-span search in rigidity.
 """
 
 from .polynomials import Poly
@@ -11,6 +17,31 @@ from .scalars import ONE, ZERO, Q, GaussianRational
 
 def _entry(x):
     return x if isinstance(x, GaussianRational) else Q(x)
+
+
+def _gauss_jordan(rows, ncols):
+    """Reduce rows (lists of scalars) in place to RREF, pivoting on the first
+    nonzero entry of each of the first ncols columns; return the pivots.
+    Rows are zero left of their pivot, so row operations start there."""
+    pivots = []
+    nrows = len(rows)
+    for pc in range(ncols):
+        pr = len(pivots)
+        if pr == nrows:
+            break
+        pivot_row = next((i for i in range(pr, nrows) if rows[i][pc]), None)
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        top = rows[pr]
+        inv = top[pc].inverse()
+        top[pc:] = [x * inv for x in top[pc:]]
+        for i, row in enumerate(rows):
+            f = row[pc]
+            if f and i != pr:
+                row[pc:] = [a - f * b for a, b in zip(row[pc:], top[pc:])]
+        pivots.append(pc)
+    return pivots
 
 
 class ExactMatrix:
@@ -62,9 +93,6 @@ class ExactMatrix:
             raise ValueError("matrix is not square")
         return self.nrows
 
-    def is_square(self):
-        return self.nrows == self.ncols
-
     # -- access ---------------------------------------------------------------
 
     def __getitem__(self, key):
@@ -81,18 +109,6 @@ class ExactMatrix:
         return ExactMatrix(
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
         )
-
-    def with_column(self, j, column):
-        rows = [list(r) for r in self.rows]
-        for i in range(self.nrows):
-            rows[i][j] = _entry(column[i])
-        return ExactMatrix(rows)
-
-    @staticmethod
-    def hstack(a, b):
-        if a.nrows != b.nrows:
-            raise ValueError("row count mismatch")
-        return ExactMatrix([list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)])
 
     @staticmethod
     def vstack(a, b):
@@ -143,17 +159,6 @@ class ExactMatrix:
             return self * other
         return NotImplemented
 
-    def __pow__(self, e):
-        n = self.n
-        if not isinstance(e, int):
-            raise TypeError("matrix power must be an int")
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = ExactMatrix.identity(n)
-        for _ in range(e):
-            result = result * self
-        return result
-
     def apply(self, vector):
         """Matrix--vector product; vectors are plain tuples."""
         if len(vector) != self.ncols:
@@ -161,17 +166,10 @@ class ExactMatrix:
         vec = [_entry(x) for x in vector]
         return tuple(sum((a * b for a, b in zip(r, vec)), ZERO) for r in self.rows)
 
-    def trace(self):
-        return sum((self.rows[i][i] for i in range(self.n)), ZERO)
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return self.rows == other.rows
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash(self.rows)
@@ -193,43 +191,23 @@ class ExactMatrix:
         so the result is deterministic.
         """
         rows = [list(r) for r in self.rows]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            pivot_row = None
-            for i in range(pr, self.nrows):
-                if rows[i][pc]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = rows[pr][pc].inverse()
-            rows[pr] = [x * inv for x in rows[pr]]
-            for i in range(self.nrows):
-                if i != pr and rows[i][pc]:
-                    f = rows[i][pc]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.nrows:
-                break
+        pivots = _gauss_jordan(rows, self.ncols)
         return ExactMatrix(rows), tuple(pivots)
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(_gauss_jordan([list(r) for r in self.rows], self.ncols))
 
     def kernel_vectors(self):
         """Basis vectors of the right kernel, from the RREF free columns."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
+        rows = [list(r) for r in self.rows]
+        pivots = _gauss_jordan(rows, self.ncols)
+        free = [j for j in range(self.ncols) if j not in pivots]
         basis = []
         for f in free:
-            v = [Q(0)] * self.ncols
-            v[f] = Q(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -reduced.rows[r][f]
+            v = [ZERO] * self.ncols
+            v[f] = ONE
+            for row, pc in zip(rows, pivots):
+                v[pc] = -row[f]
             basis.append(tuple(v))
         return basis
 
@@ -257,32 +235,17 @@ class ExactMatrix:
         return det
 
     def is_invertible(self):
-        return self.is_square() and bool(self.det())
+        return self.nrows == self.ncols and bool(self.det())
 
     def inverse(self):
         n = self.n
-        aug = ExactMatrix.hstack(self, ExactMatrix.identity(n))
-        reduced, pivots = aug.rref()
-        if tuple(pivots[:n]) != tuple(range(n)):
+        rows = [
+            list(r) + [ONE if j == i else ZERO for j in range(n)]
+            for i, r in enumerate(self.rows)
+        ]
+        if len(_gauss_jordan(rows, n)) != n:
             raise ValueError("matrix is singular")
-        return ExactMatrix([row[n:] for row in reduced.rows])
-
-    def solve(self, rhs):
-        """One exact solution x of self*x = rhs, or None when inconsistent.
-
-        Free variables are set to zero, so the answer is deterministic.
-        """
-        vec = [_entry(x) for x in rhs]
-        if len(vec) != self.nrows:
-            raise ValueError("rhs length mismatch")
-        aug = ExactMatrix.hstack(self, ExactMatrix([[v] for v in vec]))
-        reduced, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [Q(0)] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = reduced.rows[r][self.ncols]
-        return tuple(x)
+        return ExactMatrix([row[n:] for row in rows])
 
     def char_poly(self):
         """Characteristic polynomial det(X*I - self), monic of degree n.
@@ -343,6 +306,49 @@ class ExactMatrix:
         return Poly(polys[n])
 
 
+class Echelon:
+    """Rows in echelon form, grown one vector at a time.
+
+    Each row is 1 at its pivot, its first nonzero entry, and the rows are
+    kept in pivot order, so reducing a vector against them in turn clears
+    every pivot column; the vector lies in their span exactly when that
+    leaves zero.  Rows are not back-reduced against later rows.
+
+    >>> e = Echelon()
+    >>> e.add((1, 2, 0)), e.add((2, 4, 0)), e.add((0, 1, 1)), e.rank
+    (True, False, True, 2)
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows=()):
+        self.rows = list(rows)  # (pivot column, row) in pivot order
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, vector):
+        v = [_entry(x) for x in vector]
+        for pc, row in self.rows:
+            c = v[pc]
+            if c:
+                v[pc:] = [a - c * b for a, b in zip(v[pc:], row[pc:])]
+        return v
+
+    def add(self, vector):
+        """Add vector to the span; False, changing nothing, if it is in it."""
+        v = self.reduce(vector)
+        pc = next((k for k, x in enumerate(v) if x), None)
+        if pc is None:
+            return False
+        inv = v[pc].inverse()
+        v[pc:] = [x * inv for x in v[pc:]]
+        self.rows.append((pc, v))
+        self.rows.sort(key=lambda row: row[0])
+        return True
+
+
 class Subspace:
     """Subspace of Q(i)^n stored with a canonical RREF basis.
 
@@ -353,38 +359,28 @@ class Subspace:
     (True, True)
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "_echelon")
 
     def __init__(self, vectors, ambient=None):
-        vectors = [tuple(_entry(x) for x in v) for v in vectors]
-        if vectors:
-            ambient_dim = len(vectors[0])
-            if any(len(v) != ambient_dim for v in vectors):
+        rows = [[_entry(x) for x in v] for v in vectors]
+        if rows:
+            ambient_dim = len(rows[0])
+            if any(len(v) != ambient_dim for v in rows):
                 raise ValueError("vectors of unequal length")
             if ambient is not None and ambient != ambient_dim:
                 raise ValueError("ambient dimension mismatch")
-            reduced, pivots = ExactMatrix(vectors).rref()
-            basis = tuple(reduced.rows[i] for i in range(len(pivots)))
+            pivots = _gauss_jordan(rows, ambient_dim)
         else:
             if ambient is None:
                 raise ValueError("empty basis needs an explicit ambient dimension")
-            ambient_dim = ambient
-            basis = ()
+            ambient_dim, pivots = ambient, []
+        basis = tuple(tuple(r) for r in rows[: len(pivots)])
         object.__setattr__(self, "ambient", ambient_dim)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_echelon", Echelon(zip(pivots, basis)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def zero(cls, ambient):
-        return cls([], ambient=ambient)
-
-    @classmethod
-    def full(cls, ambient):
-        return cls(
-            [tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)]
-        )
 
     @property
     def dim(self):
@@ -394,30 +390,17 @@ class Subspace:
         return not self.basis
 
     def contains(self, vector):
-        vec = tuple(_entry(x) for x in vector)
-        if len(vec) != self.ambient:
+        if len(vector) != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        if not any(vec):
-            return True
-        if not self.basis:
-            return False
-        stacked = ExactMatrix(list(self.basis) + [vec])
-        return stacked.rank() == self.dim
+        return not any(self._echelon.reduce(vector))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         return self.ambient == other.ambient and self.basis == other.basis
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.ambient, self.basis))
-
-    def __le__(self, other):
-        return all(other.contains(v) for v in self.basis)
 
     def is_invariant_under(self, m):
         return all(self.contains(m.apply(v)) for v in self.basis)
@@ -438,18 +421,21 @@ def kernel(m):
 def complete_basis(vectors, ambient):
     """Extend independent vectors to a full basis with standard basis vectors.
 
-    Deterministic: candidates e_0, e_1, ... are tried in order and kept when
-    they increase the rank.
+    Deterministic: candidates e_0, e_1, ... are tried in order against one
+    echelon and kept when they increase the rank.
     """
     chosen = [tuple(_entry(x) for x in v) for v in vectors]
-    current = Subspace(chosen, ambient=ambient) if chosen else Subspace.zero(ambient)
+    if any(len(v) != ambient for v in chosen):
+        raise ValueError("ambient dimension mismatch")
+    echelon = Echelon()
+    for v in chosen:
+        echelon.add(v)
     for k in range(ambient):
-        if current.dim == ambient:
+        if echelon.rank == ambient:
             break
-        e = tuple(Q(1) if i == k else Q(0) for i in range(ambient))
-        if not current.contains(e):
+        e = tuple(ONE if i == k else ZERO for i in range(ambient))
+        if echelon.add(e):
             chosen.append(e)
-            current = Subspace(chosen, ambient=ambient)
     if len(chosen) != ambient:
         raise ValueError("could not complete to a basis")
     return chosen

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .extension import companion_of_operator
-from .linalg import ExactMatrix, Subspace, complete_basis, kernel
+from .linalg import Echelon, ExactMatrix, Subspace, complete_basis, kernel
 from .polynomials import Poly, poly_gcd
 from .scalars import Q
 
@@ -106,12 +106,14 @@ class MatrixTuple:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MatrixTuple":
-        ms = tuple(
-            ExactMatrix([[Q(x) for x in row] for row in m])
-            for m in data["matrices"]
-        )
-        t = cls(ms)
-        if "n" in data and int(data["n"]) != t.n:
+        ms = data["matrices"]
+        if not isinstance(ms, list):
+            raise TypeError("matrices must be a JSON array")
+        for k, m in enumerate(ms):
+            if not (isinstance(m, list) and all(isinstance(r, list) for r in m)):
+                raise TypeError("member %d must be a JSON array of rows" % (k + 1,))
+        t = cls(tuple(ExactMatrix([[Q(x) for x in row] for row in m]) for m in ms))
+        if "n" in data and data["n"] != t.n:  # 2.9 or "2" is not a dimension
             raise ValueError("declared dimension does not match the matrices")
         return t
 
@@ -337,10 +339,7 @@ def _shared_row_subspace(members, shared_indices, lam, n):
         phi[k] = coef
     phi = tuple(phi)
     for idx, m in enumerate(members):
-        image = tuple(
-            sum((phi[r] * m[r, s] for r in range(n)), Q(0)) for s in range(n)
-        )
-        if image != tuple(lam * x for x in phi):
+        if m.transpose().apply(phi) != tuple(lam * x for x in phi):
             raise ValueError(
                 "candidate covector fails for member %d" % (idx + 1,)
             )
@@ -368,25 +367,14 @@ def find_stabilized_subspace(t: MatrixTuple, frame: CommonFrame, lam) -> dict:
     n = t.n
     u, u_inv = frame.basis_change, frame.inverse
     changed = frame.apply(t)
-    if frame.side == "rows":
-        kind, data = _shared_row_subspace(changed, frame.shared_indices, lam, n)
-        if kind == "line":
-            result = {"line": Subspace([u_inv.apply(data)])}
-        else:
-            covector = ExactMatrix([data]) * u
-            result = {"hyperplane": kernel(covector)}
+    if frame.side == "columns":
+        changed = [m.transpose() for m in changed]
+    kind, data = _shared_row_subspace(changed, frame.shared_indices, lam, n)
+    # on the transposes (column frame) an eigenvector is a left one, and back
+    if (kind == "line") == (frame.side == "rows"):
+        result = {"line": Subspace([u_inv.apply(data)])}
     else:
-        transposed = [m.transpose() for m in changed]
-        kind, data = _shared_row_subspace(
-            transposed, frame.shared_indices, lam, n
-        )
-        if kind == "line":
-            # eigenvector of the transposes = left eigenvector: hyperplane
-            covector = ExactMatrix([data]) * u
-            result = {"hyperplane": kernel(covector)}
-        else:
-            # left eigenvector of the transposes = eigenvector: line
-            result = {"line": Subspace([u_inv.apply(data)])}
+        result = {"hyperplane": kernel(ExactMatrix([data]) * u)}
     subspace = next(iter(result.values()))
     if subspace.is_zero() or subspace.dim == n:
         raise ValueError("stabilized subspace must be proper and nonzero")
@@ -586,32 +574,6 @@ def _irreducible_pair(t: MatrixTuple) -> bool:
     return char_poly_gcd(t._char_polys).degree == 0
 
 
-class _EchelonAccumulator:
-    """Incremental exact rank tracker over flattened matrices."""
-
-    def __init__(self):
-        self.rows = []  # (pivot index, normalized reduced row)
-
-    def add(self, vec):
-        v = list(vec)
-        for piv, row in self.rows:
-            c = v[piv]
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        pivot = next((k for k, x in enumerate(v) if x), None)
-        if pivot is None:
-            return False
-        inv = v[pivot].inverse()
-        v = [x * inv for x in v]
-        self.rows.append((pivot, v))
-        self.rows.sort(key=lambda pr: pr[0])
-        return True
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
 def algebra_span_dimension(t: MatrixTuple) -> int:
     """Dimension of the unital algebra generated by the tuple members.
 
@@ -621,7 +583,7 @@ def algebra_span_dimension(t: MatrixTuple) -> int:
     the result is n².
     """
     n = t.n
-    acc = _EchelonAccumulator()
+    acc = Echelon()
     identity = ExactMatrix.identity(n)
 
     def flat(m):

@@ -45,12 +45,14 @@ else:
 def _to_rat(x):
     """Coerce x to the backend rational type.
 
-    Accepts ints, 'p/q' strings and anything with numerator/denominator
-    attributes (Fraction, mpq, other rationals).  A zero denominator is
-    malformed input and raises ValueError.
+    Accepts ints (not bools), 'p/q' strings and anything with
+    numerator/denominator attributes (Fraction, mpq, other rationals).  A
+    zero denominator is malformed input and raises ValueError.
     """
     if isinstance(x, _rat):
         return x
+    if isinstance(x, bool):
+        raise TypeError("a boolean is not a rational number: %r" % (x,))
     if isinstance(x, (int, str)):
         try:
             return _rat(x)
@@ -244,12 +246,6 @@ class GaussianRational:
         if o is None:
             return NotImplemented
         return self.re == o.re and self.im == o.im
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
 
     def __hash__(self):
         return hash((self.re, self.im))

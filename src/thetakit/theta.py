@@ -10,9 +10,12 @@ so the product of normal forms is again a normal form.  Negative z-powers
 are allowed (Laurent coefficients); they are what the integer-shift
 conjugation z^s needs for s < 0.
 
-The ring is therefore C[z, 1/z][t], and right division stays in it: right_divide
-is a pseudo-division, c*p = q*d + r with c a power of d's leading
-theta-coefficient, and right_gcd runs Euclid on primitive pseudo-remainders.
+The ring is therefore C[z, 1/z][t], and division stays in it, with no
+linear system to solve: right_divide is a pseudo-division, c*p = q*d + r
+with c a power of d's leading theta-coefficient; right_gcd runs Euclid on
+primitive pseudo-remainders; left_factor_check divides on the left, the
+leading theta-coefficient of each quotient term an exact quotient of
+Laurent polynomials in z.
 
 Textual grammar (parse/render): z, t, +, -, *, ^, rational literals and i,
 e.g. "(1-z)*t^2*(t-2)".
@@ -141,10 +144,6 @@ class ThetaOperator:
         if o is None:
             return NotImplemented
         return self._parts == o._parts
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash(frozenset(self._parts.items()))
@@ -406,18 +405,23 @@ def _leading(op):
     return ThetaOperator({(j, 0): c for (j, kk), c in op.terms().items() if kk == k})
 
 
+def _in_z(op):
+    """{k: the theta^k coefficient of op over z^z_order, as a Poly in z}."""
+    rows, low = {}, op.z_order
+    for (j, k), c in op.terms().items():
+        rows.setdefault(k, {})[j - low] = c
+    return {
+        k: Poly([row.get(j, 0) for j in range(max(row) + 1)])
+        for k, row in rows.items()
+    }
+
+
 def _primitive(op):
     """op divided on the left by the gcd of its theta-coefficients, taken
     as polynomials in z: z-order 0 and a monic leading theta-coefficient."""
     if not op:
         return op
-    rows, low = {}, op.z_order
-    for (j, k), c in op.terms().items():
-        rows.setdefault(k, {})[j - low] = c
-    coeffs = {
-        k: Poly([row.get(j, 0) for j in range(max(row) + 1)])
-        for k, row in rows.items()
-    }
+    coeffs = _in_z(op)
     g = reduce(poly_gcd, coeffs.values())
     g = g * (coeffs[max(coeffs)] // g).leading()
     return ThetaOperator(
@@ -472,14 +476,25 @@ def right_gcd(p, q):
     return _primitive(a)
 
 
-def left_factor_check(p, f):
-    """Return q with p = f*q when f left-divides p in the polynomial ring.
+def _laurent_quotient(a, b):
+    """a/b for theta-free a and nonzero b when it is a Laurent polynomial
+    in z, else None."""
+    q, r = divmod(_in_z(a)[0], _in_z(b)[0])
+    if r:
+        return None
+    low = a.z_order - b.z_order
+    return ThetaOperator({(low + j, 0): c for j, c in enumerate(q.coeffs)})
 
-    Decision by an exact linear solve on coefficients: the z-support of a
-    product is the sumset of the factors' supports, so the quotient's
-    degrees are forced.  Quotients with negative z-powers are rejected
-    (divisibility is meant in C[z][t]), so e.g. z does not left-divide t.
-    Returns None when no quotient exists.
+
+def left_factor_check(p, f):
+    """Return q with p = f*q when f left-divides p in C[z][t], else None.
+
+    Exact left division in C[z, 1/z][t], the mirror of right_divide: the
+    leading theta-coefficient of f*q is lead(f)*lead(q), so each step takes
+    the next term of q as lead(r)/lead(f), a quotient of Laurent
+    polynomials in z, times a power of theta.  No such quotient, a
+    negative z-power in q (divisibility is meant in C[z][t], so e.g. z
+    does not left-divide t) or a nonzero remainder gives None.
 
     >>> t, z = ThetaOperator.theta(), ThetaOperator.z()
     >>> left_factor_check((1 - z) * t**2, 1 - z) == t**2
@@ -490,29 +505,12 @@ def left_factor_check(p, f):
     f = _coerce_theta(f)
     if f is None or f.is_zero():
         raise ValueError("left factor must be a nonzero operator")
-    p = _as_operator(p)
-    if p.is_zero():
-        return ThetaOperator.zero()
-    kq = p.theta_degree - f.theta_degree
-    j_lo = p.z_order - f.z_order
-    j_hi = p.z_degree - f.z_degree
-    if kq < 0 or j_lo < 0 or j_hi < j_lo:
-        return None
-    unknowns = [(j, k) for j in range(j_lo, j_hi + 1) for k in range(kq + 1)]
-    # column for each unknown monomial, rows over the union of positions
-    images = [f * ThetaOperator({u: Q(1)}) for u in unknowns]
-    positions = set(p.terms())
-    for img in images:
-        positions.update(img.terms())
-    positions = sorted(positions)
-    from .linalg import ExactMatrix
-
-    matrix = ExactMatrix(
-        [[img.coefficient(*pos) for img in images] for pos in positions]
-    )
-    rhs = [p.coefficient(*pos) for pos in positions]
-    solution = matrix.solve(rhs)
-    if solution is None:
-        return None
-    q = ThetaOperator({u: c for u, c in zip(unknowns, solution)})
-    return q if f * q == p else None
+    lead = _leading(f)
+    q, r = ThetaOperator.zero(), _as_operator(p)
+    while r.theta_degree >= f.theta_degree:
+        c = _laurent_quotient(_leading(r), lead)
+        if c is None or c.z_order < 0:
+            return None
+        term = c * ThetaOperator.theta(r.theta_degree - f.theta_degree)
+        q, r = q + term, r - f * term
+    return None if r else q

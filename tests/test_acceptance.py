@@ -332,6 +332,46 @@ def test_monodromy_numeric_suite():
     )
 
 
+QUARTER_TURNS = (Q(1), Q(0, 1), Q(-1), Q(0, -1))  # e^{2 pi i k/4}, k = 0..3
+
+
+def _to_complex(m: ExactMatrix) -> np.ndarray:
+    return np.array([[complex(float(x.re), float(x.im)) for x in row] for row in m.rows])
+
+
+def test_exact_and_numeric_layers_agree():
+    """Parameters in Z/4, where every e^{2 pi i alpha} lies in Q(i): the
+    exact tests and the numeric triple describe one group, 120 draws."""
+    rng = random.Random(1989)
+    seen = {True: 0, False: 0}
+    for trial in range(120):
+        n = rng.randrange(2, 4)
+        ka = [rng.randrange(-4, 8) for _ in range(n)]
+        kb = [rng.randrange(-4, 8) for _ in range(n)]
+        a, b = (
+            companion_from_spectrum(Spectrum(tuple(QUARTER_TURNS[k % 4] for k in ks)))
+            for ks in (ka, kb)
+        )
+        if a == b:
+            continue  # equal spectra: the ratio is I, not a pseudo-reflection
+        p = HGParams(tuple(Q(k) / Q(4) for k in ka), tuple(Q(k) / Q(4) for k in kb))
+        reducible = is_reducible(p)[0]
+        assert reducible == (not is_irreducible_pair(a, b)), p
+        span = algebra_span_dimension(MatrixTuple((a, b)))
+        assert reducible == (span < n * n), (p, span)
+        seen[reducible] += 1
+        if not reducible:
+            # m_inf = A and m0^{-1} = B, the companions of the two spectra
+            t = build_monodromy(p)
+            assert np.max(np.abs(t.minf - _to_complex(a))) <= 1e-9, p
+            assert np.max(np.abs(np.linalg.inv(t.m0) - _to_complex(b))) <= 1e-9, p
+    assert seen[True] >= 10 and seen[False] >= 10, seen
+    print(
+        "PASS exact vs numeric: %d reducible, %d irreducible pairs agree"
+        % (seen[True], seen[False])
+    )
+
+
 def test_parameter_count_fixtures():
     """Count equality holds exactly for n=1 and (2,3), nowhere else."""
     for n in range(1, 11):

@@ -108,6 +108,37 @@ def test_zero_denominator_is_malformed(capsys, tmp_path, command, payload):
     assert err.startswith("error:") and "zero denominator" in err
 
 
+PAIR = [[["0", "-2"], ["1", "3"]], [["0", "-12"], ["1", "7"]]]
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        # a string or an object where an array belongs is not iterated
+        ("analyze", {"alpha": "57", "beta": "13"}, "alpha must be a JSON array"),
+        ("analyze", {"alpha": ["1/2"] * 2, "beta": {"1": 0}}, "beta must be"),
+        ("monodromy", {"alpha": "57", "beta": "13"}, "alpha must be"),
+        ("analyze", {"alpha": [True, "1/2"], "beta": ["1/3", "1/4"]}, "boolean"),
+        ("analyze", {"alpha": [1.5, "1/2"], "beta": ["1/3", "1/4"]}, "1.5"),
+        ("analyze", {"alpha": [["1"], "1/2"], "beta": ["1/3", "1/4"]}, "['1']"),
+        ("analyze", ["1/2", "1/3"], "must hold a JSON object"),
+        ("rigidity", {"matrices": "ab"}, "matrices must be a JSON array"),
+        ("rigidity", {"matrices": [PAIR[0], "x"]}, "member 2 must be"),
+        ("rigidity", {"matrices": [PAIR[0], {"a": 1}]}, "member 2 must be"),
+        ("normal-form", {"matrices": [[["0", "-2"], "13"], PAIR[1]]}, "member 1"),
+        ("rigidity", {"matrices": [PAIR[0], [["0", "-12"], ["1", False]]]}, "boolean"),
+        ("rigidity", "matrices", "must hold a JSON object"),
+        ("normal-form", {"n": 2.9, "matrices": PAIR}, "declared dimension"),
+        ("rigidity", {"n": "2", "matrices": PAIR}, "declared dimension"),
+    ],
+)
+def test_malformed_shapes_exit_2(capsys, tmp_path, command, payload, message):
+    path = write_json(tmp_path, "shape.json", payload)
+    code, out, err = run(capsys, [command, "--input", path])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_analyze_malformed_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
@@ -285,6 +316,34 @@ def test_count_above_the_bound(capsys, monkeypatch, command, worker):
     assert code == 2 and out == ""
     assert err == "error: --count must be at most %d\n" % bound
     assert calls == []  # refused before any work
+
+
+def test_gap_above_the_bound(capsys, tmp_path, monkeypatch):
+    import thetakit.cli
+
+    bound = thetakit.cli.MAX_GAP
+    calls = count_calls(monkeypatch, thetakit.cli, "factorization_certificate")
+    payload = {"alpha": [str(bound + 1), "1/2"], "beta": ["0", "1/3"]}
+    path = write_json(tmp_path, "gap.json", payload)
+    code, out, err = run(capsys, ["analyze", "--input", path])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: alpha_1 - beta_1 = %d exceeds the factorization gap bound %d\n"
+        % (bound + 1, bound)
+    )
+    assert calls == []  # refused before any chain is built
+
+
+def test_gap_at_the_bound(capsys, tmp_path):
+    import thetakit.cli
+
+    bound = thetakit.cli.MAX_GAP
+    payload = {"alpha": [str(bound), "1/2"], "beta": ["0", "1/3"]}
+    path = write_json(tmp_path, "gap.json", payload)
+    code, out, _ = run(capsys, ["analyze", "--input", path])
+    assert code == 0
+    factorization = json.loads(out)["factorization"]
+    assert factorization["verified"] and factorization["steps"][0]["gap"] == bound
 
 
 # Exact stdout bytes pinned when the operator layer was re-based; a

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetakit.hypergeometric import HGParams, build_D
@@ -296,3 +296,34 @@ class TestLeftFactor:
             found = left_factor_check(p, f)
             assert found is not None
             assert f * found == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(op_terms, op_terms, st.integers(0, 1))
+def test_left_division_recovers_the_quotient(tf, tq, low):
+    # f may have a Laurent part; q is shifted to z-order low >= 0
+    f, q = _build(tf), _build(tq)
+    assume(f and q)
+    q = ThetaOperator.z(low - q.z_order) * q
+    assert left_factor_check(f * q, f) == q
+    assert left_factor_check(ThetaOperator.zero(), f) == ThetaOperator.zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(op_terms, op_terms)
+def test_left_division_refuses_a_negative_z_power(tf, tq):
+    # f*q factors in C[z, 1/z][t] only, since q has z-order -1
+    f, q = _build(tf), _build(tq)
+    assume(f and q)
+    q = ThetaOperator.z(-1 - q.z_order) * q
+    assert left_factor_check(f * q, f) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(op_terms, op_terms, op_terms)
+def test_left_division_refuses_a_remainder(tf, tq, tr):
+    # f*(q' - q) = r has theta-degree at least f's, so no q' exists
+    f, q = _build(tf), _build(tq)
+    r = _build([(c, j, k) for c, j, k in tr if k < f.theta_degree])
+    assume(f and r)
+    assert left_factor_check(f * q + r, f) is None
