@@ -14,9 +14,13 @@ The package is organised in layers:
 - ``rigidity``: pseudo-reflection tuples, common frames, invariant
   subspaces, companion normal forms and irreducibility tests;
 - ``monodromy``: double-precision monodromy triples and numeric
-  rigidity checks;
+  rigidity checks; the only module that needs numpy, loaded when one of
+  its names is first used, so the exact layers never import numpy;
 - ``cli``: the ``thetakit`` command.
 """
+
+import importlib.util
+import sys
 
 from .scalars import BACKEND, GaussianRational, I, ONE, Q, ZERO
 from .polynomials import Poly, X, poly_gcd
@@ -69,16 +73,24 @@ from .rigidity import (
     levelt_tuple,
     tuple_conjugator,
 )
-from .monodromy import (
-    LocalSpectra,
-    MonodromyTriple,
-    build_monodromy,
-    check_pseudo_reflection_numeric,
-    companion_eigenvalues,
-    local_spectra,
-    multiset_close,
-    rigidity_check_numeric,
-)
+
+# The numeric layer: thetakit.monodromy is registered unexecuted, and its
+# body (which imports numpy) runs when one of its names is first read.
+_spec = importlib.util.find_spec(__name__ + ".monodromy")
+_spec.loader = importlib.util.LazyLoader(_spec.loader)
+monodromy = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(monodromy)
+_NUMERIC = frozenset((
+    "LocalSpectra", "MonodromyTriple", "build_monodromy", "check_pseudo_reflection_numeric",
+    "companion_eigenvalues", "local_spectra", "multiset_close", "rigidity_check_numeric",
+))
+
+
+def __getattr__(name):
+    if name in _NUMERIC:
+        return getattr(monodromy, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __version__ = "0.1.0"
 

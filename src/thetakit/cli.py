@@ -33,7 +33,6 @@ from .hypergeometric import (
     is_reducible,
     partition,
 )
-from .monodromy import build_monodromy
 from .rigidity import (
     MatrixTuple,
     _check_invertible,
@@ -56,9 +55,10 @@ USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
 
 # work bounds: counts builds count² entries, verify-identities count sets,
-# and a factorization step of gap m expands operators of theta-degree n + m
+# and analyze up to n chain steps, one of gap m at theta-degree n + m
 MAX_COUNT = {"counts": 100, "verify-identities": 1000}
 MAX_GAP = 100
+MAX_ORDER = 32
 
 
 class InputError(Exception):
@@ -118,6 +118,10 @@ def _pairs_1based(pairs) -> list:
 
 def cmd_analyze(args) -> int:
     p = _load_params(args.input)
+    if p.n > MAX_ORDER:
+        raise InputError(
+            "n = %d parameters per list exceed the bound %d" % (p.n, MAX_ORDER)
+        )
     ex = exponents(p)
     reducible, witness = is_reducible(p)
     part = partition(p)
@@ -184,7 +188,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
+    if not args.tol >= 0:  # NaN too; checked before numpy is loaded
+        raise InputError("tolerance must be nonnegative")
     p = _load_params(args.input)
+    from .monodromy import build_monodromy
+
     try:
         t = build_monodromy(p, tol=args.tol)
     except ValueError as exc:

@@ -9,10 +9,7 @@ report: keys sorted, either compact separators or two-space indent.
 import json
 import sys
 
-import numpy as np
-
 from .linalg import ExactMatrix
-from .monodromy import MonodromyTriple
 
 
 def canonical_dumps(obj, pretty: bool = False) -> str:
@@ -34,12 +31,14 @@ def scalar_matrix_to_lists(m: ExactMatrix) -> list:
 
 
 def complex_matrix_to_lists(m) -> list:
+    import numpy as np  # only the numeric monodromy layer sends matrices here
+
     m = np.asarray(m, dtype=complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
-def triple_report(t: MonodromyTriple) -> dict:
-    """The four-key JSON form of a monodromy triple."""
+def triple_report(t) -> dict:
+    """The four-key JSON form of a monodromy.MonodromyTriple."""
     return {
         "m0": complex_matrix_to_lists(t.m0),
         "m1": complex_matrix_to_lists(t.m1),

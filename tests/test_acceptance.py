@@ -365,11 +365,25 @@ def test_exact_and_numeric_layers_agree():
             t = build_monodromy(p)
             assert np.max(np.abs(t.minf - _to_complex(a))) <= 1e-9, p
             assert np.max(np.abs(np.linalg.inv(t.m0) - _to_complex(b))) <= 1e-9, p
+            # the numeric normal-form round trip succeeds exactly when the
+            # exact one does, and on an irreducible pair both must
+            pair = MatrixTuple((a, b))
+            exact = _succeeds(lambda: levelt_normal_form(pair, common_frame(pair)))
+            numeric = _succeeds(lambda: rigidity_check_numeric(t, 1e-8))
+            assert exact and numeric, (p, exact, numeric)
     assert seen[True] >= 10 and seen[False] >= 10, seen
     print(
         "PASS exact vs numeric: %d reducible, %d irreducible pairs agree"
         % (seen[True], seen[False])
     )
+
+
+def _succeeds(compute) -> bool:
+    """False when compute() raises ValueError or returns False."""
+    try:
+        return compute() is not False
+    except ValueError:
+        return False
 
 
 def test_parameter_count_fixtures():

@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from thetakit.cli import main
+from util import env_with_src
 
 
 def write_json(tmp_path, name, payload):
@@ -439,6 +442,63 @@ GOLDEN_NORMAL_FORM_N5 = (
 )
 
 
+# an irreducible n = 3 triple; its double-precision bytes pin
+# triple_report and the numeric layer behind it, compact and --pretty
+MONODROMY_N3 = {"alpha": ["1/3", "1/2", "3/4"], "beta": ["1/5", "2/5", "1"]}
+
+GOLDEN_MONODROMY_N3 = (
+    '{"m0":[[[0.5,-1.5388417685876266],[1.0,0.0],[0.0,0.0]],[[1.309016994'
+    '3749472,0.9510565162951535],[0.0,0.0],[1.0,0.0]],[[-0.80901699437494'
+    '73,0.5877852522924729],[0.0,-0.0],[0.0,-0.0]]],"m1":[[[1.0,0.0],[0.0'
+    ',0.0],[2.6012907777747145,-0.17776636300935456]],[[0.0,0.0],[1.0,0.0'
+    '],[1.9777786843930931,1.8288751328486068]],[[0.0,-0.0],[0.0,-0.0],[0'
+    '.9945218953682734,0.10452846326765393]]],"minf":[[[0.0,0.0],[0.0,0.0'
+    '],[-0.8660254037844389,-0.4999999999999995]],[[1.0,0.0],[0.0,0.0],[-'
+    '1.3660254037844388,-0.6339745962155608]],[[0.0,0.0],[1.0,0.0],[-1.5,'
+    '-0.13397459621556118]]],"residual":2.3214408970122146e-16}\n'
+)
+
+GOLDEN_MONODROMY_N3_PRETTY = (
+    '{\n  "m0": [\n    [\n      [\n        0.5,\n        -1.53884176858762'
+    '66\n      ],\n      [\n        1.0,\n        0.0\n      ],\n      [\n  '
+    '      0.0,\n        0.0\n      ]\n    ],\n    [\n      [\n        1.30'
+    '90169943749472,\n        0.9510565162951535\n      ],\n      [\n    '
+    '    0.0,\n        0.0\n      ],\n      [\n        1.0,\n        0.0\n '
+    '     ]\n    ],\n    [\n      [\n        -0.8090169943749473,\n       '
+    ' 0.5877852522924729\n      ],\n      [\n        0.0,\n        -0.0\n '
+    '     ],\n      [\n        0.0,\n        -0.0\n      ]\n    ]\n  ],\n  "'
+    'm1": [\n    [\n      [\n        1.0,\n        0.0\n      ],\n      [\n '
+    '       0.0,\n        0.0\n      ],\n      [\n        2.6012907777747'
+    '145,\n        -0.17776636300935456\n      ]\n    ],\n    [\n      [\n '
+    '       0.0,\n        0.0\n      ],\n      [\n        1.0,\n        0.'
+    '0\n      ],\n      [\n        1.9777786843930931,\n        1.8288751'
+    '328486068\n      ]\n    ],\n    [\n      [\n        0.0,\n        -0.0'
+    '\n      ],\n      [\n        0.0,\n        -0.0\n      ],\n      [\n   '
+    '     0.9945218953682734,\n        0.10452846326765393\n      ]\n   '
+    ' ]\n  ],\n  "minf": [\n    [\n      [\n        0.0,\n        0.0\n     '
+    ' ],\n      [\n        0.0,\n        0.0\n      ],\n      [\n        -0'
+    '.8660254037844389,\n        -0.4999999999999995\n      ]\n    ],\n  '
+    '  [\n      [\n        1.0,\n        0.0\n      ],\n      [\n        0.'
+    '0,\n        0.0\n      ],\n      [\n        -1.3660254037844388,\n   '
+    '     -0.6339745962155608\n      ]\n    ],\n    [\n      [\n        0.'
+    '0,\n        0.0\n      ],\n      [\n        1.0,\n        0.0\n      ]'
+    ',\n      [\n        -1.5,\n        -0.13397459621556118\n      ]\n   '
+    ' ]\n  ],\n  "residual": 2.3214408970122146e-16\n}\n'
+)
+
+GOLDEN_COUNTS_3 = (
+    '{"entries":[{"equation":0,"monodromy":0,"n":1,"rigid":true,"s":1},{"'
+    'equation":1,"monodromy":1,"n":1,"rigid":true,"s":2},{"equation":2,"m'
+    'onodromy":2,"n":1,"rigid":true,"s":3},{"equation":-1,"monodromy":-3,'
+    '"n":2,"rigid":false,"s":1},{"equation":2,"monodromy":1,"n":2,"rigid"'
+    ':false,"s":2},{"equation":5,"monodromy":5,"n":2,"rigid":true,"s":3},'
+    '{"equation":-3,"monodromy":-8,"n":3,"rigid":false,"s":1},{"equation"'
+    ':3,"monodromy":1,"n":3,"rigid":false,"s":2},{"equation":9,"monodromy'
+    '":10,"n":3,"rigid":false,"s":3}],"equal":[[1,1],[1,2],[1,3],[2,3]],"'
+    'grid":3}\n'
+)
+
+
 def test_golden_analyze_factorization_steps(capsys, tmp_path):
     path = write_json(tmp_path, "gap3.json", GAP_3_PARAMS)
     code, out, _ = run(capsys, ["analyze", "--input", path])
@@ -465,6 +525,112 @@ def test_golden_normal_form_n5(capsys, tmp_path):
     code, out, _ = run(capsys, ["normal-form", "--input", path])
     assert code == 0
     assert out == GOLDEN_NORMAL_FORM_N5
+
+
+@pytest.mark.parametrize(
+    "flags, golden",
+    [([], GOLDEN_MONODROMY_N3), (["--pretty"], GOLDEN_MONODROMY_N3_PRETTY)],
+)
+def test_golden_monodromy_n3(capsys, tmp_path, flags, golden):
+    path = write_json(tmp_path, "m3.json", MONODROMY_N3)
+    code, out, _ = run(capsys, ["monodromy", "--input", path] + flags)
+    assert code == 0
+    assert out == golden
+
+
+def test_golden_counts(capsys):
+    code, out, _ = run(capsys, ["counts", "--count", "3"])
+    assert code == 0
+    assert out == GOLDEN_COUNTS_3
+
+
+# the CLI in a fresh interpreter where `import numpy` raises ImportError
+NUMPY_BLOCKED = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from thetakit.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def run_without_numpy(argv, payload=None):
+    return subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED] + argv,
+        input=None if payload is None else json.dumps(payload).encode(),
+        capture_output=True,
+        env=env_with_src(),
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, payload, golden",
+    [
+        (["analyze", "--input", "-"], GAP_3_PARAMS, GOLDEN_ANALYZE_GAP_3),
+        (["rigidity", "--input", "-"], RIGIDITY_TRIPLE, GOLDEN_RIGIDITY_TRIPLE),
+        (["normal-form", "--input", "-"], NORMAL_FORM_N5, GOLDEN_NORMAL_FORM_N5),
+        (["counts", "--count", "3"], None, GOLDEN_COUNTS_3),
+        (
+            ["verify-identities", "--seed", "42", "--count", "5"],
+            None,
+            GOLDEN_VERIFY_IDENTITIES_42_5,
+        ),
+    ],
+    ids=["analyze", "rigidity", "normal-form", "counts", "verify-identities"],
+)
+def test_exact_subcommands_never_load_numpy(argv, payload, golden):
+    proc = run_without_numpy(argv, payload)
+    assert proc.stderr == b""
+    assert proc.returncode == 0
+    assert proc.stdout == golden.encode()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_tolerance_refused_before_the_numeric_layer(tol):
+    # reducible input too: the tolerance is checked first, without numpy
+    payload = {"alpha": ["1/4", "3/4"], "beta": ["1/4", "1"]}
+    proc = run_without_numpy(["monodromy", "--input", "-", "--tol", tol], payload)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == b"error: tolerance must be nonnegative\n"
+
+
+def unit_gap_params(n):
+    """beta_k = (k+1)/(2n+3), alpha_k = beta_k + 1: a chain of n unit gaps."""
+    d = 2 * n + 3
+    return {
+        "alpha": ["%d/%d" % (k + 1 + d, d) for k in range(n)],
+        "beta": ["%d/%d" % (k + 1, d) for k in range(n)],
+    }
+
+
+def test_order_above_the_bound(capsys, tmp_path, monkeypatch):
+    import thetakit.cli
+
+    bound = thetakit.cli.MAX_ORDER
+    chain = count_calls(monkeypatch, thetakit.cli, "factorization_certificate")
+    calls = count_calls(monkeypatch, thetakit.cli, "exponents")
+    path = write_json(tmp_path, "order.json", unit_gap_params(bound + 1))
+    code, out, err = run(capsys, ["analyze", "--input", path])
+    assert code == 2 and out == ""
+    assert err == "error: n = %d parameters per list exceed the bound %d\n" % (
+        bound + 1,
+        bound,
+    )
+    assert chain == calls == []  # refused before any work
+
+
+def test_order_at_the_bound(capsys, tmp_path):
+    import thetakit.cli
+
+    bound = thetakit.cli.MAX_ORDER
+    d = 2 * bound + 3  # alpha_i - beta_j = (2(i - j) - d)/2d is never an integer
+    payload = {
+        "alpha": ["%d/%d" % (k + 1, d) for k in range(bound)],
+        "beta": ["%d/%d" % (2 * k + 2 + d, 2 * d) for k in range(bound)],
+    }
+    path = write_json(tmp_path, "order.json", payload)
+    code, out, _ = run(capsys, ["analyze", "--input", path])
+    assert code == 0
+    report = json.loads(out)
+    assert report["reducible"] is False and len(report["parameters"]["alpha"]) == bound
 
 
 def count_calls(monkeypatch, module, name):

@@ -1,7 +1,9 @@
-"""Seeded generators shared across the test modules."""
+"""Seeded generators and subprocess helpers shared across the test modules."""
 
+import os
 import random
 
+import thetakit
 from thetakit.hypergeometric import HGParams
 from thetakit.linalg import ExactMatrix
 from thetakit.rigidity import MatrixTuple, Spectrum, levelt_tuple
@@ -81,3 +83,11 @@ def conjugated_levelt(rng, p, n):
     g = invertible_matrix(rng, n)
     conj = MatrixTuple(tuple(g * m * g.inverse() for m in base))
     return spectra, g, conj
+
+
+def env_with_src() -> dict:
+    """os.environ with the directory holding thetakit first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(thetakit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
