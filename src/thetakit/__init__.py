@@ -80,17 +80,6 @@ _spec = importlib.util.find_spec(__name__ + ".monodromy")
 _spec.loader = importlib.util.LazyLoader(_spec.loader)
 monodromy = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(monodromy)
-_NUMERIC = frozenset((
-    "LocalSpectra", "MonodromyTriple", "build_monodromy", "check_pseudo_reflection_numeric",
-    "companion_eigenvalues", "local_spectra", "multiset_close", "rigidity_check_numeric",
-))
-
-
-def __getattr__(name):
-    if name in _NUMERIC:
-        return getattr(monodromy, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
 
 __version__ = "0.1.0"
 
@@ -157,3 +146,10 @@ __all__ = [
     "tuple_conjugator",
     "verify_certificate",
 ]
+
+
+def __getattr__(name):
+    # the exported names not bound above are monodromy's (PEP 562)
+    if name in __all__:
+        return getattr(monodromy, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
