@@ -76,9 +76,10 @@ class MatrixTuple:
 
     @cached_property
     def _difference_kernels(self):
+        # kernel(A_i - A_j) for i < j: the ratio table and common_frame read it
         ms = self.matrices
         return {
-            (i, j): _difference_kernel(ms[i], ms[j])
+            (i, j): kernel(ms[i] - ms[j])
             for i in range(self.p)
             for j in range(i + 1, self.p)
         }
@@ -197,11 +198,6 @@ def is_pseudo_reflection(h: ExactMatrix) -> bool:
     False
     """
     return (h - ExactMatrix.identity(h.n)).rank() == 1
-
-
-def _difference_kernel(a: ExactMatrix, b: ExactMatrix) -> Subspace:
-    """kernel(a - b), which both the ratio table and common_frame read."""
-    return kernel(a - b)
 
 
 def pseudo_reflection_pairs(t: MatrixTuple) -> dict:
@@ -554,15 +550,14 @@ def is_irreducible_pair(a: ExactMatrix, b: ExactMatrix) -> bool:
 
     For invertible a, b with a·b^{-1} a pseudo-reflection, the pair
     generates an irreducible algebra exactly when the characteristic
-    polynomials are coprime.
+    polynomials are coprime.  A singular argument is a ValueError naming
+    it as member 1 or 2.
 
     >>> a = companion_from_spectrum(Spectrum((1, 2)))
     >>> b = companion_from_spectrum(Spectrum((3, 4)))
     >>> is_irreducible_pair(a, b)
     True
     """
-    if not a.is_invertible() or not b.is_invertible():
-        raise ValueError("both matrices must be invertible")
     return _irreducible_pair(MatrixTuple((a, b)))
 
 

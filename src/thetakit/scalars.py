@@ -1,69 +1,30 @@
 """Exact Gaussian-rational scalars: numbers a + b*i with rational a and b.
 
 This is the coefficient field for every exact computation in the package.
-Values are immutable and canonical (fractions in lowest terms, positive
+Both parts are fractions.Fraction, the one rational type.  Values are
+immutable and canonical (fractions in lowest terms, positive
 denominators), so equality is structural and hashing is safe.
 
 Most scalars in the exact algorithms are real, so arithmetic takes a fast
 path on a zero imaginary part: real x real is one rational product, real x
 complex two, and only complex x complex does the four of the general
 formula; sums and differences of reals skip the imaginary sum; the inverse
-of a real is 1/re.  Results are built by _make from two backend rationals,
-without re-coercion, and the imaginary part of a real is always the
-backend's 0, so equality, hashing and printing do not depend on the path.
+of a real is 1/re.  Results are built by _make from two Fractions, without
+re-coercion, and the imaginary part of a real is always Fraction(0), so
+equality, hashing and printing do not depend on the path.
 
-Two interchangeable rational backends are supported.  gmpy2's mpq is used
-when importable because bignum rational arithmetic dominates the runtime of
-the exact algorithms; fractions.Fraction is the pure-Python fallback.  Set
-THETAKIT_SCALAR_BACKEND=fraction (or =gmpy2) to force a backend; the
-benchmark in benchmark/ runs with the scalar backend pinned to fraction.
+A string becomes a scalar only through the canonical grammar, whose
+numbers are decimal digits with an optional '/q': a real '3', '-7/3'; an
+imaginary 'i', '-2*i', '1/3*i'; or a real, a sign and an imaginary,
+'1/2+1/3*i', '3-i'; blanks around the tokens are allowed.  Any other
+string ('1.5', '1e3', '1_000', '1.5+i') or a zero denominator is a
+ValueError naming the string.
 """
 
-import os
 import re as _re
 from fractions import Fraction
 
-_FORCED = os.environ.get("THETAKIT_SCALAR_BACKEND", "").strip().lower()
-
-if _FORCED in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _rat
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _FORCED == "gmpy2":
-            raise
-        _rat = Fraction
-        BACKEND = "fraction"
-elif _FORCED in ("fraction", "fractions", "python"):
-    _rat = Fraction
-    BACKEND = "fraction"
-else:
-    raise ValueError("unknown scalar backend %r" % _FORCED)
-
-
-def _to_rat(x):
-    """Coerce x to the backend rational type.
-
-    Accepts ints (not bools), 'p/q' strings and anything with
-    numerator/denominator attributes (Fraction, mpq, other rationals).  A
-    zero denominator is malformed input and raises ValueError.
-    """
-    if isinstance(x, _rat):
-        return x
-    if isinstance(x, bool):
-        raise TypeError("a boolean is not a rational number: %r" % (x,))
-    if isinstance(x, (int, str)):
-        try:
-            return _rat(x)
-        except ZeroDivisionError:
-            raise ValueError("zero denominator in %r" % (x,)) from None
-    num = getattr(x, "numerator", None)
-    den = getattr(x, "denominator", None)
-    if num is not None and den is not None:
-        return _rat(int(num), int(den))
-    raise TypeError("cannot interpret %r as a rational number" % (x,))
-
+BACKEND = "fraction"  # the one rational type; kept as a name for reports
 
 _RAT_RE = r"[+-]?\d+(?:/\d+)?"
 _REAL_RE = _re.compile(r"^\s*(%s)\s*$" % _RAT_RE)
@@ -71,6 +32,32 @@ _IMAG_RE = _re.compile(r"^\s*([+-])?\s*(?:(\d+(?:/\d+)?)\*)?i\s*$")
 _MIXED_RE = _re.compile(
     r"^\s*(%s)\s*([+-])\s*(?:(\d+(?:/\d+)?)\*)?i\s*$" % _RAT_RE
 )
+
+
+def _to_rat(x):
+    """Coerce x to a Fraction: an int (not a bool), a real string of the
+    grammar ('3', '-7/3') or anything with numerator and denominator.  A
+    string outside the grammar or with a zero denominator is a ValueError.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool):
+        raise TypeError("a boolean is not a rational number: %r" % (x,))
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        m = _REAL_RE.match(x)
+        if m is None:
+            raise ValueError("cannot parse scalar %r" % (x,))
+        try:
+            return Fraction(m.group(1))
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (x,)) from None
+    num = getattr(x, "numerator", None)
+    den = getattr(x, "denominator", None)
+    if num is not None and den is not None:
+        return Fraction(int(num), int(den))
+    raise TypeError("cannot interpret %r as a rational number" % (x,))
 
 
 class GaussianRational:
@@ -106,24 +93,21 @@ class GaussianRational:
         >>> GaussianRational.parse("1/2-i")
         1/2-1*i
         """
-        m = _REAL_RE.match(text)
-        if m:
-            return cls(m.group(1))
         m = _IMAG_RE.match(text)
         if m:
             sign, coef = m.group(1), m.group(2)
-            b = _to_rat(coef) if coef is not None else _rat(1)
+            b = _to_rat(coef) if coef is not None else _ONE
             if sign == "-":
                 b = -b
             return cls(0, b)
         m = _MIXED_RE.match(text)
         if m:
             a = _to_rat(m.group(1))
-            b = _to_rat(m.group(3)) if m.group(3) is not None else _rat(1)
+            b = _to_rat(m.group(3)) if m.group(3) is not None else _ONE
             if m.group(2) == "-":
                 b = -b
             return cls(a, b)
-        raise ValueError("cannot parse scalar %r" % text)
+        return cls(text)  # a real, or the grammar's ValueError from _to_rat
 
     # -- predicates -------------------------------------------------------
 
@@ -144,7 +128,7 @@ class GaussianRational:
 
     def floor_real(self):
         """Floor of the real part, as a Python int."""
-        return int(self.re.numerator) // int(self.re.denominator)
+        return self.re.numerator // self.re.denominator
 
     # -- arithmetic -------------------------------------------------------
 
@@ -152,7 +136,7 @@ class GaussianRational:
         if type(other) is GaussianRational:
             return other
         if isinstance(other, int):
-            return _make(_rat(other), _ZERO)
+            return _make(Fraction(other), _ZERO)
         return None
 
     def __add__(self, other):
@@ -264,18 +248,18 @@ class GaussianRational:
     __repr__ = __str__
 
 
-_ZERO = _rat(0)
-_ONE = _rat(1)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 _new = object.__new__
 _set_re = GaussianRational.re.__set__
 _set_im = GaussianRational.im.__set__
 
 
 def _make(re, im):
-    """A GaussianRational from two backend rationals, taken as they are.
+    """A GaussianRational from two Fractions, taken as they are.
 
-    The caller guarantees both are of the backend type; a real result
-    passes the backend's 0 (not a Python int) as im.
+    The caller guarantees both are Fractions; a real result passes
+    Fraction(0) (not a Python int) as im.
     """
     x = _new(GaussianRational)
     _set_re(x, re)

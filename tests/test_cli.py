@@ -1,11 +1,19 @@
+import io
 import json
+import random
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetakit.cli import main
-from util import env_with_src
+from thetakit.scalars import Q
+from util import conjugated_levelt, env_with_src
 
 
 def write_json(tmp_path, name, payload):
@@ -649,11 +657,11 @@ def count_calls(monkeypatch, module, name):
 def test_rigidity_builds_the_ratio_table_once(capsys, tmp_path, monkeypatch):
     import thetakit.rigidity
 
-    calls = count_calls(monkeypatch, thetakit.rigidity, "_difference_kernel")
+    calls = count_calls(monkeypatch, thetakit.rigidity, "kernel")
     path = write_json(tmp_path, "triple.json", RIGIDITY_TRIPLE)
     code, out, _ = run(capsys, ["rigidity", "--input", path])
     assert code == 0 and out == GOLDEN_RIGIDITY_TRIPLE
-    assert len(calls) == 3  # one per pair of members
+    assert len(calls) == 3  # one difference kernel per pair of members
 
 
 def test_analyze_builds_the_factorization_chain_once(capsys, tmp_path, monkeypatch):
@@ -721,3 +729,197 @@ def test_missing_subcommand(capsys):
 def test_unknown_subcommand(capsys):
     code, _, _ = run(capsys, ["frobnicate"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        # json.load raises a plain ValueError past the int-string digit limit
+        ("long_int.json", '{"alpha": [%s, "1/2"], "beta": ["1", "2"]}' % ("7" * 5001)),
+        ("utf16.json", b'\xff\xfe{"alpha": ["1/2", "1/3"], "beta": ["1", "2"]}'),
+        ("deep.json", "[" * 100000),
+    ],
+    ids=["int-digit-limit", "not-utf8", "deep-nesting"],
+)
+def test_undecodable_json_exits_2(capsys, tmp_path, name, content):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, out, err = run(capsys, ["analyze", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed JSON in %s: " % path)
+    assert err.count("\n") == 1
+
+
+def test_monodromy_order_refused_before_the_numeric_layer():
+    from thetakit.cli import MAX_ORDER
+
+    proc = run_without_numpy(["monodromy", "--input", "-"], unit_gap_params(MAX_ORDER + 1))
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == b"error: n = %d parameters per list exceed the bound %d\n" % (
+        MAX_ORDER + 1,
+        MAX_ORDER,
+    )
+
+
+def levelt_payload(n, p, seed=8):
+    _, _, t = conjugated_levelt(random.Random(seed), p, n)
+    return t.to_dict()
+
+
+@pytest.mark.parametrize("command", ["rigidity", "normal-form"])
+@pytest.mark.parametrize(
+    "grow, message",
+    [
+        ("n", "error: members of size n = %d exceed the bound %d\n"),
+        ("p", "error: p = %d members exceed the bound %d\n"),
+    ],
+    ids=["n", "p"],
+)
+def test_tuple_above_the_bound(capsys, tmp_path, monkeypatch, command, grow, message):
+    import thetakit.cli
+
+    bounds = {"n": thetakit.cli.MAX_TUPLE_ORDER, "p": thetakit.cli.MAX_MEMBERS}
+    sizes = dict(bounds, **{grow: bounds[grow] + 1})
+    calls = count_calls(monkeypatch, thetakit.cli, "_check_invertible")
+    path = write_json(tmp_path, "big.json", levelt_payload(sizes["n"], sizes["p"]))
+    code, out, err = run(capsys, [command, "--input", path])
+    assert code == 2 and out == ""
+    assert err == message % (sizes[grow], bounds[grow])
+    assert calls == []  # refused before any characteristic polynomial
+
+
+def test_normal_form_at_the_tuple_bounds(capsys, tmp_path):
+    import thetakit.cli
+
+    n, p = thetakit.cli.MAX_TUPLE_ORDER, thetakit.cli.MAX_MEMBERS
+    path = write_json(tmp_path, "corner.json", levelt_payload(n, p))
+    code, out, _ = run(capsys, ["normal-form", "--input", path])
+    assert code == 0
+    assert len(json.loads(out)["members"]) == p
+
+
+# The scalar grammar, through Q and through the two loaders: an accepted
+# literal reads as one canonical value everywhere, a refused one is exit 2.
+ACCEPTED_LITERALS = [
+    ("3/4", "3/4"),
+    ("-7/3", "-7/3"),
+    (" 3/2 ", "3/2"),
+    ("1/2-1/3*i", "1/2-1/3*i"),
+    ("i", "1*i"),
+]
+REFUSED_LITERALS = ["1.5", "1e5000", "1_000", "1.5+i", "1/0"]
+
+
+def literal_inputs(literal):
+    """analyze and rigidity payloads that hold the literal."""
+    params = {"alpha": [literal, "1/7"], "beta": ["1/5", "1"]}
+    # both members have the eigenvalue `literal`: the certificate is X - it
+    tuple_ = {
+        "matrices": [
+            [[literal, "0"], ["0", "1"]],
+            [[literal, "0"], ["0", "2"]],
+        ]
+    }
+    return params, tuple_
+
+
+@pytest.mark.parametrize("literal, canonical", ACCEPTED_LITERALS)
+def test_grammar_accepts(capsys, tmp_path, literal, canonical):
+    from thetakit.polynomials import Poly
+
+    assert str(Q(literal)) == canonical
+    params, tuple_ = literal_inputs(literal)
+    code, out, _ = run(capsys, ["analyze", "--input", write_json(tmp_path, "p.json", params)])
+    assert code == 0
+    assert json.loads(out)["parameters"]["alpha"][0] == canonical
+    code, out, _ = run(capsys, ["rigidity", "--input", write_json(tmp_path, "t.json", tuple_)])
+    assert code == 0
+    assert json.loads(out)["certificate"] == str(Poly.from_roots([Q(canonical)]))
+
+
+@pytest.mark.parametrize("literal", REFUSED_LITERALS)
+def test_grammar_refuses(capsys, tmp_path, literal):
+    with pytest.raises(ValueError, match=re.escape(repr(literal))):
+        Q(literal)
+    params, tuple_ = literal_inputs(literal)
+    for command, payload in (("analyze", params), ("rigidity", tuple_)):
+        path = write_json(tmp_path, "bad.json", payload)
+        code, out, err = run(capsys, [command, "--input", path])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(literal) in err
+
+
+# Fuzz of the exit-code contract: any JSON value, and near-valid inputs
+# whose scalars are drawn from the grammar's alphabet, on every subcommand.
+SCALAR_TOKENS = ["0", "1", "2", "3", "/", "+", "-", "*", "i", " ", ".", "e", "_"]
+near_scalars = st.one_of(
+    st.tuples(
+        st.sampled_from(["", "-", " "]),
+        st.integers(0, 9).map(str),
+        st.sampled_from(["", "/2", "/3", "/7", "/0", ".5"]),
+        st.sampled_from(["", "", "+i", "-1/2*i", "*i", "e3"]),
+    ).map("".join),
+    st.integers(-3, 3),
+)
+fuzz_scalars = near_scalars | st.lists(st.sampled_from(SCALAR_TOKENS), max_size=5).map("".join)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 5)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | fuzz_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["alpha", "beta", "matrices", "n"]), inner, max_size=3),
+    max_leaves=8,
+)
+near_params = st.integers(2, 3).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "alpha": st.lists(near_scalars, min_size=n, max_size=n),
+            "beta": st.lists(near_scalars, min_size=n, max_size=n),
+        }
+    )
+)
+near_tuples = st.integers(2, 3).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "matrices": st.lists(
+                st.lists(st.lists(near_scalars, min_size=n, max_size=n), min_size=n, max_size=n),
+                min_size=2,
+                max_size=3,
+            )
+        },
+        optional={"n": st.integers(0, 3)},
+    )
+)
+# (argv, stdin value); counts and verify-identities read no input
+cli_cases = st.one_of(
+    st.tuples(st.sampled_from(["analyze", "monodromy"]), near_params | json_values),
+    st.tuples(st.sampled_from(["rigidity", "normal-form"]), near_tuples | json_values),
+).map(lambda c: ([c[0], "--input", "-"], c[1])) | st.tuples(
+    st.sampled_from(["counts", "verify-identities"]), st.integers(-1, 3)
+).map(lambda c: ([c[0], "--count", str(c[1])], None))
+
+
+def run_in_process(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin_text)), redirect_stdout(
+        out
+    ), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(cli_cases)
+def test_fuzz_exit_code_contract(case):
+    argv, value = case
+    code, _, err = run_in_process(argv, json.dumps(value))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1

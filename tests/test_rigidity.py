@@ -474,6 +474,12 @@ class TestIrreducibility:
         with pytest.raises(ValueError):
             is_irreducible_pair(m_([[2, 0], [0, 3]]), ExactMatrix.identity(2))
 
+    def test_singular_argument_is_named(self):
+        # invertibility is read off the char polys: no separate det test
+        a = companion_from_spectrum(Spectrum((1, 2)))
+        with pytest.raises(ValueError, match="member 2 is singular"):
+            is_irreducible_pair(a, m_([[0, 0], [1, 0]]))
+
 
 def test_gcd_certificate_matches_direct_gcd():
     t = companion_pair((1, 2), (2, 5))

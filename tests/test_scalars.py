@@ -1,14 +1,27 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetakit.scalars import BACKEND, GaussianRational, I, ONE, Q, ZERO
+from thetakit.scalars import GaussianRational, I, ONE, Q, ZERO
+from util import env_with_src
 
 
-def test_backend_is_known():
-    assert BACKEND in ("gmpy2", "fraction")
+@pytest.mark.parametrize("value", ["fraction", "gmpy2", "bogus"])
+def test_backend_variable_is_ignored(value):
+    # benchmark/common.py still sets THETAKIT_SCALAR_BACKEND in its children
+    env = dict(env_with_src(), THETAKIT_SCALAR_BACKEND=value)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import thetakit; print(thetakit.BACKEND)"],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"fraction\n"
 
 
 def test_construction_and_parts():
