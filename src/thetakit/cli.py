@@ -125,6 +125,19 @@ def _load_tuple(path: str) -> MatrixTuple:
     return t
 
 
+def _strings(field: str, values) -> list:
+    """Canonical strings of values; one over Python's int-string digit
+    limit cannot be printed, an input error naming the field entry."""
+    out = []
+    for k, v in enumerate(values, 1):
+        try:
+            out.append(str(v))
+        except ValueError:
+            raise InputError("%s[%d] is too long to print (over %d digits)"
+                             % (field, k, sys.get_int_max_str_digits())) from None
+    return out
+
+
 def _pair_1based(pair) -> list:
     return [pair[0] + 1, pair[1] + 1]
 
@@ -182,9 +195,9 @@ def cmd_analyze(args) -> int:
         "canonical_class": canonical,
         "canonical_class_reason": reason,
         "exponents": {
-            "at_infinity": [str(e) for e in ex.at_infinity],
-            "at_one": [str(e) for e in ex.at_one],
-            "at_zero": [str(e) for e in ex.at_zero],
+            "at_infinity": _strings("exponents.at_infinity", ex.at_infinity),
+            "at_one": _strings("exponents.at_one", ex.at_one),
+            "at_zero": _strings("exponents.at_zero", ex.at_zero),
         },
         "factorization": factorization,
         "parameters": p.to_dict(),

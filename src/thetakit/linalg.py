@@ -4,15 +4,20 @@ Everything here is deterministic: elimination always takes the first nonzero
 pivot, and subspaces are kept in a canonical reduced-row-echelon basis so
 that equal subspaces compare equal structurally.
 
-One Gauss-Jordan loop on row lists (_gauss_jordan) is behind rref, rank,
+Two integer kernels do the arithmetic.  scalars.dot, behind every matrix
+and matrix-vector product, sums on the integer numerators and denominators
+of the parts, with one gcd per part.  _gauss_jordan, behind rref, rank,
 kernel_vectors, inverse (which reduces [A | I] as lists) and the Subspace
-basis.  One incremental echelon (Echelon) answers membership: it reduces a
-vector against rows kept in pivot order, and serves Subspace.contains,
-complete_basis and the algebra-span search in rigidity.
+basis, runs fraction-free on integers when every entry is real and keeps
+a rational loop for complex entries; det keeps its own loop, as a
+reference.  One incremental echelon (Echelon) answers membership for
+Subspace.contains, complete_basis and the algebra-span search in rigidity.
 """
 
+from bisect import insort
+
 from .polynomials import Poly
-from .scalars import ONE, ZERO, Q, GaussianRational
+from .scalars import ONE, ZERO, Q, GaussianRational, dot, integer_row, rational_row
 
 
 def _entry(x):
@@ -22,25 +27,54 @@ def _entry(x):
 def _gauss_jordan(rows, ncols):
     """Reduce rows (lists of scalars) in place to RREF, pivoting on the first
     nonzero entry of each of the first ncols columns; return the pivots.
-    Rows are zero left of their pivot, so row operations start there."""
+    Rows are zero left of their pivot, so row operations start there.
+
+    Real rows go fraction-free (Jordan-Bareiss): row i is scaled to
+    integers by the lcm s_i of its denominators, and each pivot step sets
+    every other row to (p*row - f*top) // prev, p the new pivot and prev the
+    one before.  The entries stay minors, so the division is exact; at the
+    end, with D the last pivot, a pivot row is D times its RREF row and a
+    row without pivot D*s_i times what the rational loop leaves.
+    """
+    scaled = [integer_row(row) for row in rows]
+    real = None not in scaled
+    scales = [s for s, _ in scaled] if real else None
+    work = [ints for _, ints in scaled] if real else rows
     pivots = []
     nrows = len(rows)
+    prev = 1
     for pc in range(ncols):
         pr = len(pivots)
         if pr == nrows:
             break
-        pivot_row = next((i for i in range(pr, nrows) if rows[i][pc]), None)
+        pivot_row = next((i for i in range(pr, nrows) if work[i][pc]), None)
         if pivot_row is None:
             continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        top = rows[pr]
-        inv = top[pc].inverse()
-        top[pc:] = [x * inv for x in top[pc:]]
-        for i, row in enumerate(rows):
-            f = row[pc]
-            if f and i != pr:
-                row[pc:] = [a - f * b for a, b in zip(row[pc:], top[pc:])]
+        work[pr], work[pivot_row] = work[pivot_row], work[pr]
+        top = work[pr]
+        if real:
+            scales[pr], scales[pivot_row] = scales[pivot_row], scales[pr]
+            p = top[pc]
+            for i, row in enumerate(work):
+                f = row[pc]
+                if i != pr and (f or p != prev):
+                    start = pivots[i] if i < pr else pc  # whole row rescaled
+                    row[start:] = [
+                        (p * a - f * b) // prev
+                        for a, b in zip(row[start:], top[start:])
+                    ]
+            prev = p
+        else:
+            inv = top[pc].inverse()
+            top[pc:] = [x * inv for x in top[pc:]]
+            for i, row in enumerate(work):
+                f = row[pc]
+                if f and i != pr:
+                    row[pc:] = [a - f * b for a, b in zip(row[pc:], top[pc:])]
         pivots.append(pc)
+    if real:
+        for i, (s, row) in enumerate(zip(scales, work)):
+            rows[i] = rational_row(row, prev if i < len(pivots) else prev * s)
     return pivots
 
 
@@ -106,9 +140,7 @@ class ExactMatrix:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self):
-        return ExactMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
+        return ExactMatrix(list(zip(*self.rows)))
 
     @staticmethod
     def vstack(a, b):
@@ -145,13 +177,8 @@ class ExactMatrix:
         if isinstance(other, ExactMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in product")
-            bt = other.transpose().rows
-            out = []
-            for ra in self.rows:
-                out.append(
-                    [sum((a * b for a, b in zip(ra, col)), ZERO) for col in bt]
-                )
-            return ExactMatrix(out)
+            cols = list(zip(*other.rows))
+            return ExactMatrix([[dot(ra, col) for col in cols] for ra in self.rows])
         return NotImplemented
 
     def __rmul__(self, other):
@@ -164,7 +191,7 @@ class ExactMatrix:
         if len(vector) != self.ncols:
             raise ValueError("vector length mismatch")
         vec = [_entry(x) for x in vector]
-        return tuple(sum((a * b for a, b in zip(r, vec)), ZERO) for r in self.rows)
+        return tuple(dot(r, vec) for r in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -216,11 +243,7 @@ class ExactMatrix:
         rows = [list(r) for r in self.rows]
         det = Q(1)
         for pc in range(n):
-            pivot_row = None
-            for i in range(pc, n):
-                if rows[i][pc]:
-                    pivot_row = i
-                    break
+            pivot_row = next((i for i in range(pc, n) if rows[i][pc]), None)
             if pivot_row is None:
                 return Q(0)
             if pivot_row != pc:
@@ -344,8 +367,7 @@ class Echelon:
             return False
         inv = v[pc].inverse()
         v[pc:] = [x * inv for x in v[pc:]]
-        self.rows.append((pc, v))
-        self.rows.sort(key=lambda row: row[0])
+        insort(self.rows, (pc, v), key=lambda row: row[0])
         return True
 
 

@@ -5,7 +5,7 @@ zeros (the zero polynomial is the empty tuple), so equality is structural.
 The formal variable is rendered as X.
 """
 
-from .scalars import Q, GaussianRational
+from .scalars import ZERO, Q, GaussianRational
 
 
 def _coeffs(values):
@@ -140,21 +140,26 @@ class Poly:
         return result
 
     def __divmod__(self, other):
+        """The unique (q, r) with self = q*other + r and deg r < deg other,
+        by long division on one list of remainder coefficients.
+
+        >>> divmod(Poly([1, 0, 0, 2]), Poly([1, 1]))
+        (2*X^2-2*X+2, -1)
+        """
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = Poly()
-        r = self
-        inv_lead = o.leading().inverse()
-        while not r.is_zero() and r.degree >= o.degree:
-            shift = r.degree - o.degree
-            c = r.leading() * inv_lead
-            term = Poly([Q(0)] * shift + [c])
-            q = q + term
-            r = r - term * o
-        return q, r
+        d, m = o.coeffs, o.degree
+        r = list(self.coeffs)
+        q = [ZERO] * max(len(r) - m, 0)
+        inv_lead = d[m].inverse()
+        for k in range(len(q) - 1, -1, -1):
+            c = q[k] = r.pop() * inv_lead  # clears the top term of r
+            if c:
+                r[k : k + m] = [a - c * b for a, b in zip(r[k : k + m], d)]
+        return Poly(q), Poly(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -184,9 +189,10 @@ class Poly:
         return Poly(out)
 
     def evaluate(self, x):
-        acc = Q(0)
+        x = Q(x)
+        acc = ZERO
         for c in reversed(self.coeffs):
-            acc = acc * Q(x) + c
+            acc = acc * x + c
         return acc
 
     # -- rendering ---------------------------------------------------------

@@ -11,7 +11,8 @@ complex two, and only complex x complex does the four of the general
 formula; sums and differences of reals skip the imaginary sum; the inverse
 of a real is 1/re.  Results are built by _make from two Fractions, without
 re-coercion, and the imaginary part of a real is always Fraction(0), so
-equality, hashing and printing do not depend on the path.
+equality, hashing and printing do not depend on the path.  dot, integer_row
+and rational_row work on integer numerators for the kernels of linalg.
 
 A string becomes a scalar only through the canonical grammar, whose
 numbers are decimal digits with an optional '/q': a real '3', '-7/3'; an
@@ -23,6 +24,7 @@ ValueError naming the string.
 
 import re as _re
 from fractions import Fraction
+from math import lcm
 
 BACKEND = "fraction"  # the one rational type; kept as a name for reports
 
@@ -265,6 +267,49 @@ def _make(re, im):
     _set_re(x, re)
     _set_im(x, im)
     return x
+
+
+def _ratio_sum(nums, dens):
+    """The Fraction sum of nums[k]/dens[k], over the lcm of dens."""
+    den = lcm(*dens)
+    return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
+
+
+def dot(u, v):
+    """The scalar sum of u[k]*v[k] over two GaussianRational sequences.
+
+    Each product of two parts is one integer fraction; the real and the
+    imaginary part are each summed over the lcm of their denominators and
+    reduced once, instead of one gcd per product and per addition.
+    """
+    re_nums, re_dens, im_nums, im_dens = [], [], [], []
+    for a, b in zip(u, v):
+        ar, br, ai, bi = a.re, b.re, a.im, b.im
+        an, ad, bn, bd = ar.numerator, ar.denominator, br.numerator, br.denominator
+        re_nums.append(an * bn)
+        re_dens.append(ad * bd)
+        if ai or bi:
+            cn, cd, en, ed = ai.numerator, ai.denominator, bi.numerator, bi.denominator
+            re_nums.append(-cn * en)
+            re_dens.append(cd * ed)
+            im_nums += (an * en, cn * bn)
+            im_dens += (ad * ed, cd * bd)
+    im = _ratio_sum(im_nums, im_dens) if im_nums else _ZERO
+    return _make(_ratio_sum(re_nums, re_dens), im)
+
+
+def integer_row(row):
+    """(s, ints) with s the lcm of the denominators of a row of real
+    scalars and ints the integers s*x; None when an entry is complex."""
+    if any(x.im for x in row):
+        return None
+    s = lcm(*(x.re.denominator for x in row))
+    return s, [x.re.numerator * (s // x.re.denominator) for x in row]
+
+
+def rational_row(ints, den):
+    """The real scalars n/den for the integers n in ints."""
+    return [_make(Fraction(n, den), _ZERO) if n else ZERO for n in ints]
 
 
 def Q(x=0, y=0):

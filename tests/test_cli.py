@@ -753,6 +753,27 @@ def test_undecodable_json_exits_2(capsys, tmp_path, name, content):
     assert err.count("\n") == 1
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-string digit limit")
+def test_exponent_past_the_print_limit_exits_2(capsys, tmp_path):
+    # every literal is under the int-string digit limit, but the at_one
+    # exponent's denominator, the product of the two long ones, is over it;
+    # the default limit is set here, as PYTHONINTMAXSTRDIGITS may lift it
+    payload = {
+        "alpha": ["1/" + "7" * 3000, "1/3"],
+        "beta": ["1/" + "3" * 3000 + "1", "2/7"],
+    }
+    path = write_json(tmp_path, "long_exponent.json", payload)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, ["analyze", "--input", path])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err == "error: exponents.at_one[2] is too long to print (over 4300 digits)\n"
+
+
 def test_monodromy_order_refused_before_the_numeric_layer():
     from thetakit.cli import MAX_ORDER
 

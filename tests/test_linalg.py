@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetakit.linalg import ExactMatrix, Subspace, complete_basis, kernel
+from thetakit.linalg import (
+    ExactMatrix,
+    Subspace,
+    _gauss_jordan,
+    complete_basis,
+    kernel,
+)
 from thetakit.polynomials import Poly, X
-from thetakit.scalars import Q
+from thetakit.scalars import Q, GaussianRational, dot
 
 from util import invertible_matrix
 
@@ -220,3 +226,109 @@ def test_contains_matches_stacked_rank(case):
     s, v = case
     stacked = ExactMatrix(list(s.basis) + [v])
     assert s.contains(v) == (stacked.rank() == s.dim)
+
+
+real_entries = st.builds(
+    lambda a, d: Q(a) / Q(d), st.integers(-60, 60), st.integers(1, 12)
+)
+complex_entries = st.builds(
+    lambda z, b, d: z + Q(0, b) / Q(d),
+    real_entries,
+    st.integers(-9, 9).filter(bool),
+    st.integers(1, 6),
+)
+
+
+@st.composite
+def dot_cases(draw):
+    """Two vectors of one length: real, mixed or complex entries."""
+    k = draw(st.integers(0, 7))
+    entries = {
+        "real": real_entries,
+        "mixed": st.one_of(real_entries, complex_entries, st.just(Q(0))),
+        "complex": complex_entries,
+    }[draw(st.sampled_from(["real", "mixed", "complex"]))]
+    vector = st.lists(entries, min_size=k, max_size=k)
+    return draw(vector), draw(vector)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dot_cases())
+def test_dot_matches_the_naive_sum(case):
+    u, v = case
+    naive = sum((a * b for a, b in zip(u, v)), Q(0))
+    got = dot(u, v)
+    assert got == naive and str(got) == str(naive)
+
+
+def rational_gauss_jordan(rows, ncols):
+    """The reference: Gauss-Jordan on GaussianRational rows, one row
+    operation at a time, with the same first-nonzero pivot choice."""
+    pivots = []
+    for pc in range(ncols):
+        pr = len(pivots)
+        if pr == len(rows):
+            break
+        found = [i for i in range(pr, len(rows)) if rows[i][pc]]
+        if not found:
+            continue
+        rows[pr], rows[found[0]] = rows[found[0]], rows[pr]
+        inv = rows[pr][pc].inverse()
+        rows[pr] = [x * inv for x in rows[pr]]
+        for i in range(len(rows)):
+            f = rows[i][pc]
+            if i != pr and f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+        pivots.append(pc)
+    return pivots
+
+
+@st.composite
+def elimination_cases(draw):
+    """(rows, ncols): real matrices, 1..6 by 1..8, dense, singular,
+    rank-deficient or zero, reduced on a prefix of the columns or all."""
+    nrows, width = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entries = st.one_of(st.just(Q(0)), real_entries)
+    rows = [[draw(entries) for _ in range(width)] for _ in range(nrows)]
+    shape = draw(st.sampled_from(["dense", "singular", "low-rank", "zero"]))
+    if shape == "singular" and nrows > 1:
+        c = draw(real_entries)
+        rows[-1] = [c * x for x in rows[0]]
+    elif shape == "low-rank":
+        # every row a combination of the first r
+        r = draw(st.integers(1, nrows))
+        for i in range(r, nrows):
+            cs = [draw(entries) for _ in range(r)]
+            rows[i] = [sum((c * rows[k][j] for k, c in enumerate(cs)), Q(0))
+                       for j in range(width)]
+    elif shape == "zero":
+        rows = [[Q(0)] * width for _ in range(nrows)]
+    ncols = draw(st.sampled_from([width, draw(st.integers(0, width))]))
+    return rows, ncols
+
+
+@settings(max_examples=400, deadline=None)
+@given(elimination_cases())
+def test_integer_gauss_jordan_matches_the_rational_loop(case):
+    rows, ncols = case
+    expected = [list(r) for r in rows]
+    expected_pivots = rational_gauss_jordan(expected, ncols)
+    got = [list(r) for r in rows]
+    assert _gauss_jordan(got, ncols) == expected_pivots
+    # every row, those left without a pivot when ncols < width too
+    assert got == expected
+
+
+def test_real_matrices_take_the_integer_kernels(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("a GaussianRational operation on the integer path")
+
+    m = m_([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    v = (Q(1), Q(-2), Q(3))
+    with monkeypatch.context() as patched:
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            patched.setattr(GaussianRational, name, refuse)
+        rank, inverse, image = m.rank(), m.inverse(), m.apply(v)
+    assert rank == 3
+    assert inverse * m == ExactMatrix.identity(3)
+    assert image == (Q(0), Q(-2), Q(10))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetakit.polynomials import Poly, X, poly_gcd
 from thetakit.scalars import Q
@@ -57,3 +59,24 @@ def test_monic():
     assert p.monic() == X + Poly.constant(Q(2))
     with pytest.raises(ValueError):
         Poly([]).monic()
+
+
+coefficients = st.one_of(
+    st.just(Q(0)),
+    st.builds(lambda a, d: Q(a) / Q(d), st.integers(-9, 9), st.integers(1, 5)),
+    st.builds(lambda a, b: Q(a, b), st.integers(-4, 4), st.integers(-3, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(coefficients, max_size=8),
+    st.lists(coefficients, min_size=1, max_size=5).filter(lambda c: any(c)),
+)
+def test_divmod_is_the_unique_quotient_and_remainder(p, d):
+    # d may be a nonzero constant, then the remainder is zero
+    p, d = Poly(p), Poly(d)
+    q, r = divmod(p, d)
+    assert q * d + r == p
+    assert r.degree < d.degree
+    assert q.degree == (p.degree - d.degree if p.degree >= d.degree else -1)
