@@ -38,18 +38,12 @@ from .rigidity import (
     _check_invertible,
     _irreducible_pair,
     algebra_span_dimension,
-    char_poly_gcd,
     common_frame,
     levelt_normal_form,
     pseudo_reflection_pairs,
 )
 from .scalars import Q
-from .serialization import (
-    canonical_dumps,
-    load_input,
-    scalar_matrix_to_lists,
-    triple_report,
-)
+from .serialization import canonical_dumps, load_input, triple_report
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
@@ -125,17 +119,23 @@ def _load_tuple(path: str) -> MatrixTuple:
     return t
 
 
+def _string(field: str, value) -> str:
+    """The canonical string of a computed value; one over Python's
+    int-string digit limit cannot be printed, an input error naming the
+    field."""
+    try:
+        return str(value)
+    except ValueError:
+        raise InputError("%s is too long to print (over %d digits)"
+                         % (field, sys.get_int_max_str_digits())) from None
+
+
 def _strings(field: str, values) -> list:
-    """Canonical strings of values; one over Python's int-string digit
-    limit cannot be printed, an input error naming the field entry."""
-    out = []
-    for k, v in enumerate(values, 1):
-        try:
-            out.append(str(v))
-        except ValueError:
-            raise InputError("%s[%d] is too long to print (over %d digits)"
-                             % (field, k, sys.get_int_max_str_digits())) from None
-    return out
+    return [_string("%s[%d]" % (field, k), v) for k, v in enumerate(values, 1)]
+
+
+def _matrix_strings(field: str, m) -> list:
+    return [_strings("%s[%d]" % (field, i), row) for i, row in enumerate(m.rows, 1)]
 
 
 def _pair_1based(pair) -> list:
@@ -229,16 +229,22 @@ def cmd_monodromy(args) -> int:
 
 def _frame_report(frame) -> dict:
     return {
-        "basis_change": scalar_matrix_to_lists(frame.basis_change),
+        "basis_change": _matrix_strings(
+            "common_frame.basis_change", frame.basis_change
+        ),
         "shared_indices": [k + 1 for k in frame.shared_indices],
         "side": frame.side,
     }
 
 
-def _normal_form_report(u, canon) -> dict:
+def _normal_form_report(u, canon, field: str) -> dict:
+    """The normal form's strings; field prefixes the names in errors."""
     return {
-        "basis_change": scalar_matrix_to_lists(u),
-        "members": [scalar_matrix_to_lists(m) for m in canon],
+        "basis_change": _matrix_strings(field + "basis_change", u),
+        "members": [
+            _matrix_strings("%smembers[%d]" % (field, k), m)
+            for k, m in enumerate(canon, 1)
+        ],
     }
 
 
@@ -254,8 +260,8 @@ def cmd_rigidity(args) -> int:
     except ValueError as exc:
         frame_reason = str(exc)
 
-    gcd = char_poly_gcd(t.char_polys())
-    certificate = str(gcd) if gcd.degree >= 1 else None
+    gcd = t._char_poly_gcd
+    certificate = _string("certificate", gcd) if gcd.degree >= 1 else None
 
     normal_form = None
     normal_form_reason = None
@@ -272,7 +278,7 @@ def cmd_rigidity(args) -> int:
         )
     else:
         u, canon = levelt_normal_form(t, frame)
-        normal_form = _normal_form_report(u, canon)
+        normal_form = _normal_form_report(u, canon, "normal_form.")
 
     report = {
         "algebra_dimension": algebra_span_dimension(t),
@@ -301,7 +307,7 @@ def cmd_normal_form(args) -> int:
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return VERIFICATION_FAILURE
-    _emit(_normal_form_report(u, canon), args.pretty)
+    _emit(_normal_form_report(u, canon, ""), args.pretty)
     return 0
 
 

@@ -5,7 +5,8 @@ pivot, and subspaces are kept in a canonical reduced-row-echelon basis so
 that equal subspaces compare equal structurally.
 
 Two integer kernels do the arithmetic.  scalars.dot, behind every matrix
-and matrix-vector product, sums on the integer numerators and denominators
+and matrix-vector product and every step of char_poly (Berkowitz's
+division-free algorithm), sums on the integer numerators and denominators
 of the parts, with one gcd per part.  _gauss_jordan, behind rref, rank,
 kernel_vectors, inverse (which reduces [A | I] as lists) and the Subspace
 basis, runs fraction-free on integers when every entry is real and keeps
@@ -273,60 +274,33 @@ class ExactMatrix:
     def char_poly(self):
         """Characteristic polynomial det(X*I - self), monic of degree n.
 
-        Hessenberg reduction (Cohen, A Course in Computational Algebraic
-        Number Theory, Alg. 2.2.9): elementary similarities with the
-        first nonzero pivot bring the matrix to upper Hessenberg form H,
-        then p_0 = 1 and
-
-            p_m = (X - h_mm)*p_{m-1}
-                  - sum_{i<m} h_im * h_{i+1,i} * .. * h_{m,m-1} * p_{i-1}
-
-        gives p_n.  Exact, O(n^3), no matrix products.
+        Berkowitz's algorithm (Inform. Process. Lett. 18, 1984), which
+        divides nowhere.  With A_r the leading r x r block, its next
+        row R, column S and diagonal entry a, the coefficients of
+        det(X*I - A_{r+1}), highest first, are those of det(X*I - A_r)
+        convolved with [1, -a, -R*S, -R*A_r*S, .., -R*A_r^(r-1)*S] and
+        cut at length r + 2.  Every sum of products is one scalars.dot,
+        whatever the entries, so real, complex and singular matrices
+        run the same loop.  O(n^4) products.
 
         >>> ExactMatrix([[0, -2], [1, 3]]).char_poly()
         X^2-3*X+2
+        >>> ExactMatrix([[Q(0, 1), 1], [0, 2]]).char_poly()
+        X^2+(-2-1*i)*X+(2*i)
         """
         n = self.n
-        h = [list(r) for r in self.rows]
-        for m in range(1, n - 1):
-            c = m - 1
-            pivot = next((i for i in range(m, n) if h[i][c]), None)
-            if pivot is None:
-                continue
-            if pivot != m:
-                h[m], h[pivot] = h[pivot], h[m]
-                for r in h:
-                    r[m], r[pivot] = r[pivot], r[m]
-            inv = h[m][c].inverse()
-            row_m = h[m]
-            for i in range(m + 1, n):
-                if not h[i][c]:
-                    continue
-                u = h[i][c] * inv
-                # row_i -= u*row_m, then column_m += u*column_i: a similarity
-                h[i] = h[i][:c] + [a - u * b for a, b in zip(h[i][c:], row_m[c:])]
-                for r in h:
-                    if r[i]:
-                        r[m] = r[m] + u * r[i]
-        polys = [[ONE]]  # polys[k]: coefficients of p_k, constant first
-        for m in range(n):
-            prev = polys[m]
-            diag = h[m][m]
-            coeffs = [ZERO] + prev
-            if diag:
-                for k, x in enumerate(prev):
-                    coeffs[k] = coeffs[k] - diag * x
-            t = ONE
-            for i in range(m - 1, -1, -1):
-                t = t * h[i + 1][i]
-                if not t:
-                    break
-                f = h[i][m] * t
-                if f:
-                    for k, x in enumerate(polys[i]):
-                        coeffs[k] = coeffs[k] - f * x
-            polys.append(coeffs)
-        return Poly(polys[n])
+        rows = self.rows
+        p = [ONE]  # det(X*I - A_r), highest coefficient first
+        for r in range(n):
+            block = [row[:r] for row in rows[:r]]
+            head, v = rows[r][:r], [row[r] for row in rows[:r]]
+            column = [ONE, -rows[r][r]]
+            for k in range(r):
+                column.append(-dot(head, v))  # -R*A_r^k*S
+                if k < r - 1:
+                    v = [dot(row, v) for row in block]
+            p = [dot(column[k::-1], p) for k in range(r + 2)]
+        return Poly(p[::-1])
 
 
 class Echelon:

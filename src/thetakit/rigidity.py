@@ -75,6 +75,10 @@ class MatrixTuple:
         return tuple(m.char_poly() for m in self.matrices)
 
     @cached_property
+    def _char_poly_gcd(self):
+        return char_poly_gcd(self._char_polys)
+
+    @cached_property
     def _difference_kernels(self):
         # kernel(A_i - A_j) for i < j: the ratio table and common_frame read it
         ms = self.matrices
@@ -401,7 +405,7 @@ def common_spectrum_certificate(
             raise ValueError(
                 "subspace is not invariant under member %d" % (idx + 1,)
             )
-    g = char_poly_gcd(t.char_polys())
+    g = t._char_poly_gcd
     if g.degree < 1:
         raise ValueError(
             "characteristic polynomials are coprime; "
@@ -476,8 +480,7 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     _check_invertible(t)
     if not _shares_frame(t, frame):
         raise ValueError("members do not share the given frame")
-    char_polys = t._char_polys
-    g = char_poly_gcd(char_polys)
+    g = t._char_poly_gcd
     if g.degree >= 1:
         raise ValueError(
             "spectrum-intersection hypothesis violated: "
@@ -511,7 +514,7 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
             "spectrum-intersection hypothesis violated: degenerate basis chain"
         ) from None
     canon = []
-    for idx, (m, cp) in enumerate(zip(t, char_polys)):
+    for idx, (m, cp) in enumerate(zip(t, t._char_polys)):
         c = companion_of_operator(cp)
         # X·C: C's subdiagonal shifts X's columns, its last column mixes them
         x_c = vectors[1:] + [basis.apply(c.column(n - 1))]
@@ -563,10 +566,10 @@ def is_irreducible_pair(a: ExactMatrix, b: ExactMatrix) -> bool:
 
 def _irreducible_pair(t: MatrixTuple) -> bool:
     """is_irreducible_pair(t[0], t[1]) for a pair of invertible members,
-    from the ratio table and char polys that t already holds."""
+    from the ratio table and char-poly gcd that t already holds."""
     if not t._ratio_table[(0, 1)]:
         raise ValueError("the ratio is not a pseudo-reflection")
-    return char_poly_gcd(t._char_polys).degree == 0
+    return t._char_poly_gcd.degree == 0
 
 
 def algebra_span_dimension(t: MatrixTuple) -> int:

@@ -9,8 +9,6 @@ report: keys sorted, either compact separators or two-space indent.
 import json
 import sys
 
-from .linalg import ExactMatrix
-
 
 def canonical_dumps(obj, pretty: bool = False) -> str:
     if pretty:
@@ -24,10 +22,6 @@ def load_input(path: str):
         return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def scalar_matrix_to_lists(m: ExactMatrix) -> list:
-    return [[str(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)]
 
 
 def complex_matrix_to_lists(m) -> list:

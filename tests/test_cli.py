@@ -664,6 +664,18 @@ def test_rigidity_builds_the_ratio_table_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 3  # one difference kernel per pair of members
 
 
+def test_rigidity_folds_the_char_poly_gcd_once(capsys, tmp_path, monkeypatch):
+    import thetakit.rigidity
+
+    # char_poly_gcd folds with the module's poly_gcd, whoever holds it
+    calls = count_calls(monkeypatch, thetakit.rigidity, "poly_gcd")
+    path = write_json(tmp_path, "levelt.json", levelt_payload(4, 2))
+    code, out, _ = run(capsys, ["rigidity", "--input", path])
+    report = json.loads(out)
+    assert code == 0 and report["irreducible"] and report["normal_form"]
+    assert len(calls) == 1  # certificate, irreducible and normal form share it
+
+
 def test_analyze_builds_the_factorization_chain_once(capsys, tmp_path, monkeypatch):
     import thetakit.cli
     import thetakit.hypergeometric
@@ -772,6 +784,46 @@ def test_exponent_past_the_print_limit_exits_2(capsys, tmp_path):
         sys.set_int_max_str_digits(limit)
     assert code == 2 and out == ""
     assert err == "error: exponents.at_one[2] is too long to print (over 4300 digits)\n"
+
+
+def triangular_pair(n, digits, changed_rows, lower):
+    """Two triangular members with diagonal entries of the given length,
+    equal but for a small change of the last column in changed_rows."""
+    diag = [10**digits + 7 * k + 1 for k in range(n)]
+    off = (lambda i, j: i == j + 1) if lower else (lambda i, j: j == i + 1)
+    a0 = [[diag[i] if i == j else int(off(i, j)) for j in range(n)] for i in range(n)]
+    a1 = [row[:] for row in a0]
+    for i in changed_rows:
+        a1[i][n - 1] += i + 2
+    return {"matrices": [[[str(x) for x in row] for row in m] for m in (a0, a1)]}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-string digit limit")
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        # 250-digit eigenvalues: the companion coefficients and the
+        # conjugator have about 1,000 digits
+        ("rigidity", triangular_pair(4, 249, range(4), True),
+         "normal_form.basis_change[1][2]"),
+        ("normal-form", triangular_pair(4, 249, range(4), True),
+         "basis_change[1][2]"),
+        # the shared upper block leaves two 331-digit eigenvalues in the gcd
+        ("rigidity", triangular_pair(4, 330, (2, 3), False), "certificate"),
+    ],
+    ids=["rigidity-normal-form", "normal-form", "rigidity-certificate"],
+)
+def test_entry_past_the_print_limit_exits_2(capsys, tmp_path, command, payload, field):
+    path = write_json(tmp_path, "long_entries.json", payload)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least limit Python allows
+    try:
+        code, out, err = run(capsys, [command, "--input", path])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err == "error: %s is too long to print (over 640 digits)\n" % (field,)
 
 
 def test_monodromy_order_refused_before_the_numeric_layer():

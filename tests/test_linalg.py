@@ -332,3 +332,33 @@ def test_real_matrices_take_the_integer_kernels(monkeypatch):
     assert rank == 3
     assert inverse * m == ExactMatrix.identity(3)
     assert image == (Q(0), Q(-2), Q(10))
+
+
+def test_char_poly_runs_on_dot_and_negation(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a GaussianRational operation outside dot")
+
+    rng = random.Random(10)
+    dense = ExactMatrix(
+        [
+            [Q(rng.randrange(-999, 1000)) / Q(rng.randrange(1, 1000)) for _ in range(8)]
+            for _ in range(8)
+        ]
+    )
+    cases = [
+        m_([[2, -1, 0], [1, 3, "1/2"], [0, 1, 4]]),
+        m_([["1/2+i", 2, 0], ["-i", 1, 3], [1, "2/3*i", -1]]),
+        m_([[1, 2, 3], [2, 4, 6], [0, 1, 1]]),  # singular: cp(0) = 0
+        dense,
+    ]
+    with monkeypatch.context() as patched:
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                     "__truediv__", "inverse"):
+            patched.setattr(GaussianRational, name, refuse)
+        polys = [m.char_poly() for m in cases]
+    for m, p in zip(cases, polys):
+        n = m.n
+        assert p.degree == n and p.leading() == Q(1)
+        for x in range(n + 1):
+            assert p.evaluate(Q(x)) == (ExactMatrix.identity(n) * Q(x) - m).det()
+    assert not polys[2].coeffs[0]
