@@ -9,10 +9,13 @@ normal-form        companion normal form of a matrix tuple
 verify-identities  seeded sweep over the five contiguity identities
 counts             equation vs monodromy parameter counts over a grid
 
-Every report is emitted with sorted keys and canonical scalar strings,
-so identical invocations are byte-identical.  Exit status: 0 when all
-requested verifications pass, 1 when a verification fails on valid
-input, 2 for malformed input or usage errors.
+Each command builds its report from exact values (scalars, Poly,
+ThetaOperator, matrix rows); _emit makes each one its canonical string
+in one walk and writes the report with sorted keys, so identical
+invocations are byte-identical.  A value past Python's int-string digit
+limit cannot be printed, an input error naming its JSON path.  Exit
+status: 0 when all requested verifications pass, 1 when a verification
+fails on valid input, 2 for malformed input or usage errors.
 """
 
 import argparse
@@ -65,7 +68,29 @@ class InputError(Exception):
 
 
 def _emit(report: dict, pretty: bool) -> None:
-    sys.stdout.write(canonical_dumps(report, pretty=pretty))
+    sys.stdout.write(canonical_dumps(_as_json(report, ""), pretty=pretty))
+
+
+_JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
+def _as_json(value, field: str):
+    """value with each exact leaf (a scalar, Poly, ThetaOperator) made its
+    canonical string by _string, which names it by its JSON path: keys
+    joined by dots, list positions 1-based in brackets.  Leaves of an
+    exact JSON type are passed over without a call, as most are."""
+    if isinstance(value, dict):
+        dot = field + "." if field else ""
+        return {
+            k: v if type(v) in _JSON_LEAVES else _as_json(v, dot + k)
+            for k, v in value.items()
+        }
+    if isinstance(value, (list, tuple)):
+        return [
+            v if type(v) in _JSON_LEAVES else _as_json(v, "%s[%d]" % (field, k))
+            for k, v in enumerate(value, 1)
+        ]
+    return _string(field, value)
 
 
 def _load_json(path: str) -> dict:
@@ -130,14 +155,6 @@ def _string(field: str, value) -> str:
                          % (field, sys.get_int_max_str_digits())) from None
 
 
-def _strings(field: str, values) -> list:
-    return [_string("%s[%d]" % (field, k), v) for k, v in enumerate(values, 1)]
-
-
-def _matrix_strings(field: str, m) -> list:
-    return [_strings("%s[%d]" % (field, i), row) for i, row in enumerate(m.rows, 1)]
-
-
 def _pair_1based(pair) -> list:
     return [pair[0] + 1, pair[1] + 1]
 
@@ -177,14 +194,14 @@ def cmd_analyze(args) -> int:
             status = VERIFICATION_FAILURE
         factorization = {
             "reduced": steps[-1].params_after.to_dict(),
-            "removed_alphas": [str(s.linear_factor) for s in steps],
+            "removed_alphas": [s.linear_factor for s in steps],
             "steps": [
                 {
                     "gap": s.gap,
-                    "left": str(s.left),
+                    "left": s.left,
                     "pair": _pair_1based(s.pair),
                     "params_after": s.params_after.to_dict(),
-                    "right": str(s.right),
+                    "right": s.right,
                 }
                 for s in steps
             ],
@@ -195,9 +212,9 @@ def cmd_analyze(args) -> int:
         "canonical_class": canonical,
         "canonical_class_reason": reason,
         "exponents": {
-            "at_infinity": _strings("exponents.at_infinity", ex.at_infinity),
-            "at_one": _strings("exponents.at_one", ex.at_one),
-            "at_zero": _strings("exponents.at_zero", ex.at_zero),
+            "at_infinity": ex.at_infinity,
+            "at_one": ex.at_one,
+            "at_zero": ex.at_zero,
         },
         "factorization": factorization,
         "parameters": p.to_dict(),
@@ -227,25 +244,8 @@ def cmd_monodromy(args) -> int:
     return 0
 
 
-def _frame_report(frame) -> dict:
-    return {
-        "basis_change": _matrix_strings(
-            "common_frame.basis_change", frame.basis_change
-        ),
-        "shared_indices": [k + 1 for k in frame.shared_indices],
-        "side": frame.side,
-    }
-
-
-def _normal_form_report(u, canon, field: str) -> dict:
-    """The normal form's strings; field prefixes the names in errors."""
-    return {
-        "basis_change": _matrix_strings(field + "basis_change", u),
-        "members": [
-            _matrix_strings("%smembers[%d]" % (field, k), m)
-            for k, m in enumerate(canon, 1)
-        ],
-    }
+def _normal_form_report(u, canon) -> dict:
+    return {"basis_change": u.rows, "members": [m.rows for m in canon]}
 
 
 def cmd_rigidity(args) -> int:
@@ -256,7 +256,11 @@ def cmd_rigidity(args) -> int:
     frame_reason = None
     try:
         frame = common_frame(t)
-        frame_rep = _frame_report(frame)
+        frame_rep = {
+            "basis_change": frame.basis_change.rows,
+            "shared_indices": [k + 1 for k in frame.shared_indices],
+            "side": frame.side,
+        }
     except ValueError as exc:
         frame_reason = str(exc)
 
@@ -278,7 +282,7 @@ def cmd_rigidity(args) -> int:
         )
     else:
         u, canon = levelt_normal_form(t, frame)
-        normal_form = _normal_form_report(u, canon, "normal_form.")
+        normal_form = _normal_form_report(u, canon)
 
     report = {
         "algebra_dimension": algebra_span_dimension(t),
@@ -307,7 +311,7 @@ def cmd_normal_form(args) -> int:
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return VERIFICATION_FAILURE
-    _emit(_normal_form_report(u, canon, ""), args.pretty)
+    _emit(_normal_form_report(u, canon), args.pretty)
     return 0
 
 

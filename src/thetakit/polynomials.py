@@ -198,38 +198,44 @@ class Poly:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                body = None
-            elif k == 1:
-                body = "X"
-            else:
-                body = "X^%d" % k
-            if not c.is_real():
-                coef, sign = "(%s)" % c, "+"
-            elif c.re < 0:
-                coef, sign = str(-c), "-"
-            else:
-                coef, sign = str(c), "+"
-            if body is None:
-                text = coef
-            elif coef == "1":
-                text = body
-            else:
-                text = "%s*%s" % (coef, body)
-            if not pieces:
-                pieces.append(text if sign == "+" else "-" + text)
-            else:
-                pieces.append("%s%s" % (sign, text))
-        return "".join(pieces)
+        return render_terms(
+            (self.coeffs[k], power_text("X", k) if k else "")
+            for k in range(self.degree, -1, -1)
+            if self.coeffs[k]
+        )
 
     __repr__ = __str__
+
+
+def power_text(symbol, e):
+    return symbol if e == 1 else "%s^%d" % (symbol, e)
+
+
+def render_terms(terms, gap=""):
+    """The text of a sum of (coefficient, monomial) terms, monomial "" for
+    a constant: a complex coefficient in parentheses, a negative real as
+    the sign between terms, a unit coefficient left out, "0" for no terms.
+    gap surrounds each sign after the first term.
+
+    >>> render_terms([(Q(-1), "X^2"), (Q(1, 2), "X"), (Q(-3), "")], " ")
+    '-X^2 + (1+2*i)*X - 3'
+    """
+    pieces = []
+    for c, monomial in terms:
+        if not c.is_real():
+            sign, text = "+", "(%s)" % c
+        elif c.re < 0:
+            sign, text = "-", str(-c)
+        else:
+            sign, text = "+", str(c)
+        if monomial:
+            text = monomial if text == "1" else text + "*" + monomial
+        if pieces:
+            text = gap + sign + gap + text
+        elif sign == "-":
+            text = "-" + text
+        pieces.append(text)
+    return "".join(pieces) or "0"
 
 
 def poly_gcd(p, q):

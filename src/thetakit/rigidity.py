@@ -484,7 +484,7 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     if g.degree >= 1:
         raise ValueError(
             "spectrum-intersection hypothesis violated: "
-            "common characteristic factor %s" % (g,)
+            "common characteristic factor of degree %d" % g.degree
         )
     n = t.n
     a0 = t[0]

@@ -21,10 +21,11 @@ Textual grammar (parse/render): z, t, +, -, *, ^, rational literals and i,
 e.g. "(1-z)*t^2*(t-2)".
 """
 
+import re
 from functools import reduce
 from math import inf
 
-from .polynomials import Poly, poly_gcd
+from .polynomials import Poly, poly_gcd, power_text, render_terms
 from .scalars import Q, GaussianRational
 
 
@@ -233,42 +234,17 @@ def _coerce_theta(x):
 # ---------------------------------------------------------------------------
 
 
-def _power_text(sym, e):
-    if e == 1:
-        return sym
-    return "%s^%d" % (sym, e)
-
-
 def render(op):
     """Canonical text form: terms by falling theta power, then rising z power."""
     terms = op.terms()
-    if not terms:
-        return "0"
-    pieces = []
-    for (j, k) in sorted(terms, key=lambda jk: (-jk[1], jk[0])):
-        c = terms[(j, k)]
-        factors = []
-        if j != 0:
-            factors.append(_power_text("z", j))
-        if k != 0:
-            factors.append(_power_text("t", k))
-        if not c.is_real():
-            sign, coef = "+", "(%s)" % c
-        elif c.re < 0:
-            sign, coef = "-", str(-c)
-        else:
-            sign, coef = "+", str(c)
-        if factors and coef == "1":
-            body = "*".join(factors)
-        elif factors:
-            body = "*".join([coef] + factors)
-        else:
-            body = coef
-        if not pieces:
-            pieces.append(body if sign == "+" else "-" + body)
-        else:
-            pieces.append("%s %s" % (sign, body))
-    return " ".join(pieces)
+    return render_terms(
+        ((terms[jk], "*".join(power_text(s, e) for s, e in zip("zt", jk) if e))
+         for jk in sorted(terms, key=lambda jk: (-jk[1], jk[0]))),
+        " ",
+    )
+
+
+_LITERAL = re.compile(r"\d+(?:/\d+)?")  # an unsigned rational, as in scalars
 
 
 class _Tokenizer:
@@ -281,18 +257,10 @@ class _Tokenizer:
             self.pos += 1
         if self.pos >= len(self.text):
             return None
+        literal = _LITERAL.match(self.text, self.pos)
+        if literal:
+            return ("number", literal.group())
         ch = self.text[self.pos]
-        if ch.isdigit():
-            end = self.pos
-            while end < len(self.text) and self.text[end].isdigit():
-                end += 1
-            if end < len(self.text) and self.text[end] == "/":
-                end += 1
-                if end >= len(self.text) or not self.text[end].isdigit():
-                    raise ValueError("malformed rational literal")
-                while end < len(self.text) and self.text[end].isdigit():
-                    end += 1
-            return ("number", self.text[self.pos:end])
         if ch in "+-*^()zti":
             return (ch, ch)
         raise ValueError("unexpected character %r at position %d" % (ch, self.pos))

@@ -798,6 +798,15 @@ def triangular_pair(n, digits, changed_rows, lower):
     return {"matrices": [[[str(x) for x in row] for row in m] for m in (a0, a1)]}
 
 
+def long_gap_params(digits):
+    """beta = (b, 1/5) and alpha = (b + 2, 1/3) with b = 1/77...7: the
+    gap-2 step's left operator (t+b-1)(t+b)(t+b+1) has a constant term
+    with three times the digits of b's denominator, its right operator
+    one with twice as many."""
+    s = int("7" * digits)
+    return {"alpha": ["%d/%d" % (2 * s + 1, s), "1/3"], "beta": ["1/%d" % s, "1/5"]}
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no int-string digit limit")
 @pytest.mark.parametrize(
@@ -809,10 +818,11 @@ def triangular_pair(n, digits, changed_rows, lower):
          "normal_form.basis_change[1][2]"),
         ("normal-form", triangular_pair(4, 249, range(4), True),
          "basis_change[1][2]"),
-        # the shared upper block leaves two 331-digit eigenvalues in the gcd
+        # the shared upper block leaves three 331-digit eigenvalues in the gcd
         ("rigidity", triangular_pair(4, 330, (2, 3), False), "certificate"),
+        ("analyze", long_gap_params(300), "factorization.steps[1].left"),
     ],
-    ids=["rigidity-normal-form", "normal-form", "rigidity-certificate"],
+    ids=["rigidity-normal-form", "normal-form", "rigidity-certificate", "analyze-left"],
 )
 def test_entry_past_the_print_limit_exits_2(capsys, tmp_path, command, payload, field):
     path = write_json(tmp_path, "long_entries.json", payload)
@@ -824,6 +834,25 @@ def test_entry_past_the_print_limit_exits_2(capsys, tmp_path, command, payload, 
         sys.set_int_max_str_digits(limit)
     assert code == 2 and out == ""
     assert err == "error: %s is too long to print (over 640 digits)\n" % (field,)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-string digit limit")
+def test_shared_factor_past_the_print_limit_is_named_by_degree(capsys, tmp_path):
+    # the rigidity-certificate payload: normal-form reports the shared
+    # factor by its degree, which prints whatever the factor's size
+    path = write_json(tmp_path, "long_factor.json", triangular_pair(4, 330, (2, 3), False))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, ["normal-form", "--input", path])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1 and out == ""
+    assert err == (
+        "error: spectrum-intersection hypothesis violated:"
+        " common characteristic factor of degree 3\n"
+    )
 
 
 def test_monodromy_order_refused_before_the_numeric_layer():

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetakit.hypergeometric import HGParams, build_D
+from thetakit.polynomials import Poly
 from thetakit.scalars import Q
 from thetakit.theta import (
     ThetaOperator,
@@ -168,6 +169,21 @@ def test_parse_render_round_trip():
         assert parse(render(op)) == op
 
 
+gaussians = st.builds(
+    lambda re, den, im: Q(re) / Q(den) + Q(0, im),
+    st.integers(-3, 3), st.integers(1, 3), st.integers(-2, 2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(gaussians, max_size=5))
+def test_poly_text_parses_back(coefficients):
+    # Poly and render share one term renderer; the operator grammar reads
+    # a Poly's text once X is named t
+    p = Poly(coefficients)
+    assert parse(str(p).replace("X", "t")) == ThetaOperator.from_parts({0: p})
+
+
 def test_parse_examples():
     assert parse("t^2 - z*t + 5") == T * T - Z * T + 5 * ONE_OP
     assert parse("z^-2*t") == ThetaOperator.z(-2) * T
@@ -176,6 +192,8 @@ def test_parse_examples():
         parse("t +")
     with pytest.raises(ValueError):
         parse("q")
+    with pytest.raises(ValueError, match="unexpected character '/' at position 1"):
+        parse("3/")
 
 
 def test_str_shows_normal_form():
