@@ -180,9 +180,13 @@ def cmd_analyze(args) -> int:
     if reducible:
         for i, j, m in greedy_matching(p):
             if m > MAX_GAP:
+                pair = "alpha_%d - beta_%d" % (i + 1, j + 1)
+                try:
+                    pair += " = %d" % m
+                except ValueError:  # a gap over the int-string digit limit
+                    pass
                 raise InputError(
-                    "alpha_%d - beta_%d = %d exceeds the factorization gap"
-                    " bound %d" % (i + 1, j + 1, m, MAX_GAP)
+                    "%s exceeds the factorization gap bound %d" % (pair, MAX_GAP)
                 )
         try:
             steps = factorization_certificate(p)

@@ -309,10 +309,12 @@ def factorization_certificate(p: HGParams):
         if not negative:
             raise ValueError("no admissible matching: no integer difference")
         i, j = negative[0]
-        raise ValueError(
-            "no admissible matching: alpha_%d - beta_%d = %s is a negative "
-            "integer" % (i + 1, j + 1, p.alpha[i] - p.beta[j])
-        )
+        pair = "alpha_%d - beta_%d" % (i + 1, j + 1)
+        try:
+            pair += " = %s" % (p.alpha[i] - p.beta[j])
+        except ValueError:  # a difference over the int-string digit limit
+            pass
+        raise ValueError("no admissible matching: %s is a negative integer" % pair)
     steps = []
     removed_i, removed_j = set(), set()
     for i, j, m in chosen:

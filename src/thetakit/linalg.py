@@ -38,9 +38,9 @@ def _gauss_jordan(rows, ncols):
     row without pivot D*s_i times what the rational loop leaves.
     """
     scaled = [integer_row(row) for row in rows]
-    real = None not in scaled
-    scales = [s for s, _ in scaled] if real else None
-    work = [ints for _, ints in scaled] if real else rows
+    real = all(im is None for _, _, im in scaled)
+    scales = [s for s, _, _ in scaled] if real else None
+    work = [ints for _, ints, _ in scaled] if real else rows
     pivots = []
     nrows = len(rows)
     prev = 1

@@ -3,9 +3,14 @@
 Polynomials are stored as ascending coefficient tuples with no trailing
 zeros (the zero polynomial is the empty tuple), so equality is structural.
 The formal variable is rendered as X.
+
+Products, shifts and from_roots clear denominators once: each product
+coefficient is one scalars.dot, and shift and from_roots run on the
+integer numerators of the parts over one denominator (scalars.integer_row)
+and divide by it once at the end (scalars.rational_row).
 """
 
-from .scalars import ZERO, Q, GaussianRational
+from .scalars import ZERO, Q, GaussianRational, dot, integer_row, rational_row
 
 
 def _coeffs(values):
@@ -44,10 +49,19 @@ class Poly:
 
     @classmethod
     def from_roots(cls, roots):
-        p = cls([1])
-        for r in roots:
-            p = p * cls([-Q(r), Q(1)])
-        return p
+        """The product of X - r over the n roots: with s the lcm of their
+        denominators and w = s*r, the integer product of s*X - w over s^n."""
+        s, us, vs = integer_row([Q(r) for r in roots])
+        re, im = [1], ([0] if vs else None)
+        for k, u in enumerate(us):
+            lo, hi = re + [0], [0] + re
+            if vs:  # (a + b*i)(s*X - u - v*i), a + b*i the coefficients so far
+                v, lo_im, hi_im = vs[k], im + [0], [0] + im
+                im = [s * h - u * b - v * a for h, a, b in zip(hi_im, lo, lo_im)]
+                re = [s * h - u * a + v * b for h, a, b in zip(hi, lo, lo_im)]
+            else:
+                re = [s * h - u * a for h, a in zip(hi, lo)]
+        return cls(rational_row(re, s ** len(us), im))
 
     # -- structure ----------------------------------------------------------
 
@@ -119,15 +133,12 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
+        a, b = self.coeffs, o.coeffs[::-1]  # b reversed: one dot per power
+        if not a or not b:
             return Poly()
-        out = [Q(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for ia, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for ib, b in enumerate(o.coeffs):
-                out[ia + ib] = out[ia + ib] + a * b
-        return Poly(out)
+        m = len(b)
+        return Poly([dot(a[max(k - m + 1, 0) : k + 1], b[max(m - 1 - k, 0) :])
+                     for k in range(len(a) + m - 1)])
 
     __rmul__ = __mul__
 
@@ -173,20 +184,23 @@ class Poly:
         inv = self.leading().inverse()
         return Poly([c * inv for c in self.coeffs])
 
-    def shift(self, a):
-        """The Taylor shift p(X + a), by repeated synthetic division.
+    def shift(self, l):
+        """The Taylor shift p(X + l) by an integer l, by repeated synthetic
+        division on the integer numerators over their lcm.
 
         >>> Poly([0, 0, 1]).shift(1)
         X^2+2*X+1
         """
-        if not a:
+        if not isinstance(l, int):
+            raise TypeError("shift takes an int, not %r" % (l,))
+        if not l:
             return self
-        a = Q(a)
-        out = list(self.coeffs)
-        for i in range(len(out) - 1):
-            for k in range(len(out) - 2, i - 1, -1):
-                out[k] = out[k] + a * out[k + 1]
-        return Poly(out)
+        s, re, im = integer_row(self.coeffs)
+        for part in (re,) if im is None else (re, im):
+            for i in range(len(part) - 1):
+                for k in range(len(part) - 2, i - 1, -1):
+                    part[k] += l * part[k + 1]
+        return Poly(rational_row(re, s, im))
 
     def evaluate(self, x):
         x = Q(x)

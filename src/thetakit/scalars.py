@@ -12,7 +12,9 @@ formula; sums and differences of reals skip the imaginary sum; the inverse
 of a real is 1/re.  Results are built by _make from two Fractions, without
 re-coercion, and the imaginary part of a real is always Fraction(0), so
 equality, hashing and printing do not depend on the path.  dot, integer_row
-and rational_row work on integer numerators for the kernels of linalg.
+and rational_row work on integer numerators for the kernels of linalg and
+polynomials: integer_row clears the denominators of a row once and
+rational_row divides by one denominator once.
 
 A string becomes a scalar only through the canonical grammar, whose
 numbers are decimal digits with an optional '/q': a real '3', '-7/3'; an
@@ -299,17 +301,24 @@ def dot(u, v):
 
 
 def integer_row(row):
-    """(s, ints) with s the lcm of the denominators of a row of real
-    scalars and ints the integers s*x; None when an entry is complex."""
-    if any(x.im for x in row):
-        return None
-    s = lcm(*(x.re.denominator for x in row))
-    return s, [x.re.numerator * (s // x.re.denominator) for x in row]
+    """(s, re, im): s the lcm of the denominators of both parts of a row of
+    scalars, re and im the integers s*x.re and s*x.im; im is None when
+    every entry is real."""
+    if not any(x.im for x in row):
+        s = lcm(*(x.re.denominator for x in row))
+        return s, [x.re.numerator * (s // x.re.denominator) for x in row], None
+    s = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
+    return (s, [x.re.numerator * (s // x.re.denominator) for x in row],
+            [x.im.numerator * (s // x.im.denominator) for x in row])
 
 
-def rational_row(ints, den):
-    """The real scalars n/den for the integers n in ints."""
-    return [_make(Fraction(n, den), _ZERO) if n else ZERO for n in ints]
+def rational_row(re, den, im=None):
+    """The scalars (n + m*i)/den for n in re and m in im, the inverse of
+    integer_row; every scalar is real when im is None."""
+    if im is None:
+        return [_make(Fraction(n, den), _ZERO) if n else ZERO for n in re]
+    return [_make(Fraction(n, den), Fraction(m, den)) if n or m else ZERO
+            for n, m in zip(re, im)]
 
 
 def Q(x=0, y=0):

@@ -786,6 +786,32 @@ def test_exponent_past_the_print_limit_exits_2(capsys, tmp_path):
     assert err == "error: exponents.at_one[2] is too long to print (over 4300 digits)\n"
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-string digit limit")
+@pytest.mark.parametrize(
+    "sign, message",
+    [
+        (1, "alpha_1 - beta_1 exceeds the factorization gap bound 100"),
+        (-1, "no admissible matching: alpha_1 - beta_1 is a negative integer"),
+    ],
+    ids=["gap-over-the-bound", "negative-gap"],
+)
+def test_gap_past_the_print_limit_names_the_pair(capsys, tmp_path, sign, message):
+    # each literal has 4,300 digits, so it is read; alpha_1 - beta_1 has
+    # 4,301, past the default limit set here, so its value is left out
+    big = 10**4300 - 1
+    payload = {"alpha": [str(sign * big), "1/3"], "beta": [str(-sign * big), "1/5"]}
+    path = write_json(tmp_path, "long_gap.json", payload)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, ["analyze", "--input", path])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
 def triangular_pair(n, digits, changed_rows, lower):
     """Two triangular members with diagonal entries of the given length,
     equal but for a small change of the last column in changed_rows."""
