@@ -134,11 +134,9 @@ def is_reducible(p: HGParams):
     >>> is_reducible(HGParams(("5/2", "1/3"), ("1/2", "1/4")))
     (True, (0, 0))
     """
-    for i, a in enumerate(p.alpha):
-        for j, b in enumerate(p.beta):
-            if (a - b).is_integer():
-                return True, (i, j)
-    return False, None
+    part = partition(p)
+    pairs = part.zero | part.positive | part.negative
+    return (True, min(pairs)) if pairs else (False, None)
 
 
 def partition(p: HGParams) -> ReducibilityPartition:

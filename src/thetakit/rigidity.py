@@ -118,7 +118,8 @@ class MatrixTuple:
             if not (isinstance(m, list) and all(isinstance(r, list) for r in m)):
                 raise TypeError("member %d must be a JSON array of rows" % (k + 1,))
         t = cls(tuple(ExactMatrix([[Q(x) for x in row] for row in m]) for m in ms))
-        if "n" in data and data["n"] != t.n:  # 2.9 or "2" is not a dimension
+        n = data.get("n", t.n)  # 2.9, 2.0 or "2" is not a dimension
+        if type(n) is not int or n != t.n:
             raise ValueError("declared dimension does not match the matrices")
         return t
 
@@ -153,8 +154,9 @@ class CommonFrame:
 
     In the new basis, member A becomes U·A·U^{-1} (see apply); all
     tuple members then agree exactly on the rows (side == "rows") or
-    columns (side == "columns") listed in shared_indices.  The frame
-    carries U^{-1} as inverse, checked on construction.
+    columns (side == "columns") listed in shared_indices, distinct
+    indices below n.  The frame carries U^{-1} as inverse; both are
+    checked on construction.
     """
 
     basis_change: ExactMatrix
@@ -163,10 +165,12 @@ class CommonFrame:
     inverse: ExactMatrix
 
     def __post_init__(self):
-        if self.basis_change * self.inverse != ExactMatrix.identity(
-            self.basis_change.n
-        ):
+        n = self.basis_change.n
+        if self.basis_change * self.inverse != ExactMatrix.identity(n):
             raise ValueError("frame inverse does not invert the basis change")
+        indices = self.shared_indices
+        if len(set(indices)) != len(indices) or not set(indices) <= set(range(n)):
+            raise ValueError("shared indices must be distinct indices of the basis")
 
     def apply(self, t: MatrixTuple):
         u, u_inv = self.basis_change, self.inverse
@@ -306,55 +310,25 @@ def common_frame(t: MatrixTuple) -> CommonFrame:
     return frame
 
 
-def _shared_row_subspace(members, shared_indices, lam, n):
-    """Line or hyperplane for members agreeing on the given rows.
-
-    Returns ("line", x) with x a common eigenvector, or
-    ("hyperplane", phi) with phi a common left eigenvector supported on
-    the shared rows.  Coordinates are those of the given members.
-    """
-    base = members[0]
-    rows = []
-    for k in shared_indices:
-        row = list(base.row(k))
-        row[k] = row[k] - lam
-        rows.append(row)
-    restriction = ExactMatrix(rows)
-    null = kernel(restriction)
-    if null.dim == 1:
-        x = null.basis[0]
-        line = Subspace([x])
-        for idx, m in enumerate(members):
-            if not line.is_invariant_under(m):
-                raise ValueError(
-                    "candidate eigenvector fails for member %d" % (idx + 1,)
-                )
-        return "line", x
-    left_null = kernel(restriction.transpose())
-    if left_null.is_zero():
-        raise ValueError("shared rows admit neither eigenvector nor covector")
-    c = left_null.basis[0]
-    phi = [Q(0)] * n
-    for coef, k in zip(c, shared_indices):
-        phi[k] = coef
-    phi = tuple(phi)
-    for idx, m in enumerate(members):
-        if m.transpose().apply(phi) != tuple(lam * x for x in phi):
-            raise ValueError(
-                "candidate covector fails for member %d" % (idx + 1,)
-            )
-    return "hyperplane", phi
-
-
 def find_stabilized_subspace(t: MatrixTuple, frame: CommonFrame, lam) -> dict:
     """A common invariant line or hyperplane for a framed tuple with the
-    common eigenvalue lam.
+    common eigenvalue lam, found in the tuple's own coordinates.
 
-    Returns {"line": Subspace} (a common eigenvector direction) or
-    {"hyperplane": Subspace} (the kernel of a common left eigenvector),
-    in the original coordinates, verified invariant under every member
-    before returning.  The two branches swap when the construction runs
-    on the transposed tuple.
+    With U the frame's basis change and S its shared indices, take
+    B = U[S, :] and the members A_i on a row frame, B = (U^{-1}[:, S])^T
+    and the transposes A_i^T on a column frame.  If R = B·(A_0 - lam)
+    has a one-dimensional kernel, its vector v is a candidate common
+    eigenvector; otherwise v = c·B, c the first basis vector of the left
+    kernel of R, is a candidate common left eigenvector for lam.  Each
+    candidate is checked on every member, and the answer is
+    {"line": span(v)} or {"hyperplane": ker(v)}: the two branches swap
+    on the transposes.
+
+    >>> d = [[2, 0, 0], [0, 2, 0], [0, 0, 5]]
+    >>> t = MatrixTuple(tuple(ExactMatrix(d[:2] + [r]) for r in
+    ...     ([0, 0, 5], [1, 0, 5], [0, 1, 5])))
+    >>> find_stabilized_subspace(t, common_frame(t), 2)
+    {'hyperplane': span{(0, 1, 0), (0, 0, 1)}}
     """
     lam = Q(lam)
     for idx, cp in enumerate(t._char_polys):
@@ -364,26 +338,30 @@ def find_stabilized_subspace(t: MatrixTuple, frame: CommonFrame, lam) -> dict:
             )
     if not _shares_frame(t, frame):
         raise ValueError("members do not share the given frame")
-    n = t.n
-    u, u_inv = frame.basis_change, frame.inverse
-    changed = frame.apply(t)
-    if frame.side == "columns":
-        changed = [m.transpose() for m in changed]
-    kind, data = _shared_row_subspace(changed, frame.shared_indices, lam, n)
-    # on the transposes (column frame) an eigenvector is a left one, and back
-    if (kind == "line") == (frame.side == "rows"):
-        result = {"line": Subspace([u_inv.apply(data)])}
+    rows = frame.side == "rows"
+    u = frame.basis_change if rows else frame.inverse.transpose()
+    b = ExactMatrix([u.row(k) for k in frame.shared_indices])
+    members = list(t) if rows else [m.transpose() for m in t]
+    r = b * (members[0] - ExactMatrix.identity(t.n) * lam)
+    null = kernel(r)
+    if null.dim == 1:
+        v, kind = null.basis[0], "eigenvector"
+        line = Subspace([v])
+        good = [line.is_invariant_under(m) for m in members]
     else:
-        result = {"hyperplane": kernel(ExactMatrix([data]) * u)}
-    subspace = next(iter(result.values()))
-    if subspace.is_zero() or subspace.dim == n:
-        raise ValueError("stabilized subspace must be proper and nonzero")
-    for idx, m in enumerate(t):
-        if not subspace.is_invariant_under(m):
-            raise ValueError(
-                "stabilized subspace fails invariance for member %d" % (idx + 1,)
-            )
-    return result
+        left_null = kernel(r.transpose())
+        if left_null.is_zero():
+            raise ValueError("shared rows admit neither eigenvector nor covector")
+        v, kind = (ExactMatrix([left_null.basis[0]]) * b).row(0), "covector"
+        lam_v = tuple(lam * x for x in v)
+        good = [m.transpose().apply(v) == lam_v for m in members]
+    if not all(good):
+        raise ValueError(
+            "candidate %s fails for member %d" % (kind, good.index(False) + 1)
+        )
+    if (kind == "eigenvector") == rows:
+        return {"line": Subspace([v])}
+    return {"hyperplane": kernel(ExactMatrix([v]))}
 
 
 def common_spectrum_certificate(
@@ -541,9 +519,8 @@ def tuple_conjugator(a: MatrixTuple, b: MatrixTuple):
     u_a, _ = levelt_normal_form(a, common_frame(a))
     u_b, _ = levelt_normal_form(b, common_frame(b))
     u = u_b.inverse() * u_a
-    u_inv = u.inverse()
     for m_a, m_b in zip(a, b):
-        if u * m_a * u_inv != m_b:
+        if u * m_a != m_b * u:  # u is invertible by construction
             raise AssertionError("conjugator verification failed")
     return u
 

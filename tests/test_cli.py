@@ -141,6 +141,7 @@ PAIR = [[["0", "-2"], ["1", "3"]], [["0", "-12"], ["1", "7"]]]
         ("rigidity", "matrices", "must hold a JSON object"),
         ("normal-form", {"n": 2.9, "matrices": PAIR}, "declared dimension"),
         ("rigidity", {"n": "2", "matrices": PAIR}, "declared dimension"),
+        ("rigidity", {"n": 2.0, "matrices": PAIR}, "declared dimension"),
     ],
 )
 def test_malformed_shapes_exit_2(capsys, tmp_path, command, payload, message):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from thetakit.linalg import ExactMatrix, Subspace
+from thetakit.linalg import ExactMatrix, Subspace, kernel
 from thetakit.polynomials import Poly, X, poly_gcd
 from thetakit.rigidity import (
     CommonFrame,
@@ -170,6 +170,12 @@ class TestFrameInverse:
             with pytest.raises(ValueError, match="inverse"):
                 frame(wrong)
 
+    @pytest.mark.parametrize("shared", [(0, 0), (1, 3), (-1, 0)])
+    def test_shared_indices_must_name_distinct_basis_vectors(self, shared):
+        u = ExactMatrix.identity(3)
+        with pytest.raises(ValueError, match="shared indices"):
+            CommonFrame(basis_change=u, side="rows", shared_indices=shared, inverse=u)
+
     @pytest.mark.parametrize("side", ["columns", "rows"])
     def test_verify_detects_a_tuple_off_the_frame(self, side):
         rng = random.Random(17 if side == "columns" else 18)
@@ -266,6 +272,193 @@ class TestStabilizedSubspace:
             assert space is not None
             for member in conj:
                 assert space.is_invariant_under(member)
+
+    @pytest.mark.parametrize(
+        "members, lam, side, expected",
+        [
+            # a column frame: the kernel of B·(A_0^T - 2) is one line
+            (
+                companion_pair((1, 2), (2, 5)),
+                2,
+                "columns",
+                "hyperplane span{(1, -1/2)}",
+            ),
+            # the same pair transposed: a column frame, covector branch
+            (
+                companion_pair((1, 2), (2, 5)).transposed(),
+                2,
+                "columns",
+                "line span{(1, 2)}",
+            ),
+            # transposed companions sharing 1: a row frame, eigenvector branch
+            (
+                MatrixTuple(
+                    tuple(
+                        companion_from_spectrum(Spectrum(s)).transpose()
+                        for s in ((1, 3, 4), (1, 5, 7), (1, 11, 13))
+                    )
+                ),
+                1,
+                "rows",
+                "line span{(1, 1, 1)}",
+            ),
+            # diag(2, 2, 5) plus e_3·e_1^T and e_3·e_2^T: a row frame, covector branch
+            (
+                MatrixTuple(
+                    tuple(
+                        m_([[2, 0, 0], [0, 2, 0], last])
+                        for last in ([0, 0, 5], [1, 0, 5], [0, 1, 5])
+                    )
+                ),
+                2,
+                "rows",
+                "hyperplane span{(0, 1, 0), (0, 0, 1)}",
+            ),
+        ],
+    )
+    def test_goldens(self, members, lam, side, expected):
+        frame = common_frame(members)
+        assert frame.side == side
+        ((kind, space),) = find_stabilized_subspace(members, frame, Q(lam)).items()
+        assert "%s %s" % (kind, space) == expected
+
+
+def framed_reference(t, frame, lam):
+    """find_stabilized_subspace computed in the frame: conjugate every
+    member, transpose for a column frame, read the candidate off the
+    shared rows of A_0 - lam and map it back through U."""
+    n, shared = t.n, frame.shared_indices
+    changed = frame.apply(t)
+    if frame.side == "columns":
+        changed = [m.transpose() for m in changed]
+    restriction = ExactMatrix(
+        [[x - lam if j == k else x for j, x in enumerate(changed[0].row(k))]
+         for k in shared]
+    )
+    null = kernel(restriction)
+    if null.dim == 1:
+        data = null.basis[0]
+        for idx, m in enumerate(changed):
+            if not Subspace([data]).is_invariant_under(m):
+                raise ValueError(
+                    "candidate eigenvector fails for member %d" % (idx + 1)
+                )
+    else:
+        left_null = kernel(restriction.transpose())
+        if left_null.is_zero():
+            raise ValueError("shared rows admit neither eigenvector nor covector")
+        c = left_null.basis[0]
+        data = [Q(0)] * n
+        for coef, k in zip(c, shared):
+            data[k] = coef
+        for idx, m in enumerate(changed):
+            if m.transpose().apply(data) != tuple(lam * x for x in data):
+                raise ValueError("candidate covector fails for member %d" % (idx + 1))
+    if (null.dim == 1) == (frame.side == "rows"):
+        return {"line": Subspace([frame.inverse.apply(data)])}
+    return {"hyperplane": kernel(ExactMatrix([data]) * frame.basis_change)}
+
+
+def gaussian_conjugator(rng, n):
+    """An invertible matrix with Gaussian entries: shears with
+    multipliers a + b·i applied to an integer invertible matrix."""
+    g = invertible_matrix(rng, n)
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        shear = [[Q(int(r == c)) for c in range(n)] for r in range(n)]
+        shear[i][j] = Q(rng.randrange(-2, 3), rng.choice((-1, 1)))
+        g = g * ExactMatrix(shear)
+    return g
+
+
+def shared_eigenvalue_members(rng, n, p, lam, mode, free):
+    """p matrices agreeing outside row `free`, each with eigenvalue lam.
+
+    "line" plants a common eigenvector for lam, "covector" a common left
+    eigenvector vanishing at `free`; "generic" only makes lam a root of
+    every characteristic polynomial, solving for one entry of each free
+    row (the determinant is affine in that row)."""
+
+    def small():
+        return Q(rng.randrange(-3, 4))
+
+    def solve(row, vec, target):
+        # set one entry of row so that row·vec == target
+        j = next(k for k in range(n) if vec[k])
+        rest = sum((row[k] * vec[k] for k in range(n) if k != j), Q(0))
+        row[j] = (target - rest) / vec[j]
+
+    base = [[small() for _ in range(n)] for _ in range(n)]
+    vec = [small() for _ in range(n)]
+    if mode == "covector":
+        vec[free] = Q(0)
+    if not any(vec):
+        vec[(free + 1) % n] = Q(1)
+    if mode == "line":
+        for k in range(n):
+            solve(base[k], vec, lam * vec[k])
+    elif mode == "covector":
+        j = next(k for k in range(n) if vec[k])
+        for c in range(n):
+            rest = sum((vec[k] * base[k][c] for k in range(n) if k != j), Q(0))
+            base[j][c] = (lam * vec[c] - rest) / vec[j]
+    members = []
+    for _ in range(p):
+        rows = [list(r) for r in base]
+        rows[free] = [small() for _ in range(n)]
+        if mode == "line":
+            solve(rows[free], vec, lam * vec[free])
+        elif mode == "generic":
+            shifted = [[x - lam if r == c else x for c, x in enumerate(row)]
+                       for r, row in enumerate(rows)]
+            cofactors = []
+            for k in range(n):
+                shifted[free] = [Q(int(c == k)) for c in range(n)]
+                cofactors.append(ExactMatrix(shifted).det())
+            if any(cofactors):
+                target = lam * cofactors[free]  # row·C = lam·C_free
+                solve(rows[free], cofactors, target)
+        members.append(ExactMatrix(rows))
+    return members
+
+
+@pytest.mark.parametrize("side", ["columns", "rows"])
+def test_stabilized_subspace_matches_framed_reference(side):
+    rng = random.Random(61 if side == "columns" else 62)
+    seen = set()
+    for trial in range(96):
+        n = 2 + trial % 4
+        p = 2 + (trial // 4) % 2
+        mode = ("line", "covector", "generic")[(trial // 8) % 3]
+        lam = Q(rng.randrange(-3, 4), rng.choice((0, 0, 1)))
+        free = rng.randrange(n)
+        members = shared_eigenvalue_members(rng, n, p, lam, mode, free)
+        if side == "columns":
+            members = [m.transpose() for m in members]
+        g = gaussian_conjugator(rng, n) if trial % 2 else invertible_matrix(rng, n)
+        g_inv = g.inverse()
+        t = MatrixTuple(tuple(g_inv * m * g for m in members))
+        shared = tuple(k for k in range(n) if k != free)
+        if trial % 5 == 4 and n > 2:  # a narrower frame the members also share
+            shared = shared[1:]
+        frame = CommonFrame(
+            basis_change=g, side=side, shared_indices=shared, inverse=g_inv
+        )
+        try:
+            expected = framed_reference(t, frame, lam)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                find_stabilized_subspace(t, frame, lam)
+            assert str(info.value) == str(exc)
+            seen.add(str(exc))
+            continue
+        found = find_stabilized_subspace(t, frame, lam)
+        assert found == expected
+        assert [str(s) for s in found.values()] == [str(s) for s in expected.values()]
+        seen.add(next(iter(found)))
+    # both branches occur, and a frame too narrow for either candidate
+    neither = "shared rows admit neither eigenvector nor covector"
+    assert seen == {"line", "hyperplane", neither}
 
 
 def test_spectrum_certificate():
