@@ -16,6 +16,7 @@ Index pairs are 0-based throughout this module; presentation layers
 that print pairs 1-based do their own conversion.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 from .polynomials import Poly
@@ -183,7 +184,8 @@ def contiguity_check(kind: str, p: HGParams, extra) -> bool:
     - beta_raise, index j:  D(a; b)·(t+b_j) = (t+b_j-1)·D(a; ..b_j+1..)
     - power_shift, integer s: D(a; b)·z^s = z^s·D(a+s; b+s)
 
-    A False return signals an implementation bug, not a property of the
+    An index or shift that is not an integer (2.5, Fraction(2)) is a
+    TypeError.  A False return signals an implementation bug, not a property of the
     parameters: the identities hold for every parameter set.
 
     >>> contiguity_check("power_shift", HGParams(("1/2",), ("1/3",)), -2)
@@ -199,19 +201,19 @@ def contiguity_check(kind: str, p: HGParams, extra) -> bool:
         lhs = D * ThetaOperator.theta_plus(delta)
         rhs = build_D(HGParams(p.alpha + (delta,), p.beta + (delta + 1,)))
     elif kind == "alpha_lower":
-        j = int(extra)
+        j = operator.index(extra)
         a_j = p.alpha[j]
         lowered = p.alpha[:j] + (a_j - 1,) + p.alpha[j + 1:]
         lhs = D * ThetaOperator.theta_plus(a_j - 1)
         rhs = ThetaOperator.theta_plus(a_j - 1) * build_D(HGParams(lowered, p.beta))
     elif kind == "beta_raise":
-        j = int(extra)
+        j = operator.index(extra)
         b_j = p.beta[j]
         raised = p.beta[:j] + (b_j + 1,) + p.beta[j + 1:]
         lhs = D * ThetaOperator.theta_plus(b_j)
         rhs = ThetaOperator.theta_plus(b_j - 1) * build_D(HGParams(p.alpha, raised))
     elif kind == "power_shift":
-        s = int(extra)
+        s = operator.index(extra)
         shifted = HGParams(
             tuple(a + s for a in p.alpha), tuple(b + s for b in p.beta)
         )

@@ -97,10 +97,6 @@ class MatrixTuple:
             pair: k.dim == self.n - 1 for pair, k in self._difference_kernels.items()
         }
 
-    @cached_property
-    def _frame_checks(self):
-        return {}  # id(frame) -> (frame, frame.verify(self)), see _shares_frame
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -155,8 +151,8 @@ class CommonFrame:
     In the new basis, member A becomes U·A·U^{-1} (see apply); all
     tuple members then agree exactly on the rows (side == "rows") or
     columns (side == "columns") listed in shared_indices, distinct
-    indices below n.  The frame carries U^{-1} as inverse; both are
-    checked on construction.
+    indices below n.  The frame carries U^{-1} as inverse; the side,
+    the indices and the inverse are checked on construction.
     """
 
     basis_change: ExactMatrix
@@ -165,6 +161,10 @@ class CommonFrame:
     inverse: ExactMatrix
 
     def __post_init__(self):
+        if self.side not in ("rows", "columns"):
+            raise ValueError(
+                "frame side must be 'rows' or 'columns', not %r" % (self.side,)
+            )
         n = self.basis_change.n
         if self.basis_change * self.inverse != ExactMatrix.identity(n):
             raise ValueError("frame inverse does not invert the basis change")
@@ -237,77 +237,49 @@ def _check_invertible(t: MatrixTuple):
             raise ValueError("member %d is singular" % (idx + 1,))
 
 
-def _shares_frame(t: MatrixTuple, frame: CommonFrame) -> bool:
-    """frame.verify(t), computed once per tuple and frame.
+def common_frame(t: MatrixTuple) -> CommonFrame:
+    """A basis in which the tuple members share n-1 rows or columns.
 
-    Keyed by identity, since hashing a frame hashes 2n² rationals; the
-    stored frame stays alive, so no other object can take its id.
+    Requires every member invertible and every ratio A_i·A_j^{-1} a
+    pseudo-reflection (each violation is reported with the offending
+    member pair), so that every difference A_i - A_j has rank 1.  The
+    construction follows the kernel/image dichotomy of these
+    differences:
+
+    * all difference kernels equal one hyperplane W: the members agree
+      on W, so a basis of W completed to the full space exhibits n-1
+      shared columns;
+    * otherwise all difference images span one common line span(v):
+      with U·v = e_0, every U·(A_i - A_j) is supported in row 0, so
+      the members share the remaining n-1 rows.
+
+    Either way the frame holds by construction, and frame.verify(t) is
+    left to the functions that take a frame from their caller.
     """
-    checks = t._frame_checks
-    entry = checks.get(id(frame))
-    if entry is None:
-        entry = checks[id(frame)] = (frame, frame.verify(t))
-    return entry[1]
-
-
-def _check_ratios(t: MatrixTuple):
-    """Invertibility + pairwise pseudo-reflection ratios, or a named error."""
     for (i, j), ok in t._ratio_table.items():
         if not ok:
             raise ValueError(
                 "ratio of members %d and %d is not a pseudo-reflection"
                 % (i + 1, j + 1)
             )
-
-
-def common_frame(t: MatrixTuple) -> CommonFrame:
-    """A basis in which the tuple members share n-1 rows or columns.
-
-    Requires every member invertible and every ratio A_i·A_j^{-1} a
-    pseudo-reflection (each violation is reported with the offending
-    member pair).  The construction follows the kernel/image dichotomy
-    of the rank-1 differences A_i - A_j:
-
-    * all difference kernels equal one hyperplane W: the members agree
-      on W, so a basis of W completed to the full space exhibits n-1
-      shared columns;
-    * otherwise all difference images span one common line: sending a
-      spanning vector to a standard basis vector leaves every
-      difference supported in a single row, so the members share the
-      remaining n-1 rows.
-
-    The returned frame is re-verified structurally before returning.
-    """
-    _check_ratios(t)
     n = t.n
     kernels = list(t._difference_kernels.values())
-    frame = None
-    if all(k == kernels[0] for k in kernels[1:]) and kernels[0].dim == n - 1:
+    if all(k == kernels[0] for k in kernels[1:]):
         basis = ExactMatrix.from_columns(complete_basis(kernels[0].basis, n))
-        frame = CommonFrame(
-            basis_change=basis.inverse(),
-            side="columns",
-            shared_indices=tuple(range(n - 1)),
-            inverse=basis,
-        )
+        side, shared = "columns", tuple(range(n - 1))
     else:
         diffs = [t[i] - t[j] for i, j in t._difference_kernels]
         images = [Subspace([d.column(j) for j in range(n)]) for d in diffs]
-        if all(im == images[0] for im in images) and images[0].dim == 1:
-            v = images[0].basis[0]
-            basis = ExactMatrix.from_columns(complete_basis([v], n))
-            frame = CommonFrame(
-                basis_change=basis.inverse(),
-                side="rows",
-                shared_indices=tuple(range(1, n)),
-                inverse=basis,
+        if not all(im == images[0] for im in images[1:]):
+            raise ValueError(
+                "common frame construction failed verification; "
+                "the tuple is outside the supported case analysis"
             )
-    if frame is None or not _shares_frame(t, frame):
-        raise ValueError(
-            "common frame construction failed verification; "
-            "the tuple is outside the supported case analysis"
-        )
-    return frame
+        basis = ExactMatrix.from_columns(complete_basis(images[0].basis, n))
+        side, shared = "rows", tuple(range(1, n))
+    return CommonFrame(
+        basis_change=basis.inverse(), side=side, shared_indices=shared, inverse=basis
+    )
 
 
 def find_stabilized_subspace(t: MatrixTuple, frame: CommonFrame, lam) -> dict:
@@ -317,12 +289,14 @@ def find_stabilized_subspace(t: MatrixTuple, frame: CommonFrame, lam) -> dict:
     With U the frame's basis change and S its shared indices, take
     B = U[S, :] and the members A_i on a row frame, B = (U^{-1}[:, S])^T
     and the transposes A_i^T on a column frame.  If R = B·(A_0 - lam)
-    has a one-dimensional kernel, its vector v is a candidate common
-    eigenvector; otherwise v = c·B, c the first basis vector of the left
-    kernel of R, is a candidate common left eigenvector for lam.  Each
-    candidate is checked on every member, and the answer is
-    {"line": span(v)} or {"hyperplane": ker(v)}: the two branches swap
-    on the transposes.
+    has a one-dimensional kernel, its vector v is a common eigenvector;
+    otherwise v = c·B, c the first basis vector of the left kernel of R,
+    is a common left eigenvector for lam.  Neither needs checking per
+    member: the members share the frame, so B·(A_i - lam) = R for every
+    i.  Each A_i has a lam-eigenvector, it lies in ker R = span(v), and
+    c·R = 0 reads (c·B)·A_i = lam·(c·B).  The answer is {"line":
+    span(v)} or {"hyperplane": ker(v)}: the two branches swap on the
+    transposes.
 
     >>> d = [[2, 0, 0], [0, 2, 0], [0, 0, 5]]
     >>> t = MatrixTuple(tuple(ExactMatrix(d[:2] + [r]) for r in
@@ -336,30 +310,23 @@ def find_stabilized_subspace(t: MatrixTuple, frame: CommonFrame, lam) -> dict:
             raise ValueError(
                 "%s is not an eigenvalue of member %d" % (lam, idx + 1)
             )
-    if not _shares_frame(t, frame):
+    if not frame.verify(t):
         raise ValueError("members do not share the given frame")
     rows = frame.side == "rows"
     u = frame.basis_change if rows else frame.inverse.transpose()
     b = ExactMatrix([u.row(k) for k in frame.shared_indices])
-    members = list(t) if rows else [m.transpose() for m in t]
-    r = b * (members[0] - ExactMatrix.identity(t.n) * lam)
+    a0 = t[0] if rows else t[0].transpose()
+    r = b * (a0 - ExactMatrix.identity(t.n) * lam)
     null = kernel(r)
-    if null.dim == 1:
-        v, kind = null.basis[0], "eigenvector"
-        line = Subspace([v])
-        good = [line.is_invariant_under(m) for m in members]
+    eigenvector = null.dim == 1
+    if eigenvector:
+        v = null.basis[0]
     else:
         left_null = kernel(r.transpose())
         if left_null.is_zero():
             raise ValueError("shared rows admit neither eigenvector nor covector")
-        v, kind = (ExactMatrix([left_null.basis[0]]) * b).row(0), "covector"
-        lam_v = tuple(lam * x for x in v)
-        good = [m.transpose().apply(v) == lam_v for m in members]
-    if not all(good):
-        raise ValueError(
-            "candidate %s fails for member %d" % (kind, good.index(False) + 1)
-        )
-    if (kind == "eigenvector") == rows:
+        v = (ExactMatrix([left_null.basis[0]]) * b).row(0)
+    if eigenvector == rows:
         return {"line": Subspace([v])}
     return {"hyperplane": kernel(ExactMatrix([v]))}
 
@@ -374,7 +341,7 @@ def common_spectrum_certificate(
     returned gcd certifies that the spectra intersect without ever
     extracting a root.
     """
-    if not _shares_frame(t, frame):
+    if not frame.verify(t):
         raise ValueError("members do not share the given frame")
     if w.is_zero() or w.dim == t.n:
         raise ValueError("certificate needs a nonzero proper subspace")
@@ -434,7 +401,8 @@ def levelt_tuple(spectra) -> MatrixTuple:
 def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     """Conjugate a column-framed tuple to its unique companion form.
 
-    Preconditions: members invertible, sharing the frame's n-1 columns,
+    Preconditions, each checked on entry: a column frame with n-1
+    shared indices, members invertible and sharing those columns,
     characteristic polynomials with constant gcd (no common spectrum
     value).  Returns (U, canon) with U·A_i·U^{-1} = canon[i], each
     canon[i] the companion matrix of char_poly(A_i).
@@ -445,18 +413,29 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     frame's U at its one non-shared index.  x spans the kernel of the
     n-1 rows y·A_0^k, k = 0..n-2, so A_0^k·x lies in W and
     A_i·A_0^k·x = A_0^{k+1}·x for k < n-1: in the basis X every member
-    has the companion's first n-1 columns.  A kernel of dimension != 1
-    (or a degenerate basis) means some eigenvalue is shared by every
-    member, so the hypothesis fails; this is reported as an error.  U
-    is unique up to a scalar: x is scaled so that, over the shared
+    has the companion's first n-1 columns.
+
+    The preconditions make that kernel a line and X a basis.  Every
+    member agrees with A_0 on an A_0-invariant subspace V of W, so
+    char_poly(A_0|V) divides every char_poly(A_i), and the constant gcd
+    forces V = 0.  The spaces {x : y·A_0^k·x = 0 for k <= j}, W at
+    j = 0, lose at most one dimension per step and stop shrinking only
+    at such a V, so the kernel at j = n-2 is a line.  The span of x's
+    Krylov vectors is A_0-invariant; of dimension d < n, it would be
+    spanned by x, .., A_0^{d-1}·x and so lie in W.
+
+    U is unique up to a scalar: x is scaled so that, over the shared
     indices k in the frame's order, the first nonzero entry of
     (U_frame·A_0^{n-2}·x)_k is 1.  Each member is checked through
     A_i·X = X·canon[i], which holds exactly when U·A_i·U^{-1} = canon[i].
     """
     if frame.side != "columns":
         raise ValueError("normal form requires a column frame")
+    n = t.n
+    if len(frame.shared_indices) != n - 1:
+        raise ValueError("normal form requires a frame sharing n - 1 columns")
     _check_invertible(t)
-    if not _shares_frame(t, frame):
+    if not frame.verify(t):
         raise ValueError("members do not share the given frame")
     g = t._char_poly_gcd
     if g.degree >= 1:
@@ -464,7 +443,6 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
             "spectrum-intersection hypothesis violated: "
             "common characteristic factor of degree %d" % g.degree
         )
-    n = t.n
     a0 = t[0]
     u_frame = frame.basis_change
     free = next(k for k in range(n) if k not in frame.shared_indices)
@@ -472,25 +450,14 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     rows = [u_frame.row(free)]
     for _ in range(n - 2):
         rows.append(a0_t.apply(rows[-1]))  # y·A_0^k
-    null = ExactMatrix(rows).kernel_vectors()
-    if len(null) != 1:
-        raise ValueError(
-            "spectrum-intersection hypothesis violated: "
-            "column intersection has dimension %d" % (len(null),)
-        )
-    vectors = [null[0]]
+    vectors = ExactMatrix(rows).kernel_vectors()  # a line, see the docstring
     for _ in range(n - 1):
         vectors.append(a0.apply(vectors[-1]))
     anchor = u_frame.apply(vectors[n - 2])
     scale = next(anchor[k] for k in frame.shared_indices if anchor[k]).inverse()
     vectors = [tuple(scale * a for a in v) for v in vectors]
     basis = ExactMatrix.from_columns(vectors)
-    try:
-        u = basis.inverse()
-    except ValueError:
-        raise ValueError(
-            "spectrum-intersection hypothesis violated: degenerate basis chain"
-        ) from None
+    u = basis.inverse()
     canon = []
     for idx, (m, cp) in enumerate(zip(t, t._char_polys)):
         c = companion_of_operator(cp)

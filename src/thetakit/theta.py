@@ -21,6 +21,7 @@ Textual grammar (parse/render): z, t, +, -, *, ^, rational literals and i,
 e.g. "(1-z)*t^2*(t-2)".
 """
 
+import operator
 import re
 from functools import reduce
 from math import inf
@@ -50,9 +51,10 @@ class ThetaOperator:
     def __init__(self, terms=None):
         rows = {}
         for (j, k), c in (terms or {}).items():
+            j, k = operator.index(j), operator.index(k)  # 1.5 is not a power
             if k < 0:
                 raise ValueError("negative theta powers are not operators")
-            rows.setdefault(int(j), {})[int(k)] = c
+            rows.setdefault(j, {})[k] = c
         parts = {
             j: Poly([row.get(k, 0) for k in range(max(row) + 1)])
             for j, row in rows.items()
@@ -89,11 +91,11 @@ class ThetaOperator:
 
     @classmethod
     def z(cls, power=1):
-        return cls({(int(power), 0): Q(1)})
+        return cls({(power, 0): Q(1)})
 
     @classmethod
     def theta(cls, power=1):
-        return cls({(0, int(power)): Q(1)})
+        return cls({(0, power): Q(1)})
 
     @classmethod
     def theta_plus(cls, c):
@@ -102,7 +104,7 @@ class ThetaOperator:
 
     @classmethod
     def monomial(cls, coefficient, z_power=0, theta_power=0):
-        return cls({(int(z_power), int(theta_power)): Q(coefficient)})
+        return cls({(z_power, theta_power): Q(coefficient)})
 
     # -- structure -----------------------------------------------------------
 

@@ -677,6 +677,18 @@ def test_rigidity_folds_the_char_poly_gcd_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1  # certificate, irreducible and normal form share it
 
 
+def test_rigidity_checks_the_frame_once(capsys, tmp_path, monkeypatch):
+    from thetakit.rigidity import CommonFrame
+
+    # common_frame builds its frame without checking it; the normal form
+    # checks the frame it is given
+    calls = count_calls(monkeypatch, CommonFrame, "verify")
+    path = write_json(tmp_path, "levelt.json", levelt_payload(4, 2))
+    code, out, _ = run(capsys, ["rigidity", "--input", path])
+    assert code == 0 and json.loads(out)["normal_form"]
+    assert len(calls) == 1
+
+
 def test_analyze_builds_the_factorization_chain_once(capsys, tmp_path, monkeypatch):
     import thetakit.cli
     import thetakit.hypergeometric

@@ -122,6 +122,22 @@ def test_contiguity_index_out_of_range():
         contiguity_check("alpha_lower", p, 5)
 
 
+@pytest.mark.parametrize(
+    "kind, extra",
+    [
+        ("alpha_lower", 0.0),
+        ("beta_raise", 1.5),
+        ("power_shift", 2.5),
+        ("power_shift", Q(2)),
+    ],
+)
+def test_contiguity_refuses_a_non_integer_index_or_shift(kind, extra):
+    # truncated, a shift of 2.5 would check s = 2 and pass
+    p = HGParams((Q("1/2"), Q("1/3")), (Q("1/5"), Q("1/7")))
+    with pytest.raises(TypeError):
+        contiguity_check(kind, p, extra)
+
+
 def test_canonical_shift_class():
     p = HGParams(("5/2", "1/3"), ("7/5", "-1/7"))
     c = canonical_shift_class(p)

@@ -131,6 +131,39 @@ class TestCommonFrame:
         with pytest.raises(ValueError, match="pseudo-reflection"):
             common_frame(t)
 
+    def test_frame_holds_by_construction(self):
+        # common_frame does not check its frame: both branches must give
+        # one the members share, under real and Gaussian conjugators
+        rng = random.Random(43)
+        sides = set()
+        for trial in range(32):
+            n, p = 2 + trial % 4, 2 + (trial // 4) % 3
+            base = levelt_tuple(disjoint_spectra(rng, p, n))
+            g = gaussian_conjugator(rng, n) if trial % 2 else invertible_matrix(rng, n)
+            t = MatrixTuple(tuple(g * m * g.inverse() for m in base))
+            if trial % 8 >= 4:
+                t = t.transposed()
+            frame = common_frame(t)
+            assert len(frame.shared_indices) == n - 1
+            assert frame.verify(t)
+            sides.add(frame.side)
+        assert sides == {"columns", "rows"}
+
+    def test_verify_is_left_to_the_callers(self, monkeypatch):
+        calls = []
+        verify = CommonFrame.verify
+
+        def counted(frame, t):
+            calls.append(t)
+            return verify(frame, t)
+
+        monkeypatch.setattr(CommonFrame, "verify", counted)
+        _, _, t = conjugated_levelt(random.Random(44), 3, 4)
+        frame = common_frame(t)
+        assert calls == []
+        levelt_normal_form(t, frame)
+        assert calls == [t]
+
 
 def framed_pair(rng, n, side, agree):
     """(frame, tuple) with a random basis change U and members
@@ -170,6 +203,13 @@ class TestFrameInverse:
             with pytest.raises(ValueError, match="inverse"):
                 frame(wrong)
 
+    @pytest.mark.parametrize("side", ["diagonal", "Rows", "", None])
+    def test_side_must_be_rows_or_columns(self, side):
+        # verify and find_stabilized_subspace branch on side == "rows"
+        u = ExactMatrix.identity(3)
+        with pytest.raises(ValueError, match="side must be 'rows' or 'columns'"):
+            CommonFrame(basis_change=u, side=side, shared_indices=(0, 1), inverse=u)
+
     @pytest.mark.parametrize("shared", [(0, 0), (1, 3), (-1, 0)])
     def test_shared_indices_must_name_distinct_basis_vectors(self, shared):
         u = ExactMatrix.identity(3)
@@ -202,7 +242,7 @@ class TestFrameMismatch:
         _, _, b = conjugated_levelt(rng, 3, 3)
         frame = common_frame(a)
         assert not frame.verify(b)
-        levelt_normal_form(a, frame)  # accepted, and recorded on a
+        levelt_normal_form(a, frame)  # accepted: each call checks its own tuple
         with pytest.raises(ValueError, match="do not share the given frame"):
             levelt_normal_form(b, frame)
         levelt_normal_form(a, frame)
@@ -578,6 +618,33 @@ class TestNormalForm:
             ["0", "0", "1", "3"],
         ]
         assert canon == base
+
+    def test_pairwise_shared_values_without_a_common_one(self):
+        # every two spectra share a value, no value lies in all three:
+        # the hypothesis is on the total intersection only
+        spectra = [Spectrum((1, 2, 5)), Spectrum((2, 3, 7)), Spectrum((3, 1, 11))]
+        base = levelt_tuple(spectra)
+        g = m_([[1, 2, 0], [0, 1, -1], [1, 0, 1]])
+        t = MatrixTuple(tuple(g * m * g.inverse() for m in base))
+        polys = t.char_polys()
+        assert all(poly_gcd(polys[i], polys[j]).degree == 1
+                   for i, j in ((0, 1), (1, 2), (0, 2)))
+        u, canon = levelt_normal_form(t, common_frame(t))
+        assert canon == base
+        for k in range(3):
+            assert u * t[k] == canon[k] * u
+
+    def test_frame_with_too_few_shared_columns_rejected(self):
+        # the members do share column 0, but n - 2 shared columns leave
+        # the Krylov kernel a plane
+        t = levelt_tuple([Spectrum((1, 2, 3)), Spectrum((4, 5, 6))])
+        identity = ExactMatrix.identity(3)
+        frame = CommonFrame(
+            basis_change=identity, side="columns", shared_indices=(0,), inverse=identity
+        )
+        assert frame.verify(t)
+        with pytest.raises(ValueError, match="sharing n - 1 columns"):
+            levelt_normal_form(t, frame)
 
     def test_singular_member_rejected(self):
         t = companion_pair((1, 2), (3, 4))

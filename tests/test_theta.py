@@ -56,6 +56,24 @@ def test_negative_theta_power_rejected():
         T**-1
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ThetaOperator.z(1.5),
+        lambda: ThetaOperator.z(Q(1)),
+        lambda: ThetaOperator.theta(2.0),
+        lambda: ThetaOperator.monomial(3, 0.9, 1.2),
+        lambda: ThetaOperator.monomial(3, 1, 0.5),
+        lambda: ThetaOperator({(0.5, 0): Q(1)}),
+    ],
+    ids=["z", "z-scalar", "theta", "monomial-both", "monomial-theta", "terms"],
+)
+def test_non_integer_powers_are_refused(build):
+    # int() would truncate without a word: z(1.5) would be z
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_degree_conventions():
     assert ThetaOperator.zero().is_zero()
     assert ThetaOperator.zero().theta_degree == float("-inf")
