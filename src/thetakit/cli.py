@@ -16,36 +16,18 @@ invocations are byte-identical.  A value past Python's int-string digit
 limit cannot be printed, an input error naming its JSON path.  Exit
 status: 0 when all requested verifications pass, 1 when a verification
 fails on valid input, 2 for malformed input or usage errors.
+
+The layers are bound as modules and their names read at call time, so a
+command executes only the layers it reaches (see the package docstring).
 """
 
+from __future__ import annotations
+
 import argparse
-import json
 import random
 import sys
 
-from .extension import parameter_counts
-from .hypergeometric import (
-    CONTIGUITY_KINDS,
-    HGParams,
-    _verify_steps,
-    canonical_shift_class,
-    contiguity_check,
-    exponents,
-    factorization_certificate,
-    greedy_matching,
-    is_reducible,
-    partition,
-)
-from .rigidity import (
-    MatrixTuple,
-    _check_invertible,
-    _irreducible_pair,
-    algebra_span_dimension,
-    common_frame,
-    levelt_normal_form,
-    pseudo_reflection_pairs,
-)
-from .scalars import Q
+from . import extension, hypergeometric, monodromy, rigidity, scalars
 from .serialization import canonical_dumps, load_input, triple_report
 
 USAGE_ERROR = 2
@@ -55,7 +37,8 @@ VERIFICATION_FAILURE = 1
 # analyze up to n chain steps, one of gap m at theta-degree n + m, and
 # monodromy an O(n²) exact reducibility test and 3·n² number pairs.
 # rigidity's algebra span is an O(p·n⁶) search: on 8×8 members with
-# one-digit entries it took 12.4 s at p = 3 and 16 s at p = 4 (2-vCPU Xeon)
+# one-digit entries, p = 3, the largest tuple the bounds admit, it took
+# 12.4 s (2-vCPU Xeon)
 MAX_COUNT = {"counts": 100, "verify-identities": 1000}
 MAX_GAP = 100
 MAX_ORDER = 32
@@ -107,10 +90,10 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _load_params(path: str) -> HGParams:
+def _load_params(path: str) -> hypergeometric.HGParams:
     data = _load_json(path)
     try:
-        p = HGParams.from_dict(data)
+        p = hypergeometric.HGParams.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("invalid parameter file: %s" % (exc,)) from exc
     if p.n < 2:
@@ -124,11 +107,11 @@ def _load_params(path: str) -> HGParams:
     return p
 
 
-def _load_tuple(path: str) -> MatrixTuple:
+def _load_tuple(path: str) -> rigidity.MatrixTuple:
     """A tuple of invertible matrices read from path."""
     data = _load_json(path)
     try:
-        t = MatrixTuple.from_dict(data)
+        t = rigidity.MatrixTuple.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("invalid matrix tuple file: %s" % (exc,)) from exc
     if t.n > MAX_TUPLE_ORDER:
@@ -138,7 +121,7 @@ def _load_tuple(path: str) -> MatrixTuple:
     if t.p > MAX_MEMBERS:
         raise InputError("p = %d members exceed the bound %d" % (t.p, MAX_MEMBERS))
     try:
-        _check_invertible(t)  # from the char polys, which the commands reuse
+        rigidity._check_invertible(t)  # from the char polys, which the commands reuse
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return t
@@ -165,12 +148,12 @@ def _pairs_1based(pairs) -> list:
 
 def cmd_analyze(args) -> int:
     p = _load_params(args.input)
-    ex = exponents(p)
-    reducible, witness = is_reducible(p)
-    part = partition(p)
+    ex = hypergeometric.exponents(p)
+    reducible, witness = hypergeometric.is_reducible(p)
+    part = hypergeometric.partition(p)
 
     try:
-        canonical = canonical_shift_class(p).to_dict()
+        canonical = hypergeometric.canonical_shift_class(p).to_dict()
         reason = None
     except ValueError as exc:
         canonical, reason = None, str(exc)
@@ -178,7 +161,7 @@ def cmd_analyze(args) -> int:
     status = 0
     factorization = None
     if reducible:
-        for i, j, m in greedy_matching(p):
+        for i, j, m in hypergeometric.greedy_matching(p):
             if m > MAX_GAP:
                 pair = "alpha_%d - beta_%d" % (i + 1, j + 1)
                 try:
@@ -189,11 +172,11 @@ def cmd_analyze(args) -> int:
                     "%s exceeds the factorization gap bound %d" % (pair, MAX_GAP)
                 )
         try:
-            steps = factorization_certificate(p)
+            steps = hypergeometric.factorization_certificate(p)
         except ValueError as exc:
             # every integer difference is negative: out of the chain's domain
             raise InputError(str(exc)) from exc
-        verified = _verify_steps(p, steps)
+        verified = hypergeometric._verify_steps(p, steps)
         if not verified:
             status = VERIFICATION_FAILURE
         factorization = {
@@ -238,10 +221,8 @@ def cmd_monodromy(args) -> int:
     if not args.tol >= 0:  # NaN too; checked before numpy is loaded
         raise InputError("tolerance must be nonnegative")
     p = _load_params(args.input)
-    from .monodromy import build_monodromy
-
     try:
-        t = build_monodromy(p, tol=args.tol)
+        t = monodromy.build_monodromy(p, tol=args.tol)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit(triple_report(t), args.pretty)
@@ -254,12 +235,12 @@ def _normal_form_report(u, canon) -> dict:
 
 def cmd_rigidity(args) -> int:
     t = _load_tuple(args.input)
-    table = pseudo_reflection_pairs(t)
+    table = rigidity.pseudo_reflection_pairs(t)
 
     frame_rep = frame = None
     frame_reason = None
     try:
-        frame = common_frame(t)
+        frame = rigidity.common_frame(t)
         frame_rep = {
             "basis_change": frame.basis_change.rows,
             "shared_indices": [k + 1 for k in frame.shared_indices],
@@ -285,16 +266,16 @@ def cmd_rigidity(args) -> int:
             " transposed tuple"
         )
     else:
-        u, canon = levelt_normal_form(t, frame)
+        u, canon = rigidity.levelt_normal_form(t, frame)
         normal_form = _normal_form_report(u, canon)
 
     report = {
-        "algebra_dimension": algebra_span_dimension(t),
+        "algebra_dimension": rigidity.algebra_span_dimension(t),
         "certificate": certificate,
         "common_frame": frame_rep,
         "common_frame_reason": frame_reason,
         "irreducible": (
-            _irreducible_pair(t) if t.p == 2 and table[(0, 1)] else None
+            rigidity._irreducible_pair(t) if t.p == 2 and table[(0, 1)] else None
         ),
         "normal_form": normal_form,
         "normal_form_reason": normal_form_reason,
@@ -310,8 +291,8 @@ def cmd_rigidity(args) -> int:
 def cmd_normal_form(args) -> int:
     t = _load_tuple(args.input)
     try:
-        frame = common_frame(t)
-        u, canon = levelt_normal_form(t, frame)
+        frame = rigidity.common_frame(t)
+        u, canon = rigidity.levelt_normal_form(t, frame)
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return VERIFICATION_FAILURE
@@ -319,15 +300,16 @@ def cmd_normal_form(args) -> int:
     return 0
 
 
-def _random_scalar(rng: random.Random) -> "Q":
+def _random_scalar(rng: random.Random) -> scalars.GaussianRational:
+    Q = scalars.Q
     re = Q(rng.randrange(-8, 9), 0) / Q(rng.randrange(1, 5))
     if rng.random() < 0.25:
         return re + Q(0, rng.randrange(-3, 4)) / Q(rng.randrange(1, 4))
     return re
 
 
-def _random_params(rng: random.Random, n: int) -> HGParams:
-    return HGParams(
+def _random_params(rng: random.Random, n: int) -> hypergeometric.HGParams:
+    return hypergeometric.HGParams(
         tuple(_random_scalar(rng) for _ in range(n)),
         tuple(_random_scalar(rng) for _ in range(n)),
     )
@@ -335,7 +317,7 @@ def _random_params(rng: random.Random, n: int) -> HGParams:
 
 def cmd_verify_identities(args) -> int:
     rng = random.Random(args.seed)
-    kinds = {kind: {"fail": 0, "pass": 0} for kind in CONTIGUITY_KINDS}
+    kinds = {kind: {"fail": 0, "pass": 0} for kind in hypergeometric.CONTIGUITY_KINDS}
     for _ in range(args.count):
         n = rng.randrange(2, 6)
         p = _random_params(rng, n)
@@ -346,8 +328,8 @@ def cmd_verify_identities(args) -> int:
             "beta_raise": rng.randrange(0, n),
             "power_shift": rng.randrange(-3, 4),
         }
-        for kind in CONTIGUITY_KINDS:
-            ok = contiguity_check(kind, p, extras[kind])
+        for kind in hypergeometric.CONTIGUITY_KINDS:
+            ok = hypergeometric.contiguity_check(kind, p, extras[kind])
             kinds[kind]["pass" if ok else "fail"] += 1
     ok_all = all(v["fail"] == 0 for v in kinds.values())
     report = {
@@ -365,7 +347,7 @@ def cmd_counts(args) -> int:
     equal = []
     for n in range(1, args.count + 1):
         for s in range(1, args.count + 1):
-            eq, mono, rigid = parameter_counts(n, s)
+            eq, mono, rigid = extension.parameter_counts(n, s)
             entries.append(
                 {
                     "equation": eq,

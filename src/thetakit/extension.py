@@ -21,43 +21,8 @@ dimension count h1 = (cardS - 2)*n + irr + h0.
 
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix
-from .polynomials import Poly
+from .linalg import ExactMatrix, companion_of_operator
 from .scalars import Q
-
-
-def _monic_coefficients(operator) -> list:
-    if isinstance(operator, Poly):
-        coeffs = list(operator.coeffs)
-    else:
-        coeffs = [c if hasattr(c, "re") else Q(c) for c in operator]
-    if not coeffs:
-        raise ValueError("operator has no coefficients")
-    if coeffs[-1] != Q(1):
-        raise ValueError("operator must be monic (leading coefficient 1)")
-    return coeffs
-
-
-def companion_of_operator(operator) -> ExactMatrix:
-    """Companion matrix of a monic operator given by ascending
-    coefficients (a_0, .., a_{r}, 1) or a monic Poly: subdiagonal of
-    ones, last column (-a_0, .., -a_r).
-
-    >>> companion_of_operator([2, 3, 1]).rows
-    ((0, -2), (1, -3))
-    """
-    coeffs = _monic_coefficients(operator)
-    order = len(coeffs) - 1
-    if order < 1:
-        raise ValueError("operator must have positive order")
-    rows = []
-    for i in range(order):
-        row = [Q(0)] * order
-        if i >= 1:
-            row[i - 1] = Q(1)
-        row[order - 1] = -coeffs[i]
-        rows.append(row)
-    return ExactMatrix(rows)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ basis, runs fraction-free on integers when every entry is real and keeps
 a rational loop for complex entries; det keeps its own loop, as a
 reference.  One incremental echelon (Echelon) answers membership for
 Subspace.contains, complete_basis and the algebra-span search in rigidity.
+companion_of_operator is the one companion-matrix builder, for extension
+and rigidity alike.
 """
 
 from bisect import insort
@@ -301,6 +303,35 @@ class ExactMatrix:
                     v = [dot(row, v) for row in block]
             p = [dot(column[k::-1], p) for k in range(r + 2)]
         return Poly(p[::-1])
+
+
+def companion_of_operator(operator) -> ExactMatrix:
+    """Companion matrix of a monic operator given by ascending
+    coefficients (a_0, .., a_{r}, 1) or a monic Poly: subdiagonal of
+    ones, last column (-a_0, .., -a_r).
+
+    >>> companion_of_operator([2, 3, 1]).rows
+    ((0, -2), (1, -3))
+    """
+    if isinstance(operator, Poly):
+        coeffs = operator.coeffs
+    else:
+        coeffs = [_entry(c) for c in operator]
+    if not coeffs:
+        raise ValueError("operator has no coefficients")
+    if coeffs[-1] != ONE:
+        raise ValueError("operator must be monic (leading coefficient 1)")
+    order = len(coeffs) - 1
+    if order < 1:
+        raise ValueError("operator must have positive order")
+    rows = []
+    for i in range(order):
+        row = [ZERO] * order
+        if i >= 1:
+            row[i - 1] = ONE
+        row[order - 1] = -coeffs[i]
+        rows.append(row)
+    return ExactMatrix(rows)
 
 
 class Echelon:

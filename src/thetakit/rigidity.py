@@ -24,8 +24,9 @@ programmatic indices are 0-based.
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .extension import companion_of_operator
-from .linalg import Echelon, ExactMatrix, Subspace, complete_basis, kernel
+from .linalg import (
+    Echelon, ExactMatrix, Subspace, companion_of_operator, complete_basis, kernel,
+)
 from .polynomials import Poly, poly_gcd
 from .scalars import Q
 
@@ -181,8 +182,11 @@ class CommonFrame:
 
         U·A_i·U^{-1} and U·A_0·U^{-1} agree on the columns S exactly when
         (A_i - A_0)·U^{-1}[:, S] = 0, and on the rows S exactly when
-        U[S, :]·(A_i - A_0) = 0, so no member is conjugated.
+        U[S, :]·(A_i - A_0) = 0, so no member is conjugated.  A frame of
+        another dimension than the members is not shared.
         """
+        if self.basis_change.n != t.n:
+            return False
         if self.side == "rows":
             vectors = [self.basis_change.row(k) for k in self.shared_indices]
             members = [m.transpose() for m in t]

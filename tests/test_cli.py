@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from thetakit.cli import main
 from thetakit.scalars import Q
-from util import conjugated_levelt, env_with_src
+from util import LAYERS, conjugated_levelt, env_with_src
 
 
 def write_json(tmp_path, name, payload):
@@ -323,7 +323,8 @@ def test_count_above_the_bound(capsys, monkeypatch, command, worker):
     import thetakit.cli
 
     bound = thetakit.cli.MAX_COUNT[command]
-    calls = count_calls(monkeypatch, thetakit.cli, worker)
+    home = {"counts": thetakit.extension, "verify-identities": thetakit.hypergeometric}
+    calls = count_calls(monkeypatch, home[command], worker)
     code, out, err = run(capsys, [command, "--count", str(bound + 1)])
     assert code == 2 and out == ""
     assert err == "error: --count must be at most %d\n" % bound
@@ -334,7 +335,7 @@ def test_gap_above_the_bound(capsys, tmp_path, monkeypatch):
     import thetakit.cli
 
     bound = thetakit.cli.MAX_GAP
-    calls = count_calls(monkeypatch, thetakit.cli, "factorization_certificate")
+    calls = count_calls(monkeypatch, thetakit.hypergeometric, "factorization_certificate")
     payload = {"alpha": [str(bound + 1), "1/2"], "beta": ["0", "1/3"]}
     path = write_json(tmp_path, "gap.json", payload)
     code, out, err = run(capsys, ["analyze", "--input", path])
@@ -601,6 +602,83 @@ def test_tolerance_refused_before_the_numeric_layer(tol):
     assert proc.stderr == b"error: tolerance must be nonnegative\n"
 
 
+# The CLI in a fresh interpreter, then one more stdout line naming the
+# layers it executed: `import thetakit` registers each layer as a lazy
+# module, which becomes a plain module once its body has run.
+LAYER_PROBE = (
+    "import sys, types; from thetakit.cli import main; code = main(sys.argv[1:]); "
+    "print(' '.join(name for name in %r "
+    "if type(sys.modules['thetakit.' + name]) is types.ModuleType), end=''); "
+    "sys.exit(code)" % (LAYERS,)
+)
+
+EXACT_LAYERS = "scalars polynomials theta hypergeometric"
+TUPLE_LAYERS = "scalars polynomials linalg rigidity"
+
+
+@pytest.mark.parametrize(
+    "argv, payload, golden, layers",
+    [
+        (["analyze", "--input", "-"], GAP_3_PARAMS, GOLDEN_ANALYZE_GAP_3, EXACT_LAYERS),
+        (
+            ["verify-identities", "--seed", "42", "--count", "5"],
+            None,
+            GOLDEN_VERIFY_IDENTITIES_42_5,
+            EXACT_LAYERS,
+        ),
+        (
+            ["monodromy", "--input", "-"],
+            MONODROMY_N3,
+            GOLDEN_MONODROMY_N3,
+            EXACT_LAYERS + " monodromy",
+        ),
+        (["rigidity", "--input", "-"], RIGIDITY_TRIPLE, GOLDEN_RIGIDITY_TRIPLE, TUPLE_LAYERS),
+        (["normal-form", "--input", "-"], NORMAL_FORM_N5, GOLDEN_NORMAL_FORM_N5, TUPLE_LAYERS),
+        (
+            ["counts", "--count", "3"],
+            None,
+            GOLDEN_COUNTS_3,
+            "scalars polynomials linalg extension",
+        ),
+    ],
+    ids=["analyze", "verify-identities", "monodromy", "rigidity", "normal-form", "counts"],
+)
+def test_subcommand_executes_only_its_layers(argv, payload, golden, layers):
+    proc = run_layer_probe(argv, payload)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == golden + layers
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["counts", "--count", "101"], 2),
+        (["verify-identities", "--count", "1001"], 2),
+        (["monodromy", "--input", "-", "--tol", "nan"], 2),
+    ],
+    ids=["help", "counts-bound", "verify-identities-bound", "monodromy-tol"],
+)
+def test_help_and_refusals_execute_no_layer(argv, code):
+    proc = run_layer_probe(argv, GAP_3_PARAMS)
+    assert proc.returncode == code
+    # the help text ends in a newline and a refusal prints nothing, so an
+    # executed layer would show after the last newline
+    assert proc.stdout.rpartition("\n")[2] == ""
+    assert code == 0 or (proc.stdout == "" and proc.stderr.startswith("error: "))
+
+
+def run_layer_probe(argv, payload):
+    return subprocess.run(
+        [sys.executable, "-c", LAYER_PROBE] + argv,
+        input="" if payload is None else json.dumps(payload),
+        capture_output=True,
+        text=True,
+        env=env_with_src(),
+        timeout=120,
+    )
+
+
 def unit_gap_params(n):
     """beta_k = (k+1)/(2n+3), alpha_k = beta_k + 1: a chain of n unit gaps."""
     d = 2 * n + 3
@@ -614,8 +692,8 @@ def test_order_above_the_bound(capsys, tmp_path, monkeypatch):
     import thetakit.cli
 
     bound = thetakit.cli.MAX_ORDER
-    chain = count_calls(monkeypatch, thetakit.cli, "factorization_certificate")
-    calls = count_calls(monkeypatch, thetakit.cli, "exponents")
+    chain = count_calls(monkeypatch, thetakit.hypergeometric, "factorization_certificate")
+    calls = count_calls(monkeypatch, thetakit.hypergeometric, "exponents")
     path = write_json(tmp_path, "order.json", unit_gap_params(bound + 1))
     code, out, err = run(capsys, ["analyze", "--input", path])
     assert code == 2 and out == ""
@@ -690,13 +768,9 @@ def test_rigidity_checks_the_frame_once(capsys, tmp_path, monkeypatch):
 
 
 def test_analyze_builds_the_factorization_chain_once(capsys, tmp_path, monkeypatch):
-    import thetakit.cli
     import thetakit.hypergeometric
 
-    hg = thetakit.hypergeometric
-    calls = count_calls(monkeypatch, hg, "factorization_certificate")
-    # cli holds its own reference; point it at the counting wrapper too
-    monkeypatch.setattr(thetakit.cli, "factorization_certificate", hg.factorization_certificate)
+    calls = count_calls(monkeypatch, thetakit.hypergeometric, "factorization_certificate")
     path = write_json(tmp_path, "gap3.json", GAP_3_PARAMS)
     code, out, _ = run(capsys, ["analyze", "--input", path])
     assert code == 0 and out == GOLDEN_ANALYZE_GAP_3
@@ -924,7 +998,7 @@ def test_tuple_above_the_bound(capsys, tmp_path, monkeypatch, command, grow, mes
 
     bounds = {"n": thetakit.cli.MAX_TUPLE_ORDER, "p": thetakit.cli.MAX_MEMBERS}
     sizes = dict(bounds, **{grow: bounds[grow] + 1})
-    calls = count_calls(monkeypatch, thetakit.cli, "_check_invertible")
+    calls = count_calls(monkeypatch, thetakit.rigidity, "_check_invertible")
     path = write_json(tmp_path, "big.json", levelt_payload(sizes["n"], sizes["p"]))
     code, out, err = run(capsys, [command, "--input", path])
     assert code == 2 and out == ""

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import thetakit
-from util import env_with_src
+from util import LAYERS, env_with_src
 
 
 def test_all_names_resolve_once():
@@ -25,6 +25,34 @@ def test_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_import_registers_every_layer_unexecuted():
+    probe = (
+        "import sys, types, thetakit; "
+        "print(sorted(n for n in sys.modules if n.startswith('thetakit.'))); "
+        "print([n for n in %r if sys.modules['thetakit.' + n] is not getattr(thetakit, n)]); "
+        "print([n for n, m in sys.modules.items() "
+        "if n.startswith('thetakit.') and type(m) is types.ModuleType])" % (LAYERS,)
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env_with_src(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    registered, unbound, executed = proc.stdout.splitlines()
+    assert registered == str(sorted("thetakit." + n for n in LAYERS))
+    assert unbound == executed == "[]"
+
+
+def test_names_resolve_from_their_home_layer():
+    assert set(thetakit.__all__) <= set(dir(thetakit))
+    assert thetakit.companion_of_operator is thetakit.linalg.companion_of_operator
+    assert thetakit.companion_of_operator is thetakit.extension.companion_of_operator
+    assert thetakit.companion_of_operator is thetakit.rigidity.companion_of_operator
 
 
 def test_numeric_names_are_the_monodromy_objects():

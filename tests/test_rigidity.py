@@ -262,6 +262,22 @@ class TestFrameMismatch:
         with pytest.raises(ValueError, match="do not share the given frame"):
             levelt_normal_form(off, frame)
 
+    def test_frame_of_another_dimension(self):
+        # a 3×3 frame sharing column 0 has the n - 1 = 1 shared index a
+        # 2×2 normal form asks for, yet no member is 3×3
+        i3 = ExactMatrix.identity(3)
+        frame = CommonFrame(i3, "columns", (0,), i3)
+        levelt = levelt_tuple([Spectrum((1, 2)), Spectrum((3, 4))])
+        shared = companion_pair((1, 2), (2, 5))  # 2 is an eigenvalue of both
+        w = Subspace([(Q(1), Q(0))])
+        assert not frame.verify(levelt)
+        with pytest.raises(ValueError, match="^members do not share the given frame$"):
+            levelt_normal_form(levelt, frame)
+        with pytest.raises(ValueError, match="^members do not share the given frame$"):
+            find_stabilized_subspace(shared, frame, Q(2))
+        with pytest.raises(ValueError, match="^members do not share the given frame$"):
+            common_spectrum_certificate(shared, frame, w)
+
 
 class TestStabilizedSubspace:
     def test_hyperplane_branch(self):

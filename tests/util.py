@@ -9,6 +9,12 @@ from thetakit.linalg import ExactMatrix
 from thetakit.rigidity import MatrixTuple, Spectrum, levelt_tuple
 from thetakit.scalars import Q
 
+# thetakit's layers, in import order
+LAYERS = (
+    "scalars", "polynomials", "linalg", "theta", "hypergeometric", "extension",
+    "rigidity", "monodromy",
+)
+
 
 def rational(rng, lo=-8, hi=8, den=4):
     return Q(rng.randrange(lo, hi + 1)) / Q(rng.randrange(1, den + 1))
