@@ -19,14 +19,13 @@ conjugacy data (equation side vs monodromy side) and the cohomological
 dimension count h1 = (cardS - 2)*n + irr + h0.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .linalg import ExactMatrix, companion_of_operator
 from .scalars import Q
 
 
-@dataclass(frozen=True)
-class ExtensionBlock:
+class ExtensionBlock(namedtuple("ExtensionBlock", "a_L a_Lp a_M section")):
     """Companion data of a factored operator M = L'·L.
 
     a_L and a_Lp are the companion matrices of the factors, a_M the
@@ -34,10 +33,7 @@ class ExtensionBlock:
     L-space into the M-space.
     """
 
-    a_L: ExactMatrix
-    a_Lp: ExactMatrix
-    a_M: ExactMatrix
-    section: ExactMatrix
+    __slots__ = ()
 
     @property
     def order_L(self) -> int:

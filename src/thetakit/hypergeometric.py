@@ -17,7 +17,7 @@ that print pairs 1-based do their own conversion.
 """
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .polynomials import Poly
 from .scalars import Q, GaussianRational
@@ -28,8 +28,7 @@ def _scalar_tuple(values) -> tuple:
     return tuple(v if isinstance(v, GaussianRational) else Q(v) for v in values)
 
 
-@dataclass(frozen=True)
-class HGParams:
+class HGParams(namedtuple("HGParams", "alpha beta")):
     """Parameter lists (alpha; beta) of equal length n >= 1.
 
     Callers working with the two-list operator family proper use n >= 2;
@@ -38,14 +37,13 @@ class HGParams:
     D(a; b) = (t+b-1) - z(t+a) and D(;) = 1 - z.
     """
 
-    alpha: tuple
-    beta: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _scalar_tuple(self.alpha))
-        object.__setattr__(self, "beta", _scalar_tuple(self.beta))
-        if len(self.alpha) != len(self.beta):
+    def __new__(cls, alpha, beta):
+        alpha, beta = _scalar_tuple(alpha), _scalar_tuple(beta)
+        if len(alpha) != len(beta):
             raise ValueError("alpha and beta must have the same length")
+        return super().__new__(cls, alpha, beta)
 
     @property
     def n(self) -> int:
@@ -72,26 +70,22 @@ class HGParams:
         )
 
 
-@dataclass(frozen=True)
-class LocalExponents:
+class LocalExponents(namedtuple("LocalExponents", "at_zero at_one at_infinity")):
     """Exponent lists at the three singular points, each of length n."""
 
-    at_zero: tuple
-    at_one: tuple
-    at_infinity: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReducibilityPartition:
+class ReducibilityPartition(
+    namedtuple("ReducibilityPartition", "zero positive negative")
+):
     """Index pairs (i, j) with alpha_i - beta_j an integer, split by sign.
 
     zero: difference 0; positive: difference a positive integer;
     negative: difference a negative integer.  Pairs are 0-based.
     """
 
-    zero: frozenset = field(default_factory=frozenset)
-    positive: frozenset = field(default_factory=frozenset)
-    negative: frozenset = field(default_factory=frozenset)
+    __slots__ = ()
 
 
 def build_D(p: HGParams) -> ThetaOperator:
@@ -273,8 +267,9 @@ def greedy_matching(p: HGParams):
     return chosen
 
 
-@dataclass(frozen=True)
-class FactorStep:
+class FactorStep(
+    namedtuple("FactorStep", "pair gap linear_factor left right params_after")
+):
     """One link of the factorization chain.
 
     With P the parameters before the step and P' = params_after, the
@@ -288,12 +283,7 @@ class FactorStep:
     (t + linear_factor - 1).
     """
 
-    pair: tuple
-    gap: int
-    linear_factor: GaussianRational
-    left: ThetaOperator
-    right: ThetaOperator
-    params_after: HGParams
+    __slots__ = ()
 
 
 def factorization_certificate(p: HGParams):

@@ -260,9 +260,6 @@ class ExactMatrix:
                     rows[i] = [a - f * b for a, b in zip(rows[i], rows[pc])]
         return det
 
-    def is_invertible(self):
-        return self.nrows == self.ncols and bool(self.det())
-
     def inverse(self):
         n = self.n
         rows = [

@@ -21,7 +21,7 @@ real-rational parameters are accepted, keeping every eigenvalue an
 exact root of unity.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -46,13 +46,10 @@ def _circle_point(x: float) -> complex:
     return complex(np.exp(2j * np.pi * x))
 
 
-@dataclass(frozen=True)
-class LocalSpectra:
+class LocalSpectra(namedtuple("LocalSpectra", "at_zero at_one at_infinity")):
     """Eigenvalue multisets of the three local monodromies."""
 
-    at_zero: tuple
-    at_one: tuple
-    at_infinity: tuple
+    __slots__ = ()
 
 
 def local_spectra(p: HGParams) -> LocalSpectra:
@@ -119,33 +116,36 @@ def multiset_close(xs, ys, tol: float) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
 class MonodromyTriple:
-    """The triple (m0, m1, minf) with m_inf*m1*m0 = I within tolerance."""
+    """The triple (m0, m1, minf) with m_inf*m1*m0 = I within tolerance.
 
-    m0: np.ndarray
-    m1: np.ndarray
-    minf: np.ndarray
-    tolerance: float = 1e-10
+    Immutable, and equal only to itself: its members are float arrays.
+    """
 
-    def __post_init__(self):
-        for name in ("m0", "m1", "minf"):
-            m = np.asarray(getattr(self, name), dtype=complex)
+    __slots__ = ("m0", "m1", "minf", "tolerance")
+
+    def __init__(self, m0, m1, minf, tolerance=1e-10):
+        for name, m in (("m0", m0), ("m1", m1), ("minf", minf)):
+            m = np.asarray(m, dtype=complex)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("%s must be a square matrix" % (name,))
             if not np.all(np.isfinite(m.view(float))):
                 raise ValueError("%s has non-finite entries" % (name,))
             object.__setattr__(self, name, m)
+        object.__setattr__(self, "tolerance", tolerance)
         if self.m0.shape != self.m1.shape or self.m1.shape != self.minf.shape:
             raise ValueError("members must share one dimension")
-        if not self.tolerance >= 0:
+        if not tolerance >= 0:
             raise ValueError("tolerance must be nonnegative")
         res = self.product_residual()
-        if res > self.tolerance:
+        if res > tolerance:
             raise ValueError(
                 "product relation violated: residual %.3e exceeds %.3e"
-                % (res, self.tolerance)
+                % (res, tolerance)
             )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MonodromyTriple is immutable")
 
     @property
     def n(self) -> int:

@@ -21,7 +21,7 @@ Index pairs and member numbers in error messages are 1-based; all
 programmatic indices are 0-based.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 
 from .linalg import (
@@ -31,15 +31,12 @@ from .polynomials import Poly, poly_gcd
 from .scalars import Q
 
 
-@dataclass(frozen=True)
-class MatrixTuple:
-    """An ordered tuple of p >= 2 square matrices of equal size n >= 2."""
+class MatrixTuple(tuple):
+    """An ordered tuple of p >= 2 square matrices of equal size n >= 2;
+    the tuple is its members."""
 
-    matrices: tuple
-
-    def __post_init__(self):
-        ms = tuple(self.matrices)
-        object.__setattr__(self, "matrices", ms)
+    def __new__(cls, matrices):
+        ms = super().__new__(cls, matrices)
         if len(ms) < 2:
             raise ValueError("a matrix tuple needs at least two members")
         n = ms[0].n
@@ -47,33 +44,25 @@ class MatrixTuple:
             raise ValueError("members must have dimension at least 2")
         if any(m.n != n for m in ms):
             raise ValueError("members must share one dimension")
+        return ms
 
     @property
     def p(self) -> int:
-        return len(self.matrices)
+        return len(self)
 
     @property
     def n(self) -> int:
-        return self.matrices[0].n
-
-    def __getitem__(self, i):
-        return self.matrices[i]
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-    def transposed(self) -> "MatrixTuple":
-        return MatrixTuple(tuple(m.transpose() for m in self.matrices))
+        return self[0].n
 
     def char_polys(self):
         return list(self._char_polys)
 
-    # Facts derived from the (immutable) members are kept on the tuple,
-    # so that one run asks each of them once, whatever asks first.
+    # Facts derived from the (immutable) members are kept in the instance
+    # dict, so that one run asks each of them once, whatever asks first.
 
     @cached_property
     def _char_polys(self):
-        return tuple(m.char_poly() for m in self.matrices)
+        return tuple(m.char_poly() for m in self)
 
     @cached_property
     def _char_poly_gcd(self):
@@ -82,9 +71,8 @@ class MatrixTuple:
     @cached_property
     def _difference_kernels(self):
         # kernel(A_i - A_j) for i < j: the ratio table and common_frame read it
-        ms = self.matrices
         return {
-            (i, j): kernel(ms[i] - ms[j])
+            (i, j): kernel(self[i] - self[j])
             for i in range(self.p)
             for j in range(i + 1, self.p)
         }
@@ -101,9 +89,7 @@ class MatrixTuple:
     def to_dict(self) -> dict:
         return {
             "n": self.n,
-            "matrices": [
-                [[str(x) for x in row] for row in m.rows] for m in self.matrices
-            ],
+            "matrices": [[[str(x) for x in row] for row in m.rows] for m in self],
         }
 
     @classmethod
@@ -125,28 +111,28 @@ def _sort_key(value):
     return (value.re, value.im)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """A multiset of eigenvalues, stored canonically sorted."""
+class Spectrum(tuple):
+    """A multiset of eigenvalues: the tuple of its values, canonically sorted."""
 
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = tuple(sorted((Q(v) for v in self.values), key=_sort_key))
+    def __new__(cls, values):
+        vals = sorted((Q(v) for v in values), key=_sort_key)
         if not vals:
             raise ValueError("a spectrum cannot be empty")
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, vals)
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return len(self)
 
     def polynomial(self) -> Poly:
-        return Poly.from_roots(self.values)
+        return Poly.from_roots(self)
 
 
-@dataclass(frozen=True)
-class CommonFrame:
+class CommonFrame(
+    namedtuple("CommonFrame", "basis_change side shared_indices inverse")
+):
     """A change of basis exhibiting n-1 shared rows or columns.
 
     In the new basis, member A becomes U·A·U^{-1} (see apply); all
@@ -156,22 +142,18 @@ class CommonFrame:
     the indices and the inverse are checked on construction.
     """
 
-    basis_change: ExactMatrix
-    side: str
-    shared_indices: tuple
-    inverse: ExactMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side not in ("rows", "columns"):
-            raise ValueError(
-                "frame side must be 'rows' or 'columns', not %r" % (self.side,)
-            )
-        n = self.basis_change.n
-        if self.basis_change * self.inverse != ExactMatrix.identity(n):
+    def __new__(cls, basis_change, side, shared_indices, inverse):
+        if side not in ("rows", "columns"):
+            raise ValueError("frame side must be 'rows' or 'columns', not %r" % (side,))
+        n = basis_change.n
+        if basis_change * inverse != ExactMatrix.identity(n):
             raise ValueError("frame inverse does not invert the basis change")
-        indices = self.shared_indices
-        if len(set(indices)) != len(indices) or not set(indices) <= set(range(n)):
+        indices = set(shared_indices)
+        if len(indices) != len(shared_indices) or not indices <= set(range(n)):
             raise ValueError("shared indices must be distinct indices of the basis")
+        return super().__new__(cls, basis_change, side, shared_indices, inverse)
 
     def apply(self, t: MatrixTuple):
         u, u_inv = self.basis_change, self.inverse
@@ -248,14 +230,19 @@ def common_frame(t: MatrixTuple) -> CommonFrame:
     pseudo-reflection (each violation is reported with the offending
     member pair), so that every difference A_i - A_j has rank 1.  The
     construction follows the kernel/image dichotomy of these
-    differences:
+    differences.  Write A_0 - A_j = v_j·w_j^T.  A difference
+    A_j - A_k = v_k·w_k^T - v_j·w_j^T of rank 1 needs v_j ∥ v_k or
+    w_j ∥ w_k, so either all the w are parallel or all the v are: if
+    w_1 ∦ w_2, then v_1 ∥ v_2, and each further v_j is parallel to v_1
+    (if w_j ∦ w_1) or to v_2 (if w_j ∥ w_1, so w_j ∦ w_2).
 
-    * all difference kernels equal one hyperplane W: the members agree
-      on W, so a basis of W completed to the full space exhibits n-1
-      shared columns;
-    * otherwise all difference images span one common line span(v):
-      with U·v = e_0, every U·(A_i - A_j) is supported in row 0, so
-      the members share the remaining n-1 rows.
+    * all difference kernels equal one hyperplane W, as they do when
+      the w are parallel: the members agree on W, so a basis of W
+      completed to the full space exhibits n-1 shared columns;
+    * otherwise the w are not all parallel, so the v are, and every
+      difference image is the one line span(v): with U·v = e_0, every
+      U·(A_i - A_j) is supported in row 0, so the members share the
+      remaining n-1 rows.
 
     Either way the frame holds by construction, and frame.verify(t) is
     left to the functions that take a frame from their caller.
@@ -271,15 +258,10 @@ def common_frame(t: MatrixTuple) -> CommonFrame:
     if all(k == kernels[0] for k in kernels[1:]):
         basis = ExactMatrix.from_columns(complete_basis(kernels[0].basis, n))
         side, shared = "columns", tuple(range(n - 1))
-    else:
-        diffs = [t[i] - t[j] for i, j in t._difference_kernels]
-        images = [Subspace([d.column(j) for j in range(n)]) for d in diffs]
-        if not all(im == images[0] for im in images[1:]):
-            raise ValueError(
-                "common frame construction failed verification; "
-                "the tuple is outside the supported case analysis"
-            )
-        basis = ExactMatrix.from_columns(complete_basis(images[0].basis, n))
+    else:  # every difference has the image of A_0 - A_1
+        d = t[0] - t[1]
+        image = Subspace([d.column(j) for j in range(n)])
+        basis = ExactMatrix.from_columns(complete_basis(image.basis, n))
         side, shared = "rows", tuple(range(1, n))
     return CommonFrame(
         basis_change=basis.inverse(), side=side, shared_indices=shared, inverse=basis
@@ -371,7 +353,7 @@ def companion_from_spectrum(s: Spectrum) -> ExactMatrix:
     >>> companion_from_spectrum(Spectrum((1, 2))).rows
     ((0, -2), (1, 3))
     """
-    if any(not v for v in s.values):
+    if any(not v for v in s):
         raise ValueError("spectrum values must be nonzero")
     return companion_of_operator(s.polynomial())
 
@@ -393,9 +375,9 @@ def levelt_tuple(spectra) -> MatrixTuple:
     sizes = {s.n for s in spectra}
     if len(sizes) != 1:
         raise ValueError("spectra must have one common size")
-    common = set(spectra[0].values)
+    common = set(spectra[0])
     for s in spectra[1:]:
-        common &= set(s.values)
+        common &= set(s)
     if common:
         value = sorted(common, key=_sort_key)[0]
         raise ValueError("value %s lies in every spectrum" % (value,))

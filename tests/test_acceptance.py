@@ -161,7 +161,7 @@ def test_frame_recovery_suite():
         p = rng.choice((2, 3))
         _, _, conj = conjugated_levelt(rng, p, n)
         if trial % 2 == 1 and p == 3:
-            conj = conj.transposed()
+            conj = MatrixTuple(m.transpose() for m in conj)
         frame = common_frame(conj)
         assert len(frame.shared_indices) == n - 1
         assert frame.verify(conj)

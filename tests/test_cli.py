@@ -496,6 +496,72 @@ GOLDEN_MONODROMY_N3_PRETTY = (
     ' ]\n  ],\n  "residual": 2.3214408970122146e-16\n}\n'
 )
 
+# the third member's ratios to the two companions have rank 2, so no frame
+NOT_PSEUDO_TRIPLE = {
+    "n": 2,
+    "matrices": [
+        [["0", "-2"], ["1", "3"]],
+        [["0", "-12"], ["1", "7"]],
+        [["5", "0"], ["0", "6"]],
+    ],
+}
+
+# transposed companions of (1, 2), (3, 4), (5, 6): their difference
+# kernels differ, their images share one line, so the frame shares rows
+ROWS_TRIPLE = {
+    "n": 2,
+    "matrices": [
+        [["0", "1"], ["-2", "3"]],
+        [["0", "1"], ["-12", "7"]],
+        [["0", "1"], ["-30", "11"]],
+    ],
+}
+
+GOLDEN_RIGIDITY_NOT_PSEUDO = (
+    '{"algebra_dimension":4,"certificate":null,"common_frame":null,"commo'
+    'n_frame_reason":"ratio of members 1 and 3 is not a pseudo-reflection'
+    '","irreducible":null,"normal_form":null,"normal_form_reason":"ratio '
+    'of members 1 and 3 is not a pseudo-reflection","pseudo_reflection_pa'
+    'irs":[{"pair":[1,2],"value":true},{"pair":[1,3],"value":false},{"pai'
+    'r":[2,3],"value":false}]}\n'
+)
+
+GOLDEN_RIGIDITY_NOT_PSEUDO_PRETTY = (
+    '{\n  "algebra_dimension": 4,\n  "certificate": null,\n  "common_fram'
+    'e": null,\n  "common_frame_reason": "ratio of members 1 and 3 is not'
+    ' a pseudo-reflection",\n  "irreducible": null,\n  "normal_form": nul'
+    'l,\n  "normal_form_reason": "ratio of members 1 and 3 is not a pseud'
+    'o-reflection",\n  "pseudo_reflection_pairs": [\n    {\n      "pair":'
+    ' [\n        1,\n        2\n      ],\n      "value": true\n    },\n  '
+    '  {\n      "pair": [\n        1,\n        3\n      ],\n      "value"'
+    ': false\n    },\n    {\n      "pair": [\n        2,\n        3\n    '
+    '  ],\n      "value": false\n    }\n  ]\n}\n'
+)
+
+GOLDEN_RIGIDITY_ROWS = (
+    '{"algebra_dimension":4,"certificate":null,"common_frame":{"basis_cha'
+    'nge":[["0","1"],["1","0"]],"shared_indices":[2],"side":"rows"},"comm'
+    'on_frame_reason":null,"irreducible":null,"normal_form":null,"normal_'
+    'form_reason":"frame lies on the rows side; the companion form applie'
+    's to the transposed tuple","pseudo_reflection_pairs":[{"pair":[1,2],'
+    '"value":true},{"pair":[1,3],"value":true},{"pair":[2,3],"value":true'
+    '}]}\n'
+)
+
+GOLDEN_RIGIDITY_ROWS_PRETTY = (
+    '{\n  "algebra_dimension": 4,\n  "certificate": null,\n  "common_fram'
+    'e": {\n    "basis_change": [\n      [\n        "0",\n        "1"\n  '
+    '    ],\n      [\n        "1",\n        "0"\n      ]\n    ],\n    "sh'
+    'ared_indices": [\n      2\n    ],\n    "side": "rows"\n  },\n  "comm'
+    'on_frame_reason": null,\n  "irreducible": null,\n  "normal_form": nu'
+    'll,\n  "normal_form_reason": "frame lies on the rows side; the compa'
+    'nion form applies to the transposed tuple",\n  "pseudo_reflection_pa'
+    'irs": [\n    {\n      "pair": [\n        1,\n        2\n      ],\n  '
+    '    "value": true\n    },\n    {\n      "pair": [\n        1,\n     '
+    '   3\n      ],\n      "value": true\n    },\n    {\n      "pair": [\n'
+    '        2,\n        3\n      ],\n      "value": true\n    }\n  ]\n}\n'
+)
+
 GOLDEN_COUNTS_3 = (
     '{"entries":[{"equation":0,"monodromy":0,"n":1,"rigid":true,"s":1},{"'
     'equation":1,"monodromy":1,"n":1,"rigid":true,"s":2},{"equation":2,"m'
@@ -528,6 +594,23 @@ def test_golden_rigidity_triple(capsys, tmp_path):
     code, out, _ = run(capsys, ["rigidity", "--input", path])
     assert code == 0
     assert out == GOLDEN_RIGIDITY_TRIPLE
+
+
+@pytest.mark.parametrize(
+    "payload, flags, golden",
+    [
+        (NOT_PSEUDO_TRIPLE, [], GOLDEN_RIGIDITY_NOT_PSEUDO),
+        (NOT_PSEUDO_TRIPLE, ["--pretty"], GOLDEN_RIGIDITY_NOT_PSEUDO_PRETTY),
+        (ROWS_TRIPLE, [], GOLDEN_RIGIDITY_ROWS),
+        (ROWS_TRIPLE, ["--pretty"], GOLDEN_RIGIDITY_ROWS_PRETTY),
+    ],
+    ids=["not-pseudo", "not-pseudo-pretty", "rows", "rows-pretty"],
+)
+def test_golden_rigidity_without_normal_form(capsys, tmp_path, payload, flags, golden):
+    path = write_json(tmp_path, "tuple.json", payload)
+    code, out, _ = run(capsys, ["rigidity", "--input", path] + flags)
+    assert code == 0
+    assert out == golden
 
 
 def test_golden_normal_form_n5(capsys, tmp_path):
@@ -604,11 +687,13 @@ def test_tolerance_refused_before_the_numeric_layer(tol):
 
 # The CLI in a fresh interpreter, then one more stdout line naming the
 # layers it executed: `import thetakit` registers each layer as a lazy
-# module, which becomes a plain module once its body has run.
+# module, which becomes a plain module once its body has run.  The line
+# ends in `dataclasses` if that was imported, which no layer needs.
 LAYER_PROBE = (
     "import sys, types; from thetakit.cli import main; code = main(sys.argv[1:]); "
-    "print(' '.join(name for name in %r "
-    "if type(sys.modules['thetakit.' + name]) is types.ModuleType), end=''); "
+    "print(' '.join([name for name in %r "
+    "if type(sys.modules['thetakit.' + name]) is types.ModuleType] "
+    "+ [name for name in ('dataclasses',) if name in sys.modules]), end=''); "
     "sys.exit(code)" % (LAYERS,)
 )
 

@@ -48,11 +48,9 @@ def test_arithmetic():
 def test_determinant_and_inverse():
     a = m_([[1, 2], [3, 4]])
     assert a.det() == Q(-2)
-    assert a.is_invertible()
     assert a * a.inverse() == ExactMatrix.identity(2)
     s = m_([[1, 2], [2, 4]])
     assert s.det() == Q(0)
-    assert not s.is_invertible()
     with pytest.raises(ValueError):
         s.inverse()
 
@@ -152,7 +150,7 @@ def test_kernel_function():
 def test_complete_basis():
     basis = complete_basis([(Q(1), Q(1), Q(0))], 3)
     m = ExactMatrix.from_columns(basis)
-    assert m.is_invertible()
+    assert m.det()
     assert basis[0] == (Q(1), Q(1), Q(0))
 
 

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import thetakit
+from thetakit.scalars import Q
 from util import LAYERS, env_with_src
 
 
@@ -70,3 +71,65 @@ def test_star_import_binds_every_exported_name():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         thetakit.no_such_name
+
+
+def _params():
+    return thetakit.HGParams((2, "1/3"), (1, "1/4"))
+
+
+def _pair():
+    return thetakit.levelt_tuple([thetakit.Spectrum((1, 2)), thetakit.Spectrum((3, 4))])
+
+
+# each record, built on use, and its field names.  MatrixTuple and
+# Spectrum have none, their items being their members; they refuse
+# assignment to n instead.
+RECORDS = {
+    "HGParams": (_params, ("alpha", "beta")),
+    "LocalExponents": (
+        lambda: thetakit.exponents(_params()), ("at_zero", "at_one", "at_infinity")
+    ),
+    "ReducibilityPartition": (
+        lambda: thetakit.partition(_params()), ("zero", "positive", "negative")
+    ),
+    "FactorStep": (
+        lambda: thetakit.factorization_certificate(_params())[0],
+        ("pair", "gap", "linear_factor", "left", "right", "params_after"),
+    ),
+    "CommonFrame": (
+        lambda: thetakit.common_frame(_pair()),
+        ("basis_change", "side", "shared_indices", "inverse"),
+    ),
+    "LocalSpectra": (
+        lambda: thetakit.local_spectra(_params()), ("at_zero", "at_one", "at_infinity")
+    ),
+    "ExtensionBlock": (
+        lambda: thetakit.extension_block([Q("-1/3"), 1], [Q("-1/2"), 1]),
+        ("a_L", "a_Lp", "a_M", "section"),
+    ),
+    "MatrixTuple": (_pair, ()),
+    "Spectrum": (lambda: thetakit.Spectrum((2, 1)), ()),
+    "MonodromyTriple": (
+        lambda: thetakit.build_monodromy(thetakit.HGParams(("1/4", "3/4"), ("1/2", 1))),
+        ("m0", "m1", "minf", "tolerance"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_contract(name):
+    make, fields = RECORDS[name]
+    record = make()
+    assert type(record) is getattr(thetakit, name)
+    for field in fields or ("n",):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    if not fields:
+        assert record == tuple(record[k] for k in range(len(record)))
+        return
+    values = tuple(getattr(record, field) for field in fields)
+    if name == "MonodromyTriple":  # float arrays: equal only to itself
+        assert record == record
+        assert record != values and record != type(record)(*values)
+    else:
+        assert record == values

@@ -22,7 +22,9 @@ from thetakit.rigidity import (
 )
 from thetakit.scalars import Q
 
-from util import conjugated_levelt, disjoint_spectra, invertible_matrix
+from util import (
+    conjugated_levelt, disjoint_spectra, gaussian_rational, invertible_matrix, rational,
+)
 
 
 def m_(rows):
@@ -58,8 +60,8 @@ class TestMatrixTuple:
 
     def test_transposed(self):
         t = companion_pair((1, 2), (3, 4))
-        tt = t.transposed()
-        assert tt[0] == t[0].transpose()
+        tt = MatrixTuple(m.transpose() for m in t)
+        assert type(tt) is MatrixTuple and list(tt) == [m.transpose() for m in t]
 
     def test_char_polys(self):
         t = companion_pair((1, 2), (3, 4))
@@ -106,7 +108,7 @@ class TestCommonFrame:
         # the transposed tuple is recognised through its shared images
         rng = random.Random(21)
         _, _, conj = conjugated_levelt(rng, 3, 3)
-        flipped = conj.transposed()
+        flipped = MatrixTuple(m.transpose() for m in conj)
         frame = common_frame(flipped)
         assert frame.side == "rows"
         assert frame.verify(flipped)
@@ -116,7 +118,7 @@ class TestCommonFrame:
         # a column frame even for transposed companions
         rng = random.Random(22)
         _, _, conj = conjugated_levelt(rng, 2, 3)
-        flipped = conj.transposed()
+        flipped = MatrixTuple(m.transpose() for m in conj)
         frame = common_frame(flipped)
         assert frame.side == "columns"
         assert frame.verify(flipped)
@@ -142,12 +144,42 @@ class TestCommonFrame:
             g = gaussian_conjugator(rng, n) if trial % 2 else invertible_matrix(rng, n)
             t = MatrixTuple(tuple(g * m * g.inverse() for m in base))
             if trial % 8 >= 4:
-                t = t.transposed()
+                t = MatrixTuple(m.transpose() for m in t)
             frame = common_frame(t)
             assert len(frame.shared_indices) == n - 1
             assert frame.verify(t)
             sides.add(frame.side)
         assert sides == {"columns", "rows"}
+
+    def test_every_tuple_passing_the_ratio_check_gets_a_frame(self):
+        # members A_0 - c_j·v·w^T, v and w each one of two shared vectors,
+        # so that some tuples pass the ratio check and some do not; no
+        # passing tuple may miss a frame, as common_frame's docstring argues
+        rng = random.Random(61)
+        sides, failed = set(), 0
+        for trial in range(240):
+            n, p = rng.randrange(2, 5), rng.randrange(2, 5)
+            entry = gaussian_rational if trial % 2 else rational
+            vs = [ExactMatrix([[entry(rng)] for _ in range(n)]) for _ in range(2)]
+            ws = [ExactMatrix([[entry(rng) for _ in range(n)]]) for _ in range(2)]
+            a0 = ExactMatrix([[entry(rng) for _ in range(n)] for _ in range(n)])
+            members = [a0] + [
+                a0 - rng.choice(vs) * rng.choice(ws) * Q(rng.choice((1, -1, 2, "1/3")))
+                for _ in range(p - 1)
+            ]
+            if not all(m.det() for m in members):
+                continue
+            t = MatrixTuple(members)
+            if not all(pseudo_reflection_pairs(t).values()):
+                failed += 1
+                with pytest.raises(ValueError, match="not a pseudo-reflection"):
+                    common_frame(t)
+                continue
+            frame = common_frame(t)
+            assert len(frame.shared_indices) == n - 1
+            assert frame.verify(t)
+            sides.add(frame.side)
+        assert sides == {"columns", "rows"} and failed
 
     def test_verify_is_left_to_the_callers(self, monkeypatch):
         calls = []
@@ -293,7 +325,7 @@ class TestStabilizedSubspace:
             assert h.is_invariant_under(member)
 
     def test_line_branch_via_transpose(self):
-        t = companion_pair((1, 2), (2, 5)).transposed()
+        t = MatrixTuple(m.transpose() for m in companion_pair((1, 2), (2, 5)))
         frame = common_frame(t)
         found = find_stabilized_subspace(t, frame, Q(2))
         assert "line" in found
@@ -341,7 +373,7 @@ class TestStabilizedSubspace:
             ),
             # the same pair transposed: a column frame, covector branch
             (
-                companion_pair((1, 2), (2, 5)).transposed(),
+                MatrixTuple(m.transpose() for m in companion_pair((1, 2), (2, 5))),
                 2,
                 "columns",
                 "line span{(1, 2)}",
@@ -672,7 +704,7 @@ class TestNormalForm:
     def test_rows_side_rejected(self):
         rng = random.Random(41)
         _, _, conj = conjugated_levelt(rng, 3, 3)
-        t = conj.transposed()
+        t = MatrixTuple(m.transpose() for m in conj)
         frame = common_frame(t)
         assert frame.side == "rows"
         with pytest.raises(ValueError):

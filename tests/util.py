@@ -75,9 +75,9 @@ def disjoint_spectra(rng, p, n, span=40):
                 v = Q(rng.randrange(1, span))
                 vals.add(v)
             spectra.append(Spectrum(tuple(vals)))
-        common = set(spectra[0].values)
+        common = set(spectra[0])
         for s in spectra[1:]:
-            common &= set(s.values)
+            common &= set(s)
         if not common:
             return spectra
 
