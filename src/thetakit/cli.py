@@ -37,8 +37,8 @@ VERIFICATION_FAILURE = 1
 # analyze up to n chain steps, one of gap m at theta-degree n + m, and
 # monodromy an O(n²) exact reducibility test and 3·n² number pairs.
 # rigidity's algebra span is an O(p·n⁶) search: on 8×8 members with
-# one-digit entries, p = 3, the largest tuple the bounds admit, it took
-# 12.4 s (2-vCPU Xeon)
+# one-digit entries, p = 3, the largest tuple the bounds admit, a whole
+# run took 10.2-11.6 s, median 10.9 s of five (2-vCPU Xeon VM, Python 3.11)
 MAX_COUNT = {"counts": 100, "verify-identities": 1000}
 MAX_GAP = 100
 MAX_ORDER = 32

@@ -45,6 +45,10 @@ class HGParams(namedtuple("HGParams", "alpha beta")):
             raise ValueError("alpha and beta must have the same length")
         return super().__new__(cls, alpha, beta)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: both check
+        return cls(*iterable)
+
     @property
     def n(self) -> int:
         return len(self.alpha)

@@ -4,20 +4,28 @@ Everything here is deterministic: elimination always takes the first nonzero
 pivot, and subspaces are kept in a canonical reduced-row-echelon basis so
 that equal subspaces compare equal structurally.
 
-Two integer kernels do the arithmetic.  scalars.dot, behind every matrix
-and matrix-vector product and every step of char_poly (Berkowitz's
-division-free algorithm), sums on the integer numerators and denominators
-of the parts, with one gcd per part.  _gauss_jordan, behind rref, rank,
-kernel_vectors, inverse (which reduces [A | I] as lists) and the Subspace
-basis, runs fraction-free on integers when every entry is real and keeps
-a rational loop for complex entries; det keeps its own loop, as a
-reference.  One incremental echelon (Echelon) answers membership for
-Subspace.contains, complete_basis and the algebra-span search in rigidity.
+An ExactMatrix is stored on integers: one positive denominator den and the
+integer rows re and im of den times the real and the imaginary parts, im
+None when every entry is real, reduced by the gcd of den and all entries,
+so equality and hashing are structural.  Its rows of canonical scalars are
+built when first read.  Products with matrices, vectors and scalars, sums,
+negation and transposes run on the integers, and so does char_poly
+(Berkowitz's division-free algorithm) on den times a real matrix; a
+complex char_poly sums through scalars.dot in the same loop.  One
+elimination loop, _eliminate, goes fraction-free on the stored rows of a
+real matrix for rref, rank, kernel_vectors and inverse, and on the
+integers of real scalar rows (_gauss_jordan) for a Subspace basis; complex
+rows take its rational branch.  det keeps its own loop, as a reference.
+One incremental echelon (Echelon) answers membership for Subspace.contains,
+complete_basis and the algebra-span search in rigidity.
 companion_of_operator is the one companion-matrix builder, for extension
 and rigidity alike.
 """
 
 from bisect import insort
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 
 from .polynomials import Poly
 from .scalars import ONE, ZERO, Q, GaussianRational, dot, integer_row, rational_row
@@ -27,36 +35,70 @@ def _entry(x):
     return x if isinstance(x, GaussianRational) else Q(x)
 
 
-def _gauss_jordan(rows, ncols):
-    """Reduce rows (lists of scalars) in place to RREF, pivoting on the first
-    nonzero entry of each of the first ncols columns; return the pivots.
-    Rows are zero left of their pivot, so row operations start there.
+def _dot(u, v):
+    return sum(map(mul, u, v))
 
-    Real rows go fraction-free (Jordan-Bareiss): row i is scaled to
-    integers by the lcm s_i of its denominators, and each pivot step sets
+
+def _matmul(rows, columns):
+    return [[_dot(r, c) for c in columns] for r in rows]
+
+
+def _cut(ints, nrows):
+    width = len(ints) // max(nrows, 1)
+    return [ints[k * width : (k + 1) * width] for k in range(nrows)]
+
+
+def _columns(rows):
+    return rows and list(zip(*rows))
+
+
+def _scale(rows, c):
+    return [[x * c for x in r] for r in rows]
+
+
+def _lin(x, y, a=1, b=1):
+    """The integer rows a*x + b*y; None stands for zero rows."""
+    if x is None or y is None:
+        return x and _scale(x, a) or y and _scale(y, b)
+    return [[a * u + b * v for u, v in zip(r, s)] for r, s in zip(x, y)]
+
+
+def _product(f, a, ai, b, bi):
+    """(re, im) of f(a + i*ai, b + i*bi) for f bilinear over the integers;
+    a None part is zero."""
+    if ai is None and bi is None:
+        return f(a, b), None
+
+    def g(x, y):
+        return None if x is None or y is None else f(x, y)
+
+    return _lin(f(a, b), g(ai, bi), 1, -1), _lin(g(a, bi), g(ai, b))
+
+
+def _eliminate(work, ncols, real):
+    """Reduce rows in place to RREF, pivoting on the first nonzero entry of
+    each of the first ncols columns; return the pivots and D, the last pivot
+    on integer rows (real) and 1 on scalar rows, which take a rational loop.
+
+    Integer rows go fraction-free (Jordan-Bareiss): each pivot step sets
     every other row to (p*row - f*top) // prev, p the new pivot and prev the
     one before.  The entries stay minors, so the division is exact; at the
-    end, with D the last pivot, a pivot row is D times its RREF row and a
-    row without pivot D*s_i times what the rational loop leaves.
+    end a pivot row is D times its RREF row and a row without pivot D times
+    what the rational loop leaves.  Rows are zero left of their pivot, so
+    row operations start there.
     """
-    scaled = [integer_row(row) for row in rows]
-    real = all(im is None for _, _, im in scaled)
-    scales = [s for s, _, _ in scaled] if real else None
-    work = [ints for _, ints, _ in scaled] if real else rows
     pivots = []
-    nrows = len(rows)
     prev = 1
     for pc in range(ncols):
         pr = len(pivots)
-        if pr == nrows:
+        if pr == len(work):
             break
-        pivot_row = next((i for i in range(pr, nrows) if work[i][pc]), None)
+        pivot_row = next((i for i in range(pr, len(work)) if work[i][pc]), None)
         if pivot_row is None:
             continue
         work[pr], work[pivot_row] = work[pivot_row], work[pr]
         top = work[pr]
         if real:
-            scales[pr], scales[pivot_row] = scales[pivot_row], scales[pr]
             p = top[pc]
             for i, row in enumerate(work):
                 f = row[pc]
@@ -75,14 +117,25 @@ def _gauss_jordan(rows, ncols):
                 if f and i != pr:
                     row[pc:] = [a - f * b for a, b in zip(row[pc:], top[pc:])]
         pivots.append(pc)
-    if real:
-        for i, (s, row) in enumerate(zip(scales, work)):
-            rows[i] = rational_row(row, prev if i < len(pivots) else prev * s)
+    return pivots, prev
+
+
+def _gauss_jordan(rows, ncols):
+    """_eliminate on rows of scalars, in place; return the pivots.  Real
+    rows are cleared to integers over one denominator s, so at the end a
+    row without pivot is divided by D*s, D the last pivot."""
+    s, flat, im = integer_row([x for row in rows for x in row])
+    if im is not None:
+        return _eliminate(rows, ncols, False)[0]
+    work = _cut(flat, len(rows))
+    pivots, d = _eliminate(work, ncols, True)
+    rows[:] = [rational_row(r, d if k < len(pivots) else d * s) for k, r in enumerate(work)]
     return pivots
 
 
 class ExactMatrix:
-    """Immutable dense matrix with GaussianRational entries.
+    """Immutable dense matrix with GaussianRational entries, stored as
+    (re + i*im)/den on integer rows.
 
     >>> m = ExactMatrix([[1, 2], [3, 4]])
     >>> m.rank()
@@ -93,18 +146,14 @@ class ExactMatrix:
     True
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("den", "re", "im", "nrows", "ncols", "_rows")
 
-    def __init__(self, rows):
+    def __new__(cls, rows):
         data = tuple(tuple(_entry(x) for x in row) for row in rows)
-        if not data or not data[0]:
-            raise ValueError("matrix must have at least one row and column")
-        width = len(data[0])
-        if any(len(r) != width for r in data):
+        if len(set(map(len, data))) > 1:
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", data)
-        object.__setattr__(self, "nrows", len(data))
-        object.__setattr__(self, "ncols", width)
+        s, re, im = integer_row([x for row in data for x in row])
+        return _matrix(s, _cut(re, len(data)), im and _cut(im, len(data)), data)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -113,12 +162,11 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _matrix(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, nrows, ncols=None):
-        ncols = nrows if ncols is None else ncols
-        return cls([[0] * ncols for _ in range(nrows)])
+        return _matrix(1, [[0] * (nrows if ncols is None else ncols)] * nrows)
 
     @classmethod
     def from_columns(cls, columns):
@@ -132,6 +180,15 @@ class ExactMatrix:
 
     # -- access ---------------------------------------------------------------
 
+    @property
+    def rows(self):
+        """The entries, rows of canonical scalars built on first read."""
+        if self._rows is None:
+            ims = self.im or (None,) * self.nrows
+            rows = tuple(tuple(rational_row(r, self.den, i)) for r, i in zip(self.re, ims))
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
     def __getitem__(self, key):
         i, j = key
         return self.rows[i][j]
@@ -143,7 +200,7 @@ class ExactMatrix:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self):
-        return ExactMatrix(list(zip(*self.rows)))
+        return _matrix(self.den, _columns(self.re), _columns(self.im))
 
     @staticmethod
     def vstack(a, b):
@@ -153,35 +210,32 @@ class ExactMatrix:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return _matrix(den, _lin(self.re, other.re, a, b), _lin(self.im, other.im, a, b))
 
     def __sub__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __neg__(self):
-        return ExactMatrix([[-x for x in r] for r in self.rows])
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, GaussianRational)):
-            c = _entry(other)
-            return ExactMatrix([[x * c for x in r] for r in self.rows])
+            s, (c,), ci = integer_row([_entry(other)])
+            re, im = _product(_scale, self.re, self.im, c, ci and ci[0])
+            return _matrix(self.den * s, re, im)
         if isinstance(other, ExactMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in product")
-            cols = list(zip(*other.rows))
-            return ExactMatrix([[dot(ra, col) for col in cols] for ra in self.rows])
+            columns = _columns(other.re), _columns(other.im)
+            re, im = _product(_matmul, self.re, self.im, *columns)
+            return _matrix(self.den * other.den, re, im)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -190,29 +244,42 @@ class ExactMatrix:
         return NotImplemented
 
     def apply(self, vector):
-        """Matrix--vector product; vectors are plain tuples."""
+        """Matrix--vector product; vectors are plain tuples of scalars,
+        cleared to integers once and divided once."""
         if len(vector) != self.ncols:
             raise ValueError("vector length mismatch")
-        vec = [_entry(x) for x in vector]
-        return tuple(dot(r, vec) for r in self.rows)
+        s, v, vi = integer_row([_entry(x) for x in vector])
+        re, im = _product(_matmul, self.re, self.im, [v], vi and [vi])
+        (re,), im = _columns(re), im and _columns(im)[0]
+        return tuple(rational_row(re, self.den * s, im))
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return (self.den, self.re, self.im) == (other.den, other.re, other.im)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.den, self.re, self.im))
 
     def __str__(self):
-        body = "; ".join(
-            " ".join(str(x) for x in row) for row in self.rows
-        )
-        return "[%s]" % body
+        return "[%s]" % "; ".join(" ".join(map(str, row)) for row in self.rows)
 
     __repr__ = __str__
 
     # -- elimination ------------------------------------------------------------
+
+    def _reduce(self, augment=False):
+        """(pivots, d, rows): _eliminate on the rows, [A | I] when augment,
+        in the first ncols columns.  Real rows reduce on the stored
+        integers, [den*A | den*I], and end d times their RREF rows."""
+        real = self.im is None
+        zero, one = (0, self.den) if real else (ZERO, ONE)
+        unit = range(self.nrows) if augment else ()
+        work = [
+            list(r) + [one if i == j else zero for j in unit]
+            for i, r in enumerate(self.re if real else self.rows)
+        ]
+        return (*_eliminate(work, self.ncols, real), work)
 
     def rref(self):
         """Reduced row echelon form.
@@ -220,25 +287,22 @@ class ExactMatrix:
         Returns (rref_matrix, pivot_columns).  First-nonzero pivot choice,
         so the result is deterministic.
         """
-        rows = [list(r) for r in self.rows]
-        pivots = _gauss_jordan(rows, self.ncols)
-        return ExactMatrix(rows), tuple(pivots)
+        pivots, d, rows = self._reduce()
+        return (ExactMatrix(rows) if self.im else _matrix(d, rows)), tuple(pivots)
 
     def rank(self):
-        return len(_gauss_jordan([list(r) for r in self.rows], self.ncols))
+        return len(self._reduce()[0])
 
     def kernel_vectors(self):
         """Basis vectors of the right kernel, from the RREF free columns."""
-        rows = [list(r) for r in self.rows]
-        pivots = _gauss_jordan(rows, self.ncols)
-        free = [j for j in range(self.ncols) if j not in pivots]
+        pivots, d, rows = self._reduce()
         basis = []
-        for f in free:
-            v = [ZERO] * self.ncols
-            v[f] = ONE
+        for f in (j for j in range(self.ncols) if j not in pivots):
+            v = [0] * self.ncols
+            v[f] = d
             for row, pc in zip(rows, pivots):
                 v[pc] = -row[f]
-            basis.append(tuple(v))
+            basis.append(tuple(map(_entry, v) if self.im else rational_row(v, d)))
         return basis
 
     def det(self):
@@ -262,13 +326,11 @@ class ExactMatrix:
 
     def inverse(self):
         n = self.n
-        rows = [
-            list(r) + [ONE if j == i else ZERO for j in range(n)]
-            for i, r in enumerate(self.rows)
-        ]
-        if len(_gauss_jordan(rows, n)) != n:
+        pivots, d, rows = self._reduce(augment=True)
+        if len(pivots) != n:
             raise ValueError("matrix is singular")
-        return ExactMatrix([row[n:] for row in rows])
+        rows = [row[n:] for row in rows]
+        return ExactMatrix(rows) if self.im else _matrix(d, rows)
 
     def char_poly(self):
         """Characteristic polynomial det(X*I - self), monic of degree n.
@@ -278,28 +340,46 @@ class ExactMatrix:
         row R, column S and diagonal entry a, the coefficients of
         det(X*I - A_{r+1}), highest first, are those of det(X*I - A_r)
         convolved with [1, -a, -R*S, -R*A_r*S, .., -R*A_r^(r-1)*S] and
-        cut at length r + 2.  Every sum of products is one scalars.dot,
-        whatever the entries, so real, complex and singular matrices
-        run the same loop.  O(n^4) products.
+        cut at length r + 2.  A real matrix runs the loop on the integers
+        M = den*A, whose X^k coefficient q_k is den^(n-k) times A's; a
+        complex one on its scalars, each sum of products one scalars.dot.
+        O(n^4) products.
 
         >>> ExactMatrix([[0, -2], [1, 3]]).char_poly()
         X^2-3*X+2
         >>> ExactMatrix([[Q(0, 1), 1], [0, 2]]).char_poly()
         X^2+(-2-1*i)*X+(2*i)
         """
-        n = self.n
-        rows = self.rows
-        p = [ONE]  # det(X*I - A_r), highest coefficient first
+        n, d = self.n, self.den
+        rows, product, one = (self.rows, dot, ONE) if self.im else (self.re, _dot, 1)
+        p = [one]  # det(X*I - A_r), highest coefficient first
         for r in range(n):
             block = [row[:r] for row in rows[:r]]
             head, v = rows[r][:r], [row[r] for row in rows[:r]]
-            column = [ONE, -rows[r][r]]
+            column = [one, -rows[r][r]]
             for k in range(r):
-                column.append(-dot(head, v))  # -R*A_r^k*S
+                column.append(-product(head, v))  # -R*A_r^k*S
                 if k < r - 1:
-                    v = [dot(row, v) for row in block]
-            p = [dot(column[k::-1], p) for k in range(r + 2)]
+                    v = [product(row, v) for row in block]
+            p = [product(column[k::-1], p) for k in range(r + 2)]
+        if not self.im:  # p[j] = q_(n-j), over den^n
+            p = rational_row([q * d ** (n - j) for j, q in enumerate(p)], d**n)
         return Poly(p[::-1])
+
+
+def _matrix(den, re, im=None, rows=None):
+    """The ExactMatrix (re + i*im)/den of integer rows, den nonzero, stored
+    reduced: im None when zero, den > 0 and coprime to the entries."""
+    if not re or not re[0]:
+        raise ValueError("matrix must have at least one row and column")
+    im = im if im and any(map(any, im)) else None
+    g = gcd(den, *chain(*re), *chain(*(im or ())))
+    g = -g if den < 0 else g
+    parts = (p and tuple(tuple(x // g for x in r) for r in p) for p in (re, im))
+    m = object.__new__(ExactMatrix)
+    for name, value in zip(m.__slots__, (den // g, *parts, len(re), len(re[0]), rows)):
+        object.__setattr__(m, name, value)
+    return m
 
 
 def companion_of_operator(operator) -> ExactMatrix:

@@ -155,6 +155,10 @@ class CommonFrame(
             raise ValueError("shared indices must be distinct indices of the basis")
         return super().__new__(cls, basis_change, side, shared_indices, inverse)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: both check
+        return cls(*iterable)
+
     def apply(self, t: MatrixTuple):
         u, u_inv = self.basis_change, self.inverse
         return [u * m * u_inv for m in t]

@@ -1,13 +1,18 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thetakit.linalg
+import thetakit.scalars
 from thetakit.linalg import (
     ExactMatrix,
     Subspace,
     _gauss_jordan,
+    _matrix,
     complete_basis,
     kernel,
 )
@@ -360,3 +365,183 @@ def test_char_poly_runs_on_dot_and_negation(monkeypatch):
         for x in range(n + 1):
             assert p.evaluate(Q(x)) == (ExactMatrix.identity(n) * Q(x) - m).det()
     assert not polys[2].coeffs[0]
+
+
+# -- integer storage ------------------------------------------------------------
+
+
+def random_entry(rng, kind):
+    """A scalar of the kind real, gaussian or mixed, zero one time in five,
+    its parts built from Fractions whose denominators may be negative."""
+    def part():
+        return Fraction(rng.randrange(-9, 10), rng.choice([-1, 1]) * rng.randrange(1, 8))
+
+    if rng.random() < 0.2:
+        return Q(0)
+    if kind == "real" or (kind == "mixed" and rng.random() < 0.5):
+        return GaussianRational(part())
+    return GaussianRational(part(), part() or 1)
+
+
+def random_rows(rng, nrows, ncols, kind):
+    if kind == "zero":
+        return [[Q(0)] * ncols for _ in range(nrows)]
+    return [[random_entry(rng, kind) for _ in range(ncols)] for _ in range(nrows)]
+
+
+KINDS = ("real", "gaussian", "mixed", "zero")
+
+
+def test_storage_round_trips_the_scalars():
+    rng = random.Random(17)
+    for _ in range(200):
+        kind = rng.choice(KINDS)
+        rows = random_rows(rng, rng.randrange(1, 5), rng.randrange(1, 5), kind)
+        m = ExactMatrix(rows)
+        entries = [x for row in rows for x in row]
+        assert m.den > 0
+        assert gcd(m.den, *(x for part in (m.re, m.im or ()) for r in part for x in r)) == 1
+        assert (m.im is None) == all(x.is_real() for x in entries)
+        # a copy built from the integers alone reads its rows back from them
+        copy = _matrix(m.den, m.re, m.im)
+        assert copy.rows == tuple(map(tuple, rows))
+        assert str(copy) == str(ExactMatrix(rows)) and copy == m
+
+
+def test_equal_matrices_over_different_denominators_are_equal():
+    a = ExactMatrix([[Q(1) / Q(2), 1]])
+    b = ExactMatrix([[Q(2) / Q(4), Q(3) / Q(3)]])
+    assert a == b and hash(a) == hash(b)
+    for den, re in ((2, [[1, 2]]), (4, [[2, 4]]), (-6, [[-3, -6]])):
+        c = _matrix(den, re)
+        assert c == a and hash(c) == hash(a) and (c.den, c.re) == (2, ((1, 2),))
+    z = _matrix(5, [[0, 0]], [[0, 0]])
+    assert z == ExactMatrix.zeros(1, 2) and z.den == 1 and z.im is None
+    g = ExactMatrix([["1/2+1/3*i", "1/4"], [0, "-i"]])
+    h = ExactMatrix([["1/7", 0], ["2/7", "1/7"]])
+    for x in ((g + h) - h, g * 6 * (Q(1) / Q(6)), -(-g), (g * h) * h.inverse()):
+        assert x == g and hash(x) == hash(g)
+
+
+# the reference: scalars as (re, im) pairs of Fractions, one operation at a time
+def p_(x):
+    return (x.re, x.im)
+
+
+def p_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def p_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def p_sum(terms):
+    total = (Fraction(0), Fraction(0))
+    for t in terms:
+        total = p_add(total, t)
+    return total
+
+
+def p_matmul(a, b):
+    return [[p_sum(p_mul(x, y) for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+
+
+def p_identity(n):
+    return [[(Fraction(int(i == j)), Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def p_inverse(a):
+    """Gauss-Jordan on [a | I]; None when a is singular."""
+    n = len(a)
+    rows = [list(r) + e for r, e in zip(a, p_identity(n))]
+    for c in range(n):
+        k = next((i for i in range(c, n) if any(rows[i][c])), None)
+        if k is None:
+            return None
+        rows[c], rows[k] = rows[k], rows[c]
+        x, y = rows[c][c]
+        norm = x * x + y * y
+        inv = (x / norm, -y / norm)
+        rows[c] = [p_mul(inv, v) for v in rows[c]]
+        for i in range(n):
+            if i != c:
+                f = p_mul((-1, 0), rows[i][c])
+                rows[i] = [p_add(u, p_mul(f, v)) for u, v in zip(rows[i], rows[c])]
+    return [r[n:] for r in rows]
+
+
+def p_char_poly(a):
+    """Ascending coefficients of det(X*I - a), by Faddeev-LeVerrier."""
+    n = len(a)
+    coeffs = [None] * n + [(Fraction(1), Fraction(0))]
+    m = [[(Fraction(0), Fraction(0))] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = p_matmul(a, m)
+        m = [[p_add(v, coeffs[n - k + 1]) if i == j else v for j, v in enumerate(r)]
+             for i, r in enumerate(m)]
+        trace = p_sum(r[i] for i, r in enumerate(p_matmul(a, m)))
+        coeffs[n - k] = (-trace[0] / k, -trace[1] / k)
+    return coeffs
+
+
+def pairs_of(m):
+    return [[p_(x) for x in row] for row in m.rows]
+
+
+def test_integer_storage_matches_a_fraction_pair_reference():
+    rng = random.Random(29)
+    singular = 0
+    for _ in range(150):
+        kind = rng.choice(KINDS)
+        r, k, c = (rng.randrange(1, 5) for _ in range(3))
+        rows_a, rows_b = random_rows(rng, r, k, kind), random_rows(rng, k, c, kind)
+        rows_s = random_rows(rng, r, k, rng.choice(KINDS))
+        a, b, s = ExactMatrix(rows_a), ExactMatrix(rows_b), ExactMatrix(rows_s)
+        pa, pb, ps = pairs_of(a), pairs_of(b), pairs_of(s)
+        assert pairs_of(a * b) == p_matmul(pa, pb)
+        assert pairs_of(a + s) == [[p_add(x, y) for x, y in zip(u, v)] for u, v in zip(pa, ps)]
+        minus = [[p_add(x, p_mul((-1, 0), y)) for x, y in zip(u, v)] for u, v in zip(pa, ps)]
+        assert pairs_of(a - s) == minus
+        assert pairs_of(a.transpose()) == [list(col) for col in zip(*pa)]
+        scalar = random_entry(rng, rng.choice(KINDS[:3]))
+        assert pairs_of(a * scalar) == [[p_mul(x, p_(scalar)) for x in row] for row in pa]
+        vector = tuple(random_entry(rng, rng.choice(KINDS[:3])) for _ in range(k))
+        expected = [p_sum(p_mul(x, p_(y)) for x, y in zip(row, vector)) for row in pa]
+        assert [p_(x) for x in a.apply(vector)] == expected
+        n = rng.randrange(1, 5)
+        square = ExactMatrix(random_rows(rng, n, n, kind))
+        sq = pairs_of(square)
+        assert [p_(x) for x in square.char_poly().coeffs] == p_char_poly(sq)
+        inverse = p_inverse(sq)
+        if inverse is None:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                square.inverse()
+        else:
+            assert pairs_of(square.inverse()) == inverse
+    assert 10 < singular < 100  # both branches of inverse ran
+
+
+def test_real_products_kernels_and_differences_skip_scalar_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scalar arithmetic on a real matrix")
+
+    a = m_([[2, "1/3", 0], [1, -3, "5/2"], [0, 1, 4]])
+    b = m_([["1/2", 1, 0], [0, 1, 1], [1, 0, "-2/7"]])
+    c = m_([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    with monkeypatch.context() as patched:
+        patched.setattr(thetakit.linalg, "dot", refuse)
+        patched.setattr(thetakit.scalars, "dot", refuse)
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                     "__rsub__", "__neg__", "__truediv__", "__rtruediv__",
+                     "__pow__", "inverse"):
+            patched.setattr(GaussianRational, name, refuse)
+        product, poly, null, difference = a * b, a.char_poly(), c.kernel_vectors(), a - b
+    assert product == ExactMatrix(
+        [[sum((x * y for x, y in zip(r, col)), Q(0)) for col in zip(*b.rows)] for r in a.rows]
+    )
+    for x in range(4):
+        assert poly.evaluate(Q(x)) == (ExactMatrix.identity(3) * Q(x) - a).det()
+    assert len(null) == 1 and c.apply(null[0]) == (Q(0),) * 3
+    assert difference + b == a

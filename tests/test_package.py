@@ -133,3 +133,40 @@ def test_record_contract(name):
         assert record != values and record != type(record)(*values)
     else:
         assert record == values
+
+
+# a field value each checking constructor refuses; every record refuses a
+# missing field
+BAD_FIELDS = {
+    "HGParams": {"alpha": (1,), "beta": ()},
+    "CommonFrame": {
+        "side": "diagonal",
+        "shared_indices": (0, 0),
+        "inverse": thetakit.ExactMatrix.identity(2) * 2,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["HGParams", "LocalExponents", "ReducibilityPartition", "FactorStep",
+     "CommonFrame", "LocalSpectra", "ExtensionBlock"],
+)
+def test_make_and_replace_check_as_the_constructor(name):
+    make, fields = RECORDS[name]
+    record = make()
+    cls = type(record)
+    with pytest.raises(TypeError):
+        cls(*record[:-1])
+    with pytest.raises(TypeError):
+        cls._make(record[:-1])
+    for field, bad in BAD_FIELDS.get(name, {}).items():
+        values = dict(zip(fields, record), **{field: bad})
+        with pytest.raises(ValueError):
+            cls(**values)
+        with pytest.raises(ValueError):
+            cls._make(values.values())
+        with pytest.raises(ValueError):
+            record._replace(**{field: bad})
+    same = record._replace(**{fields[0]: record[0]})
+    assert type(same) is cls and same == record and cls._make(record) == record
