@@ -57,19 +57,8 @@ def extension_block(L, Lp) -> ExtensionBlock:
     a_L = companion_of_operator(L)
     a_Lp = companion_of_operator(Lp)
     k, kp = a_L.n, a_Lp.n
-    size = k + kp
-    rows = []
-    for i in range(kp):
-        row = [Q(0)] * size
-        for j in range(kp):
-            row[j] = a_Lp.rows[i][j]
-        rows.append(row)
-    for i in range(k):
-        row = [Q(0)] * size
-        for j in range(k):
-            row[kp + j] = a_L.rows[i][j]
-        rows.append(row)
-    rows[0][size - 1] = rows[0][size - 1] + Q(1)
+    rows = [list(r) + [0] * k for r in a_Lp.rows] + [[0] * kp + list(r) for r in a_L.rows]
+    rows[0][-1] = 1  # the coupling C
     a_M = ExactMatrix(rows)
     section = ExactMatrix.vstack(
         ExactMatrix.zeros(kp, k), ExactMatrix.identity(k)

@@ -9,13 +9,13 @@ integer rows re and im of den times the real and the imaginary parts, im
 None when every entry is real, reduced by the gcd of den and all entries,
 so equality and hashing are structural.  Its rows of canonical scalars are
 built when first read.  Products with matrices, vectors and scalars, sums,
-negation and transposes run on the integers, and so does char_poly
-(Berkowitz's division-free algorithm) on den times a real matrix; a
-complex char_poly sums through scalars.dot in the same loop.  One
-elimination loop, _eliminate, goes fraction-free on the stored rows of a
-real matrix for rref, rank, kernel_vectors and inverse, and on the
-integers of real scalar rows (_gauss_jordan) for a Subspace basis; complex
-rows take its rational branch.  det keeps its own loop, as a reference.
+negation and transposes run on the integers through the kernels of
+scalars, and so does char_poly (Berkowitz's division-free algorithm) on
+den times a real or a complex matrix.  One elimination loop, _eliminate,
+goes fraction-free on the stored rows of a real matrix for rref, rank,
+kernel_vectors and inverse, and on the integers of real scalar rows
+(_gauss_jordan) for a Subspace basis; complex rows take its rational
+branch.  det keeps its own loop, as a reference.
 One incremental echelon (Echelon) answers membership for Subspace.contains,
 complete_basis and the algebra-span search in rigidity.
 companion_of_operator is the one companion-matrix builder, for extension
@@ -25,22 +25,14 @@ and rigidity alike.
 from bisect import insort
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
 
 from .polynomials import Poly
-from .scalars import ONE, ZERO, Q, GaussianRational, dot, integer_row, rational_row
+from .scalars import (ONE, ZERO, Q, GaussianRational, _dot, _lin, _matmul, _product, _scale,
+                      integer_row, rational_row)
 
 
 def _entry(x):
     return x if isinstance(x, GaussianRational) else Q(x)
-
-
-def _dot(u, v):
-    return sum(map(mul, u, v))
-
-
-def _matmul(rows, columns):
-    return [[_dot(r, c) for c in columns] for r in rows]
 
 
 def _cut(ints, nrows):
@@ -50,29 +42,6 @@ def _cut(ints, nrows):
 
 def _columns(rows):
     return rows and list(zip(*rows))
-
-
-def _scale(rows, c):
-    return [[x * c for x in r] for r in rows]
-
-
-def _lin(x, y, a=1, b=1):
-    """The integer rows a*x + b*y; None stands for zero rows."""
-    if x is None or y is None:
-        return x and _scale(x, a) or y and _scale(y, b)
-    return [[a * u + b * v for u, v in zip(r, s)] for r, s in zip(x, y)]
-
-
-def _product(f, a, ai, b, bi):
-    """(re, im) of f(a + i*ai, b + i*bi) for f bilinear over the integers;
-    a None part is zero."""
-    if ai is None and bi is None:
-        return f(a, b), None
-
-    def g(x, y):
-        return None if x is None or y is None else f(x, y)
-
-    return _lin(f(a, b), g(ai, bi), 1, -1), _lin(g(a, bi), g(ai, b))
 
 
 def _eliminate(work, ncols, real):
@@ -158,6 +127,9 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    def __reduce__(self):
+        return _matrix, (self.den, self.re, self.im)
+
     # -- construction ------------------------------------------------------
 
     @classmethod
@@ -170,7 +142,7 @@ class ExactMatrix:
 
     @classmethod
     def from_columns(cls, columns):
-        return cls([[col[i] for col in columns] for i in range(len(columns[0]))])
+        return cls(columns).transpose()
 
     @property
     def n(self):
@@ -340,10 +312,12 @@ class ExactMatrix:
         row R, column S and diagonal entry a, the coefficients of
         det(X*I - A_{r+1}), highest first, are those of det(X*I - A_r)
         convolved with [1, -a, -R*S, -R*A_r*S, .., -R*A_r^(r-1)*S] and
-        cut at length r + 2.  A real matrix runs the loop on the integers
-        M = den*A, whose X^k coefficient q_k is den^(n-k) times A's; a
-        complex one on its scalars, each sum of products one scalars.dot.
-        O(n^4) products.
+        cut at length r + 2.  The loop runs on the integers M = den*A,
+        whose X^k coefficient q_k is den^(n-k) times A's: a real matrix on
+        its integer rows, a complex one on its Gaussian-integer (re, im)
+        pairs with a pair dot product.  It keeps (-1)^(r+1) times
+        det(X*I - M_r), so the column is [-1, a, R*S, ..] and no entry is
+        negated.  O(n^4) products.
 
         >>> ExactMatrix([[0, -2], [1, 3]]).char_poly()
         X^2-3*X+2
@@ -351,20 +325,33 @@ class ExactMatrix:
         X^2+(-2-1*i)*X+(2*i)
         """
         n, d = self.n, self.den
-        rows, product, one = (self.rows, dot, ONE) if self.im else (self.re, _dot, 1)
-        p = [one]  # det(X*I - A_r), highest coefficient first
+        if self.im:
+            rows, product, one = [list(zip(*p)) for p in zip(self.re, self.im)], _pair_dot, (-1, 0)
+        else:
+            rows, product, one = self.re, _dot, -1
+        p = [one]  # (-1)^(r+1) det(X*I - M_r), highest coefficient first
         for r in range(n):
             block = [row[:r] for row in rows[:r]]
             head, v = rows[r][:r], [row[r] for row in rows[:r]]
-            column = [one, -rows[r][r]]
+            column = [one, rows[r][r]]
             for k in range(r):
-                column.append(-product(head, v))  # -R*A_r^k*S
+                column.append(product(head, v))  # R*M_r^k*S
                 if k < r - 1:
                     v = [product(row, v) for row in block]
             p = [product(column[k::-1], p) for k in range(r + 2)]
-        if not self.im:  # p[j] = q_(n-j), over den^n
-            p = rational_row([q * d ** (n - j) for j, q in enumerate(p)], d**n)
-        return Poly(p[::-1])
+        # A's X^(n-j) coefficient is p[j]*den^(n-j) over (-1)^(n+1)*den^n
+        re, im = zip(*p) if self.im else (p, None)
+        re, im = ([q * d ** (n - j) for j, q in enumerate(x)] if x else None for x in (re, im))
+        return Poly(rational_row(re, (-1) ** (n + 1) * d**n, im)[::-1])
+
+
+def _pair_dot(u, v):
+    """(re, im) of the sum of x*y over two sequences of (re, im) pairs."""
+    re = im = 0
+    for (a, b), (c, e) in zip(u, v):
+        re += a * c - b * e
+        im += a * e + b * c
+    return re, im
 
 
 def _matrix(den, re, im=None, rows=None):
@@ -485,6 +472,9 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    def __reduce__(self):
+        return Subspace, (self.basis, self.ambient)
 
     @property
     def dim(self):

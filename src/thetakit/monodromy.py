@@ -147,6 +147,9 @@ class MonodromyTriple:
     def __setattr__(self, name, value):
         raise AttributeError("MonodromyTriple is immutable")
 
+    def __reduce__(self):  # rebuilt through __init__, which checks the product
+        return MonodromyTriple, (self.m0, self.m1, self.minf, self.tolerance)
+
     @property
     def n(self) -> int:
         return self.m0.shape[0]

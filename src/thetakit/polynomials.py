@@ -4,13 +4,24 @@ Polynomials are stored as ascending coefficient tuples with no trailing
 zeros (the zero polynomial is the empty tuple), so equality is structural.
 The formal variable is rendered as X.
 
-Products, shifts and from_roots clear denominators once: each product
-coefficient is one scalars.dot, and shift and from_roots run on the
-integer numerators of the parts over one denominator (scalars.integer_row)
-and divide by it once at the end (scalars.rational_row).
+Products, shifts and from_roots clear denominators once: they run on the
+integer numerators of the parts over one denominator (scalars.integer_row),
+a product through one convolution kernel, and divide by it once at the end
+(scalars.rational_row).
 """
 
-from .scalars import ZERO, Q, GaussianRational, dot, integer_row, rational_row
+from .scalars import ZERO, Q, GaussianRational, _product, integer_row, rational_row
+
+
+def _convolve(a, b):
+    """[u*v], u*v the product of the integer coefficient lists in
+    a = [u] and b = [v]: one-row lists, the rows that _product combines."""
+    (u,), (v,) = a, b
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return [out]
 
 
 def _coeffs(values):
@@ -38,6 +49,9 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly, (self.coeffs,)
 
     @classmethod
     def constant(cls, c):
@@ -133,12 +147,11 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs[::-1]  # b reversed: one dot per power
-        if not a or not b:
+        if not self.coeffs or not o.coeffs:
             return Poly()
-        m = len(b)
-        return Poly([dot(a[max(k - m + 1, 0) : k + 1], b[max(m - 1 - k, 0) :])
-                     for k in range(len(a) + m - 1)])
+        (s, a, ai), (t, b, bi) = integer_row(self.coeffs), integer_row(o.coeffs)
+        (re,), im = _product(_convolve, [a], ai and [ai], [b], bi and [bi])
+        return Poly(rational_row(re, s * t, im and im[0]))
 
     __rmul__ = __mul__
 

@@ -11,10 +11,11 @@ complex two, and only complex x complex does the four of the general
 formula; sums and differences of reals skip the imaginary sum; the inverse
 of a real is 1/re.  Results are built by _make from two Fractions, without
 re-coercion, and the imaginary part of a real is always Fraction(0), so
-equality, hashing and printing do not depend on the path.  dot, integer_row
-and rational_row work on integer numerators for the kernels of linalg and
-polynomials: integer_row clears the denominators of a row once and
-rational_row divides by one denominator once.
+equality, hashing and printing do not depend on the path.  Products of
+many scalars, in linalg and polynomials, take one way: integer_row clears
+the denominators of a row once, integer kernels (_dot, _matmul, _lin and
+_product, which splits a Gaussian product into real and imaginary parts)
+run on the numerators, and rational_row divides by one denominator once.
 
 A string becomes a scalar only through the canonical grammar, whose
 numbers are decimal digits with an optional '/q': a real '3', '-7/3'; an
@@ -27,6 +28,7 @@ ValueError naming the string.
 import re as _re
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 BACKEND = "fraction"  # the one rational type; kept as a name for reports
 
@@ -85,6 +87,9 @@ class GaussianRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return _make, (self.re, self.im)
 
     # -- construction -----------------------------------------------------
 
@@ -271,33 +276,35 @@ def _make(re, im):
     return x
 
 
-def _ratio_sum(nums, dens):
-    """The Fraction sum of nums[k]/dens[k], over the lcm of dens."""
-    den = lcm(*dens)
-    return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
+def _dot(u, v):
+    return sum(map(mul, u, v))
 
 
-def dot(u, v):
-    """The scalar sum of u[k]*v[k] over two GaussianRational sequences.
+def _matmul(rows, columns):
+    return [[_dot(r, c) for c in columns] for r in rows]
 
-    Each product of two parts is one integer fraction; the real and the
-    imaginary part are each summed over the lcm of their denominators and
-    reduced once, instead of one gcd per product and per addition.
-    """
-    re_nums, re_dens, im_nums, im_dens = [], [], [], []
-    for a, b in zip(u, v):
-        ar, br, ai, bi = a.re, b.re, a.im, b.im
-        an, ad, bn, bd = ar.numerator, ar.denominator, br.numerator, br.denominator
-        re_nums.append(an * bn)
-        re_dens.append(ad * bd)
-        if ai or bi:
-            cn, cd, en, ed = ai.numerator, ai.denominator, bi.numerator, bi.denominator
-            re_nums.append(-cn * en)
-            re_dens.append(cd * ed)
-            im_nums += (an * en, cn * bn)
-            im_dens += (ad * ed, cd * bd)
-    im = _ratio_sum(im_nums, im_dens) if im_nums else _ZERO
-    return _make(_ratio_sum(re_nums, re_dens), im)
+
+def _scale(rows, c):
+    return [[x * c for x in r] for r in rows]
+
+
+def _lin(x, y, a=1, b=1):
+    """The integer rows a*x + b*y; None stands for zero rows."""
+    if x is None or y is None:
+        return x and _scale(x, a) or y and _scale(y, b)
+    return [[a * u + b * v for u, v in zip(r, s)] for r, s in zip(x, y)]
+
+
+def _product(f, a, ai, b, bi):
+    """(re, im) of f(a + i*ai, b + i*bi) for f bilinear over the integers;
+    a None part is zero."""
+    if ai is None and bi is None:
+        return f(a, b), None
+
+    def g(x, y):
+        return None if x is None or y is None else f(x, y)
+
+    return _lin(f(a, b), g(ai, bi), 1, -1), _lin(g(a, bi), g(ai, b))
 
 
 def integer_row(row):

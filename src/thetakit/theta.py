@@ -64,6 +64,9 @@ class ThetaOperator:
     def __setattr__(self, name, value):
         raise AttributeError("ThetaOperator is immutable")
 
+    def __reduce__(self):
+        return ThetaOperator.from_parts, (self._parts,)
+
     # -- constructors -----------------------------------------------------
 
     @classmethod

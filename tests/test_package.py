@@ -1,6 +1,9 @@
+import copy
+import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import thetakit
@@ -170,3 +173,27 @@ def test_make_and_replace_check_as_the_constructor(name):
             record._replace(**{field: bad})
     same = record._replace(**{fields[0]: record[0]})
     assert type(same) is cls and same == record and cls._make(record) == record
+
+
+# the value types the records hold, built on use
+VALUES = {
+    "GaussianRational": lambda: Q("1/2-1/3*i"),
+    "Poly": lambda: thetakit.Poly([Q("1/2"), Q(0, 1), 3]),
+    "ThetaOperator": lambda: thetakit.build_D(_params()),
+    "ExactMatrix": lambda: thetakit.ExactMatrix([[Q("1/2"), Q(0, 1)], [3, 4]]),
+    "Subspace": lambda: thetakit.Subspace([(1, 2, 0), (0, Q(0, 1), 1)]),
+}
+
+
+@pytest.mark.parametrize("name", [*RECORDS, *VALUES])
+def test_copy_deepcopy_and_pickle_rebuild_an_equal_object(name):
+    original = VALUES[name]() if name in VALUES else RECORDS[name][0]()
+    for again in (copy.copy(original), copy.deepcopy(original),
+                  pickle.loads(pickle.dumps(original))):
+        assert type(again) is type(original)
+        if name == "MonodromyTriple":  # float arrays: compare them
+            for field in ("m0", "m1", "minf"):
+                assert np.array_equal(getattr(again, field), getattr(original, field))
+            assert again.tolerance == original.tolerance
+        else:
+            assert again == original
