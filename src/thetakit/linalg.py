@@ -9,17 +9,17 @@ integer rows re and im of den times the real and the imaginary parts, im
 None when every entry is real, reduced by the gcd of den and all entries,
 so equality and hashing are structural.  Its rows of canonical scalars are
 built when first read.  Products with matrices, vectors and scalars, sums,
-negation and transposes run on the integers through the kernels of
+negation, transposes and vstack run on the integers through the kernels of
 scalars, and so does char_poly (Berkowitz's division-free algorithm) on
 den times a real or a complex matrix.  One elimination loop, _eliminate,
 goes fraction-free on the stored rows of a real matrix for rref, rank,
-kernel_vectors and inverse, and on the integers of real scalar rows
-(_gauss_jordan) for a Subspace basis; complex rows take its rational
-branch.  det keeps its own loop, as a reference.
+kernel_matrix (and kernel, its rref) and inverse, and on the integers
+of real scalar rows (_gauss_jordan) for a Subspace basis; complex rows take
+its rational branch.  det keeps its own loop, as a reference.
 One incremental echelon (Echelon) answers membership for Subspace.contains,
 complete_basis and the algebra-span search in rigidity.
 companion_of_operator is the one companion-matrix builder, for extension
-and rigidity alike.
+and rigidity alike; it writes its integer rows over the coefficients' lcm.
 """
 
 from bisect import insort
@@ -176,9 +176,15 @@ class ExactMatrix:
 
     @staticmethod
     def vstack(a, b):
+        """a above b, both parts over the lcm of their denominators."""
         if a.ncols != b.ncols:
             raise ValueError("column count mismatch")
-        return ExactMatrix(list(a.rows) + list(b.rows))
+        den = lcm(a.den, b.den)
+        re, im = [], []
+        for m in (a, b):
+            re += _scale(m.re, den // m.den)
+            im += _scale(m.im or [[0] * m.ncols] * m.nrows, den // m.den)
+        return _matrix(den, re, im)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -267,6 +273,12 @@ class ExactMatrix:
 
     def kernel_vectors(self):
         """Basis vectors of the right kernel, from the RREF free columns."""
+        k = self.kernel_matrix()
+        return [] if k is None else list(k.rows)
+
+    def kernel_matrix(self):
+        """The kernel_vectors as the rows of one matrix, None when the
+        kernel is zero; a real matrix builds it on its integers."""
         pivots, d, rows = self._reduce()
         basis = []
         for f in (j for j in range(self.ncols) if j not in pivots):
@@ -274,8 +286,9 @@ class ExactMatrix:
             v[f] = d
             for row, pc in zip(rows, pivots):
                 v[pc] = -row[f]
-            basis.append(tuple(map(_entry, v) if self.im else rational_row(v, d)))
-        return basis
+            basis.append(v)
+        if basis:
+            return ExactMatrix(basis) if self.im else _matrix(d, basis)
 
     def det(self):
         n = self.n
@@ -388,14 +401,9 @@ def companion_of_operator(operator) -> ExactMatrix:
     order = len(coeffs) - 1
     if order < 1:
         raise ValueError("operator must have positive order")
-    rows = []
-    for i in range(order):
-        row = [ZERO] * order
-        if i >= 1:
-            row[i - 1] = ONE
-        row[order - 1] = -coeffs[i]
-        rows.append(row)
-    return ExactMatrix(rows)
+    s, re, im = integer_row(coeffs[:order])
+    rows = [[s * (j == i - 1) for j in range(order - 1)] + [-x] for i, x in enumerate(re)]
+    return _matrix(s, rows, im and [[0] * (order - 1) + [-x] for x in im])
 
 
 class Echelon:
@@ -465,10 +473,13 @@ class Subspace:
             if ambient is None:
                 raise ValueError("empty basis needs an explicit ambient dimension")
             ambient_dim, pivots = ambient, []
-        basis = tuple(tuple(r) for r in rows[: len(pivots)])
-        object.__setattr__(self, "ambient", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_echelon", Echelon(zip(pivots, basis)))
+        self._fill(ambient_dim, pivots, rows[: len(pivots)])
+
+    def _fill(self, ambient, pivots, rows):
+        """Set the fields from the nonzero RREF rows and their pivots."""
+        basis = tuple(map(tuple, rows))
+        for name, value in zip(self.__slots__, (ambient, basis, Echelon(zip(pivots, basis)))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -508,8 +519,15 @@ class Subspace:
 
 
 def kernel(m):
-    """Kernel of a matrix as a Subspace; basis length = ncols - rank."""
-    return Subspace(m.kernel_vectors(), ambient=m.ncols)
+    """Kernel of a matrix as a Subspace; basis length = ncols - rank.  Its
+    basis is the rref of the kernel_matrix, whose rows are independent."""
+    k = m.kernel_matrix()
+    if k is None:
+        return Subspace((), ambient=m.ncols)
+    r, pivots = k.rref()
+    space = object.__new__(Subspace)
+    space._fill(m.ncols, pivots, r.rows)
+    return space
 
 
 def complete_basis(vectors, ambient):

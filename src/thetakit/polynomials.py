@@ -7,8 +7,11 @@ The formal variable is rendered as X.
 Products, shifts and from_roots clear denominators once: they run on the
 integer numerators of the parts over one denominator (scalars.integer_row),
 a product through one convolution kernel, and divide by it once at the end
-(scalars.rational_row).
+(scalars.rational_row).  poly_gcd of real operands runs on integers too, a
+primitive pseudo-remainder sequence; Gaussian ones keep Euclid's loop.
 """
+
+from math import gcd
 
 from .scalars import ZERO, Q, GaussianRational, _product, integer_row, rational_row
 
@@ -268,6 +271,10 @@ def render_terms(terms, gap=""):
 def poly_gcd(p, q):
     """Monic gcd of two polynomials over the Gaussian rationals.
 
+    Real operands run a primitive pseudo-remainder sequence on integer
+    coefficients, made monic by one division at the end; Gaussian ones
+    take Euclid's loop on scalars.  Both give the one monic gcd.
+
     >>> poly_gcd(Poly([-1, 0, 1]), Poly([-1, 1]))
     X-1
     >>> poly_gcd(Poly([0, 0, 1]), Poly([1, 1]))
@@ -275,6 +282,18 @@ def poly_gcd(p, q):
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
+    (_, a, ai), (_, b, bi) = integer_row(p.coeffs), integer_row(q.coeffs)
+    if ai is None and bi is None:
+        while b:  # r = lead(b)^k*a mod b, divided by its content
+            r, m = list(a), len(b) - 1
+            while len(r) > m:  # clear the top term of r against b
+                c, k = r.pop(), len(r) - m
+                r = [b[-1] * x for x in r[:k]] + [b[-1] * x - c * y for x, y in zip(r[k:], b)]
+            while r and not r[-1]:
+                r.pop()
+            g = gcd(*r) or 1
+            a, b = b, [x // g for x in r]
+        return Poly(rational_row(a, a[-1]))
     a, b = p, q
     while not b.is_zero():
         r = a % b

@@ -25,7 +25,7 @@ from collections import namedtuple
 from functools import cached_property, reduce
 
 from .linalg import (
-    Echelon, ExactMatrix, Subspace, companion_of_operator, complete_basis, kernel,
+    Echelon, ExactMatrix, Subspace, _matrix, companion_of_operator, complete_basis, kernel,
 )
 from .polynomials import Poly, poly_gcd
 from .scalars import Q
@@ -166,25 +166,32 @@ class CommonFrame(
     def verify(self, t: MatrixTuple) -> bool:
         """Exact check of the shared rows/columns across all members.
 
-        U·A_i·U^{-1} and U·A_0·U^{-1} agree on the columns S exactly when
-        (A_i - A_0)·U^{-1}[:, S] = 0, and on the rows S exactly when
-        U[S, :]·(A_i - A_0) = 0, so no member is conjugated.  A frame of
-        another dimension than the members is not shared.
+        With E_S the selection of the shared indices S, U·A_i·U^{-1} and
+        U·A_0·U^{-1} agree on the columns S exactly when A_i·U^{-1}·E_S =
+        A_0·U^{-1}·E_S, and on the rows S exactly when E_S^T·U·A_i =
+        E_S^T·U·A_0: one product per member.  A frame of another
+        dimension than the members is not shared.
         """
         if self.basis_change.n != t.n:
             return False
-        if self.side == "rows":
-            vectors = [self.basis_change.row(k) for k in self.shared_indices]
-            members = [m.transpose() for m in t]
-        else:
-            vectors = [self.inverse.column(k) for k in self.shared_indices]
-            members = list(t)
-        first = members[0]
-        for v in vectors:
-            image = first.apply(v)
-            if any(m.apply(v) != image for m in members[1:]):
-                return False
-        return True
+        if not self.shared_indices:  # nothing shared, nothing to check
+            return True
+        e = _frame_selection(self)
+        images = [e * m for m in t] if self.side == "rows" else [m * e for m in t]
+        return all(image == images[0] for image in images[1:])
+
+
+def _rows_at(m, indices):
+    """The rows of m at the indices, as a matrix on m's integers."""
+    return _matrix(m.den, [m.re[k] for k in indices], m.im and [m.im[k] for k in indices])
+
+
+def _frame_selection(frame):
+    """The frame's shared part: the rows S of U, E_S^T·U, on a row frame
+    and the columns S of U^{-1}, U^{-1}·E_S, on a column frame."""
+    if frame.side == "rows":
+        return _rows_at(frame.basis_change, frame.shared_indices)
+    return _rows_at(frame.inverse.transpose(), frame.shared_indices).transpose()
 
 
 def is_pseudo_reflection(h: ExactMatrix) -> bool:
@@ -303,8 +310,7 @@ def find_stabilized_subspace(t: MatrixTuple, frame: CommonFrame, lam) -> dict:
     if not frame.verify(t):
         raise ValueError("members do not share the given frame")
     rows = frame.side == "rows"
-    u = frame.basis_change if rows else frame.inverse.transpose()
-    b = ExactMatrix([u.row(k) for k in frame.shared_indices])
+    b = _frame_selection(frame) if rows else _frame_selection(frame).transpose()
     a0 = t[0] if rows else t[0].transpose()
     r = b * (a0 - ExactMatrix.identity(t.n) * lam)
     null = kernel(r)
@@ -416,7 +422,7 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
 
     U is unique up to a scalar: x is scaled so that, over the shared
     indices k in the frame's order, the first nonzero entry of
-    (U_frame·A_0^{n-2}·x)_k is 1.  Each member is checked through
+    (U_frame·A_0^{n-2}·x)_k is 1.  Each member is checked by one product,
     A_i·X = X·canon[i], which holds exactly when U·A_i·U^{-1} = canon[i].
     """
     if frame.side != "columns":
@@ -436,24 +442,21 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     a0 = t[0]
     u_frame = frame.basis_change
     free = next(k for k in range(n) if k not in frame.shared_indices)
-    a0_t = a0.transpose()
-    rows = [u_frame.row(free)]
+    rows = [_rows_at(u_frame, [free])]
     for _ in range(n - 2):
-        rows.append(a0_t.apply(rows[-1]))  # y·A_0^k
-    vectors = ExactMatrix(rows).kernel_vectors()  # a line, see the docstring
+        rows.append(rows[-1] * a0)  # y·A_0^k
+    vectors = [reduce(ExactMatrix.vstack, rows).kernel_matrix()]  # a line, see the docstring
+    a0_t = a0.transpose()
     for _ in range(n - 1):
-        vectors.append(a0.apply(vectors[-1]))
-    anchor = u_frame.apply(vectors[n - 2])
-    scale = next(anchor[k] for k in frame.shared_indices if anchor[k]).inverse()
-    vectors = [tuple(scale * a for a in v) for v in vectors]
-    basis = ExactMatrix.from_columns(vectors)
+        vectors.append(vectors[-1] * a0_t)  # (A_0^k·x)^T
+    anchor = u_frame * vectors[n - 2].transpose()
+    scale = next(anchor[k, 0] for k in frame.shared_indices if anchor[k, 0]).inverse()
+    basis = reduce(ExactMatrix.vstack, vectors).transpose() * scale
     u = basis.inverse()
     canon = []
     for idx, (m, cp) in enumerate(zip(t, t._char_polys)):
         c = companion_of_operator(cp)
-        # X·C: C's subdiagonal shifts X's columns, its last column mixes them
-        x_c = vectors[1:] + [basis.apply(c.column(n - 1))]
-        if [m.apply(v) for v in vectors] != x_c:
+        if m * basis != basis * c:
             raise ValueError(
                 "normal form verification failed for member %d" % (idx + 1,)
             )

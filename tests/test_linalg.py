@@ -11,6 +11,7 @@ from thetakit.linalg import (
     Subspace,
     _gauss_jordan,
     _matrix,
+    companion_of_operator,
     complete_basis,
     kernel,
 )
@@ -109,6 +110,49 @@ def test_char_poly_annihilates():
 
 def test_vstack():
     assert ExactMatrix.vstack(m_([[1, 2]]), m_([[3, 4]])) == m_([[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("kinds", [("real", "real"), ("gaussian", "gaussian"),
+                                   ("real", "gaussian"), ("mixed", "zero")])
+def test_vstack_on_the_integers_matches_the_stacked_rows(kinds):
+    rng = random.Random(kinds[0] + kinds[1])
+    for _ in range(40):
+        ncols = rng.randrange(1, 5)
+        a, b = (ExactMatrix(random_rows(rng, rng.randrange(1, 4), ncols, k)) for k in kinds)
+        for top, bottom in ((a, b), (b, a)):
+            got = ExactMatrix.vstack(top, bottom)
+            expected = ExactMatrix(list(top.rows) + list(bottom.rows))
+            assert got == expected and got.rows == expected.rows
+    with pytest.raises(ValueError, match="column count"):
+        ExactMatrix.vstack(m_([[1, 2]]), m_([[1, 2, 3]]))
+
+
+def test_companion_on_the_integers_matches_the_scalar_rows():
+    rng = random.Random(23)
+    for _ in range(60):
+        kind = rng.choice(KINDS)
+        coeffs = random_rows(rng, 1, rng.randrange(1, 6), kind)[0] + [Q(1)]
+        order = len(coeffs) - 1
+        rows = [[Q(int(j == i - 1)) for j in range(order - 1)] + [-coeffs[i]]
+                for i in range(order)]
+        for operator in (coeffs, Poly(coeffs)):
+            got = companion_of_operator(operator)
+            assert got == ExactMatrix(rows) and got.rows == tuple(map(tuple, rows))
+
+
+def test_kernel_matches_the_span_of_the_kernel_vectors():
+    rng = random.Random(29)
+    for _ in range(120):
+        kind = rng.choice(KINDS)
+        rows = random_rows(rng, rng.randrange(1, 5), rng.randrange(1, 6), kind)
+        if rng.random() < 0.5:  # rank-deficient: a repeated row
+            rows.append(rows[0])
+        m = ExactMatrix(rows)
+        vectors = m.kernel_vectors()
+        k = kernel(m)
+        assert k == Subspace(vectors, ambient=m.ncols) and k.dim == len(vectors)
+        assert str(k) == str(Subspace(vectors, ambient=m.ncols))
+        assert all(not any(m.apply(v)) for v in k.basis)
 
 
 def test_from_columns():

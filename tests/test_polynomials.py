@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -191,3 +192,64 @@ def test_polynomial_kernels_take_no_scalar_products_or_sums(monkeypatch):
         checks = [contiguity_check(k, p, x) for k, x in zip(CONTIGUITY_KINDS, extras)]
     assert got == expected
     assert checks == [True] * len(CONTIGUITY_KINDS)
+
+
+def rational_poly_gcd(p, q):
+    """The reference: Euclid's loop on scalars, each remainder made monic."""
+    a, b = p, q
+    while not b.is_zero():
+        r = a % b
+        a, b = b, (r.monic() if not r.is_zero() else r)
+    return a.monic()
+
+
+def gcd_cases(seed, count):
+    """Seeded (p, q) pairs with a planted common factor of degree 0..2,
+    real or Gaussian, with non-monic and negative leading coefficients,
+    large denominators, and zero and constant operands."""
+    rng = random.Random(seed)
+
+    def scalar(gaussian):
+        den = rng.choice([1, 2, 7, 10**12 + 39])
+        re = Fraction(rng.randrange(-9, 10), den)
+        im = Fraction(rng.randrange(-3, 4), rng.randrange(1, 5)) if gaussian else 0
+        return GaussianRational(re, im)
+
+    def poly(degree, gaussian):
+        coeffs = [scalar(gaussian) for _ in range(degree)]
+        return Poly(coeffs + [rng.choice([-3, -1, 1, 2, Fraction(-5, 7)])])
+
+    cases = [(Poly(), Poly([3])), (Poly([Fraction(-2, 9)]), Poly()), (Poly([4]), Poly([-6])),
+             (Poly(), Poly([1, -2, 1])), (Poly([0, 0, -3]), Poly()), (Poly([5]), Poly([1, 1]))]
+    for k in range(count):
+        gaussian = k % 3 == 2
+        common = poly(rng.randrange(0, 3), gaussian)
+        p = common * poly(rng.randrange(0, 4), gaussian)
+        q = common * poly(rng.randrange(0, 4), gaussian and rng.random() < 0.5)
+        cases.append((p, q) if k % 2 else (q * -1, p))
+    return cases
+
+
+def test_gcd_matches_the_rational_euclid_loop():
+    for p, q in gcd_cases(19, 300):
+        expected = rational_poly_gcd(p, q)
+        got = poly_gcd(p, q)
+        assert got == expected and str(got) == str(expected)
+        assert got.leading() == Q(1)
+    with pytest.raises(ValueError):
+        poly_gcd(Poly(), Poly())
+
+
+def test_real_gcd_takes_no_scalar_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scalar arithmetic in a real poly_gcd")
+
+    cases = [pair for pair in gcd_cases(5, 60)
+             if all(c.is_real() for x in pair for c in x.coeffs)]
+    assert len(cases) > 30
+    expected = [rational_poly_gcd(p, q) for p, q in cases]
+    with monkeypatch.context() as patched:
+        for name in ("__mul__", "__sub__", "inverse"):
+            patched.setattr(GaussianRational, name, refuse)
+        got = [poly_gcd(p, q) for p, q in cases]
+    assert got == expected

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -262,6 +263,58 @@ class TestFrameInverse:
                 a, b = a.transpose(), b.transpose()
             shared = frame.shared_indices
             assert agree == all(a.column(k) == b.column(k) for k in shared)
+
+
+def vector_verify(frame, t):
+    """The per-vector definition of CommonFrame.verify: every member maps
+    each shared column of U^{-1} (on a row frame, each shared row of U
+    under the transposes) to the image under the first member."""
+    if frame.side == "rows":
+        vectors = [frame.basis_change.row(k) for k in frame.shared_indices]
+        members = [m.transpose() for m in t]
+    else:
+        vectors = [frame.inverse.column(k) for k in frame.shared_indices]
+        members = list(t)
+    return all(m.apply(v) == members[0].apply(v) for v in vectors for m in members)
+
+
+def breaking_entry(rng, frame, n):
+    """(i, j) such that adding c != 0 to entry (i, j) of one member moves
+    it off the frame: U·e_i·e_j^T·U^{-1} is nonzero on the shared rows
+    (column i of U is nonzero there) or columns (row j of U^{-1} is)."""
+    shared = frame.shared_indices
+    if frame.side == "rows":
+        u = frame.basis_change
+        return rng.choice([i for i in range(n) if any(u[k, i] for k in shared)]), rng.randrange(n)
+    inv = frame.inverse
+    return rng.randrange(n), rng.choice([j for j in range(n) if any(inv[j, k] for k in shared)])
+
+
+@pytest.mark.parametrize("side", ["columns", "rows"])
+def test_matrix_form_verify_matches_the_vector_definition(side):
+    # a transposed Levelt tuple can still get a column frame (n = 2, or
+    # p = 2), so the side each trial took is collected
+    rng = random.Random(61 if side == "columns" else 62)
+    sides = set()
+    for trial in range(24):
+        n = rng.randrange(2, 6)
+        if trial % 2:
+            frame, t = framed_pair(rng, n, side, True)
+        else:
+            _, _, t = conjugated_levelt(rng, rng.randrange(2, 5), n)
+            if side == "rows":
+                t = MatrixTuple(m.transpose() for m in t)
+            frame = common_frame(t)
+        sides.add(frame.side)
+        assert frame.verify(t) and vector_verify(frame, t)
+        # one entry of one member changed
+        k = rng.randrange(t.p)
+        i, j = breaking_entry(rng, frame, n)
+        rows = [list(r) for r in t[k].rows]
+        rows[i][j] = rows[i][j] + Q(rng.choice([-2, -1, 1, 3])) / Q(rng.randrange(1, 4))
+        off = MatrixTuple(tuple(ExactMatrix(rows) if x == k else m for x, m in enumerate(t)))
+        assert not frame.verify(off) and not vector_verify(frame, off)
+    assert side in sides
 
 
 class TestFrameMismatch:
@@ -709,6 +762,39 @@ class TestNormalForm:
         assert frame.side == "rows"
         with pytest.raises(ValueError):
             levelt_normal_form(t, frame)
+
+
+    def test_golden_u_and_canon_over_conjugated_tuples(self):
+        # the str of U and of each canon member for 40 conjugated Levelt
+        # tuples, n = 2..6 and p = 2..4, taken when the Krylov basis was
+        # built one vector at a time; U is fixed only up to a scalar, and
+        # the scaling rule pins it
+        rng = random.Random(1989)
+        lines = []
+        for k in range(40):
+            n, p = 2 + k % 5, 2 + (k // 5) % 3
+            _, _, t = conjugated_levelt(rng, p, n)
+            u, canon = levelt_normal_form(t, common_frame(t))
+            lines.append(str(u))
+            lines.extend(map(str, canon))
+        text = "\n".join(lines)
+        assert lines[0] == "[1 -1; 0 1]"
+        assert (len(lines), len(text)) == (155, 8483)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "aab15e983c3d0350f6dc2b59a40e1548830ee752b820700969d1690c20d04ecf"
+
+    def test_pipeline_takes_no_matrix_vector_product(self, monkeypatch):
+        def refuse(self, vector):
+            raise AssertionError("a matrix-vector product in the normal form")
+
+        rng = random.Random(83)
+        cases = [conjugated_levelt(rng, 2 + k % 3, 2 + k % 5) for k in range(10)]
+        with monkeypatch.context() as patched:
+            patched.setattr(ExactMatrix, "apply", refuse)
+            results = [levelt_normal_form(t, common_frame(t)) for _, _, t in cases]
+        for (spectra, _, t), (u, canon) in zip(cases, results):
+            assert list(canon) == [companion_from_spectrum(s) for s in spectra]
+            assert all(u * m == c * u for m, c in zip(t, canon))
 
 
 class TestTupleConjugator:
