@@ -176,15 +176,18 @@ class ExactMatrix:
 
     @staticmethod
     def vstack(a, b):
-        """a above b, both parts over the lcm of their denominators."""
+        """a above b, both parts over the lcm of their denominators; the
+        imaginary part only when one of them has it."""
         if a.ncols != b.ncols:
             raise ValueError("column count mismatch")
         den = lcm(a.den, b.den)
+        real = a.im is None and b.im is None
         re, im = [], []
         for m in (a, b):
             re += _scale(m.re, den // m.den)
-            im += _scale(m.im or [[0] * m.ncols] * m.nrows, den // m.den)
-        return _matrix(den, re, im)
+            if not real:
+                im += _scale(m.im or [[0] * m.ncols] * m.nrows, den // m.den)
+        return _matrix(den, re, None if real else im)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -375,7 +378,10 @@ def _matrix(den, re, im=None, rows=None):
     im = im if im and any(map(any, im)) else None
     g = gcd(den, *chain(*re), *chain(*(im or ())))
     g = -g if den < 0 else g
-    parts = (p and tuple(tuple(x // g for x in r) for r in p) for p in (re, im))
+    if g == 1:  # already reduced, as most products are
+        parts = (p and tuple(map(tuple, p)) for p in (re, im))
+    else:
+        parts = (p and tuple(tuple(x // g for x in r) for r in p) for p in (re, im))
     m = object.__new__(ExactMatrix)
     for name, value in zip(m.__slots__, (den // g, *parts, len(re), len(re[0]), rows)):
         object.__setattr__(m, name, value)

@@ -24,9 +24,7 @@ programmatic indices are 0-based.
 from collections import namedtuple
 from functools import cached_property, reduce
 
-from .linalg import (
-    Echelon, ExactMatrix, Subspace, _matrix, companion_of_operator, complete_basis, kernel,
-)
+from .linalg import Echelon, ExactMatrix, Subspace, _matrix, companion_of_operator, kernel
 from .polynomials import Poly, poly_gcd
 from .scalars import Q
 
@@ -69,10 +67,11 @@ class MatrixTuple(tuple):
         return char_poly_gcd(self._char_polys)
 
     @cached_property
-    def _difference_kernels(self):
-        # kernel(A_i - A_j) for i < j: the ratio table and common_frame read it
+    def _difference_rrefs(self):
+        # (rref, pivots) of A_i - A_j for i < j, one elimination per pair:
+        # the ratio table and common_frame read it
         return {
-            (i, j): kernel(self[i] - self[j])
+            (i, j): (self[i] - self[j]).rref()
             for i in range(self.p)
             for j in range(i + 1, self.p)
         }
@@ -80,11 +79,9 @@ class MatrixTuple(tuple):
     @cached_property
     def _ratio_table(self):
         # for invertible A_j, A_i·A_j^{-1} - I = (A_i - A_j)·A_j^{-1} has the
-        # rank of A_i - A_j: rank 1 is a kernel of dimension n - 1
+        # rank of A_i - A_j, its number of pivots
         _check_invertible(self)
-        return {
-            pair: k.dim == self.n - 1 for pair, k in self._difference_kernels.items()
-        }
+        return {pair: len(pivots) == 1 for pair, (_, pivots) in self._difference_rrefs.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -247,13 +244,24 @@ def common_frame(t: MatrixTuple) -> CommonFrame:
     w_1 ∦ w_2, then v_1 ∥ v_2, and each further v_j is parallel to v_1
     (if w_j ∦ w_1) or to v_2 (if w_j ∥ w_1, so w_j ∦ w_2).
 
-    * all difference kernels equal one hyperplane W, as they do when
-      the w are parallel: the members agree on W, so a basis of W
-      completed to the full space exhibits n-1 shared columns;
+    Each difference A_i - A_j is reduced once, on its integers, to its
+    rref.  Its one nonzero row is the pair's w, scaled to 1 at its pivot,
+    and its kernel is the hyperplane {x : w·x = 0}, so two differences
+    have the same kernel exactly when their rrefs are equal.
+
+    * all difference kernels equal one hyperplane W = ker w, as they do
+      when the w are parallel: the members agree on W, so the rref basis
+      of W, then e_pc, pc the pivot of w, are the columns of U^{-1} and
+      exhibit n-1 shared columns.  e_k lies outside W exactly when
+      w_k != 0, and pc is the first such k: e_pc completes W, and it is
+      the first unit vector that does;
     * otherwise the w are not all parallel, so the v are, and every
-      difference image is the one line span(v): with U·v = e_0, every
-      U·(A_i - A_j) is supported in row 0, so the members share the
-      remaining n-1 rows.
+      difference image is the one line span(v), v the first row of
+      rref((A_0 - A_1)^T): with U·v = e_0, every U·(A_i - A_j) is
+      supported in row 0, so the members share the remaining n-1 rows.
+      The columns of U^{-1} are v, then every e_k but e_last, last the
+      last index with v_last != 0: e_last is the one unit vector in the
+      span of v and the e_k before it.
 
     Either way the frame holds by construction, and frame.verify(t) is
     left to the functions that take a frame from their caller.
@@ -265,15 +273,17 @@ def common_frame(t: MatrixTuple) -> CommonFrame:
                 % (i + 1, j + 1)
             )
     n = t.n
-    kernels = list(t._difference_kernels.values())
-    if all(k == kernels[0] for k in kernels[1:]):
-        basis = ExactMatrix.from_columns(complete_basis(kernels[0].basis, n))
+    rrefs = list(t._difference_rrefs.values())
+    if all(r == rrefs[0] for r in rrefs[1:]):
+        w, (pc,) = rrefs[0]
+        top, units = w.kernel_matrix().rref()[0], [pc]
         side, shared = "columns", tuple(range(n - 1))
     else:  # every difference has the image of A_0 - A_1
-        d = t[0] - t[1]
-        image = Subspace([d.column(j) for j in range(n)])
-        basis = ExactMatrix.from_columns(complete_basis(image.basis, n))
+        top = _rows_at((t[0] - t[1]).transpose().rref()[0], [0])
+        last = max(k for k in range(n) if top.re[0][k] or top.im and top.im[0][k])
+        units = [k for k in range(n) if k != last]
         side, shared = "rows", tuple(range(1, n))
+    basis = ExactMatrix.vstack(top, _rows_at(ExactMatrix.identity(n), units)).transpose()
     return CommonFrame(
         basis_change=basis.inverse(), side=side, shared_indices=shared, inverse=basis
     )

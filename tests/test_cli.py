@@ -819,13 +819,18 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_rigidity_builds_the_ratio_table_once(capsys, tmp_path, monkeypatch):
-    import thetakit.rigidity
+    from thetakit.linalg import ExactMatrix
+    from thetakit.rigidity import MatrixTuple
 
-    calls = count_calls(monkeypatch, thetakit.rigidity, "kernel")
+    t = MatrixTuple.from_dict(RIGIDITY_TRIPLE)
+    differences = {t[i] - t[j] for i in range(t.p) for j in range(i + 1, t.p)}
+    calls = count_calls(monkeypatch, ExactMatrix, "rref")
     path = write_json(tmp_path, "triple.json", RIGIDITY_TRIPLE)
     code, out, _ = run(capsys, ["rigidity", "--input", path])
     assert code == 0 and out == GOLDEN_RIGIDITY_TRIPLE
-    assert len(calls) == 3  # one difference kernel per pair of members
+    eliminated = [m for m, *_ in calls if m in differences]
+    assert len(differences) == 3
+    assert len(eliminated) == 3 and set(eliminated) == differences  # one per pair
 
 
 def test_rigidity_folds_the_char_poly_gcd_once(capsys, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import thetakit.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -470,6 +471,47 @@ def test_equal_matrices_over_different_denominators_are_equal():
     h = ExactMatrix([["1/7", 0], ["2/7", "1/7"]])
     for x in ((g + h) - h, g * 6 * (Q(1) / Q(6)), -(-g), (g * h) * h.inverse()):
         assert x == g and hash(x) == hash(g)
+
+
+def test_reduced_and_unreduced_integers_give_one_storage():
+    # g = 1 keeps the rows as they are, g > 1 divides them and a
+    # negative denominator flips every sign: one canonical storage
+    rng = random.Random(31)
+    for _ in range(200):
+        kind = rng.choice(KINDS)
+        m = ExactMatrix(random_rows(rng, rng.randrange(1, 4), rng.randrange(1, 4), kind))
+        zeros = [[0] * m.ncols for _ in range(m.nrows)]
+        for k in (1, rng.randrange(2, 30), -1, -rng.randrange(2, 30)):
+            re = [[k * x for x in r] for r in m.re]
+            im = [[k * x for x in r] for r in m.im or zeros]
+            got = _matrix(k * m.den, re, im)
+            assert (got.den, got.re, got.im) == (m.den, m.re, m.im)
+            assert hash(got) == hash(m) and got.rows == m.rows
+            for part in (got.re, got.im or ()):
+                assert type(part) is tuple and all(type(r) is tuple for r in part)
+
+
+def test_real_vstack_builds_no_imaginary_rows(monkeypatch):
+    rng = random.Random(37)
+    stacks = []
+    for _ in range(40):
+        ncols = rng.randrange(1, 5)
+        a, b = (ExactMatrix(random_rows(rng, rng.randrange(1, 4), ncols, "real"))
+                for _ in range(2))
+        stacks.append((a, b))
+    seen = []
+    matrix = thetakit.linalg._matrix
+
+    def recording(den, re, im=None, rows=None):
+        seen.append(im)
+        return matrix(den, re, im, rows)
+
+    monkeypatch.setattr(thetakit.linalg, "_matrix", recording)
+    for a, b in stacks:
+        seen.clear()
+        got = ExactMatrix.vstack(a, b)
+        assert seen == [None]  # the stack is built without imaginary rows
+        assert got.im is None and got == ExactMatrix(a.rows + b.rows)
 
 
 # the reference: scalars as (re, im) pairs of Fractions, one operation at a time

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from thetakit.linalg import ExactMatrix, Subspace, kernel
+import thetakit.linalg
+import thetakit.rigidity
+from thetakit.linalg import Echelon, ExactMatrix, Subspace, complete_basis, kernel
 from thetakit.polynomials import Poly, X, poly_gcd
 from thetakit.rigidity import (
     CommonFrame,
@@ -21,7 +23,7 @@ from thetakit.rigidity import (
     pseudo_reflection_pairs,
     tuple_conjugator,
 )
-from thetakit.scalars import Q
+from thetakit.scalars import GaussianRational, Q
 
 from util import (
     conjugated_levelt, disjoint_spectra, gaussian_rational, invertible_matrix, rational,
@@ -196,6 +198,86 @@ class TestCommonFrame:
         assert calls == []
         levelt_normal_form(t, frame)
         assert calls == [t]
+
+
+def scalar_frame(t):
+    """common_frame built on scalars: a basis of the one difference
+    kernel, or of the image of A_0 - A_1, completed by complete_basis."""
+    n = t.n
+    kernels = [kernel(t[i] - t[j]) for i in range(t.p) for j in range(i + 1, t.p)]
+    if all(k == kernels[0] for k in kernels[1:]):
+        vectors, side, shared = kernels[0].basis, "columns", tuple(range(n - 1))
+    else:
+        d = t[0] - t[1]
+        vectors = Subspace([d.column(j) for j in range(n)]).basis
+        side, shared = "rows", tuple(range(1, n))
+    basis = ExactMatrix.from_columns(complete_basis(vectors, n))
+    return basis.inverse(), side, shared, basis
+
+
+def rank_one_tuples(rng, count):
+    """Tuples A_0 + v_k·w_k^T passing the ratio check, with one shared w
+    (a column frame) or one shared v (a row frame when p > 2), and
+    sparse vectors so that pivots and last nonzero indices vary."""
+    found = []
+    while len(found) < count:
+        n, p = rng.randrange(2, 6), rng.randrange(2, 5)
+        complex_chance = rng.choice((0, 0.3))
+
+        def entry():
+            return Q(0) if rng.random() < 0.3 else gaussian_rational(rng, complex_chance)
+
+        def vector(shape):
+            while True:
+                m = ExactMatrix([[entry() for _ in range(shape[1])] for _ in range(shape[0])])
+                if m != ExactMatrix.zeros(*shape):
+                    return m
+
+        a0 = ExactMatrix([[entry() for _ in range(n)] for _ in range(n)])
+        shared = rng.choice(("v", "w"))
+        v, w = vector((n, 1)), vector((1, n))
+        members = [
+            a0 + (v if shared == "v" else vector((n, 1))) * (w if shared == "w" else vector((1, n)))
+            for _ in range(p)
+        ]
+        if not all(m.det() for m in members):
+            continue
+        t = MatrixTuple(members)
+        if all(pseudo_reflection_pairs(t).values()):
+            found.append(t)
+    return found
+
+
+def test_integer_frame_matches_the_scalar_construction():
+    tuples = rank_one_tuples(random.Random(20), 160)
+    sides, gaussian = set(), 0
+    for t in tuples:
+        frame = common_frame(t)
+        assert tuple(frame) == scalar_frame(t)
+        sides.add(frame.side)
+        gaussian += any(m.im for m in t)
+    assert sides == {"columns", "rows"} and gaussian
+
+
+def test_frame_takes_no_scalar_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar elimination or arithmetic in common_frame")
+
+    drawn = rank_one_tuples(random.Random(21), 60)
+    # fresh tuples, so that the pair eliminations run under the patches too
+    tuples = [MatrixTuple(tuple(t)) for t in drawn if not any(m.im for m in t)]
+    with monkeypatch.context() as patched:
+        for module in (thetakit.linalg, thetakit.rigidity):
+            for name in ("kernel", "complete_basis"):
+                patched.setattr(module, name, refuse, raising=False)
+        for cls in (Subspace, Echelon):
+            patched.setattr(cls, "__init__", refuse)
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                     "__rsub__", "__neg__", "__truediv__", "__pow__", "inverse"):
+            patched.setattr(GaussianRational, name, refuse)
+        frames = [common_frame(t) for t in tuples]
+    assert {f.side for f in frames} == {"columns", "rows"}
+    assert all(f.verify(t) for f, t in zip(frames, tuples))
 
 
 def framed_pair(rng, n, side, agree):
