@@ -42,10 +42,7 @@ import sys
 _LAYERS = {
     "scalars": ("BACKEND", "GaussianRational", "I", "ONE", "Q", "ZERO"),
     "polynomials": ("Poly", "X", "poly_gcd"),
-    "linalg": (
-        "ExactMatrix", "Subspace", "companion_of_operator", "complete_basis",
-        "kernel",
-    ),
+    "linalg": ("ExactMatrix", "Subspace", "companion_of_operator", "kernel"),
     "theta": (
         "ThetaOperator", "left_factor_check", "parse", "render", "right_divide",
         "right_gcd",

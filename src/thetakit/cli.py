@@ -38,7 +38,7 @@ VERIFICATION_FAILURE = 1
 # monodromy an O(n²) exact reducibility test and 3·n² number pairs.
 # rigidity's algebra span is an O(p·n⁶) search: on 8×8 members with
 # one-digit entries, p = 3, the largest tuple the bounds admit, a whole
-# run took 10.2-11.6 s, median 10.9 s of five (2-vCPU Xeon VM, Python 3.11)
+# run took 8.2-10.8 s, median 9.0 s of five (2-vCPU Xeon VM, Python 3.11)
 MAX_COUNT = {"counts": 100, "verify-identities": 1000}
 MAX_GAP = 100
 MAX_ORDER = 32

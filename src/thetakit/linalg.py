@@ -13,16 +13,13 @@ negation, transposes and vstack run on the integers through the kernels of
 scalars, and so does char_poly (Berkowitz's division-free algorithm) on
 den times a real or a complex matrix.  One elimination loop, _eliminate,
 goes fraction-free on the stored rows of a real matrix for rref, rank,
-kernel_matrix (and kernel, its rref) and inverse, and on the integers
-of real scalar rows (_gauss_jordan) for a Subspace basis; complex rows take
-its rational branch.  det keeps its own loop, as a reference.
-One incremental echelon (Echelon) answers membership for Subspace.contains,
-complete_basis and the algebra-span search in rigidity.
+kernel_matrix and inverse; complex rows take its rational branch.  det
+keeps its own loop, as a reference.  A Subspace is the rref of its
+vectors, and membership is one product with its nonzero rows.
 companion_of_operator is the one companion-matrix builder, for extension
 and rigidity alike; it writes its integer rows over the coefficients' lcm.
 """
 
-from bisect import insort
 from itertools import chain
 from math import gcd, lcm
 
@@ -87,19 +84,6 @@ def _eliminate(work, ncols, real):
                     row[pc:] = [a - f * b for a, b in zip(row[pc:], top[pc:])]
         pivots.append(pc)
     return pivots, prev
-
-
-def _gauss_jordan(rows, ncols):
-    """_eliminate on rows of scalars, in place; return the pivots.  Real
-    rows are cleared to integers over one denominator s, so at the end a
-    row without pivot is divided by D*s, D the last pivot."""
-    s, flat, im = integer_row([x for row in rows for x in row])
-    if im is not None:
-        return _eliminate(rows, ncols, False)[0]
-    work = _cut(flat, len(rows))
-    pivots, d = _eliminate(work, ncols, True)
-    rows[:] = [rational_row(r, d if k < len(pivots) else d * s) for k, r in enumerate(work)]
-    return pivots
 
 
 class ExactMatrix:
@@ -412,48 +396,6 @@ def companion_of_operator(operator) -> ExactMatrix:
     return _matrix(s, rows, im and [[0] * (order - 1) + [-x] for x in im])
 
 
-class Echelon:
-    """Rows in echelon form, grown one vector at a time.
-
-    Each row is 1 at its pivot, its first nonzero entry, and the rows are
-    kept in pivot order, so reducing a vector against them in turn clears
-    every pivot column; the vector lies in their span exactly when that
-    leaves zero.  Rows are not back-reduced against later rows.
-
-    >>> e = Echelon()
-    >>> e.add((1, 2, 0)), e.add((2, 4, 0)), e.add((0, 1, 1)), e.rank
-    (True, False, True, 2)
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows=()):
-        self.rows = list(rows)  # (pivot column, row) in pivot order
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def reduce(self, vector):
-        v = [_entry(x) for x in vector]
-        for pc, row in self.rows:
-            c = v[pc]
-            if c:
-                v[pc:] = [a - c * b for a, b in zip(v[pc:], row[pc:])]
-        return v
-
-    def add(self, vector):
-        """Add vector to the span; False, changing nothing, if it is in it."""
-        v = self.reduce(vector)
-        pc = next((k for k, x in enumerate(v) if x), None)
-        if pc is None:
-            return False
-        inv = v[pc].inverse()
-        v[pc:] = [x * inv for x in v[pc:]]
-        insort(self.rows, (pc, v), key=lambda row: row[0])
-        return True
-
-
 class Subspace:
     """Subspace of Q(i)^n stored with a canonical RREF basis.
 
@@ -464,7 +406,7 @@ class Subspace:
     (True, True)
     """
 
-    __slots__ = ("ambient", "basis", "_echelon")
+    __slots__ = ("ambient", "basis", "_pivots", "_rref")
 
     def __init__(self, vectors, ambient=None):
         rows = [[_entry(x) for x in v] for v in vectors]
@@ -474,17 +416,15 @@ class Subspace:
                 raise ValueError("vectors of unequal length")
             if ambient is not None and ambient != ambient_dim:
                 raise ValueError("ambient dimension mismatch")
-            pivots = _gauss_jordan(rows, ambient_dim)
+        elif ambient is None:
+            raise ValueError("empty basis needs an explicit ambient dimension")
         else:
-            if ambient is None:
-                raise ValueError("empty basis needs an explicit ambient dimension")
-            ambient_dim, pivots = ambient, []
-        self._fill(ambient_dim, pivots, rows[: len(pivots)])
-
-    def _fill(self, ambient, pivots, rows):
-        """Set the fields from the nonzero RREF rows and their pivots."""
-        basis = tuple(map(tuple, rows))
-        for name, value in zip(self.__slots__, (ambient, basis, Echelon(zip(pivots, basis)))):
+            ambient_dim = ambient
+        r, pivots = ExactMatrix(rows).rref() if rows and ambient_dim else (None, ())
+        k = len(pivots)
+        r = _matrix(r.den, r.re[:k], r.im and r.im[:k]) if k else None  # the nonzero rows
+        basis = r.rows if k else ()
+        for name, value in zip(self.__slots__, (ambient_dim, basis, pivots, r)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -503,7 +443,12 @@ class Subspace:
     def contains(self, vector):
         if len(vector) != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        return not any(self._echelon.reduce(vector))
+        if self._rref is None:
+            return not any(map(_entry, vector))
+        # each basis row is 1 at its own pivot and 0 at the others, so a
+        # vector in the span is its entries at the pivots times the basis
+        head = ExactMatrix([[vector[pc] for pc in self._pivots]])
+        return ExactMatrix([vector]) == head * self._rref
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -525,35 +470,6 @@ class Subspace:
 
 
 def kernel(m):
-    """Kernel of a matrix as a Subspace; basis length = ncols - rank.  Its
-    basis is the rref of the kernel_matrix, whose rows are independent."""
+    """Kernel of a matrix as a Subspace; basis length = ncols - rank."""
     k = m.kernel_matrix()
-    if k is None:
-        return Subspace((), ambient=m.ncols)
-    r, pivots = k.rref()
-    space = object.__new__(Subspace)
-    space._fill(m.ncols, pivots, r.rows)
-    return space
-
-
-def complete_basis(vectors, ambient):
-    """Extend independent vectors to a full basis with standard basis vectors.
-
-    Deterministic: candidates e_0, e_1, ... are tried in order against one
-    echelon and kept when they increase the rank.
-    """
-    chosen = [tuple(_entry(x) for x in v) for v in vectors]
-    if any(len(v) != ambient for v in chosen):
-        raise ValueError("ambient dimension mismatch")
-    echelon = Echelon()
-    for v in chosen:
-        echelon.add(v)
-    for k in range(ambient):
-        if echelon.rank == ambient:
-            break
-        e = tuple(ONE if i == k else ZERO for i in range(ambient))
-        if echelon.add(e):
-            chosen.append(e)
-    if len(chosen) != ambient:
-        raise ValueError("could not complete to a basis")
-    return chosen
+    return Subspace(() if k is None else k.rows, ambient=m.ncols)

@@ -21,10 +21,12 @@ Index pairs and member numbers in error messages are 1-based; all
 programmatic indices are 0-based.
 """
 
+from bisect import insort
 from collections import namedtuple
 from functools import cached_property, reduce
+from operator import itemgetter
 
-from .linalg import Echelon, ExactMatrix, Subspace, _matrix, companion_of_operator, kernel
+from .linalg import ExactMatrix, Subspace, _matrix, companion_of_operator, kernel
 from .polynomials import Poly, poly_gcd
 from .scalars import Q
 
@@ -527,21 +529,31 @@ def algebra_span_dimension(t: MatrixTuple) -> int:
     echelon basis of the span.  The tuple acts irreducibly exactly when
     the result is n².
     """
-    n = t.n
-    acc = Echelon()
-    identity = ExactMatrix.identity(n)
+    echelon = []  # (pivot, row) in pivot order, each row 1 at its pivot
 
-    def flat(m):
-        return [x for row in m.rows for x in row]
+    def add(m):
+        """Reduce m's entries against the echelon; keep them if nonzero."""
+        v = [x for row in m.rows for x in row]
+        for pc, row in echelon:
+            c = v[pc]
+            if c:
+                v[pc:] = [a - c * b for a, b in zip(v[pc:], row[pc:])]
+        pc = next((k for k, x in enumerate(v) if x), None)
+        if pc is None:
+            return False
+        inv = v[pc].inverse()
+        v[pc:] = [x * inv for x in v[pc:]]
+        insort(echelon, (pc, v), key=itemgetter(0))
+        return True
 
-    frontier = [identity]
-    acc.add(flat(identity))
+    frontier = [ExactMatrix.identity(t.n)]
+    add(frontier[0])
     while frontier:
         next_frontier = []
         for x in frontier:
             for g in t:
                 candidate = g * x
-                if acc.add(flat(candidate)):
+                if add(candidate):
                     next_frontier.append(candidate)
         frontier = next_frontier
-    return acc.rank
+    return len(echelon)

@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 from thetakit.linalg import (
     ExactMatrix,
     Subspace,
-    _gauss_jordan,
+    _eliminate,
     _matrix,
     companion_of_operator,
-    complete_basis,
     kernel,
 )
 from thetakit.polynomials import Poly, X
-from thetakit.scalars import Q, GaussianRational
+from thetakit.scalars import Q, GaussianRational, rational_row
 
-from util import invertible_matrix
+from util import complete_basis, invertible_matrix
 
 
 def m_(rows):
@@ -193,6 +192,42 @@ class TestSubspace:
         tilted = Subspace([(Q(1), Q(1))], 2)
         assert not tilted.is_invariant_under(m)
 
+    def test_no_coordinates(self):
+        # vectors of length 0 span the zero subspace of Q(i)^0
+        for s in (Subspace([()]), Subspace([(), ()]), Subspace((), ambient=0)):
+            assert (s.ambient, s.basis, str(s)) == (0, (), "span{}")
+            assert s.contains(()) and s == Subspace([], ambient=0)
+
+    def test_zero_vectors(self):
+        s = Subspace([(0, 0, 0), (Q(0), "0", 0)])
+        assert s == Subspace([], ambient=3) and (s.dim, str(s)) == (0, "span{}")
+        assert s.contains(("0", 0, Q(0))) and not s.contains((0, "1/2", 0))
+        assert Subspace([(0, 0), (2, 4), (0, 0)]) == Subspace([(1, 2)])
+
+    def test_string_entries(self):
+        assert str(Subspace([("1/2", "1/3+i"), ("1", "2")])) == "span{(1, 0), (0, 1)}"
+        line = Subspace([("1/2", "1/3+i")])
+        assert str(line) == "span{(1, 2/3+2*i)}"
+        assert line.contains(("3/2", "1+3*i")) and not line.contains(("3", "2"))
+        real = Subspace([("1/2", "1/3")])
+        assert real.contains(("3", "2")) and not real.contains(("3", "2+i"))
+
+    @pytest.mark.parametrize("vectors, ambient, message", [
+        ([(1, 2), (1,)], None, "vectors of unequal length"),
+        ([(1, 2)], 3, "ambient dimension mismatch"),
+        ([], None, "empty basis needs an explicit ambient dimension"),
+    ])
+    def test_construction_errors(self, vectors, ambient, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            Subspace(vectors, ambient)
+
+    @pytest.mark.parametrize("space", [Subspace([(1, 2)]), Subspace([], ambient=2)],
+                             ids=["line", "zero"])
+    def test_contains_checks_the_length(self, space):
+        for vector in ((1,), (1, 2, 3)):
+            with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+                space.contains(vector)
+
 
 def test_kernel_function():
     m = m_([[1, 1], [1, 1]])
@@ -292,6 +327,33 @@ complex_entries = st.builds(
 
 
 @st.composite
+def span_cases(draw):
+    """(subspace, vector, inside): real or Gaussian spans of up to four
+    vectors in ambient 1..5, and a vector in the span (a combination of
+    the vectors) or drawn freely, so most often outside it."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from([real_entries, st.one_of(real_entries, complex_entries)]))
+    entries = st.one_of(st.just(Q(0)), kind)
+    vector = st.tuples(*[entries] * n)
+    vectors = draw(st.lists(vector, max_size=4))
+    inside = draw(st.booleans())
+    if inside:
+        cs = [draw(entries) for _ in vectors]
+        v = tuple(sum((c * x[i] for c, x in zip(cs, vectors)), Q(0)) for i in range(n))
+    else:
+        v = draw(vector)
+    return Subspace(vectors, ambient=n), v, inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_cases())
+def test_contains_matches_the_rank_of_the_basis_and_the_vector(case):
+    s, v, inside = case
+    assert s.contains(v) == (ExactMatrix(list(s.basis) + [v]).rank() == s.dim)
+    assert s.contains(v) or not inside
+
+
+@st.composite
 def dot_cases(draw):
     """Two vectors of one length: real, mixed or complex entries."""
     k = draw(st.integers(0, 7))
@@ -366,10 +428,15 @@ def test_integer_gauss_jordan_matches_the_rational_loop(case):
     rows, ncols = case
     expected = [list(r) for r in rows]
     expected_pivots = rational_gauss_jordan(expected, ncols)
-    got = [list(r) for r in rows]
-    assert _gauss_jordan(got, ncols) == expected_pivots
-    # every row, those left without a pivot when ncols < width too
-    assert got == expected
+    m = ExactMatrix(rows)
+    got = [list(r) for r in m.re]  # den times the rows
+    pivots, d = _eliminate(got, ncols, True)
+    assert pivots == expected_pivots
+    # pivot rows end D times their RREF rows, and the rows left without a
+    # pivot when ncols < width D times what the loop leaves on den*rows
+    k = len(pivots)
+    assert [rational_row(r, d) for r in got[:k]] == expected[:k]
+    assert [rational_row(r, d * m.den) for r in got[k:]] == expected[k:]
 
 
 def test_real_matrices_take_the_integer_kernels(monkeypatch):

@@ -1,7 +1,10 @@
+import ast
 import copy
+import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +19,40 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(thetakit, name)]
     assert missing == []
+
+
+def test_every_module_level_definition_is_used_or_exported():
+    # no code that nothing calls: each function and class at module level
+    # in the package is read by name outside its own body, or exported
+    package = os.path.dirname(thetakit.__file__)
+    trees = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                trees.append((name, ast.parse(f.read())))
+
+    def references(node):
+        found = Counter()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                found[n.id] += 1
+            elif isinstance(n, ast.Attribute):
+                found[n.attr] += 1
+            elif isinstance(n, ast.ImportFrom):
+                found.update(alias.name for alias in n.names)
+        return found
+
+    everywhere = sum((references(tree) for _, tree in trees), Counter())
+    unused = [
+        "%s:%s" % (module, node.name)
+        for module, tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in thetakit.__all__
+        and everywhere[node.name] == references(node)[node.name]
+    ]
+    assert unused == []
 
 
 def test_import_leaves_numpy_unloaded():

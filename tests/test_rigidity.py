@@ -5,7 +5,7 @@ import pytest
 
 import thetakit.linalg
 import thetakit.rigidity
-from thetakit.linalg import Echelon, ExactMatrix, Subspace, complete_basis, kernel
+from thetakit.linalg import ExactMatrix, Subspace, kernel
 from thetakit.polynomials import Poly, X, poly_gcd
 from thetakit.rigidity import (
     CommonFrame,
@@ -26,7 +26,8 @@ from thetakit.rigidity import (
 from thetakit.scalars import GaussianRational, Q
 
 from util import (
-    conjugated_levelt, disjoint_spectra, gaussian_rational, invertible_matrix, rational,
+    complete_basis, conjugated_levelt, disjoint_spectra, gaussian_rational, invertible_matrix,
+    rational,
 )
 
 
@@ -270,8 +271,7 @@ def test_frame_takes_no_scalar_elimination(monkeypatch):
         for module in (thetakit.linalg, thetakit.rigidity):
             for name in ("kernel", "complete_basis"):
                 patched.setattr(module, name, refuse, raising=False)
-        for cls in (Subspace, Echelon):
-            patched.setattr(cls, "__init__", refuse)
+        patched.setattr(Subspace, "__init__", refuse)
         for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
                      "__rsub__", "__neg__", "__truediv__", "__pow__", "inverse"):
             patched.setattr(GaussianRational, name, refuse)
@@ -955,6 +955,64 @@ class TestIrreducibility:
         a = companion_from_spectrum(Spectrum((1, 2)))
         with pytest.raises(ValueError, match="member 2 is singular"):
             is_irreducible_pair(a, m_([[0, 0], [1, 0]]))
+
+
+def closure_dimension(t):
+    """The reference for algebra_span_dimension: a batched closure.  The
+    span starts as the rref of I flattened, is stacked with its images
+    under every member at once (flattened X times the Kronecker lift L_g
+    is g*X flattened) and reduced, until the rank stops growing."""
+    n = t.n
+    lifts = [
+        ExactMatrix([[g[c // n, r // n] if r % n == c % n else 0 for c in range(n * n)]
+                     for r in range(n * n)])
+        for g in t
+    ]
+    span = ExactMatrix([[int(i == j) for i in range(n) for j in range(n)]])
+    while True:
+        stacked = span
+        for lift in lifts:
+            stacked = ExactMatrix.vstack(stacked, span * lift)
+        r, pivots = stacked.rref()
+        if len(pivots) == span.nrows:
+            return len(pivots)
+        span = ExactMatrix(r.rows[: len(pivots)])
+
+
+def span_family(rng, family, n, p):
+    """A tuple of the family, conjugated by a real or a Gaussian matrix:
+    "levelt" over spectra with empty total intersection, "planted" with
+    one value in every spectrum, "block" block upper triangular."""
+    if family == "levelt":
+        members = levelt_tuple(disjoint_spectra(rng, p, n))
+    elif family == "planted":
+        lam = Q(rng.randrange(1, 40))
+        spectra = [[lam] + [Q(rng.randrange(1, 40)) for _ in range(n - 1)] for _ in range(p)]
+        members = [companion_from_spectrum(Spectrum(tuple(s))) for s in spectra]
+    else:
+        k = rng.randrange(1, n)
+        members = [
+            ExactMatrix([[Q(0) if i >= k > j else rational(rng, -4, 4, 2) for j in range(n)]
+                         for i in range(n)])
+            for _ in range(p)
+        ]
+    g = (gaussian_conjugator if rng.random() < 0.5 else invertible_matrix)(rng, n)
+    g_inv = g.inverse()
+    return MatrixTuple(tuple(g * m * g_inv for m in members))
+
+
+@pytest.mark.parametrize("family", ["levelt", "planted", "block"])
+def test_algebra_span_dimension_matches_a_batched_closure(family):
+    rng = random.Random(family)
+    values = set()
+    for _ in range(12):
+        n, p = rng.randrange(2, 5), rng.randrange(2, 4)
+        t = span_family(rng, family, n, p)
+        expected = closure_dimension(t)
+        assert algebra_span_dimension(t) == expected
+        values.add(expected == n * n)
+    # Levelt tuples are irreducible, the planted and block ones are not
+    assert values == {family == "levelt"}
 
 
 def test_gcd_certificate_matches_direct_gcd():

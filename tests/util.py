@@ -5,7 +5,7 @@ import random
 
 import thetakit
 from thetakit.hypergeometric import HGParams
-from thetakit.linalg import ExactMatrix
+from thetakit.linalg import ExactMatrix, Subspace
 from thetakit.rigidity import MatrixTuple, Spectrum, levelt_tuple
 from thetakit.scalars import Q
 
@@ -63,6 +63,22 @@ def invertible_matrix(rng, n, steps=None):
             rows[i][k] = rows[i][k] + c * rows[j][k]
         m = ExactMatrix(rows)
     return m
+
+
+def complete_basis(vectors, ambient):
+    """Extend independent vectors to a full basis with standard basis
+    vectors: e_0, e_1, .. in turn, each kept when it lies outside the span
+    of those chosen so far.  The scalar reference for common_frame."""
+    chosen = [tuple(map(Q, v)) for v in vectors]
+    if any(len(v) != ambient for v in chosen):
+        raise ValueError("ambient dimension mismatch")
+    for k in range(ambient):
+        e = tuple(Q(int(i == k)) for i in range(ambient))
+        if not Subspace(chosen, ambient).contains(e):
+            chosen.append(e)
+    if len(chosen) != ambient:
+        raise ValueError("could not complete to a basis")
+    return chosen
 
 
 def disjoint_spectra(rng, p, n, span=40):
