@@ -12,10 +12,10 @@ built when first read.  Products with matrices, vectors and scalars, sums,
 negation, transposes and vstack run on the integers through the kernels of
 scalars, and so does char_poly (Berkowitz's division-free algorithm) on
 den times a real or a complex matrix.  One elimination loop, _eliminate,
-goes fraction-free on the stored rows of a real matrix for rref, rank,
-kernel_matrix and inverse; complex rows take its rational branch.  det
-keeps its own loop, as a reference.  A Subspace is the rref of its
-vectors, and membership is one product with its nonzero rows.
+goes fraction-free on the integers for rref, rank, kernel_matrix and
+inverse: on the stored rows of a real matrix, on the realified rows of a
+complex one.  det keeps its own loop, as a reference.  A Subspace is the
+rref of its vectors, and membership is one product with its nonzero rows.
 companion_of_operator is the one companion-matrix builder, for extension
 and rigidity alike; it writes its integer rows over the coefficients' lcm.
 """
@@ -24,7 +24,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .polynomials import Poly
-from .scalars import (ONE, ZERO, Q, GaussianRational, _dot, _lin, _matmul, _product, _scale,
+from .scalars import (Q, GaussianRational, _dot, _lin, _matmul, _product, _scale,
                       integer_row, rational_row)
 
 
@@ -41,17 +41,17 @@ def _columns(rows):
     return rows and list(zip(*rows))
 
 
-def _eliminate(work, ncols, real):
-    """Reduce rows in place to RREF, pivoting on the first nonzero entry of
-    each of the first ncols columns; return the pivots and D, the last pivot
-    on integer rows (real) and 1 on scalar rows, which take a rational loop.
+def _eliminate(work, ncols):
+    """Reduce integer rows in place, pivoting on the first nonzero entry of
+    each of the first ncols columns; return the pivots and D, the last pivot.
 
-    Integer rows go fraction-free (Jordan-Bareiss): each pivot step sets
-    every other row to (p*row - f*top) // prev, p the new pivot and prev the
-    one before.  The entries stay minors, so the division is exact; at the
-    end a pivot row is D times its RREF row and a row without pivot D times
-    what the rational loop leaves.  Rows are zero left of their pivot, so
-    row operations start there.
+    The loop is fraction-free (Jordan-Bareiss): each pivot step sets every
+    other row to (p*row - f*top) // prev, p the new pivot and prev the one
+    before.  The entries stay minors, so the division is exact; at the end
+    a pivot row is D times its RREF row and a row without pivot D times
+    what a rational Gauss-Jordan loop leaves.  Rows are zero left of their
+    pivot, so row operations start there.  Complex matrices come realified
+    (ExactMatrix._reduce).
     """
     pivots = []
     prev = 1
@@ -64,24 +64,13 @@ def _eliminate(work, ncols, real):
             continue
         work[pr], work[pivot_row] = work[pivot_row], work[pr]
         top = work[pr]
-        if real:
-            p = top[pc]
-            for i, row in enumerate(work):
-                f = row[pc]
-                if i != pr and (f or p != prev):
-                    start = pivots[i] if i < pr else pc  # whole row rescaled
-                    row[start:] = [
-                        (p * a - f * b) // prev
-                        for a, b in zip(row[start:], top[start:])
-                    ]
-            prev = p
-        else:
-            inv = top[pc].inverse()
-            top[pc:] = [x * inv for x in top[pc:]]
-            for i, row in enumerate(work):
-                f = row[pc]
-                if f and i != pr:
-                    row[pc:] = [a - f * b for a, b in zip(row[pc:], top[pc:])]
+        p = top[pc]
+        for i, row in enumerate(work):
+            f = row[pc]
+            if i != pr and (f or p != prev):
+                start = pivots[i] if i < pr else pc  # whole row rescaled
+                row[start:] = [(p * a - f * b) // prev for a, b in zip(row[start:], top[start:])]
+        prev = p
         pivots.append(pc)
     return pivots, prev
 
@@ -234,17 +223,28 @@ class ExactMatrix:
     # -- elimination ------------------------------------------------------------
 
     def _reduce(self, augment=False):
-        """(pivots, d, rows): _eliminate on the rows, [A | I] when augment,
-        in the first ncols columns.  Real rows reduce on the stored
-        integers, [den*A | den*I], and end d times their RREF rows."""
-        real = self.im is None
-        zero, one = (0, self.den) if real else (ZERO, ONE)
+        """(pivots, d, re, im): the pivot columns and the integer parts of d
+        times the RREF of the stored rows, [den*A | den*I] when augment,
+        reduced in the first ncols columns; im is None for a real matrix.
+
+        A complex matrix reduces through its realification: each row a + i*b
+        becomes the integer rows interleave(a, b) and, for i times it,
+        interleave(-b, a), reduced in the first 2*ncols columns.  Their real
+        span is closed under multiplication by i, so its pivots come in
+        pairs 2j, 2j+1, and the row at pivot 2j, de-interleaved, is d times
+        the complex RREF row at pivot j.
+        """
         unit = range(self.nrows) if augment else ()
-        work = [
-            list(r) + [one if i == j else zero for j in unit]
-            for i, r in enumerate(self.re if real else self.rows)
-        ]
-        return (*_eliminate(work, self.ncols, real), work)
+        re = [list(r) + [self.den * (i == j) for j in unit] for i, r in enumerate(self.re)]
+        if self.im is None:
+            return (*_eliminate(re, self.ncols), re, None)
+        work = []
+        for a, b in zip(re, self.im):
+            b = list(b) + [0] * len(unit)
+            work += [list(chain(*zip(a, b))), list(chain(*zip([-y for y in b], a)))]
+        pivots, d = _eliminate(work, 2 * self.ncols)
+        rows = work[::2]
+        return [pc // 2 for pc in pivots[::2]], d, [r[::2] for r in rows], [r[1::2] for r in rows]
 
     def rref(self):
         """Reduced row echelon form.
@@ -252,8 +252,8 @@ class ExactMatrix:
         Returns (rref_matrix, pivot_columns).  First-nonzero pivot choice,
         so the result is deterministic.
         """
-        pivots, d, rows = self._reduce()
-        return (ExactMatrix(rows) if self.im else _matrix(d, rows)), tuple(pivots)
+        pivots, d, re, im = self._reduce()
+        return _matrix(d, re, im), tuple(pivots)
 
     def rank(self):
         return len(self._reduce()[0])
@@ -265,17 +265,18 @@ class ExactMatrix:
 
     def kernel_matrix(self):
         """The kernel_vectors as the rows of one matrix, None when the
-        kernel is zero; a real matrix builds it on its integers."""
-        pivots, d, rows = self._reduce()
-        basis = []
-        for f in (j for j in range(self.ncols) if j not in pivots):
-            v = [0] * self.ncols
-            v[f] = d
-            for row, pc in zip(rows, pivots):
-                v[pc] = -row[f]
-            basis.append(v)
-        if basis:
-            return ExactMatrix(basis) if self.im else _matrix(d, basis)
+        kernel is zero: for each free column f, d at f and minus the
+        entries in column f of the RREF rows at their pivots."""
+        pivots, d, re, im = self._reduce()
+        free = [j for j in range(self.ncols) if j not in pivots]
+
+        def basis(rows, top):
+            at = dict(zip(pivots, rows))
+            return [[-at[j][f] if j in at else top * (j == f) for j in range(self.ncols)]
+                    for f in free]
+
+        if free:
+            return _matrix(d, basis(re, d), im and basis(im, 0))
 
     def det(self):
         n = self.n
@@ -298,11 +299,10 @@ class ExactMatrix:
 
     def inverse(self):
         n = self.n
-        pivots, d, rows = self._reduce(augment=True)
+        pivots, d, re, im = self._reduce(augment=True)
         if len(pivots) != n:
             raise ValueError("matrix is singular")
-        rows = [row[n:] for row in rows]
-        return ExactMatrix(rows) if self.im else _matrix(d, rows)
+        return _matrix(d, [r[n:] for r in re], im and [r[n:] for r in im])
 
     def char_poly(self):
         """Characteristic polynomial det(X*I - self), monic of degree n.
@@ -386,7 +386,7 @@ def companion_of_operator(operator) -> ExactMatrix:
         coeffs = [_entry(c) for c in operator]
     if not coeffs:
         raise ValueError("operator has no coefficients")
-    if coeffs[-1] != ONE:
+    if coeffs[-1] != 1:
         raise ValueError("operator must be monic (leading coefficient 1)")
     order = len(coeffs) - 1
     if order < 1:

@@ -21,10 +21,8 @@ Index pairs and member numbers in error messages are 1-based; all
 programmatic indices are 0-based.
 """
 
-from bisect import insort
 from collections import namedtuple
 from functools import cached_property, reduce
-from operator import itemgetter
 
 from .linalg import ExactMatrix, Subspace, _matrix, companion_of_operator, kernel
 from .polynomials import Poly, poly_gcd
@@ -529,7 +527,9 @@ def algebra_span_dimension(t: MatrixTuple) -> int:
     echelon basis of the span.  The tuple acts irreducibly exactly when
     the result is n².
     """
-    echelon = []  # (pivot, row) in pivot order, each row 1 at its pivot
+    # (pivot, row) in insertion order, each row 1 at its pivot: each row was
+    # reduced against every row stored before it, so it is zero at their pivots
+    echelon = []
 
     def add(m):
         """Reduce m's entries against the echelon; keep them if nonzero."""
@@ -543,7 +543,7 @@ def algebra_span_dimension(t: MatrixTuple) -> int:
             return False
         inv = v[pc].inverse()
         v[pc:] = [x * inv for x in v[pc:]]
-        insort(echelon, (pc, v), key=itemgetter(0))
+        echelon.append((pc, v))
         return True
 
     frontier = [ExactMatrix.identity(t.n)]

@@ -399,15 +399,16 @@ def rational_gauss_jordan(rows, ncols):
 
 
 @st.composite
-def elimination_cases(draw):
-    """(rows, ncols): real matrices, 1..6 by 1..8, dense, singular,
-    rank-deficient or zero, reduced on a prefix of the columns or all."""
+def elimination_cases(draw, values=real_entries):
+    """(rows, ncols): matrices of the values, real by default, 1..6 by
+    1..8, dense, singular, rank-deficient or zero, reduced on a prefix of
+    the columns or all."""
     nrows, width = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    entries = st.one_of(st.just(Q(0)), real_entries)
+    entries = st.one_of(st.just(Q(0)), values)
     rows = [[draw(entries) for _ in range(width)] for _ in range(nrows)]
     shape = draw(st.sampled_from(["dense", "singular", "low-rank", "zero"]))
     if shape == "singular" and nrows > 1:
-        c = draw(real_entries)
+        c = draw(values)
         rows[-1] = [c * x for x in rows[0]]
     elif shape == "low-rank":
         # every row a combination of the first r
@@ -430,7 +431,7 @@ def test_integer_gauss_jordan_matches_the_rational_loop(case):
     expected_pivots = rational_gauss_jordan(expected, ncols)
     m = ExactMatrix(rows)
     got = [list(r) for r in m.re]  # den times the rows
-    pivots, d = _eliminate(got, ncols, True)
+    pivots, d = _eliminate(got, ncols)
     assert pivots == expected_pivots
     # pivot rows end D times their RREF rows, and the rows left without a
     # pivot when ncols < width D times what the loop leaves on den*rows
@@ -439,19 +440,50 @@ def test_integer_gauss_jordan_matches_the_rational_loop(case):
     assert [rational_row(r, d * m.den) for r in got[k:]] == expected[k:]
 
 
+@settings(max_examples=300, deadline=None)
+@given(elimination_cases(st.one_of(real_entries, complex_entries)))
+def test_complex_elimination_matches_the_rational_loop(case):
+    rows, _ = case  # the public calls reduce on every column
+    expected = [list(r) for r in rows]
+    expected_pivots = rational_gauss_jordan(expected, len(rows[0]))
+    m = ExactMatrix(rows)
+    r, pivots = m.rref()
+    assert list(pivots) == expected_pivots and m.rank() == len(pivots)
+    assert [list(row) for row in r.rows] == expected
+    k, n = m.kernel_matrix(), m.ncols
+    if len(pivots) == n:
+        assert k is None
+    else:
+        assert (k.nrows, k.rank()) == (n - len(pivots), n - len(pivots))
+        assert m * k.transpose() == ExactMatrix.zeros(m.nrows, k.nrows)
+    if m.nrows == n and len(pivots) == n:
+        assert m.inverse() * m == ExactMatrix.identity(n) == m * m.inverse()
+
+
 def test_real_matrices_take_the_integer_kernels(monkeypatch):
-    def refuse(self, other):
+    def refuse(*args):
         raise AssertionError("a GaussianRational operation on the integer path")
 
     m = m_([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
     v = (Q(1), Q(-2), Q(3))
+    g = m_([["1+i", 2, 0], ["-i", 1, "3*i"], [1, "2/3*i", -1]])
+    wide = m_([["1+i", 2, 0], ["-i", 1, "3*i"]])
     with monkeypatch.context() as patched:
-        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                     "__rsub__", "__neg__", "__truediv__", "__pow__", "inverse"):
             patched.setattr(GaussianRational, name, refuse)
         rank, inverse, image = m.rank(), m.inverse(), m.apply(v)
+        g_rank, g_inverse, g_rref = g.rank(), g.inverse(), g.rref()
+        w_rref, w_kernel = wide.rref(), wide.kernel_matrix()
     assert rank == 3
     assert inverse * m == ExactMatrix.identity(3)
     assert image == (Q(0), Q(-2), Q(10))
+    assert g_rank == 3 and g_inverse * g == ExactMatrix.identity(3)
+    assert g_rref == (ExactMatrix.identity(3), (0, 1, 2))
+    expected = [list(r) for r in wide.rows]
+    assert w_rref[1] == tuple(rational_gauss_jordan(expected, 3)) == (0, 1)
+    assert w_rref[0] == ExactMatrix(expected)
+    assert w_kernel.nrows == 1 and wide * w_kernel.transpose() == ExactMatrix.zeros(2, 1)
 
 
 def test_char_poly_takes_no_scalar_arithmetic(monkeypatch):
