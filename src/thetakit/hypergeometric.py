@@ -20,12 +20,8 @@ import operator
 from collections import namedtuple
 
 from .polynomials import Poly
-from .scalars import Q, GaussianRational
+from .scalars import Q
 from .theta import ThetaOperator
-
-
-def _scalar_tuple(values) -> tuple:
-    return tuple(v if isinstance(v, GaussianRational) else Q(v) for v in values)
 
 
 class HGParams(namedtuple("HGParams", "alpha beta")):
@@ -40,7 +36,7 @@ class HGParams(namedtuple("HGParams", "alpha beta")):
     __slots__ = ()
 
     def __new__(cls, alpha, beta):
-        alpha, beta = _scalar_tuple(alpha), _scalar_tuple(beta)
+        alpha, beta = tuple(map(Q, alpha)), tuple(map(Q, beta))
         if len(alpha) != len(beta):
             raise ValueError("alpha and beta must have the same length")
         return super().__new__(cls, alpha, beta)

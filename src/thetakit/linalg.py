@@ -11,10 +11,11 @@ so equality and hashing are structural.  Its rows of canonical scalars are
 built when first read.  Products with matrices, vectors and scalars, sums,
 negation, transposes and vstack run on the integers through the kernels of
 scalars, and so does char_poly (Berkowitz's division-free algorithm) on
-den times a real or a complex matrix.  One elimination loop, _eliminate,
-goes fraction-free on the integers for rref, rank, kernel_matrix and
-inverse: on the stored rows of a real matrix, on the realified rows of a
-complex one.  det keeps its own loop, as a reference.  A Subspace is the
+den times a real or a complex matrix.  One fraction-free step, _insert,
+reduces an integer row against the rows kept so far: _eliminate runs it
+row by row for rref, rank, kernel_matrix and inverse (on the realified
+rows of a complex matrix), and rigidity.algebra_span_dimension on its
+words.  det keeps its own loop, as a reference.  A Subspace is the
 rref of its vectors, and membership is one product with its nonzero rows.
 companion_of_operator is the one companion-matrix builder, for extension
 and rigidity alike; it writes its integer rows over the coefficients' lcm.
@@ -28,10 +29,6 @@ from .scalars import (Q, GaussianRational, _dot, _lin, _matmul, _product, _scale
                       integer_row, rational_row)
 
 
-def _entry(x):
-    return x if isinstance(x, GaussianRational) else Q(x)
-
-
 def _cut(ints, nrows):
     width = len(ints) // max(nrows, 1)
     return [ints[k * width : (k + 1) * width] for k in range(nrows)]
@@ -41,38 +38,57 @@ def _columns(rows):
     return rows and list(zip(*rows))
 
 
-def _eliminate(work, ncols):
-    """Reduce integer rows in place, pivoting on the first nonzero entry of
-    each of the first ncols columns; return the pivots and D, the last pivot.
+def _insert(rows, pivots, v):
+    """One Jordan-Bareiss step: reduce the integer row v against the kept
+    rows, rows[i] d times its RREF row at pivot pivots[i] (so d is the entry
+    there); keep it when it is not in their span, and say whether it was.
 
-    The loop is fraction-free (Jordan-Bareiss): each pivot step sets every
-    other row to (p*row - f*top) // prev, p the new pivot and prev the one
-    before.  The entries stay minors, so the division is exact; at the end
-    a pivot row is D times its RREF row and a row without pivot D times
-    what a rational Gauss-Jordan loop leaves.  Rows are zero left of their
-    pivot, so row operations start there.  Complex matrices come realified
-    (ExactMatrix._reduce).
+    top = d*v - sum(v[pc]*row) is zero at the kept pivots.  At its first
+    nonzero entry p, at pc, every kept row becomes (p*row - row[pc]*top) // d
+    (exact: the entries stay minors), top is kept and d becomes p.  Rows
+    are zero left of their pivot, so row operations start there.
     """
-    pivots = []
-    prev = 1
-    for pc in range(ncols):
-        pr = len(pivots)
-        if pr == len(work):
-            break
-        pivot_row = next((i for i in range(pr, len(work)) if work[i][pc]), None)
-        if pivot_row is None:
-            continue
-        work[pr], work[pivot_row] = work[pivot_row], work[pr]
-        top = work[pr]
-        p = top[pc]
-        for i, row in enumerate(work):
-            f = row[pc]
-            if i != pr and (f or p != prev):
-                start = pivots[i] if i < pr else pc  # whole row rescaled
-                row[start:] = [(p * a - f * b) // prev for a, b in zip(row[start:], top[start:])]
-        prev = p
-        pivots.append(pc)
-    return pivots, prev
+    if len(rows) == len(v):  # every column has a pivot: v reduces to zero
+        return False
+    d = rows[-1][pivots[-1]] if rows else 1
+    top = None
+    for pc, row in zip(pivots, rows):
+        if (c := v[pc]) and top is None:  # d*v and the first subtraction in one pass
+            top = [d * a - c * b for a, b in zip(v, row)]
+        elif c:
+            top[pc:] = [a - c * b for a, b in zip(top[pc:], row[pc:])]
+    top = top or (v if d == 1 else [d * a for a in v])
+    p = next(filter(None, top), 0)  # top's first nonzero entry
+    if not p:
+        return False
+    pc = top.index(p)
+    for start, row in zip(pivots, rows):
+        f = row[pc]
+        if f or p != d:
+            row[start:] = [(p * a - f * b) // d for a, b in zip(row[start:], top[start:])]
+    rows.append(top)
+    pivots.append(pc)
+    return True
+
+
+def _eliminate(work):
+    """Reduce integer rows in place, one _insert step a row, to D times
+    their RREF: the pivot rows sorted by pivot, then zero rows; return the
+    pivots and D.  Complex matrices come realified (ExactMatrix._reduce)."""
+    rows, pivots = [], []
+    for v in work:
+        _insert(rows, pivots, v)
+    order = sorted(zip(pivots, rows))  # the pivots differ: no row is compared
+    work[:] = [r for _, r in order] + [[0] * len(work[0])] * (len(work) - len(rows))
+    return [pc for pc, _ in order], rows[-1][pivots[-1]] if rows else 1
+
+
+def _realified(re, im):
+    """interleave(a, b) and, for i times it, interleave(-b, a), for each
+    integer row a + i*b: their real span is the complex span of those rows
+    seen over the reals, closed under i and of twice its dimension."""
+    return [r for a, b in zip(re, im)
+            for r in (list(chain(*zip(a, b))), list(chain(*zip([-y for y in b], a))))]
 
 
 class ExactMatrix:
@@ -91,7 +107,7 @@ class ExactMatrix:
     __slots__ = ("den", "re", "im", "nrows", "ncols", "_rows")
 
     def __new__(cls, rows):
-        data = tuple(tuple(_entry(x) for x in row) for row in rows)
+        data = tuple(tuple(map(Q, row)) for row in rows)
         if len(set(map(len, data))) > 1:
             raise ValueError("ragged rows")
         s, re, im = integer_row([x for row in data for x in row])
@@ -181,7 +197,7 @@ class ExactMatrix:
 
     def __mul__(self, other):
         if isinstance(other, (int, GaussianRational)):
-            s, (c,), ci = integer_row([_entry(other)])
+            s, (c,), ci = integer_row([Q(other)])
             re, im = _product(_scale, self.re, self.im, c, ci and ci[0])
             return _matrix(self.den * s, re, im)
         if isinstance(other, ExactMatrix):
@@ -202,7 +218,7 @@ class ExactMatrix:
         cleared to integers once and divided once."""
         if len(vector) != self.ncols:
             raise ValueError("vector length mismatch")
-        s, v, vi = integer_row([_entry(x) for x in vector])
+        s, v, vi = integer_row(list(map(Q, vector)))
         re, im = _product(_matmul, self.re, self.im, [v], vi and [vi])
         (re,), im = _columns(re), im and _columns(im)[0]
         return tuple(rational_row(re, self.den * s, im))
@@ -224,25 +240,20 @@ class ExactMatrix:
 
     def _reduce(self, augment=False):
         """(pivots, d, re, im): the pivot columns and the integer parts of d
-        times the RREF of the stored rows, [den*A | den*I] when augment,
-        reduced in the first ncols columns; im is None for a real matrix.
+        times the RREF of the stored rows, [den*A | den*I] when augment;
+        im is None for a real matrix.
 
-        A complex matrix reduces through its realification: each row a + i*b
-        becomes the integer rows interleave(a, b) and, for i times it,
-        interleave(-b, a), reduced in the first 2*ncols columns.  Their real
-        span is closed under multiplication by i, so its pivots come in
-        pairs 2j, 2j+1, and the row at pivot 2j, de-interleaved, is d times
-        the complex RREF row at pivot j.
+        A complex matrix reduces through its realification (_realified).
+        Its real span is closed under multiplication by i, so its pivots
+        come in pairs 2j, 2j+1, and the row at pivot 2j, de-interleaved, is
+        d times the complex RREF row at pivot j.
         """
         unit = range(self.nrows) if augment else ()
         re = [list(r) + [self.den * (i == j) for j in unit] for i, r in enumerate(self.re)]
         if self.im is None:
-            return (*_eliminate(re, self.ncols), re, None)
-        work = []
-        for a, b in zip(re, self.im):
-            b = list(b) + [0] * len(unit)
-            work += [list(chain(*zip(a, b))), list(chain(*zip([-y for y in b], a)))]
-        pivots, d = _eliminate(work, 2 * self.ncols)
+            return (*_eliminate(re), re, None)
+        work = _realified(re, [list(b) + [0] * len(unit) for b in self.im])
+        pivots, d = _eliminate(work)
         rows = work[::2]
         return [pc // 2 for pc in pivots[::2]], d, [r[::2] for r in rows], [r[1::2] for r in rows]
 
@@ -300,7 +311,7 @@ class ExactMatrix:
     def inverse(self):
         n = self.n
         pivots, d, re, im = self._reduce(augment=True)
-        if len(pivots) != n:
+        if pivots[-1] != n - 1:  # [A | I] has rank n, with a pivot in I when A is singular
             raise ValueError("matrix is singular")
         return _matrix(d, [r[n:] for r in re], im and [r[n:] for r in im])
 
@@ -383,7 +394,7 @@ def companion_of_operator(operator) -> ExactMatrix:
     if isinstance(operator, Poly):
         coeffs = operator.coeffs
     else:
-        coeffs = [_entry(c) for c in operator]
+        coeffs = list(map(Q, operator))
     if not coeffs:
         raise ValueError("operator has no coefficients")
     if coeffs[-1] != 1:
@@ -409,7 +420,7 @@ class Subspace:
     __slots__ = ("ambient", "basis", "_pivots", "_rref")
 
     def __init__(self, vectors, ambient=None):
-        rows = [[_entry(x) for x in v] for v in vectors]
+        rows = [list(map(Q, v)) for v in vectors]
         if rows:
             ambient_dim = len(rows[0])
             if any(len(v) != ambient_dim for v in rows):
@@ -444,7 +455,7 @@ class Subspace:
         if len(vector) != self.ambient:
             raise ValueError("ambient dimension mismatch")
         if self._rref is None:
-            return not any(map(_entry, vector))
+            return not any(map(Q, vector))
         # each basis row is 1 at its own pivot and 0 at the others, so a
         # vector in the span is its entries at the pivots times the basis
         head = ExactMatrix([[vector[pc] for pc in self._pivots]])

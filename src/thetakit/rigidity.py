@@ -23,8 +23,10 @@ programmatic indices are 0-based.
 
 from collections import namedtuple
 from functools import cached_property, reduce
+from itertools import chain
 
-from .linalg import ExactMatrix, Subspace, _matrix, companion_of_operator, kernel
+from .linalg import (ExactMatrix, Subspace, _insert, _matrix, _realified, companion_of_operator,
+                     kernel)
 from .polynomials import Poly, poly_gcd
 from .scalars import Q
 
@@ -523,37 +525,28 @@ def algebra_span_dimension(t: MatrixTuple) -> int:
     """Dimension of the unital algebra generated by the tuple members.
 
     Breadth-first closure: starting from the identity, left-multiply
-    every independent element by every generator, keeping an exact
-    echelon basis of the span.  The tuple acts irreducibly exactly when
-    the result is n².
+    every independent element by every generator.  Each word W is the
+    integer row den*W flattened, inserted by linalg's Jordan-Bareiss step.
+    A tuple with a non-real member has its rows realified: they span the
+    complex span of the words seen over the reals, closed under i, so a
+    word adds two rows or none and the dimension is half the row count.
+    The tuple acts irreducibly exactly when the result is n².
     """
-    # (pivot, row) in insertion order, each row 1 at its pivot: each row was
-    # reduced against every row stored before it, so it is zero at their pivots
-    echelon = []
+    n = t.n
+    real = all(g.im is None for g in t)
+    rows, pivots = [], []
 
     def add(m):
-        """Reduce m's entries against the echelon; keep them if nonzero."""
-        v = [x for row in m.rows for x in row]
-        for pc, row in echelon:
-            c = v[pc]
-            if c:
-                v[pc:] = [a - c * b for a, b in zip(v[pc:], row[pc:])]
-        pc = next((k for k, x in enumerate(v) if x), None)
-        if pc is None:
-            return False
-        inv = v[pc].inverse()
-        v[pc:] = [x * inv for x in v[pc:]]
-        echelon.append((pc, v))
-        return True
+        """Insert m's rows; False when m lies in the span of the words."""
+        flat = [list(chain(*m.re))]
+        if not real:
+            flat = _realified(flat, [list(chain(*(m.im or [[0] * n] * n)))])
+        return all(_insert(rows, pivots, v) for v in flat)  # i*W is in the span when W is
 
-    frontier = [ExactMatrix.identity(t.n)]
-    add(frontier[0])
-    while frontier:
-        next_frontier = []
-        for x in frontier:
-            for g in t:
-                candidate = g * x
-                if add(candidate):
-                    next_frontier.append(candidate)
-        frontier = next_frontier
-    return len(echelon)
+    words = [ExactMatrix.identity(n)]
+    add(words[0])
+    for x in words:  # breadth first: the loop reads the words appended to it
+        for g in t:
+            if add(candidate := g * x):
+                words.append(candidate)
+    return len(rows) if real else len(rows) // 2

@@ -980,10 +980,12 @@ def closure_dimension(t):
         span = ExactMatrix(r.rows[: len(pivots)])
 
 
-def span_family(rng, family, n, p):
-    """A tuple of the family, conjugated by a real or a Gaussian matrix:
-    "levelt" over spectra with empty total intersection, "planted" with
-    one value in every spectrum, "block" block upper triangular."""
+def span_family(rng, family, n, p, kind):
+    """A tuple of the family, conjugated by a real matrix, by a Gaussian
+    one, or ("mixed") by a real one and then by A_0 + c·i·I, which
+    commutes with A_0, so that A_0 stays real and the others do not.
+    "levelt" is over spectra with empty total intersection, "planted" has
+    one value in every spectrum, "block" is block upper triangular."""
     if family == "levelt":
         members = levelt_tuple(disjoint_spectra(rng, p, n))
     elif family == "planted":
@@ -997,23 +999,52 @@ def span_family(rng, family, n, p):
                          for i in range(n)])
             for _ in range(p)
         ]
-    g = (gaussian_conjugator if rng.random() < 0.5 else invertible_matrix)(rng, n)
+    g = (gaussian_conjugator if kind == "gaussian" else invertible_matrix)(rng, n)
     g_inv = g.inverse()
-    return MatrixTuple(tuple(g * m * g_inv for m in members))
+    members = [g * m * g_inv for m in members]
+    if kind == "mixed":
+        c = 1
+        while (h := members[0] + ExactMatrix.identity(n) * Q(0, c)).rank() < n:
+            c += 1
+        h_inv = h.inverse()
+        members = [h * m * h_inv for m in members]
+    return MatrixTuple(tuple(members))
+
+
+SPAN_KINDS = ("real", "gaussian", "mixed")
 
 
 @pytest.mark.parametrize("family", ["levelt", "planted", "block"])
 def test_algebra_span_dimension_matches_a_batched_closure(family):
     rng = random.Random(family)
     values = set()
-    for _ in range(12):
+    for k in range(12):
         n, p = rng.randrange(2, 5), rng.randrange(2, 4)
-        t = span_family(rng, family, n, p)
+        t = span_family(rng, family, n, p, SPAN_KINDS[k % 3])
+        if SPAN_KINDS[k % 3] == "mixed":
+            assert t[0].im is None and any(m.im for m in t)
         expected = closure_dimension(t)
         assert algebra_span_dimension(t) == expected
         values.add(expected == n * n)
     # Levelt tuples are irreducible, the planted and block ones are not
     assert values == {family == "levelt"}
+
+
+def test_algebra_span_takes_no_scalar_arithmetic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("GaussianRational arithmetic in algebra_span_dimension")
+
+    rng = random.Random(23)
+    tuples = [span_family(rng, family, 3, 2, kind)
+              for family in ("levelt", "planted") for kind in SPAN_KINDS]
+    assert [any(m.im for m in t) for t in tuples] == [False, True, True] * 2
+    expected = [closure_dimension(t) for t in tuples]
+    with monkeypatch.context() as patched:
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                     "__rsub__", "__neg__", "__truediv__", "__pow__", "inverse"):
+            patched.setattr(GaussianRational, name, refuse)
+        assert [algebra_span_dimension(t) for t in tuples] == expected
+    assert expected[:3] == [9, 9, 9] and max(expected[3:]) < 9
 
 
 def test_gcd_certificate_matches_direct_gcd():
