@@ -33,12 +33,13 @@ from .serialization import canonical_dumps, load_input, triple_report
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
 
-# work bounds: counts builds count² entries, verify-identities count sets,
-# analyze up to n chain steps, one of gap m at theta-degree n + m, and
-# monodromy an O(n²) exact reducibility test and 3·n² number pairs.
-# rigidity's algebra span is an O(p·n⁶) search: on the largest tuple the
-# bounds admit, three 8×8 one-digit members, a whole run took 0.58 s real
-# and 8.8 s 30 % Gaussian, medians of five (2-vCPU Xeon VM, Python 3.11)
+# work bounds: counts builds count² entries, verify-identities count sets
+# (1.13 s at 1000), analyze up to n chain steps, one of gap m at
+# theta-degree n + m (0.38 s at n = 32, every gap 100), and monodromy an
+# O(n²) exact reducibility test and 3·n² number pairs.  rigidity's algebra
+# span is an O(p·n⁶) search: three 8×8 one-digit members, the largest tuple
+# the bounds admit, took 0.58 s real and 8.8 s 30 % Gaussian.  Whole runs,
+# medians of five (2-vCPU Xeon VM, Python 3.11).
 MAX_COUNT = {"counts": 100, "verify-identities": 1000}
 MAX_GAP = 100
 MAX_ORDER = 32

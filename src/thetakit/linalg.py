@@ -24,7 +24,7 @@ and rigidity alike; it writes its integer rows over the coefficients' lcm.
 from itertools import chain
 from math import gcd, lcm
 
-from .polynomials import Poly
+from .polynomials import Poly, _from_ints
 from .scalars import (Q, GaussianRational, _dot, _lin, _matmul, _product, _scale,
                       integer_row, rational_row)
 
@@ -353,7 +353,7 @@ class ExactMatrix:
         # A's X^(n-j) coefficient is p[j]*den^(n-j) over (-1)^(n+1)*den^n
         re, im = zip(*p) if self.im else (p, None)
         re, im = ([q * d ** (n - j) for j, q in enumerate(x)] if x else None for x in (re, im))
-        return Poly(rational_row(re, (-1) ** (n + 1) * d**n, im)[::-1])
+        return _from_ints((-1) ** (n + 1) * d**n, re[::-1], im and im[::-1])
 
 
 def _pair_dot(u, v):
@@ -392,19 +392,18 @@ def companion_of_operator(operator) -> ExactMatrix:
     ((0, -2), (1, -3))
     """
     if isinstance(operator, Poly):
-        coeffs = operator.coeffs
+        s, re, im = operator.den, operator.re, operator.im
     else:
-        coeffs = list(map(Q, operator))
-    if not coeffs:
+        s, re, im = integer_row(list(map(Q, operator)))
+    if not re:
         raise ValueError("operator has no coefficients")
-    if coeffs[-1] != 1:
+    if re[-1] != s or im and im[-1]:
         raise ValueError("operator must be monic (leading coefficient 1)")
-    order = len(coeffs) - 1
+    order = len(re) - 1
     if order < 1:
         raise ValueError("operator must have positive order")
-    s, re, im = integer_row(coeffs[:order])
-    rows = [[s * (j == i - 1) for j in range(order - 1)] + [-x] for i, x in enumerate(re)]
-    return _matrix(s, rows, im and [[0] * (order - 1) + [-x] for x in im])
+    rows = [[s * (j == i - 1) for j in range(order - 1)] + [-x] for i, x in enumerate(re[:order])]
+    return _matrix(s, rows, im and [[0] * (order - 1) + [-x] for x in im[:order]])
 
 
 class Subspace:

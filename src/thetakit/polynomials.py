@@ -1,19 +1,20 @@
-"""Univariate polynomials over the Gaussian rationals.
+"""Univariate polynomials over the Gaussian rationals, in the variable X.
 
-Polynomials are stored as ascending coefficient tuples with no trailing
-zeros (the zero polynomial is the empty tuple), so equality is structural.
-The formal variable is rendered as X.
-
-Products, shifts and from_roots clear denominators once: they run on the
-integer numerators of the parts over one denominator (scalars.integer_row),
-a product through one convolution kernel, and divide by it once at the end
-(scalars.rational_row).  poly_gcd of real operands runs on integers too, a
-primitive pseudo-remainder sequence; Gaussian ones keep Euclid's loop.
+A Poly is stored as linalg.ExactMatrix is: one positive denominator den
+and the ascending integer coefficients re and im of den times the real
+and the imaginary parts, im None when every coefficient is real, with no
+trailing zeros (the zero polynomial has re == ()), reduced by the gcd of
+den and every entry, so equality and hashing are structural.  Its
+canonical scalars, coeffs, are built when first read.  Sums, products
+(one convolution kernel), shifts, from_roots, division, monic, evaluate
+and the gcd of real operands (a primitive pseudo-remainder sequence) run
+on the stored integers; a Gaussian gcd keeps Euclid's loop.
 """
 
-from math import gcd
+from itertools import zip_longest
+from math import gcd, lcm
 
-from .scalars import ZERO, Q, GaussianRational, _product, integer_row, rational_row
+from .scalars import Q, GaussianRational, _product, integer_row, rational_row
 
 
 def _convolve(a, b):
@@ -27,15 +28,8 @@ def _convolve(a, b):
     return [out]
 
 
-def _coeffs(values):
-    out = [v if isinstance(v, GaussianRational) else Q(v) for v in values]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
 class Poly:
-    """Dense univariate polynomial.
+    """Dense univariate polynomial, stored as (re + i*im)/den.
 
     >>> Poly([2, -3, 1])
     X^2-3*X+2
@@ -45,16 +39,17 @@ class Poly:
     (X-2, 0)
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("den", "re", "im", "_coeffs")
 
-    def __init__(self, coefficients=()):
-        object.__setattr__(self, "coeffs", _coeffs(coefficients))
+    def __new__(cls, coefficients=()):
+        return _from_ints(*integer_row([c if isinstance(c, GaussianRational) else Q(c)
+                                        for c in coefficients]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
-        return Poly, (self.coeffs,)
+        return _from_ints, (self.den, self.re, self.im)
 
     @classmethod
     def constant(cls, c):
@@ -78,97 +73,106 @@ class Poly:
                 re = [s * h - u * a + v * b for h, a, b in zip(hi, lo, lo_im)]
             else:
                 re = [s * h - u * a for h, a in zip(hi, lo)]
-        return cls(rational_row(re, s ** len(us), im))
+        return _from_ints(s ** len(us), re, im)
 
     # -- structure ----------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The ascending coefficients, canonical scalars built on first read."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(rational_row(self.re, self.den, self.im)))
+        return self._coeffs
+
+    @property
     def degree(self):
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.re
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.re)
 
     def leading(self):
-        if not self.coeffs:
+        if not self.re:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def coefficient(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Q(0)
+        return self.coeffs[k] if 0 <= k < len(self.re) else Q(0)
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, GaussianRational)):
-            return self == Poly([other])
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.den == o.den and self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash(self.coeffs)
+        if len(self.re) > 1:
+            return hash((self.den, self.re, self.im))
+        return hash(self.coefficient(0))  # a constant hashes as the equal scalar
 
     # -- arithmetic -----------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, GaussianRational)):
+        if isinstance(other, int):  # a bool as the int it equals
+            return _from_ints(1, [int(other)])
+        if isinstance(other, GaussianRational):
             return Poly([other])
         return None
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(
-            [self.coefficient(k) + o.coefficient(k) for k in range(n)]
-        )
+        den = lcm(self.den, o.den)
+        a, b = den // self.den, sign * (den // o.den)
+        return _from_ints(den, *([a * x + b * y for x, y in zip_longest(u, v, fillvalue=0)]
+                                 for u, v in ((self.re, o.re), (self.im or (), o.im or ()))))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return (-self).__add__(other)
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _from_ints(self.den, [-x for x in self.re], self.im and [-x for x in self.im])
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
+        if not self.re or not o.re:
             return Poly()
-        (s, a, ai), (t, b, bi) = integer_row(self.coeffs), integer_row(o.coeffs)
-        (re,), im = _product(_convolve, [a], ai and [ai], [b], bi and [bi])
-        return Poly(rational_row(re, s * t, im and im[0]))
+        (re,), im = _product(_convolve, [self.re], self.im and [self.im], [o.re], o.im and [o.im])
+        return _from_ints(self.den * o.den, re, im and im[0])
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("polynomial exponent must be a nonnegative int")
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise TypeError("polynomial exponent must be an int, not %r" % (e,))
+        if e < 0:
+            raise ValueError("polynomial exponent must be nonnegative")
         result = Poly([1])
         for _ in range(e):
             result = result * self
         return result
 
     def __divmod__(self, other):
-        """The unique (q, r) with self = q*other + r and deg r < deg other,
-        by long division on one list of remainder coefficients.
+        """The unique (q, r) with self = q*other + r and deg r < deg other.
+
+        With self = P/s, other = D/t and D's leading entry L real, the long
+        division of L^k*P by D (k the length of q) is exact on the integers,
+        L^k*P = Q*D + R, so q = Q*t/(s*L^k) and r = R/(s*L^k).  A complex
+        leading coefficient c is made real first: other times conj(c).
 
         >>> divmod(Poly([1, 0, 0, 2]), Poly([1, 1]))
         (2*X^2-2*X+2, -1)
@@ -176,17 +180,23 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
+        if not o.re:
             raise ZeroDivisionError("polynomial division by zero")
-        d, m = o.coeffs, o.degree
-        r = list(self.coeffs)
-        q = [ZERO] * max(len(r) - m, 0)
-        inv_lead = d[m].inverse()
-        for k in range(len(q) - 1, -1, -1):
-            c = q[k] = r.pop() * inv_lead  # clears the top term of r
-            if c:
-                r[k : k + m] = [a - c * b for a, b in zip(r[k : k + m], d)]
-        return Poly(q), Poly(r)
+        if o.im and o.im[-1]:
+            c = o.leading().conjugate()
+            q, r = divmod(self, o * c)
+            return q * c, r
+        m, lead, k = len(o.re) - 1, o.re[-1], max(len(self.re) - len(o.re) + 1, 0)
+        dr, di = o.re, o.im or (0,) * len(o.re)
+        rr, ri = ([x * lead**k for x in p] for p in (self.re, self.im or (0,) * len(self.re)))
+        qr, qi = [0] * k, [0] * k
+        for j in range(k - 1, -1, -1):  # clear the top term of r
+            a, b = qr[j], qi[j] = rr.pop() // lead, ri.pop() // lead
+            rr[j:j + m] = [x - a * u + b * v for x, u, v in zip(rr[j:j + m], dr, di)]
+            ri[j:j + m] = [y - a * v - b * u for y, u, v in zip(ri[j:j + m], dr, di)]
+        s = self.den * lead**k
+        q = _from_ints(s, [x * o.den for x in qr], [y * o.den for y in qi])
+        return q, _from_ints(s, rr, ri)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -195,35 +205,38 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self):
-        if self.is_zero():
+        if not self.re:
             raise ValueError("zero polynomial cannot be made monic")
-        inv = self.leading().inverse()
-        return Poly([c * inv for c in self.coeffs])
+        if self.im and self.im[-1]:
+            return self * self.leading().inverse()
+        return _from_ints(self.re[-1], self.re, self.im)
 
     def shift(self, l):
         """The Taylor shift p(X + l) by an integer l, by repeated synthetic
-        division on the integer numerators over their lcm.
+        division on the stored integers.
 
         >>> Poly([0, 0, 1]).shift(1)
         X^2+2*X+1
         """
-        if not isinstance(l, int):
+        if not isinstance(l, int) or isinstance(l, bool):
             raise TypeError("shift takes an int, not %r" % (l,))
         if not l:
             return self
-        s, re, im = integer_row(self.coeffs)
-        for part in (re,) if im is None else (re, im):
+        parts = [list(p) for p in (self.re, self.im) if p is not None]
+        for part in parts:
             for i in range(len(part) - 1):
                 for k in range(len(part) - 2, i - 1, -1):
                     part[k] += l * part[k + 1]
-        return Poly(rational_row(re, s, im))
+        return _from_ints(self.den, *parts)
 
     def evaluate(self, x):
-        x = Q(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """p(x) by Horner's rule on the integers: with x = (u + v*i)/s,
+        the sum of (re_k + im_k*i)*(u + v*i)^k*s^(n-k) over den*s^n."""
+        s, (u,), v = integer_row([Q(x)])
+        v, ar, ai, w = v[0] if v else 0, 0, 0, 1  # w = s^(n-k)
+        for a, b in zip(reversed(self.re), reversed(self.im or (0,) * len(self.re))):
+            ar, ai, w = ar * u - ai * v + a * w, ar * v + ai * u + b * w, w * s
+        return rational_row([ar], self.den * s ** max(self.degree, 0), [ai])[0]
 
     # -- rendering ---------------------------------------------------------
 
@@ -235,6 +248,30 @@ class Poly:
         )
 
     __repr__ = __str__
+
+
+_new = object.__new__
+_SETTERS = [getattr(Poly, name).__set__ for name in Poly.__slots__]
+
+
+def _from_ints(den, re, im=None):
+    """The Poly (re + i*im)/den of integer sequences, den nonzero and im
+    None or no longer than re, stored reduced: im padded to the length of
+    re, or None when zero; trailing zeros stripped; den > 0 and coprime to
+    the entries."""
+    n = len(re)
+    im = tuple(im) + (0,) * (n - len(im)) if im is not None and any(im) else None
+    while n and not (re[n - 1] or im and im[n - 1]):
+        n -= 1
+    re, im = tuple(re[:n]), im and im[:n]
+    g = gcd(den, *re, *(im or ()))
+    g = -g if den < 0 else g
+    if g != 1:
+        den, re, im = den // g, tuple(x // g for x in re), im and tuple(x // g for x in im)
+    p = _new(Poly)
+    for set_slot, value in zip(_SETTERS, (den, re, im, None)):
+        set_slot(p, value)
+    return p
 
 
 def power_text(symbol, e):
@@ -271,19 +308,19 @@ def render_terms(terms, gap=""):
 def poly_gcd(p, q):
     """Monic gcd of two polynomials over the Gaussian rationals.
 
-    Real operands run a primitive pseudo-remainder sequence on integer
-    coefficients, made monic by one division at the end; Gaussian ones
-    take Euclid's loop on scalars.  Both give the one monic gcd.
+    Real operands run a primitive pseudo-remainder sequence on their
+    stored integers, made monic by one division at the end; Gaussian ones
+    take Euclid's loop.  Both give the one monic gcd.
 
     >>> poly_gcd(Poly([-1, 0, 1]), Poly([-1, 1]))
     X-1
     >>> poly_gcd(Poly([0, 0, 1]), Poly([1, 1]))
     1
     """
-    if p.is_zero() and q.is_zero():
+    if not p.re and not q.re:
         raise ValueError("gcd of two zero polynomials is undefined")
-    (_, a, ai), (_, b, bi) = integer_row(p.coeffs), integer_row(q.coeffs)
-    if ai is None and bi is None:
+    if p.im is None and q.im is None:
+        a, b = p.re, q.re
         while b:  # r = lead(b)^k*a mod b, divided by its content
             r, m = list(a), len(b) - 1
             while len(r) > m:  # clear the top term of r against b
@@ -293,12 +330,12 @@ def poly_gcd(p, q):
                 r.pop()
             g = gcd(*r) or 1
             a, b = b, [x // g for x in r]
-        return Poly(rational_row(a, a[-1]))
+        return _from_ints(a[-1], a)
     a, b = p, q
-    while not b.is_zero():
+    while b:
         r = a % b
         # normalizing each remainder keeps coefficient growth down
-        a, b = b, (r.monic() if not r.is_zero() else r)
+        a, b = b, (r.monic() if r else r)
     return a.monic()
 
 

@@ -229,7 +229,7 @@ def char_poly_gcd(char_polys) -> Poly:
 def _check_invertible(t: MatrixTuple):
     """A named error for the first singular member: det = ±cp(0)."""
     for idx, cp in enumerate(t._char_polys):
-        if not cp.coeffs[0]:
+        if not (cp.re[0] or cp.im and cp.im[0]):
             raise ValueError("member %d is singular" % (idx + 1,))
 
 

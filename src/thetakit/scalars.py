@@ -11,11 +11,12 @@ complex two, and only complex x complex does the four of the general
 formula; sums and differences of reals skip the imaginary sum; the inverse
 of a real is 1/re.  Results are built by _make from two Fractions, without
 re-coercion, and the imaginary part of a real is always Fraction(0), so
-equality, hashing and printing do not depend on the path.  Products of
-many scalars, in linalg and polynomials, take one way: integer_row clears
-the denominators of a row once, integer kernels (_dot, _matmul, _lin and
-_product, which splits a Gaussian product into real and imaginary parts)
-run on the numerators, and rational_row divides by one denominator once.
+equality, hashing and printing do not depend on the path; a real hashes as
+its rational part, as the equal int does.  linalg.ExactMatrix and
+polynomials.Poly store integers over one denominator: integer_row clears
+a row of scalars to them once, the integer kernels (_dot, _matmul, _lin
+and _product, which splits a Gaussian product into real and imaginary
+parts) run on them, and rational_row builds scalars back when read.
 
 A string becomes a scalar only through the canonical grammar, whose
 numbers are decimal digits with an optional '/q': a real '3', '-7/3'; an
@@ -240,8 +241,8 @@ class GaussianRational:
             return NotImplemented
         return self.re == o.re and self.im == o.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    def __hash__(self):  # a real hashes as its rational part: as the equal int
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     # -- rendering ----------------------------------------------------------
 

@@ -152,6 +152,8 @@ class ThetaOperator:
         return self._parts == o._parts
 
     def __hash__(self):
+        if self._parts.keys() <= {0} and self.theta_degree <= 0:  # as the equal scalar
+            return hash(self._parts.get(0, 0))
         return hash(frozenset(self._parts.items()))
 
     # -- ring operations ----------------------------------------------------
@@ -200,7 +202,7 @@ class ThetaOperator:
         return o * self
 
     def __pow__(self, e):
-        if not isinstance(e, int):
+        if not isinstance(e, int) or isinstance(e, bool):
             raise TypeError("operator exponent must be an int")
         if e < 0:
             # only single-term z-monomials are invertible in the Laurent ring
@@ -230,7 +232,7 @@ def _coerce_theta(x):
     if isinstance(x, ThetaOperator):
         return x
     if isinstance(x, (int, GaussianRational)):
-        return ThetaOperator.constant(x)
+        return ThetaOperator.constant(int(x) if isinstance(x, bool) else x)
     return None
 
 

@@ -1,13 +1,16 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetakit import polynomials
 from thetakit.hypergeometric import CONTIGUITY_KINDS, HGParams, contiguity_check
-from thetakit.polynomials import Poly, X, poly_gcd
+from thetakit.polynomials import Poly, X, _from_ints, poly_gcd
 from thetakit.scalars import Q, GaussianRational
 
 
@@ -192,6 +195,125 @@ def test_polynomial_kernels_take_no_scalar_products_or_sums(monkeypatch):
         checks = [contiguity_check(k, p, x) for k, x in zip(CONTIGUITY_KINDS, extras)]
     assert got == expected
     assert checks == [True] * len(CONTIGUITY_KINDS)
+
+
+def storage(p):
+    return p.den, p.re, p.im
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_lists, st.sampled_from([1, 3, -1, -12]))
+def test_storage_round_trip(a, k):
+    # coeffs -> (den, re, im) -> coeffs, with one storage for every
+    # multiple k*(den, re, im), trailing zeros or not
+    p = Poly(a)
+    expected = list(a)
+    while expected and not expected[-1]:
+        expected.pop()
+    assert p.coeffs == tuple(expected)
+    assert p.den > 0 and gcd(p.den, *p.re, *(p.im or ())) == 1
+    assert type(p.re) is tuple and (p.im is None) == all(c.is_real() for c in a)
+    assert p.im is None or len(p.im) == len(p.re)
+    assert not p.re or p.re[-1] or p.im[-1]
+    im = [k * y for y in p.im or (0,) * len(p.re)]
+    again = _from_ints(k * p.den, [k * x for x in p.re] + [0, 0], im)
+    assert storage(again) == storage(p) and again.coeffs == p.coeffs
+    assert again == p and hash(again) == hash(p) and str(again) == str(p)
+
+
+def test_one_polynomial_reached_by_different_paths_is_one_storage():
+    literal = Poly([Q("-1/6+1/3*i"), Q("-1/6-2/3*i"), 1])
+    paths = [
+        Poly.from_roots([Q("1/2"), Q("-1/3+2/3*i")]) * 1,
+        Poly.from_roots([Q("1/2")]) * Poly.from_roots([Q("-1/3+2/3*i")]),
+        literal.shift(3).shift(-3),
+        (literal * Q("2/7")).shift(-1).shift(1) * Q("7/2"),
+        literal + X**2 - X * X,
+        -(-literal),
+        divmod(literal * (X + Q(0, 1)), X + Q(0, 1))[0],
+        (literal * 6).monic(),
+    ]
+    for p in paths:
+        assert storage(p) == storage(literal)
+        assert p == literal and hash(p) == hash(literal) and str(p) == str(literal)
+
+
+def test_a_cancelled_imaginary_part_is_stored_as_none():
+    i = Q(0, 1)
+    for p in ((X + i) * (X - i), Poly.from_roots([i, -i]), (X + i) + (X - i),
+              (X**2 + i * X) - i * X, (X + i).shift(2) - (X + i) + X - X.shift(2)):
+        assert p.im is None and all(c.is_real() for c in p.coeffs)
+    assert storage((X + i) * (X - i)) == (1, (1, 0, 1), None)
+
+
+def test_the_zero_polynomial():
+    zero = Poly()
+    assert storage(zero) == (1, (), None) and zero.coeffs == ()
+    for p in (Poly([0, Q(0, 0)]), X - X, (X + Q(0, 1)) * 0, Poly.from_roots([1]) % (X - 1),
+              Poly([Q(1, 2)]) * Poly(), Poly([Q("3/7-i")]) - Q("3/7-i"), _from_ints(-5, [0], [0])):
+        assert storage(p) == storage(zero) and p == zero == 0 and hash(p) == hash(0)
+        assert p.degree == -1 and not p and str(p) == "0"
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "coeffs read"])
+def test_copy_deepcopy_and_pickle_keep_the_storage(read_first):
+    for p in (Poly(), Poly([Q(-3)]), Poly([Q(1, 2), Q("2/3+i"), 0, -3]),
+              Poly.from_roots([Q("1/3-2*i"), Q(5, 7)])):
+        if read_first:
+            p.coeffs
+        for again in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(again) is Poly and storage(again) == storage(p)
+            assert again == p and hash(again) == hash(p) and again.coeffs == p.coeffs
+
+
+def test_constant_polynomials_hash_as_the_equal_scalar():
+    for c in (0, 3, -1, Q(3), Q(1, 2), Q("-1/2+1/3*i")):
+        p = Poly([c])
+        assert p == c and hash(p) == hash(c) and len({p, c}) == 1
+    assert len({Poly([3]), 3, Q(3)}) == 1 and len({Poly(), 0, Q(0)}) == 1
+    assert X != 0 and X != Q(0, 1) and hash(X) == hash(Poly([0, 1]))
+
+
+def test_booleans_compare_as_ints_and_are_refused_as_exponents_and_shifts():
+    # == agrees with GaussianRational (Q(1) == True) and never raises
+    assert Poly([1]) == True and Poly() == False  # noqa: E712
+    assert Poly([2]) != True and X != True  # noqa: E712
+    assert (Poly([1]) == "1") is False and (Poly([1]) == 1.0) is False
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            X.shift(flag)
+        with pytest.raises(TypeError):
+            X**flag
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_lists, gaussians)
+def test_evaluate_and_monic_match_the_scalar_loop(a, x):
+    p = Poly(a)
+    value = Q(0)
+    for c in reversed(p.coeffs):  # Horner's rule on scalars
+        value = value * x + c
+    assert p.evaluate(x) == value
+    if p:
+        inverse = p.leading().inverse()
+        assert p.monic() == Poly([c * inverse for c in p.coeffs])
+
+
+def test_contiguity_builds_no_coefficient_scalars(monkeypatch):
+    # build_D, the Ore products and the comparison of both sides stay on
+    # the stored integers: no Poly builds its canonical scalars
+    def refuse(*args):
+        raise AssertionError("a Poly built its coefficient scalars")
+
+    params = (HGParams((Q("1/2"), Q(-6), Q("7/3")), (Q("7/4"), Q(-1), Q("1/5"))),
+              HGParams((Q("1/2+i"), Q(-6), Q("7/3-1/3*i")), (Q("7/4-2*i"), Q(-1), Q(-3))))
+    extras = (Q("1/2"), Q("1/3+i"), 1, 2, -2)
+    with monkeypatch.context() as patched:
+        patched.setattr(polynomials, "rational_row", refuse)
+        patched.setattr(Poly, "coeffs", property(refuse))
+        checks = [contiguity_check(kind, p, x)
+                  for p in params for kind, x in zip(CONTIGUITY_KINDS, extras)]
+    assert checks == [True] * 2 * len(CONTIGUITY_KINDS)
 
 
 def rational_poly_gcd(p, q):

@@ -110,6 +110,23 @@ def test_hash_consistent_with_eq(x):
     assert hash(Q(str(x))) == hash(x)
 
 
+@settings(max_examples=100, deadline=None)
+@given(scalars)
+def test_a_real_hashes_as_its_rational_part(x):
+    # so an integer scalar and the int it equals are one set member
+    if x.is_real():
+        assert hash(x) == hash(x.re)
+    if x.is_integer():
+        assert x == x.as_int() and len({x, x.as_int()}) == 1
+
+
+def test_equal_ints_and_bools_hash_equal():
+    assert Q(3) == 3 and hash(Q(3)) == hash(3) and len({Q(3), 3}) == 1
+    assert Q(1) == True and hash(Q(1)) == hash(True)  # noqa: E712
+    assert Q(0) == False and len({ZERO, 0, False}) == 1  # noqa: E712
+    assert Q(3, 1) != 3
+
+
 def test_int_coercion_in_arithmetic():
     assert Q("1/2") + 1 == Q("3/2")
     assert 2 * Q("1/2") == ONE

@@ -74,6 +74,24 @@ def test_non_integer_powers_are_refused(build):
         build()
 
 
+def test_a_constant_operator_equals_and_hashes_as_its_scalar():
+    for c in (0, 1, -3, Q(1, 2), Q("1/2-1/3*i")):
+        op = ThetaOperator.constant(c)
+        assert op == c and hash(op) == hash(c) and len({op, c}) == 1
+    assert len({ThetaOperator.zero(), 0, ONE_OP, 1, Q(1)}) == 2
+    assert Z != 1 and ThetaOperator.z(-1) != 1 and T + 1 != 1
+
+
+def test_booleans_compare_as_ints_and_are_refused_as_exponents():
+    # == agrees with GaussianRational (Q(1) == True) and never raises
+    assert ONE_OP == True and ThetaOperator.zero() == False  # noqa: E712
+    assert ThetaOperator.constant(2) != True and T != True  # noqa: E712
+    assert (ONE_OP == "1") is False and (ONE_OP == 1.0) is False
+    for e in (True, False):
+        with pytest.raises(TypeError):
+            T**e
+
+
 def test_degree_conventions():
     assert ThetaOperator.zero().is_zero()
     assert ThetaOperator.zero().theta_degree == float("-inf")
