@@ -19,8 +19,8 @@ that print pairs 1-based do their own conversion.
 import operator
 from collections import namedtuple
 
-from .polynomials import Poly
-from .scalars import Q
+from .polynomials import _from_int_roots, _from_ints
+from .scalars import Q, integer_row
 from .theta import ThetaOperator
 
 
@@ -95,12 +95,24 @@ def build_D(p: HGParams) -> ThetaOperator:
     >>> D == ThetaOperator.parse("(1-z)*t^2*(t-2)")
     True
     """
-    return ThetaOperator.from_parts(
-        {
-            0: Poly.from_roots([1 - b for b in p.beta]),
-            1: -Poly.from_roots([-a for a in p.alpha]),
-        }
-    )
+    return _D(*_cleared(p.alpha + p.beta))
+
+
+def _cleared(values):
+    """integer_row(values), with im a list of zeros when every value is real."""
+    s, re, im = integer_row(values)
+    return s, re, im or [0] * len(re)
+
+
+def _D(s, re, im):
+    """D(alpha; beta) from _cleared(alpha + beta) = (s, re, im): the roots
+    1 - b_j are (s - u - v*i)/s and the roots -a_i (-u - v*i)/s, u + v*i
+    the integers of a parameter."""
+    n = len(re) // 2
+    return ThetaOperator.from_parts({
+        0: _from_int_roots(s, [s - u for u in re[n:]], [-v for v in im[n:]]),
+        1: _from_int_roots(s, [-u for u in re[:n]], [-v for v in im[:n]], -1),
+    })
 
 
 def exponents(p: HGParams) -> LocalExponents:
@@ -178,43 +190,53 @@ def contiguity_check(kind: str, p: HGParams, extra) -> bool:
     - beta_raise, index j:  D(a; b)·(t+b_j) = (t+b_j-1)·D(a; ..b_j+1..)
     - power_shift, integer s: D(a; b)·z^s = z^s·D(a+s; b+s)
 
-    An index or shift that is not an integer (2.5, Fraction(2)) is a
-    TypeError.  A False return signals an implementation bug, not a property of the
-    parameters: the identities hold for every parameter set.
+    An index or shift that is not an int (2.5, Fraction(2), True) is a
+    TypeError, and an index outside 0..n-1 an IndexError.  A False return
+    signals an implementation bug, not a property of the parameters: the
+    identities hold for every parameter set.
+
+    The parameters, with delta, are cleared once to integers u + v*i over
+    one denominator (_cleared).  A parameter moves by an integer k as u
+    plus k times that denominator, and every operator of the identity is
+    built from these integers.
 
     >>> contiguity_check("power_shift", HGParams(("1/2",), ("1/3",)), -2)
     True
     """
-    D = build_D(p)
-    if kind == "left_append":
-        delta = Q(extra)
-        lhs = ThetaOperator.theta_plus(delta - 1) * D
-        rhs = build_D(HGParams(p.alpha + (delta,), p.beta + (delta,)))
-    elif kind == "right_append":
-        delta = Q(extra)
-        lhs = D * ThetaOperator.theta_plus(delta)
-        rhs = build_D(HGParams(p.alpha + (delta,), p.beta + (delta + 1,)))
-    elif kind == "alpha_lower":
-        j = operator.index(extra)
-        a_j = p.alpha[j]
-        lowered = p.alpha[:j] + (a_j - 1,) + p.alpha[j + 1:]
-        lhs = D * ThetaOperator.theta_plus(a_j - 1)
-        rhs = ThetaOperator.theta_plus(a_j - 1) * build_D(HGParams(lowered, p.beta))
-    elif kind == "beta_raise":
-        j = operator.index(extra)
-        b_j = p.beta[j]
-        raised = p.beta[:j] + (b_j + 1,) + p.beta[j + 1:]
-        lhs = D * ThetaOperator.theta_plus(b_j)
-        rhs = ThetaOperator.theta_plus(b_j - 1) * build_D(HGParams(p.alpha, raised))
-    elif kind == "power_shift":
-        s = operator.index(extra)
-        shifted = HGParams(
-            tuple(a + s for a in p.alpha), tuple(b + s for b in p.beta)
-        )
-        lhs = D * ThetaOperator.z(s)
-        rhs = ThetaOperator.z(s) * build_D(shifted)
-    else:
+    if kind not in CONTIGUITY_KINDS:
         raise ValueError("unknown contiguity kind %r" % (kind,))
+    n, append = p.n, kind.endswith("_append")
+    if not append:
+        if isinstance(extra, bool):
+            raise TypeError("%s takes an int, not %r" % (kind, extra))
+        k = operator.index(extra)
+        if kind != "power_shift" and not 0 <= k < n:
+            raise IndexError("%s index %d is out of range for n = %d" % (kind, k, n))
+    s, re, im = _cleared(p.alpha + p.beta + ((Q(extra),) if append else ()))
+    D = _D(s, re[:2 * n], im[:2 * n])
+
+    def theta_plus(u, v):  # t + (u + v*i)/s
+        return ThetaOperator.from_parts({0: _from_ints(s, [u, s], [v, 0])})
+
+    if kind == "left_append":
+        u, v = re.pop(), im.pop()
+        lhs = theta_plus(u - s, v) * D
+        rhs = _D(s, re[:n] + [u] + re[n:] + [u], im[:n] + [v] + im[n:] + [v])
+    elif kind == "right_append":
+        u, v = re.pop(), im.pop()
+        lhs = D * theta_plus(u, v)
+        rhs = _D(s, re[:n] + [u] + re[n:] + [u + s], im[:n] + [v] + im[n:] + [v])
+    elif kind == "alpha_lower":
+        u, v = re[k], im[k]
+        re[k] = u - s
+        lhs, rhs = D * theta_plus(u - s, v), theta_plus(u - s, v) * _D(s, re, im)
+    elif kind == "beta_raise":
+        u, v = re[n + k], im[n + k]
+        re[n + k] = u + s
+        lhs, rhs = D * theta_plus(u, v), theta_plus(u - s, v) * _D(s, re, im)
+    else:  # power_shift
+        z = ThetaOperator.from_parts({k: _from_ints(1, [1])})
+        lhs, rhs = D * z, z * _D(s, [u + k * s for u in re], im)
     return lhs == rhs
 
 
@@ -307,10 +329,12 @@ def factorization_certificate(p: HGParams):
         raise ValueError("no admissible matching: %s is a negative integer" % pair)
     steps = []
     removed_i, removed_j = set(), set()
+    s, re, im = _cleared(p.alpha + p.beta)
     for i, j, m in chosen:
-        a, b = p.alpha[i], p.beta[j]
-        right = Poly.from_roots([-(b + l) for l in range(m)])
-        left = Poly.from_roots([1 - b - l for l in range(m)] + [1 - a])
+        (ua, va), (ub, vb) = (re[i], im[i]), (re[p.n + j], im[p.n + j])
+        right = _from_int_roots(s, [-ub - l * s for l in range(m)], [-vb] * m)
+        left = _from_int_roots(s, [s - ub - l * s for l in range(m)] + [s - ua],
+                               [-vb] * m + [-va])
         removed_i.add(i)
         removed_j.add(j)
         after = HGParams(
@@ -321,7 +345,7 @@ def factorization_certificate(p: HGParams):
             FactorStep(
                 pair=(i, j),
                 gap=m,
-                linear_factor=a,
+                linear_factor=p.alpha[i],
                 left=ThetaOperator.from_parts({0: left}),
                 right=ThetaOperator.from_parts({0: right}),
                 params_after=after,

@@ -63,17 +63,7 @@ class Poly:
     def from_roots(cls, roots):
         """The product of X - r over the n roots: with s the lcm of their
         denominators and w = s*r, the integer product of s*X - w over s^n."""
-        s, us, vs = integer_row([Q(r) for r in roots])
-        re, im = [1], ([0] if vs else None)
-        for k, u in enumerate(us):
-            lo, hi = re + [0], [0] + re
-            if vs:  # (a + b*i)(s*X - u - v*i), a + b*i the coefficients so far
-                v, lo_im, hi_im = vs[k], im + [0], [0] + im
-                im = [s * h - u * b - v * a for h, a, b in zip(hi_im, lo, lo_im)]
-                re = [s * h - u * a + v * b for h, a, b in zip(hi, lo, lo_im)]
-            else:
-                re = [s * h - u * a for h, a in zip(hi, lo)]
-        return _from_ints(s ** len(us), re, im)
+        return _from_int_roots(*integer_row([Q(r) for r in roots]))
 
     # -- structure ----------------------------------------------------------
 
@@ -272,6 +262,22 @@ def _from_ints(den, re, im=None):
     for set_slot, value in zip(_SETTERS, (den, re, im, None)):
         set_slot(p, value)
     return p
+
+
+def _from_int_roots(s, us, vs, sign=1):
+    """sign times the product of X - (u + v*i)/s over the pairs of us and
+    vs, vs None or all zero when every root is real: the integer product of
+    s*X - u - v*i over sign*s^n."""
+    re, im = [1], ([0] if vs and any(vs) else None)
+    for k, u in enumerate(us):
+        lo, hi = re + [0], [0] + re
+        if im:  # (a + b*i)(s*X - u - v*i), a + b*i the coefficients so far
+            v, lo_im, hi_im = vs[k], im + [0], [0] + im
+            im = [s * h - u * b - v * a for h, a, b in zip(hi_im, lo, lo_im)]
+            re = [s * h - u * a + v * b for h, a, b in zip(hi, lo, lo_im)]
+        else:
+            re = [s * h - u * a for h, a in zip(hi, lo)]
+    return _from_ints(sign * s ** len(us), re, im)
 
 
 def power_text(symbol, e):

@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -16,7 +18,8 @@ from thetakit.hypergeometric import (
     partition,
     verify_certificate,
 )
-from thetakit.scalars import Q
+from thetakit.polynomials import Poly
+from thetakit.scalars import Q, GaussianRational
 from thetakit.theta import ThetaOperator, right_divide
 
 from util import params as random_params
@@ -53,6 +56,30 @@ def test_build_gauss_operator():
 def test_build_empty_params():
     d = build_D(HGParams((), ()))
     assert d == ONE_OP - Z
+
+
+def scalar_D(p):
+    """The reference: prod(t + b - 1) - z*prod(t + a), multiplied out by
+    the public operator arithmetic on scalar parameters."""
+    def product(roots):
+        return reduce(mul, (ThetaOperator.theta_plus(c) for c in roots), ONE_OP)
+
+    return product([b - 1 for b in p.beta]) - Z * product(p.alpha)
+
+
+def test_build_D_matches_the_scalar_product():
+    # seeded Gaussian parameters, n = 0..5, with negative numerators and
+    # denominators, shared and distinct denominators, and the n = 0
+    # operator 1 - z
+    rng = random.Random(25)
+    for n in range(6):
+        for complex_chance in (0.0, 0.5):
+            den = rng.choice([1, -3, 12])
+            shared = HGParams(*([Q(rng.randrange(-20, 21)) / Q(den) for _ in range(n)]
+                                for _ in "ab"))
+            for p in (shared, random_params(rng, n, complex_chance)):
+                assert build_D(p) == scalar_D(p), p
+    assert build_D(HGParams((), ())) == scalar_D(HGParams((), ())) == ONE_OP - Z
 
 
 def test_operator_order_equals_n():
@@ -123,6 +150,37 @@ def test_contiguity_index_out_of_range():
 
 
 @pytest.mark.parametrize(
+    "kind, extra, error",
+    [(kind, index, IndexError) for kind in ("alpha_lower", "beta_raise") for index in (-1, -2, 2)]
+    + [(kind, True, TypeError) for kind in ("alpha_lower", "beta_raise", "power_shift")],
+)
+def test_contiguity_refuses_an_index_outside_0_to_n_minus_1(kind, extra, error):
+    # -1 once failed as a length mismatch, -2 counted from the end and True
+    # passed as the index 1; the error names the kind and the index
+    p = HGParams((Q("1/2"), Q("1/3")), (Q("1/5"), Q("1/7")))
+    with pytest.raises(error, match="%s .*%r" % (kind, extra)):
+        contiguity_check(kind, p, extra)
+
+
+def test_contiguity_takes_no_scalar_arithmetic(monkeypatch):
+    # the parameters are cleared to integers once; every operator of the
+    # identity, and both sides' comparison, runs on the integers
+    def refuse(*args, **kwargs):
+        raise AssertionError("GaussianRational arithmetic in contiguity_check")
+
+    params = (HGParams((Q("1/2"), Q(-6), Q("7/3")), (Q("7/4"), Q(-1), Q("1/5"))),
+              HGParams((Q("1/2+i"), Q(-6), Q("7/3-1/3*i")), (Q("7/4-2*i"), Q(-1), Q(-3))))
+    extras = (Q("-1/2"), Q("1/3+i"), 2, 0, -2)
+    with monkeypatch.context() as patched:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                     "__mul__", "__rmul__", "__truediv__", "inverse"):
+            patched.setattr(GaussianRational, name, refuse)
+        checks = [contiguity_check(kind, p, x)
+                  for p in params for kind, x in zip(CONTIGUITY_KINDS, extras)]
+    assert checks == [True] * 2 * len(CONTIGUITY_KINDS)
+
+
+@pytest.mark.parametrize(
     "kind, extra",
     [
         ("alpha_lower", 0.0),
@@ -181,6 +239,21 @@ def test_certificate_chain_exactness_random():
             continue
         assert verify_certificate(p)
         built += 1
+
+
+def test_certificate_factors_match_the_scalar_roots():
+    # right = (t+b)···(t+b+m-1) and left = (t+b-1)···(t+b+m-2)·(t+a-1),
+    # built from the scalar roots, for Gaussian and real matched pairs
+    p = HGParams((Q("1/2+i"), Q(3), Q("1/3")), (Q("-3/2+i"), Q("1/3"), Q(-1)))
+    steps = factorization_certificate(p)
+    assert [s.gap for s in steps] == [0, 2, 4]
+    for step in steps:
+        (i, j), m = step.pair, step.gap
+        a, b = p.alpha[i], p.beta[j]
+        right = Poly.from_roots([-(b + l) for l in range(m)])
+        left = Poly.from_roots([1 - b - l for l in range(m)] + [1 - a])
+        assert step.right == ThetaOperator.from_parts({0: right})
+        assert step.left == ThetaOperator.from_parts({0: left})
 
 
 def test_negative_gaps_have_no_chain():
