@@ -15,8 +15,9 @@ den times a real or a complex matrix.  One fraction-free step, _insert,
 reduces an integer row against the rows kept so far: _eliminate runs it
 row by row for rref, rank, kernel_matrix and inverse (on the realified
 rows of a complex matrix), and rigidity.algebra_span_dimension on its
-words.  det keeps its own loop, as a reference.  A Subspace is the
-rref of its vectors, and membership is one product with its nonzero rows.
+words; det is the constant term of char_poly.  A Subspace is one _reduce
+of the integer rows of its vectors or of a kernel_matrix, its nonzero rows
+kept as one matrix: membership is one product with them.
 companion_of_operator is the one companion-matrix builder, for extension
 and rigidity alike; it writes its integer rows over the coefficients' lcm.
 """
@@ -290,23 +291,14 @@ class ExactMatrix:
             return _matrix(d, basis(re, d), im and basis(im, 0))
 
     def det(self):
-        n = self.n
-        rows = [list(r) for r in self.rows]
-        det = Q(1)
-        for pc in range(n):
-            pivot_row = next((i for i in range(pc, n) if rows[i][pc]), None)
-            if pivot_row is None:
-                return Q(0)
-            if pivot_row != pc:
-                rows[pc], rows[pivot_row] = rows[pivot_row], rows[pc]
-                det = -det
-            det = det * rows[pc][pc]
-            inv = rows[pc][pc].inverse()
-            for i in range(pc + 1, n):
-                if rows[i][pc]:
-                    f = rows[i][pc] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[pc])]
-        return det
+        """det A = (-1)^n * chi_A(0): the constant term of char_poly, read
+        on its integers, so det eliminates nothing itself.
+
+        >>> ExactMatrix([[Q(0, 1), 1], [0, 2]]).det()
+        2*i
+        """
+        cp, sign = self.char_poly(), (-1) ** self.n
+        return rational_row([sign * cp.re[0]], cp.den, cp.im and [sign * cp.im[0]])[0]
 
     def inverse(self):
         n = self.n
@@ -418,24 +410,16 @@ class Subspace:
 
     __slots__ = ("ambient", "basis", "_pivots", "_rref")
 
-    def __init__(self, vectors, ambient=None):
-        rows = [list(map(Q, v)) for v in vectors]
-        if rows:
-            ambient_dim = len(rows[0])
-            if any(len(v) != ambient_dim for v in rows):
-                raise ValueError("vectors of unequal length")
-            if ambient is not None and ambient != ambient_dim:
-                raise ValueError("ambient dimension mismatch")
-        elif ambient is None:
+    def __new__(cls, vectors, ambient=None):
+        rows = [tuple(v) for v in vectors]  # ExactMatrix reads the entries
+        ambient_dim = len(rows[0]) if rows else ambient
+        if ambient_dim is None:
             raise ValueError("empty basis needs an explicit ambient dimension")
-        else:
-            ambient_dim = ambient
-        r, pivots = ExactMatrix(rows).rref() if rows and ambient_dim else (None, ())
-        k = len(pivots)
-        r = _matrix(r.den, r.re[:k], r.im and r.im[:k]) if k else None  # the nonzero rows
-        basis = r.rows if k else ()
-        for name, value in zip(self.__slots__, (ambient_dim, basis, pivots, r)):
-            object.__setattr__(self, name, value)
+        if any(len(v) != ambient_dim for v in rows):
+            raise ValueError("vectors of unequal length")
+        if ambient not in (None, ambient_dim):
+            raise ValueError("ambient dimension mismatch")
+        return _subspace(ExactMatrix(rows) if rows and ambient_dim else None, ambient_dim)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -453,12 +437,7 @@ class Subspace:
     def contains(self, vector):
         if len(vector) != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        if self._rref is None:
-            return not any(map(Q, vector))
-        # each basis row is 1 at its own pivot and 0 at the others, so a
-        # vector in the span is its entries at the pivots times the basis
-        head = ExactMatrix([[vector[pc] for pc in self._pivots]])
-        return ExactMatrix([vector]) == head * self._rref
+        return not any(map(Q, vector)) if self._rref is None else self._spans(ExactMatrix([vector]))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -469,7 +448,16 @@ class Subspace:
         return hash((self.ambient, self.basis))
 
     def is_invariant_under(self, m):
-        return all(self.contains(m.apply(v)) for v in self.basis)
+        if (m.nrows, m.ncols) != (self.ambient, self.ambient):
+            raise ValueError("ambient dimension mismatch")
+        return self._rref is None or self._spans(self._rref * m.transpose())
+
+    def _spans(self, x):
+        """Whether the rows of the ExactMatrix x (for invariance, the images
+        _rref * m^T of the basis) lie in the span: the basis rows are 1 at
+        their own pivot and 0 at the others, so x == x[:, pivots] * _rref."""
+        head = (p and [[r[pc] for pc in self._pivots] for r in p] for p in (x.re, x.im))
+        return x == _matrix(x.den, *head) * self._rref
 
     def __str__(self):
         return "span{%s}" % ", ".join(
@@ -479,7 +467,17 @@ class Subspace:
     __repr__ = __str__
 
 
+def _subspace(m, ambient):
+    """The Subspace of Q(i)^ambient spanned by the rows of the ExactMatrix m
+    (none when None): the nonzero rows of one _reduce, read once as basis."""
+    pivots, d, re, im = ((), 1, (), None) if m is None else m._reduce()
+    r = _matrix(d, re[:len(pivots)], im and im[:len(pivots)]) if pivots else None
+    space = object.__new__(Subspace)
+    for name, value in zip(space.__slots__, (ambient, r.rows if r else (), tuple(pivots), r)):
+        object.__setattr__(space, name, value)
+    return space
+
+
 def kernel(m):
     """Kernel of a matrix as a Subspace; basis length = ncols - rank."""
-    k = m.kernel_matrix()
-    return Subspace(() if k is None else k.rows, ambient=m.ncols)
+    return _subspace(m.kernel_matrix(), m.ncols)

@@ -216,7 +216,7 @@ class GaussianRational:
         return o * self.inverse()
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)

@@ -18,7 +18,7 @@ from thetakit.linalg import (
 from thetakit.polynomials import Poly, X
 from thetakit.scalars import Q, GaussianRational, rational_row
 
-from util import complete_basis, invertible_matrix
+from util import complete_basis, det, invertible_matrix
 
 
 def m_(rows):
@@ -90,7 +90,7 @@ def test_char_poly_matches_det_and_trace():
         p = m.char_poly()
         assert p.degree == n
         # constant term is (-1)^n det, next-to-top coefficient is -trace
-        assert p.evaluate(Q(0)) == m.det() * Q((-1) ** n)
+        assert p.evaluate(Q(0)) == det(m) * Q((-1) ** n)
         assert p.coeffs[n - 1] == -sum((m[i, i] for i in range(n)), Q(0))
 
 
@@ -228,6 +228,15 @@ class TestSubspace:
             with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
                 space.contains(vector)
 
+    @pytest.mark.parametrize("space", [Subspace([(1, 2)]), Subspace([], ambient=2)],
+                             ids=["line", "zero"])
+    def test_invariance_checks_the_shape(self, space):
+        for m in (m_([[1, 2, 3], [4, 5, 6]]), m_([[1, 2], [3, 4], [5, 6]]),
+                  ExactMatrix.identity(3), ExactMatrix.identity(1)):
+            with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+                space.is_invariant_under(m)
+        assert space.is_invariant_under(ExactMatrix.identity(2))
+
 
 def test_kernel_function():
     m = m_([[1, 1], [1, 1]])
@@ -287,7 +296,7 @@ def test_char_poly_interpolates_det(a):
     assert p.degree == n and p.leading() == Q(1)
     for x in range(n + 1):
         shifted = ExactMatrix.identity(n) * Q(x) - a
-        assert p.evaluate(Q(x)) == shifted.det()
+        assert p.evaluate(Q(x)) == det(shifted)
 
 
 @st.composite
@@ -455,6 +464,32 @@ def test_complex_elimination_matches_the_rational_loop(rows):
         assert m.inverse() * m == ExactMatrix.identity(n) == m * m.inverse()
 
 
+@st.composite
+def det_cases(draw):
+    """Square matrices, n = 1..6, real or Gaussian, of full rank or with
+    rows r..n-1 in the span of the first r < n."""
+    n = draw(st.integers(1, 6))
+    values = draw(st.sampled_from([real_entries, st.one_of(real_entries, complex_entries)]))
+    entries = st.one_of(st.just(Q(0)), values)
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    for i in range(draw(st.one_of(st.just(n), st.integers(0, n - 1))), n):
+        cs = [draw(entries) for _ in range(i)]
+        rows[i] = [sum((c * r[j] for c, r in zip(cs, rows)), Q(0)) for j in range(n)]
+    return ExactMatrix(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(det_cases())
+def test_det_matches_the_scalar_elimination(m):
+    got, expected = m.det(), det(m)
+    assert got == expected and str(got) == str(expected)
+    assert (not got) == (m.rank() < m.n)
+    wide = ExactMatrix([list(r) + [Q(1)] for r in m.rows])
+    for shape in (wide, wide.transpose()):
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            shape.det()
+
+
 def test_real_matrices_take_the_integer_kernels(monkeypatch):
     def refuse(*args):
         raise AssertionError("a GaussianRational operation on the integer path")
@@ -507,7 +542,7 @@ def test_char_poly_takes_no_scalar_arithmetic(monkeypatch):
         n = m.n
         assert p.degree == n and p.leading() == Q(1)
         for x in range(n + 1):
-            assert p.evaluate(Q(x)) == (ExactMatrix.identity(n) * Q(x) - m).det()
+            assert p.evaluate(Q(x)) == det(ExactMatrix.identity(n) * Q(x) - m)
     assert not polys[2].coeffs[0]
 
 
@@ -708,23 +743,50 @@ def test_integer_storage_matches_a_fraction_pair_reference():
     assert 10 < singular < 100  # both branches of inverse ran
 
 
-def test_real_products_kernels_and_differences_skip_scalar_arithmetic(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("scalar arithmetic on a real matrix")
+MECHANISM_CASES = {
+    "real": ([[2, "1/3", 0], [1, -3, "5/2"], [0, 1, 4]],
+             [["1/2", 1, 0], [0, 1, 1], [1, 0, "-2/7"]],
+             [[1, 2, 3], [2, 4, 6], [0, 1, 1]]),
+    "gaussian": ([["2+i", "1/3", 0], [1, "-3*i", "5/2"], [0, 1, 4]],
+                 [["1/2", "1-i", 0], [0, 1, 1], ["i", 0, "-2/7"]],
+                 [[1, "2+i", 3], [2, "4+2*i", 6], ["i", 1, 1]]),
+}
 
-    a = m_([[2, "1/3", 0], [1, -3, "5/2"], [0, 1, 4]])
-    b = m_([["1/2", 1, 0], [0, 1, 1], [1, 0, "-2/7"]])
-    c = m_([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+
+@pytest.mark.parametrize("kind", list(MECHANISM_CASES))
+def test_products_kernels_subspaces_and_det_skip_scalar_arithmetic(kind, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scalar arithmetic on the integer path")
+
+    a, b, c = (m_(rows) for rows in MECHANISM_CASES[kind])  # c is singular, of rank 2
+    units = [tuple(Q(int(i == j)) for j in range(3)) for i in range(3)]
+    vectors = units + [c.row(0), tuple(x + y for x, y in zip(c.row(0), c.row(2)))]
     with monkeypatch.context() as patched:
         for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
                      "__rsub__", "__neg__", "__truediv__", "__rtruediv__",
                      "__pow__", "inverse"):
             patched.setattr(GaussianRational, name, refuse)
         product, poly, null, difference = a * b, a.char_poly(), c.kernel_vectors(), a - b
+        dets = [m.det() for m in (a, b, c)]
+        spaces = [Subspace(c.rows), kernel(c), Subspace(a.rows[:1])]
+        inside = [[s.contains(v) for v in vectors] for s in spaces]
+        invariant = [[s.is_invariant_under(m) for m in (a, c)] for s in spaces]
     assert product == ExactMatrix(
         [[sum((x * y for x, y in zip(r, col)), Q(0)) for col in zip(*b.rows)] for r in a.rows]
     )
     for x in range(4):
-        assert poly.evaluate(Q(x)) == (ExactMatrix.identity(3) * Q(x) - a).det()
+        assert poly.evaluate(Q(x)) == det(ExactMatrix.identity(3) * Q(x) - a)
     assert len(null) == 1 and c.apply(null[0]) == (Q(0),) * 3
     assert difference + b == a
+    assert dets == [det(m) for m in (a, b, c)] and dets[0] and not dets[2]
+    expected = [list(r) for r in c.rows]
+    k = len(rational_gauss_jordan(expected, 3))
+    assert spaces[0].basis == tuple(map(tuple, expected[:k])) and k == 2
+    assert spaces[1] == Subspace(null) and not any(c.apply(spaces[1].basis[0]))
+    for s, got in zip(spaces, inside):
+        assert got == [ExactMatrix(list(s.basis) + [v]).rank() == s.dim for v in vectors]
+    for s, got in zip(spaces, invariant):
+        assert got == [ExactMatrix(list(s.basis) + [m.apply(v) for v in s.basis]).rank() == s.dim
+                       for m in (a, c)]
+    assert {x for row in inside + invariant for x in row} == {True, False}
+    assert invariant[1][1]  # c maps its kernel to zero

@@ -72,6 +72,14 @@ def test_powers():
     assert Q(5) ** 0 == ONE
 
 
+def test_booleans_are_refused_as_exponents():
+    # as for Poly and ThetaOperator: True is not the exponent 1
+    for base in (Q(2), I, ZERO):
+        for flag in (True, False):
+            with pytest.raises(TypeError):
+                base**flag
+
+
 def test_conjugate():
     x = Q(2, 3)
     assert x.conjugate() == Q(2, -3)

@@ -81,6 +81,29 @@ def complete_basis(vectors, ambient):
     return chosen
 
 
+def det(m):
+    """Gaussian elimination on the scalar rows of a square ExactMatrix, the
+    first nonzero pivot in each column, one sign change per row swap.  The
+    scalar reference for ExactMatrix.det."""
+    n = m.n
+    rows = [list(r) for r in m.rows]
+    result = Q(1)
+    for pc in range(n):
+        pivot_row = next((i for i in range(pc, n) if rows[i][pc]), None)
+        if pivot_row is None:
+            return Q(0)
+        if pivot_row != pc:
+            rows[pc], rows[pivot_row] = rows[pivot_row], rows[pc]
+            result = -result
+        result = result * rows[pc][pc]
+        inv = rows[pc][pc].inverse()
+        for i in range(pc + 1, n):
+            if rows[i][pc]:
+                f = rows[i][pc] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pc])]
+    return result
+
+
 def disjoint_spectra(rng, p, n, span=40):
     """p spectra of size n with an empty total intersection."""
     while True:
