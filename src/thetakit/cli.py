@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from fractions import Fraction
 
 from . import extension, hypergeometric, monodromy, rigidity, scalars
 from .serialization import canonical_dumps, load_input, triple_report
@@ -34,8 +35,8 @@ USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
 
 # work bounds: counts builds count² entries, verify-identities count sets
-# (1.17 s at 1000), analyze up to n chain steps, one of gap m at
-# theta-degree n + m (0.40 s at n = 32, every gap 100), and monodromy an
+# (0.68 s at 1000), analyze up to n chain steps, one of gap m at
+# theta-degree n + m (0.32 s at n = 32, every gap 100), and monodromy an
 # O(n²) exact reducibility test and 3·n² number pairs.  rigidity's algebra
 # span is an O(p·n⁶) search: three 8×8 one-digit members, the largest tuple
 # the bounds admit, took 0.58 s real and 8.8 s 30 % Gaussian.  Whole runs,
@@ -302,11 +303,9 @@ def cmd_normal_form(args) -> int:
 
 
 def _random_scalar(rng: random.Random) -> scalars.GaussianRational:
-    Q = scalars.Q
-    re = Q(rng.randrange(-8, 9), 0) / Q(rng.randrange(1, 5))
-    if rng.random() < 0.25:
-        return re + Q(0, rng.randrange(-3, 4)) / Q(rng.randrange(1, 4))
-    return re
+    re = Fraction(rng.randrange(-8, 9), rng.randrange(1, 5))
+    im = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) if rng.random() < 0.25 else 0
+    return scalars.Q(re, im)
 
 
 def _random_params(rng: random.Random, n: int) -> hypergeometric.HGParams:

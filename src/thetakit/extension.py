@@ -69,21 +69,19 @@ def extension_block(L, Lp) -> ExtensionBlock:
 def psi_map(block: ExtensionBlock, u) -> tuple:
     """Connecting map applied to a vector of the L-space.
 
-    Computes A_M·S·u - S·(A_L·u); the lower block cancels identically
-    and the value is the L'-space vector (u_last, 0, .., 0).
+    Computes (A_M·S - S·A_L)·u, one linear map on the integer store; the
+    lower block cancels identically and the value is the L'-space vector
+    (u_last, 0, .., 0).
 
     >>> blk = extension_block([0, 0, 1], [0, 1])
     >>> psi_map(blk, (Q(5), Q(7)))
     (7,)
     """
-    vec = tuple(x if hasattr(x, "re") else Q(x) for x in u)
+    vec = tuple(map(Q, u))
     k, kp = block.order_L, block.order_Lp
     if len(vec) != k:
         raise ValueError("expected a vector of length %d, got %d" % (k, len(vec)))
-    lifted = block.section.apply(vec)
-    image = block.a_M.apply(lifted)
-    pushed = block.section.apply(block.a_L.apply(vec))
-    diff = tuple(a - b for a, b in zip(image, pushed))
+    diff = (block.a_M * block.section - block.section * block.a_L).apply(vec)
     if any(diff[kp:]):
         raise AssertionError("lower block of the connecting map must vanish")
     return diff[:kp]

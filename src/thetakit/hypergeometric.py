@@ -141,9 +141,8 @@ def is_reducible(p: HGParams):
     >>> is_reducible(HGParams(("5/2", "1/3"), ("1/2", "1/4")))
     (True, (0, 0))
     """
-    part = partition(p)
-    pairs = part.zero | part.positive | part.negative
-    return (True, min(pairs)) if pairs else (False, None)
+    gaps = _gaps(*_cleared(p.alpha + p.beta))
+    return (True, min(gaps)) if gaps else (False, None)
 
 
 def partition(p: HGParams) -> ReducibilityPartition:
@@ -154,20 +153,22 @@ def partition(p: HGParams) -> ReducibilityPartition:
     ([(0, 0)], [(1, 0)], [(0, 1), (1, 1)])
     """
     zero, positive, negative = set(), set(), set()
-    for i, a in enumerate(p.alpha):
-        for j, b in enumerate(p.beta):
-            d = a - b
-            if not d.is_integer():
-                continue
-            if not d:
-                zero.add((i, j))
-            elif d.re > 0:
-                positive.add((i, j))
-            else:
-                negative.add((i, j))
+    for pair, d in _gaps(*_cleared(p.alpha + p.beta)).items():
+        (negative if d < 0 else positive if d else zero).add(pair)
     return ReducibilityPartition(
         frozenset(zero), frozenset(positive), frozenset(negative)
     )
+
+
+def _gaps(s, re, im):
+    """{(i, j): alpha_i - beta_j} over the pairs whose difference is an
+    integer, from _cleared(alpha + beta) = (s, re, im): the difference of
+    (u + v*i)/s and (u' + v'*i)/s is an integer iff v == v' and s divides
+    u - u', and it is then (u - u') // s."""
+    n = len(re) // 2
+    return {(i, j): (re[i] - re[n + j]) // s
+            for i in range(n) for j in range(n)
+            if im[i] == im[n + j] and not (re[i] - re[n + j]) % s}
 
 
 CONTIGUITY_KINDS = (
@@ -273,14 +274,13 @@ def greedy_matching(p: HGParams):
     Each alpha index and each beta index is used at most once; later
     candidates touching a used index are skipped rather than re-matched.
     """
-    part = partition(p)
-    candidates = []
-    for (i, j) in part.zero | part.positive:
-        m = (p.alpha[i] - p.beta[j]).as_int()
-        candidates.append((m, i, j))
-    candidates.sort()
+    return _greedy(_gaps(*_cleared(p.alpha + p.beta)))
+
+
+def _greedy(gaps):
+    """greedy_matching on the table of _gaps."""
     used_i, used_j, chosen = set(), set(), []
-    for m, i, j in candidates:
+    for m, i, j in sorted((m, i, j) for (i, j), m in gaps.items() if m >= 0):
         if i in used_i or j in used_j:
             continue
         used_i.add(i)
@@ -315,21 +315,21 @@ def factorization_certificate(p: HGParams):
     alpha_i - beta_j is a nonnegative integer; when some difference is a
     negative integer, the message names the first such pair 1-based.
     """
-    chosen = greedy_matching(p)
+    s, re, im = _cleared(p.alpha + p.beta)
+    gaps = _gaps(s, re, im)
+    chosen = _greedy(gaps)
     if not chosen:
-        negative = sorted(partition(p).negative)
-        if not negative:
+        if not gaps:
             raise ValueError("no admissible matching: no integer difference")
-        i, j = negative[0]
+        (i, j), gap = min(gaps.items())  # every gap is negative
         pair = "alpha_%d - beta_%d" % (i + 1, j + 1)
         try:
-            pair += " = %s" % (p.alpha[i] - p.beta[j])
+            pair += " = %d" % gap
         except ValueError:  # a difference over the int-string digit limit
             pass
         raise ValueError("no admissible matching: %s is a negative integer" % pair)
     steps = []
     removed_i, removed_j = set(), set()
-    s, re, im = _cleared(p.alpha + p.beta)
     for i, j, m in chosen:
         (ua, va), (ub, vb) = (re[i], im[i]), (re[p.n + j], im[p.n + j])
         right = _from_int_roots(s, [-ub - l * s for l in range(m)], [-vb] * m)

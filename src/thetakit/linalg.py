@@ -17,7 +17,8 @@ row by row for rref, rank, kernel_matrix and inverse (on the realified
 rows of a complex matrix), and rigidity.algebra_span_dimension on its
 words; det is the constant term of char_poly.  A Subspace is one _reduce
 of the integer rows of its vectors or of a kernel_matrix, its nonzero rows
-kept as one matrix: membership is one product with them.
+kept as one matrix: membership is one product with them, and dim,
+equality and hashing read that matrix and its pivots.
 companion_of_operator is the one companion-matrix builder, for extension
 and rigidity alike; it writes its integer rows over the coefficients' lcm.
 """
@@ -399,7 +400,8 @@ def companion_of_operator(operator) -> ExactMatrix:
 
 
 class Subspace:
-    """Subspace of Q(i)^n stored with a canonical RREF basis.
+    """Subspace of Q(i)^n stored as its canonical RREF basis on integers;
+    basis reads those rows as scalars.
 
     >>> a = Subspace([(2, 4, 0), (1, 2, 1)])
     >>> a
@@ -408,7 +410,7 @@ class Subspace:
     (True, True)
     """
 
-    __slots__ = ("ambient", "basis", "_pivots", "_rref")
+    __slots__ = ("ambient", "_pivots", "_rref")
 
     def __new__(cls, vectors, ambient=None):
         rows = [tuple(v) for v in vectors]  # ExactMatrix reads the entries
@@ -428,11 +430,16 @@ class Subspace:
         return Subspace, (self.basis, self.ambient)
 
     @property
+    def basis(self):
+        """The RREF rows as scalars, built on first read."""
+        return () if self._rref is None else self._rref.rows
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self._pivots)
 
     def is_zero(self):
-        return not self.basis
+        return not self._pivots
 
     def contains(self, vector):
         if len(vector) != self.ambient:
@@ -442,10 +449,10 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
+        return self.ambient == other.ambient and self._rref == other._rref
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self._rref))
 
     def is_invariant_under(self, m):
         if (m.nrows, m.ncols) != (self.ambient, self.ambient):
@@ -469,11 +476,11 @@ class Subspace:
 
 def _subspace(m, ambient):
     """The Subspace of Q(i)^ambient spanned by the rows of the ExactMatrix m
-    (none when None): the nonzero rows of one _reduce, read once as basis."""
+    (none when None): the nonzero rows of one _reduce, kept as _rref."""
     pivots, d, re, im = ((), 1, (), None) if m is None else m._reduce()
     r = _matrix(d, re[:len(pivots)], im and im[:len(pivots)]) if pivots else None
     space = object.__new__(Subspace)
-    for name, value in zip(space.__slots__, (ambient, r.rows if r else (), tuple(pivots), r)):
+    for name, value in zip(space.__slots__, (ambient, tuple(pivots), r)):
         object.__setattr__(space, name, value)
     return space
 

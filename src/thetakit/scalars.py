@@ -1,22 +1,19 @@
 """Exact Gaussian-rational scalars: numbers a + b*i with rational a and b.
 
-This is the coefficient field for every exact computation in the package.
-Both parts are fractions.Fraction, the one rational type.  Values are
-immutable and canonical (fractions in lowest terms, positive
-denominators), so equality is structural and hashing is safe.
+GaussianRational is the boundary type of the package: parameters, matrix
+entries and coefficients come in and go out as scalars, while every
+exact algorithm runs on integers.  Both parts are fractions.Fraction, the
+one rational type.  Values are immutable and canonical (fractions in
+lowest terms, positive denominators, a zero imaginary part Fraction(0)),
+so equality is structural and hashing is safe; a real hashes as its
+rational part, as the equal int does.  Each operation is its one general
+formula on the two parts, built by _make without re-coercion.
 
-Most scalars in the exact algorithms are real, so arithmetic takes a fast
-path on a zero imaginary part: real x real is one rational product, real x
-complex two, and only complex x complex does the four of the general
-formula; sums and differences of reals skip the imaginary sum; the inverse
-of a real is 1/re.  Results are built by _make from two Fractions, without
-re-coercion, and the imaginary part of a real is always Fraction(0), so
-equality, hashing and printing do not depend on the path; a real hashes as
-its rational part, as the equal int does.  linalg.ExactMatrix and
-polynomials.Poly store integers over one denominator: integer_row clears
-a row of scalars to them once, the integer kernels (_dot, _matmul, _lin
-and _product, which splits a Gaussian product into real and imaginary
-parts) run on them, and rational_row builds scalars back when read.
+linalg.ExactMatrix and polynomials.Poly store integers over one
+denominator: integer_row clears a row of scalars to them once, the
+integer kernels (_dot, _matmul, _lin and _product, which splits a
+Gaussian product into real and imaginary parts) run on them, and
+rational_row builds scalars back when read.
 
 A string becomes a scalar only through the canonical grammar, whose
 numbers are decimal digits with an optional '/q': a real '3', '-7/3'; an
@@ -153,10 +150,6 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.im:
-            return _make(self.re + o.re, self.im)
-        if not self.im:
-            return _make(self.re + o.re, o.im)
         return _make(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -165,10 +158,6 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.im:
-            return _make(self.re - o.re, self.im)
-        if not self.im:
-            return _make(self.re - o.re, -o.im)
         return _make(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
@@ -185,22 +174,14 @@ class GaussianRational:
         if o is None:
             return NotImplemented
         a, b, c, d = self.re, self.im, o.re, o.im
-        if not b:
-            if not d:
-                return _make(a * c, _ZERO)
-            return _make(a * c, a * d)
-        if not d:
-            return _make(a * c, b * c)
         return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.im:
-            if not self.re:
-                raise ZeroDivisionError("inverse of zero")
-            return _make(_ONE / self.re, _ZERO)
         n = self.re * self.re + self.im * self.im
+        if not n:
+            raise ZeroDivisionError("inverse of zero")
         return _make(self.re / n, -self.im / n)
 
     def __truediv__(self, other):

@@ -252,12 +252,14 @@ def render(op):
 
 
 _LITERAL = re.compile(r"\d+(?:/\d+)?")  # an unsigned rational, as in scalars
+MAX_NESTING = 100  # parentheses; each level takes four parser frames
 
 
 class _Tokenizer:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -282,6 +284,7 @@ class _Tokenizer:
 
 def parse(text):
     """Parse the operator grammar: z, t, +, -, *, ^, rational literals, i.
+    Parentheses nested deeper than MAX_NESTING are a ValueError.
 
     >>> parse("t*z") == ThetaOperator.z() * (ThetaOperator.theta() + 1)
     True
@@ -349,10 +352,15 @@ def parse(text):
         if tok[0] == "t":
             return ThetaOperator.theta()
         if tok[0] == "(":
+            tk.depth += 1
+            if tk.depth > MAX_NESTING:
+                raise ValueError("parentheses nested deeper than %d at position %d"
+                                 % (MAX_NESTING, tk.pos - 1))
             node = parse_expr()
             closing = tk.next()
             if closing[0] != ")":
                 raise ValueError("expected ')'")
+            tk.depth -= 1
             return node
         raise ValueError("unexpected token %r" % (tok[1],))
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -635,6 +636,48 @@ def test_golden_counts(capsys):
     code, out, _ = run(capsys, ["counts", "--count", "3"])
     assert code == 0
     assert out == GOLDEN_COUNTS_3
+
+
+# stdout md5 of runs at the work bounds: analyze with every gap 100 at
+# n = 8 (alpha_k = (1100 + k)/11, beta_k = k/11) and at n = 32
+# (alpha_k = (3300 + k)/33, beta_k = k/33), and verify-identities at its
+# bound count with the default seed
+@pytest.mark.parametrize(
+    "n, den, digest",
+    [(8, 11, "0bb00a1db9dd710aabd3694376b02ad4"), (32, 33, "c646780869a49298d5368fcc33c4955a")],
+    ids=["n8", "n32"],
+)
+def test_digest_analyze_every_gap_100(capsys, tmp_path, n, den, digest):
+    payload = {"alpha": ["%d/%d" % (100 * den + k, den) for k in range(1, n + 1)],
+               "beta": ["%d/%d" % (k, den) for k in range(1, n + 1)]}
+    path = write_json(tmp_path, "gaps.json", payload)
+    code, out, _ = run(capsys, ["analyze", "--input", path])
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+def test_digest_verify_identities_at_the_bound(capsys):
+    code, out, _ = run(capsys, ["verify-identities", "--count", "1000"])
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "539d74d2e15420ba0f30cffb1c93678b"
+
+
+def test_random_scalar_matches_the_division_formula():
+    # the sweep's scalars, built from the same draws in the same order
+    from thetakit.cli import _random_scalar
+
+    def divided(rng):
+        re = Q(rng.randrange(-8, 9), 0) / Q(rng.randrange(1, 5))
+        if rng.random() < 0.25:
+            return re + Q(0, rng.randrange(-3, 4)) / Q(rng.randrange(1, 4))
+        return re
+
+    for seed in range(200):
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            x, y = _random_scalar(new), divided(old)
+            assert (x, str(x), hash(x), type(x.im)) == (y, str(y), hash(y), type(y.im))
+        assert new.getstate() == old.getstate()
 
 
 # the CLI in a fresh interpreter where `import numpy` raises ImportError

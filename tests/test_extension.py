@@ -87,6 +87,20 @@ def test_psi_map_length_check():
         psi_map(block, (Q(1),))
 
 
+def test_psi_map_takes_any_scalar_form():
+    block = extension_block([Q("-1/3"), 1], [Q("-1/2"), Q("1/5+i"), 1])
+    assert psi_map(block, ("2/3+i",)) == psi_map(block, (Q("2/3+i"),)) == (Q("2/3+i"), Q(0))
+    assert psi_map(block, (3,)) == (Q(3), Q(0))
+
+
+def test_psi_map_refuses_a_lower_block():
+    # a block whose a_M does not restrict to a_L on the L-space
+    block = extension_block(Poly.from_roots([Q(1), Q(2)]), Poly.from_roots([Q(5)]))
+    tampered = block._replace(a_M=block.a_M + ExactMatrix.identity(3))
+    with pytest.raises(AssertionError, match="lower block"):
+        psi_map(tampered, (Q(1), Q(0)))
+
+
 def test_ext_dimension_fixture():
     assert ext_dimension(2, 3, 0, 0) == 2
 

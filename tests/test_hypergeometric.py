@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 from functools import reduce
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetakit.hypergeometric import (
     CONTIGUITY_KINDS,
@@ -23,6 +26,7 @@ from thetakit.scalars import Q, GaussianRational
 from thetakit.theta import ThetaOperator, right_divide
 
 from util import params as random_params
+from util import scalar_greedy_matching, scalar_partition
 
 T = ThetaOperator.theta()
 Z = ThetaOperator.z()
@@ -120,6 +124,57 @@ def test_partition_fixture():
     assert part.zero == frozenset({(0, 0)})
     assert part.positive == frozenset({(1, 0)})
     assert part.negative == frozenset({(0, 1), (1, 1)})
+
+
+# Gaussian parameters over unrelated denominators, a zero imaginary part
+# drawn often; pairs alpha_i = beta_j + g are planted with g of both signs.
+gaussian = st.builds(
+    lambda a, b, c, d: Q(Fraction(a, b), Fraction(c, d)),
+    st.integers(-12, 12), st.integers(1, 9),
+    st.one_of(st.just(0), st.integers(-3, 3)), st.integers(1, 4),
+)
+
+
+@st.composite
+def planted_params(draw):
+    n = draw(st.integers(0, 6))
+    alpha = draw(st.lists(gaussian, min_size=n, max_size=n))
+    beta = draw(st.lists(gaussian, min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        alpha[i] = beta[j] + draw(st.integers(-5, 5))
+    return HGParams(alpha, beta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_params())
+def test_reducibility_matches_the_scalar_differences(p):
+    zero, positive, negative = scalar_partition(p)
+    assert partition(p) == (zero, positive, negative)
+    assert greedy_matching(p) == scalar_greedy_matching(p)
+    pairs = zero | positive | negative
+    assert is_reducible(p) == ((True, min(pairs)) if pairs else (False, None))
+
+
+def test_reducibility_takes_no_scalar_arithmetic(monkeypatch):
+    # the differences are read on the parameters' cleared integers
+    def refuse(*args, **kwargs):
+        raise AssertionError("GaussianRational arithmetic in the reducibility test")
+
+    p = HGParams((Q("5/2+i"), Q(-6), Q("7/3"), Q(-1)), (Q("1/2+i"), Q(-1), Q("1/3"), Q("3/4-i")))
+    negative_only = HGParams((Q("1/2+i"), Q("1/3")), (Q("5/2+i"), Q("2/7")))
+    with monkeypatch.context() as patched:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                     "__mul__", "__rmul__", "__truediv__", "inverse"):
+            patched.setattr(GaussianRational, name, refuse)
+        part = partition(p)
+        matches = greedy_matching(p)
+        witness = is_reducible(p)
+        with pytest.raises(ValueError, match="alpha_1 - beta_1 = -2 is a negative integer"):
+            factorization_certificate(negative_only)
+    assert part == ({(3, 1)}, {(0, 0), (2, 2)}, {(1, 1)})
+    assert matches == [(3, 1, 0), (0, 0, 2), (2, 2, 2)]
+    assert witness == (True, (0, 0))
 
 
 def test_contiguity_all_kinds():

@@ -18,7 +18,7 @@ from thetakit.linalg import (
 from thetakit.polynomials import Poly, X
 from thetakit.scalars import Q, GaussianRational, rational_row
 
-from util import complete_basis, det, invertible_matrix
+from util import complete_basis, det, gaussian_rational, invertible_matrix
 
 
 def m_(rows):
@@ -178,6 +178,35 @@ class TestSubspace:
         b = Subspace([(Q(2), Q(2), Q(0))], 3)
         assert a == b
         assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equal_spans_compare_and_hash_equal(self, seed):
+        # a second spanning set: an invertible mix of the first, a zero row
+        # and a repeated row, shuffled
+        rng = random.Random(seed)
+        k, n = rng.randrange(1, 4), rng.randrange(3, 6)
+        vectors = m_([[gaussian_rational(rng) for _ in range(n)] for _ in range(k)])
+        mixed = list((invertible_matrix(rng, k) * vectors).rows)
+        mixed += [(0,) * n, mixed[rng.randrange(k)]]
+        rng.shuffle(mixed)
+        a, b = Subspace(vectors.rows), Subspace(mixed)
+        assert a == b and hash(a) == hash(b) and a.basis == b.basis
+
+    def test_builds_without_reading_scalars(self, monkeypatch):
+        # Subspace and kernel keep the integer RREF; dim, is_zero, == and
+        # hash read it, and basis is built only when asked for
+        def refuse(*args, **kwargs):
+            raise AssertionError("rational_row while building a Subspace")
+
+        rows = m_([[1, 2, 3, 4], [2, 4, 6, 8], ["1/2", "1/3+i", 0, 1]]).rows
+        m = ExactMatrix(rows)
+        with monkeypatch.context() as patched:
+            patched.setattr(thetakit.linalg, "rational_row", refuse)
+            spaces = [Subspace(rows), Subspace(rows[::-1]), kernel(m), Subspace([], ambient=4)]
+            facts = [(s.dim, s.is_zero(), hash(s) == hash(spaces[0])) for s in spaces]
+            same = spaces[0] == spaces[1]
+        assert facts == [(2, False, True), (2, False, True), (2, False, False), (0, True, False)]
+        assert same and kernel(m).basis and all(not any(m.apply(v)) for v in kernel(m).basis)
 
     def test_contains(self):
         s = Subspace([(Q(1), Q(0), Q(1))], 3)

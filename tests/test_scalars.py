@@ -142,7 +142,7 @@ def test_int_coercion_in_arithmetic():
 
 
 # Parts as plain Fractions; a zero imaginary part is drawn often, so that
-# every real/complex combination of the fast paths is reached.
+# every real/complex combination of operands meets the one formula.
 parts = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 imag_parts = st.one_of(st.just(Fraction(0)), parts)
 pairs = st.tuples(parts, imag_parts)

@@ -8,6 +8,7 @@ from thetakit.hypergeometric import HGParams, build_D
 from thetakit.polynomials import Poly
 from thetakit.scalars import Q
 from thetakit.theta import (
+    MAX_NESTING,
     ThetaOperator,
     left_factor_check,
     parse,
@@ -230,6 +231,18 @@ def test_parse_examples():
         parse("q")
     with pytest.raises(ValueError, match="unexpected character '/' at position 1"):
         parse("3/")
+
+
+def test_parse_refuses_deep_nesting():
+    # each level of parentheses takes parser frames: too deep a nesting is
+    # a ValueError naming it, not a RecursionError
+    deep = MAX_NESTING + 1
+    for text in ("(" * 400 + "t" + ")" * 400, "(" * deep + "t" + ")" * deep, "(" * 100000):
+        with pytest.raises(ValueError, match="^parentheses nested deeper than %d at position %d$"
+                           % (MAX_NESTING, MAX_NESTING)):
+            parse(text)
+    nested = "(" * MAX_NESTING + "1-z" + ")" * MAX_NESTING
+    assert parse(nested + "*" + nested + "^2") == parse("(1-z)^3")
 
 
 def test_str_shows_normal_form():

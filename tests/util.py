@@ -104,6 +104,33 @@ def det(m):
     return result
 
 
+def scalar_partition(p):
+    """(zero, positive, negative): the pairs (i, j) with alpha_i - beta_j an
+    integer, split by its sign, from the scalar differences.  The scalar
+    reference for hypergeometric.partition."""
+    zero, positive, negative = set(), set(), set()
+    for i, a in enumerate(p.alpha):
+        for j, b in enumerate(p.beta):
+            d = a - b
+            if d.is_integer():
+                (zero if not d else positive if d.re > 0 else negative).add((i, j))
+    return zero, positive, negative
+
+
+def scalar_greedy_matching(p):
+    """Disjoint (i, j, m), m = alpha_i - beta_j a nonnegative integer, taken
+    by increasing (m, i, j) from the scalar differences.  The scalar
+    reference for hypergeometric.greedy_matching."""
+    zero, positive, _ = scalar_partition(p)
+    used_i, used_j, chosen = set(), set(), []
+    for m, i, j in sorted(((p.alpha[i] - p.beta[j]).as_int(), i, j) for i, j in zero | positive):
+        if i not in used_i and j not in used_j:
+            used_i.add(i)
+            used_j.add(j)
+            chosen.append((i, j, m))
+    return chosen
+
+
 def disjoint_spectra(rng, p, n, span=40):
     """p spectra of size n with an empty total intersection."""
     while True:
