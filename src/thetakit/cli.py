@@ -35,8 +35,8 @@ USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
 
 # work bounds: counts builds count² entries, verify-identities count sets
-# (0.68 s at 1000), analyze up to n chain steps, one of gap m at
-# theta-degree n + m (0.32 s at n = 32, every gap 100), and monodromy an
+# (0.45 s at 1000), analyze up to n chain steps, one of gap m at
+# theta-degree n + m (0.31 s at n = 32, every gap 100), and monodromy an
 # O(n²) exact reducibility test and 3·n² number pairs.  rigidity's algebra
 # span is an O(p·n⁶) search: three 8×8 one-digit members, the largest tuple
 # the bounds admit, took 0.58 s real and 8.8 s 30 % Gaussian.  Whole runs,

@@ -19,9 +19,9 @@ that print pairs 1-based do their own conversion.
 import operator
 from collections import namedtuple
 
-from .polynomials import _from_int_roots, _from_ints
+from .polynomials import _int_roots
 from .scalars import Q, integer_row
-from .theta import ThetaOperator
+from .theta import ThetaOperator, _from_grid
 
 
 class HGParams(namedtuple("HGParams", "alpha beta")):
@@ -107,11 +107,12 @@ def _cleared(values):
 def _D(s, re, im):
     """D(alpha; beta) from _cleared(alpha + beta) = (s, re, im): the roots
     1 - b_j are (s - u - v*i)/s and the roots -a_i (-u - v*i)/s, u + v*i
-    the integers of a parameter."""
+    the integers of a parameter, and both z-parts are written on the
+    operator's integer grid over s^n."""
     n = len(re) // 2
-    return ThetaOperator.from_parts({
-        0: _from_int_roots(s, [s - u for u in re[n:]], [-v for v in im[n:]]),
-        1: _from_int_roots(s, [-u for u in re[:n]], [-v for v in im[:n]], -1),
+    return _from_grid(s ** n, {
+        0: _int_roots(s, [s - u for u in re[n:]], [-v for v in im[n:]]),
+        1: _int_roots(s, [-u for u in re[:n]], [-v for v in im[:n]], -1),
     })
 
 
@@ -217,7 +218,7 @@ def contiguity_check(kind: str, p: HGParams, extra) -> bool:
     D = _D(s, re[:2 * n], im[:2 * n])
 
     def theta_plus(u, v):  # t + (u + v*i)/s
-        return ThetaOperator.from_parts({0: _from_ints(s, [u, s], [v, 0])})
+        return _from_grid(s, {0: ((u, s), (v, 0) if v else None)})
 
     if kind == "left_append":
         u, v = re.pop(), im.pop()
@@ -236,7 +237,7 @@ def contiguity_check(kind: str, p: HGParams, extra) -> bool:
         re[n + k] = u + s
         lhs, rhs = D * theta_plus(u, v), theta_plus(u - s, v) * _D(s, re, im)
     else:  # power_shift
-        z = ThetaOperator.from_parts({k: _from_ints(1, [1])})
+        z = _from_grid(1, {k: ((1,), None)})
         lhs, rhs = D * z, z * _D(s, [u + k * s for u in re], im)
     return lhs == rhs
 
@@ -332,9 +333,9 @@ def factorization_certificate(p: HGParams):
     removed_i, removed_j = set(), set()
     for i, j, m in chosen:
         (ua, va), (ub, vb) = (re[i], im[i]), (re[p.n + j], im[p.n + j])
-        right = _from_int_roots(s, [-ub - l * s for l in range(m)], [-vb] * m)
-        left = _from_int_roots(s, [s - ub - l * s for l in range(m)] + [s - ua],
-                               [-vb] * m + [-va])
+        right = _int_roots(s, [-ub - l * s for l in range(m)], [-vb] * m)
+        left = _int_roots(s, [s - ub - l * s for l in range(m)] + [s - ua],
+                          [-vb] * m + [-va])
         removed_i.add(i)
         removed_j.add(j)
         after = HGParams(
@@ -346,8 +347,8 @@ def factorization_certificate(p: HGParams):
                 pair=(i, j),
                 gap=m,
                 linear_factor=p.alpha[i],
-                left=ThetaOperator.from_parts({0: left}),
-                right=ThetaOperator.from_parts({0: right}),
+                left=_from_grid(s ** (m + 1), {0: left}),
+                right=_from_grid(s ** m, {0: right}),
                 params_after=after,
             )
         )
@@ -377,11 +378,10 @@ def verify_certificate(p: HGParams) -> bool:
 
 def _verify_steps(p: HGParams, steps) -> bool:
     """verify_certificate on a chain already built for p."""
-    current = p
-    for step in steps:
-        lhs = build_D(current) * step.right
-        rhs = step.left * build_D(step.params_after)
-        if lhs != rhs:
+    D = build_D(p)
+    for step in steps:  # each step's right-hand D is the next step's left-hand one
+        after = build_D(step.params_after)
+        if D * step.right != step.left * after:
             return False
-        current = step.params_after
+        D = after
     return True

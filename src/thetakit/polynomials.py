@@ -5,27 +5,83 @@ and the ascending integer coefficients re and im of den times the real
 and the imaginary parts, im None when every coefficient is real, with no
 trailing zeros (the zero polynomial has re == ()), reduced by the gcd of
 den and every entry, so equality and hashing are structural.  Its
-canonical scalars, coeffs, are built when first read.  Sums, products
-(one convolution kernel), shifts, from_roots, division, monic, evaluate
-and the gcd of real operands (a primitive pseudo-remainder sequence) run
-on the stored integers; a Gaussian gcd keeps Euclid's loop.
+canonical scalars, coeffs, are built when first read.  Sums, products,
+shifts, from_roots, division, monic, evaluate and the gcd of real
+operands (a primitive pseudo-remainder sequence) run on the stored
+integers; a Gaussian gcd keeps Euclid's loop.  The sum, product, shift
+and from_roots kernels (_lincomb, _convolve, _taylor, _int_roots) are the
+ones the theta operators run on their own integer grid.
 """
 
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .scalars import Q, GaussianRational, _product, integer_row, rational_row
+from .scalars import Q, GaussianRational, integer_row, rational_row
 
 
-def _convolve(a, b):
-    """[u*v], u*v the product of the integer coefficient lists in
-    a = [u] and b = [v]: one-row lists, the rows that _product combines."""
-    (u,), (v,) = a, b
-    out = [0] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        for j, y in enumerate(v):
-            out[i + j] += x * y
-    return [out]
+def _convolve(ar, ai, br, bi):
+    """(re, im) of the product of (ar + i*ai) and (br + i*bi), ascending
+    integer coefficient lists, each im as long as its re or None when
+    zero; im is None when both are.  A real factor takes real products
+    only; two Gaussian ones take re and im in one double loop."""
+    if ai is None:
+        return _real_convolve(ar, br), bi and _real_convolve(ar, bi)
+    if bi is None:
+        return _real_convolve(ar, br), _real_convolve(ai, br)
+    re, im = [0] * (len(ar) + len(br) - 1), [0] * (len(ar) + len(br) - 1)
+    for i, (x, xi) in enumerate(zip(ar, ai)):
+        for k, (y, yi) in enumerate(zip(br, bi), i):
+            re[k] += x * y - xi * yi
+            im[k] += x * yi + xi * y
+    return re, im
+
+
+def _real_convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b, i):
+            out[k] += x * y
+    return out
+
+
+def _lincomb(x, y, a=1, b=1):
+    """(re, im) of a*x + b*y for x and y (re, im) pairs of integer
+    coefficient lists of any lengths, each im as long as its re or None."""
+    (xr, xi), (yr, yi) = x, y
+    re = [a * u + b * v for u, v in zip_longest(xr, yr, fillvalue=0)]
+    if xi is None and yi is None:
+        return re, None
+    return re, [a * u + b * v for u, v in
+                zip_longest(xi or (0,) * len(xr), yi or (0,) * len(yr), fillvalue=0)]
+
+
+def _taylor(coefficients, l):
+    """The ascending integer coefficients of p(X + l), p given by the
+    integer list coefficients, by repeated synthetic division."""
+    part = list(coefficients)
+    for i in range(len(part) - 1):
+        for k in range(len(part) - 2, i - 1, -1):
+            part[k] += l * part[k + 1]
+    return part
+
+
+def _int_roots(s, us, vs, sign=1):
+    """(re, im) of sign times the integer product of s*X - u - v*i over
+    the pairs of us and vs: the product of X - (u + v*i)/s times sign*s^n.
+    The real factors go first, on re alone; im is None when vs is None or
+    all zero."""
+    re, gaussian = [sign], []
+    for u, v in zip(us, vs or (0,) * len(us)):
+        if v:
+            gaussian.append((u, v))
+        else:
+            re = [s * h - u * a for h, a in zip([0] + re, re + [0])]
+    im = [0] * len(re) if gaussian else None
+    for u, v in gaussian:  # (a + b*i)(s*X - u - v*i), a + b*i the coefficients so far
+        lo, hi, lo_im, hi_im = re + [0], [0] + re, im + [0], [0] + im
+        re = [s * h - u * a + v * b for h, a, b in zip(hi, lo, lo_im)]
+        im = [s * h - u * b - v * a for h, a, b in zip(hi_im, lo, lo_im)]
+    return re, im
 
 
 class Poly:
@@ -63,7 +119,8 @@ class Poly:
     def from_roots(cls, roots):
         """The product of X - r over the n roots: with s the lcm of their
         denominators and w = s*r, the integer product of s*X - w over s^n."""
-        return _from_int_roots(*integer_row([Q(r) for r in roots]))
+        s, us, vs = integer_row([Q(r) for r in roots])
+        return _from_ints(s ** len(us), *_int_roots(s, us, vs))
 
     # -- structure ----------------------------------------------------------
 
@@ -121,8 +178,7 @@ class Poly:
             return NotImplemented
         den = lcm(self.den, o.den)
         a, b = den // self.den, sign * (den // o.den)
-        return _from_ints(den, *([a * x + b * y for x, y in zip_longest(u, v, fillvalue=0)]
-                                 for u, v in ((self.re, o.re), (self.im or (), o.im or ()))))
+        return _from_ints(den, *_lincomb((self.re, self.im), (o.re, o.im), a, b))
 
     __radd__ = __add__
 
@@ -139,10 +195,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.re or not o.re:
-            return Poly()
-        (re,), im = _product(_convolve, [self.re], self.im and [self.im], [o.re], o.im and [o.im])
-        return _from_ints(self.den * o.den, re, im and im[0])
+        return _from_ints(self.den * o.den, *_convolve(self.re, self.im, o.re, o.im))
 
     __rmul__ = __mul__
 
@@ -212,12 +265,7 @@ class Poly:
             raise TypeError("shift takes an int, not %r" % (l,))
         if not l:
             return self
-        parts = [list(p) for p in (self.re, self.im) if p is not None]
-        for part in parts:
-            for i in range(len(part) - 1):
-                for k in range(len(part) - 2, i - 1, -1):
-                    part[k] += l * part[k + 1]
-        return _from_ints(self.den, *parts)
+        return _from_ints(self.den, _taylor(self.re, l), self.im and _taylor(self.im, l))
 
     def evaluate(self, x):
         """p(x) by Horner's rule on the integers: with x = (u + v*i)/s,
@@ -262,22 +310,6 @@ def _from_ints(den, re, im=None):
     for set_slot, value in zip(_SETTERS, (den, re, im, None)):
         set_slot(p, value)
     return p
-
-
-def _from_int_roots(s, us, vs, sign=1):
-    """sign times the product of X - (u + v*i)/s over the pairs of us and
-    vs, vs None or all zero when every root is real: the integer product of
-    s*X - u - v*i over sign*s^n."""
-    re, im = [1], ([0] if vs and any(vs) else None)
-    for k, u in enumerate(us):
-        lo, hi = re + [0], [0] + re
-        if im:  # (a + b*i)(s*X - u - v*i), a + b*i the coefficients so far
-            v, lo_im, hi_im = vs[k], im + [0], [0] + im
-            im = [s * h - u * b - v * a for h, a, b in zip(hi_im, lo, lo_im)]
-            re = [s * h - u * a + v * b for h, a, b in zip(hi, lo, lo_im)]
-        else:
-            re = [s * h - u * a for h, a in zip(hi, lo)]
-    return _from_ints(sign * s ** len(us), re, im)
 
 
 def power_text(symbol, e):

@@ -10,6 +10,13 @@ so the product of normal forms is again a normal form.  Negative z-powers
 are allowed (Laurent coefficients); they are what the integer-shift
 conjugation z^s needs for s < 0.
 
+An operator is stored as polynomials.Poly is, one level up: one
+denominator for the whole operator and integer coefficients per z-power.
+Products and sums run on these integers, with Poly's kernels, and leave
+them unreduced; an operator is reduced once, when it is first hashed,
+read, or compared with an operator over another denominator (see
+ThetaOperator).
+
 The ring is therefore C[z, 1/z][t], and division stays in it, with no
 linear system to solve: right_divide is a pseudo-division, c*p = q*d + r
 with c a power of d's leading theta-coefficient; right_gcd runs Euclid on
@@ -24,18 +31,31 @@ e.g. "(1-z)*t^2*(t-2)".
 import operator
 import re
 from functools import reduce
-from math import inf
+from math import gcd, inf, lcm
 
-from .polynomials import Poly, poly_gcd, power_text, render_terms
+from .polynomials import (Poly, _convolve, _from_ints, _lincomb, _taylor, poly_gcd, power_text,
+                          render_terms)
 from .scalars import Q, GaussianRational
 
 
 class ThetaOperator:
-    """Normal-form operator sum_j z^j p_j(t), each p_j a Poly in theta.
+    """Normal-form operator sum_j z^j p_j(t), stored on one integer grid.
+
+    den is one positive integer for the whole operator; grid maps each
+    z-power j to (re, im), the ascending integer coefficients of the real
+    and imaginary parts of den*p_j, im None when p_j is real.  Products and
+    sums leave the grid unreduced, in lists.  The first hash or read, or a
+    comparison with an operator over another denominator, reduces it once,
+    in place: zero parts and trailing zeros dropped, a zero im made None,
+    den and the entries divided by their gcd, lists made tuples.  Equality
+    and hashing are then structural.  Two operators over one denominator
+    are equal exactly when their grids are, trailing zeros and zero parts
+    aside, so that comparison reduces neither.  _parts, the Polys p_j, is
+    built on first read.
 
     The ring rule z^j p(t) · z^l q(t) = z^(j+l) p(t+l) q(t) makes the
-    product one Taylor shift and one polynomial product per pair of
-    z-parts.
+    product one Taylor shift and one convolution per pair of z-parts,
+    summed per z-power over the product of the two denominators.
 
     >>> t, z = ThetaOperator.theta(), ThetaOperator.z()
     >>> t * z
@@ -46,7 +66,7 @@ class ThetaOperator:
     True
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ("den", "grid", "_reduced", "_polys")
 
     def __init__(self, terms=None):
         rows = {}
@@ -55,17 +75,35 @@ class ThetaOperator:
             if k < 0:
                 raise ValueError("negative theta powers are not operators")
             rows.setdefault(j, {})[k] = c
-        parts = {
-            j: Poly([row.get(k, 0) for k in range(max(row) + 1)])
-            for j, row in rows.items()
-        }
-        object.__setattr__(self, "_parts", {j: p for j, p in parts.items() if p})
+        op = ThetaOperator.from_parts(
+            {j: Poly([row.get(k, 0) for k in range(max(row) + 1)]) for j, row in rows.items()})
+        _set(self, op.den, op.grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaOperator is immutable")
 
     def __reduce__(self):
-        return ThetaOperator.from_parts, (self._parts,)
+        return _from_grid, (self.den, self.grid)
+
+    def _reduce(self):
+        """The operator itself, its grid reduced in place on the first call."""
+        if not self._reduced:
+            grid, g = _trimmed(self.grid), self.den
+            for re, im in grid.values():
+                g = gcd(g, *re, *(im or ()))
+            if g != 1:
+                grid = {j: (tuple([x // g for x in re]), im and tuple([x // g for x in im]))
+                        for j, (re, im) in grid.items()}
+            _set(self, self.den // g, grid, True)
+        return self
+
+    @property
+    def _parts(self):
+        """{z_power: Poly in theta}, built from the reduced grid on first read."""
+        if self._polys is None:
+            grid = self._reduce().grid
+            _set_polys(self, {j: _from_ints(self.den, re, im) for j, (re, im) in grid.items()})
+        return self._polys
 
     # -- constructors -----------------------------------------------------
 
@@ -76,9 +114,11 @@ class ThetaOperator:
         >>> ThetaOperator.from_parts({0: Poly([0, 1]), 1: Poly([1])})
         t + z
         """
-        op = object.__new__(cls)
-        object.__setattr__(op, "_parts", {j: p for j, p in parts.items() if p})
-        return op
+        den = lcm(*(p.den for p in parts.values()))
+        return _from_grid(den, {
+            j: ([x * (den // p.den) for x in p.re], p.im and [x * (den // p.den) for x in p.im])
+            for j, p in parts.items()
+        })
 
     @classmethod
     def zero(cls):
@@ -121,25 +161,25 @@ class ThetaOperator:
         }
 
     def is_zero(self):
-        return not self._parts
+        return not self
 
     def __bool__(self):
-        return bool(self._parts)
+        return bool(self._reduce().grid)
 
     @property
     def theta_degree(self):
         """Largest theta power; -inf for the zero operator."""
-        return max((p.degree for p in self._parts.values()), default=-inf)
+        return max((len(re) - 1 for re, _ in self._reduce().grid.values()), default=-inf)
 
     @property
     def z_degree(self):
         """Largest z power; -inf for the zero operator."""
-        return max(self._parts, default=-inf)
+        return max(self._reduce().grid, default=-inf)
 
     @property
     def z_order(self):
         """Smallest z power; +inf for the zero operator."""
-        return min(self._parts, default=inf)
+        return min(self._reduce().grid, default=inf)
 
     def coefficient(self, z_power, theta_power):
         p = self._parts.get(z_power)
@@ -149,51 +189,54 @@ class ThetaOperator:
         o = _coerce_theta(other)
         if o is None:
             return NotImplemented
-        return self._parts == o._parts
+        if self.den == o.den:  # over one denominator the trimmed grids decide
+            return _trimmed(self.grid) == _trimmed(o.grid)
+        a, b = self._reduce(), o._reduce()
+        return a.den == b.den and a.grid == b.grid
 
     def __hash__(self):
-        if self._parts.keys() <= {0} and self.theta_degree <= 0:  # as the equal scalar
-            return hash(self._parts.get(0, 0))
-        return hash(frozenset(self._parts.items()))
+        if self._reduce().grid.keys() <= {0} and self.theta_degree <= 0:  # as the equal scalar
+            return hash(self.coefficient(0, 0))
+        return hash((self.den, frozenset(self.grid.items())))
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         o = _coerce_theta(other)
         if o is None:
             return NotImplemented
-        parts = dict(self._parts)
-        for j, p in o._parts.items():
-            parts[j] = parts[j] + p if j in parts else p
-        return ThetaOperator.from_parts(parts)
+        den = lcm(self.den, o.den)
+        a, b, zero = den // self.den, sign * (den // o.den), ((), None)
+        return _from_grid(den, {j: _lincomb(self.grid.get(j, zero), o.grid.get(j, zero), a, b)
+                                for j in self.grid.keys() | o.grid.keys()})
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce_theta(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         o = _coerce_theta(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __neg__(self):
-        return ThetaOperator.from_parts({j: -p for j, p in self._parts.items()})
+        return _from_grid(self.den, {j: ([-x for x in re], im and [-x for x in im])
+                                     for j, (re, im) in self.grid.items()})
 
     def __mul__(self, other):
         o = _coerce_theta(other)
         if o is None:
             return NotImplemented
-        parts = {}
-        for j, p in self._parts.items():
-            for l, q in o._parts.items():
-                term = p.shift(l) * q
-                parts[j + l] = parts[j + l] + term if j + l in parts else term
-        return ThetaOperator.from_parts(parts)
+        grid = {}
+        for l, (qr, qi) in o.grid.items():
+            for j, (pr, pi) in self.grid.items():
+                if l:  # p(t + l)
+                    pr, pi = _taylor(pr, l), pi and _taylor(pi, l)
+                part = _convolve(pr, pi, qr, qi)
+                grid[j + l] = _lincomb(grid[j + l], part) if j + l in grid else part
+        return _from_grid(self.den * o.den, grid)
 
     def __rmul__(self, other):
         o = _coerce_theta(other)
@@ -226,6 +269,40 @@ class ThetaOperator:
     @classmethod
     def parse(cls, text):
         return parse(text)
+
+
+_new = object.__new__
+_set_den, _set_grid, _set_reduced, _set_polys = (
+    getattr(ThetaOperator, name).__set__ for name in ThetaOperator.__slots__)
+
+
+def _set(op, den, grid, reduced=False):
+    _set_den(op, den)
+    _set_grid(op, grid)
+    _set_reduced(op, reduced)
+    _set_polys(op, None)
+
+
+def _from_grid(den, grid):
+    """The operator of the grid {z_power: (re, im)} over den > 0, taken as
+    it is: its lists are never changed, and it is reduced when first read."""
+    op = _new(ThetaOperator)
+    _set(op, den, grid)
+    return op
+
+
+def _trimmed(grid):
+    """The grid with zero parts and trailing zeros dropped, a zero im made
+    None, and the coefficients made tuples."""
+    out = {}
+    for j, (re, im) in grid.items():
+        im = im if im and any(im) else None
+        n = len(re)
+        while n and not (re[n - 1] or im and im[n - 1]):
+            n -= 1
+        if n:
+            out[j] = tuple(re[:n]), im and tuple(im[:n])
+    return out
 
 
 def _coerce_theta(x):

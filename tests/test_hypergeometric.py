@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetakit import hypergeometric, polynomials, theta
 from thetakit.hypergeometric import (
     CONTIGUITY_KINDS,
     HGParams,
@@ -235,6 +236,26 @@ def test_contiguity_takes_no_scalar_arithmetic(monkeypatch):
     assert checks == [True] * 2 * len(CONTIGUITY_KINDS)
 
 
+def test_contiguity_builds_no_polynomial(monkeypatch):
+    # both sides of each identity are built, multiplied and compared on the
+    # operators' integer grids: no Poly is made, canonical or not
+    def refuse(*args, **kwargs):
+        raise AssertionError("contiguity_check built a Poly")
+
+    params = (HGParams((Q("1/2"), Q(-6), Q("7/3")), (Q("7/4"), Q(-1), Q("1/5"))),
+              HGParams((Q("1/2+i"), Q(-6), Q("7/3-1/3*i")), (Q("7/4-2*i"), Q(-1), Q(-3))))
+    extras = (Q("-1/2"), Q("1/3+i"), 2, 0, -2)
+    with monkeypatch.context() as patched:
+        for module in (polynomials, theta, hypergeometric):
+            if hasattr(module, "_from_ints"):
+                patched.setattr(module, "_from_ints", refuse)
+        patched.setattr(polynomials, "_new", refuse)
+        patched.setattr(Poly, "__new__", refuse)
+        checks = [contiguity_check(kind, p, x)
+                  for p in params for kind, x in zip(CONTIGUITY_KINDS, extras)]
+    assert checks == [True] * 2 * len(CONTIGUITY_KINDS)
+
+
 @pytest.mark.parametrize(
     "kind, extra",
     [
@@ -294,6 +315,17 @@ def test_certificate_chain_exactness_random():
             continue
         assert verify_certificate(p)
         built += 1
+
+
+def test_a_certificate_chain_builds_each_D_once(monkeypatch):
+    # each step's right-hand D(P') is the next step's left-hand D: a chain
+    # of n steps builds n + 1 operators D, not 2n
+    p = HGParams((1, 2, 3, "1/2"), (1, 1, 1, "1/3"))
+    steps = factorization_certificate(p)
+    built, build = [], hypergeometric.build_D
+    monkeypatch.setattr(hypergeometric, "build_D", lambda q: built.append(q) or build(q))
+    assert len(steps) == 3 and verify_certificate(p)
+    assert built == [p] + [step.params_after for step in steps]
 
 
 def test_certificate_factors_match_the_scalar_roots():

@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -171,13 +175,34 @@ def _build(terms):
     return op
 
 
-@settings(max_examples=60, deadline=None)
-@given(op_terms, op_terms, op_terms)
-def test_ring_axioms(ta, tb, tc):
-    a, b, c = _build(ta), _build(tb), _build(tc)
+# Gaussian coefficients a/b + (c/d)*i, the two denominators drawn apart, so
+# that an operator's den is an lcm and its grid has imaginary parts
+gaussian_coeffs = st.builds(
+    lambda a, b, c, d: Q(Fraction(a, b), Fraction(c, d)),
+    st.integers(-3, 3), st.sampled_from([1, 2, 3, 4]),
+    st.integers(-3, 3), st.sampled_from([1, 5, 6]),
+)
+gaussian_op_terms = st.lists(
+    st.tuples(gaussian_coeffs, st.integers(-2, 2), st.integers(0, 3)), min_size=1, max_size=3
+)
+
+
+def _check_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
+
+
+@settings(max_examples=60, deadline=None)
+@given(op_terms, op_terms, op_terms)
+def test_ring_axioms(ta, tb, tc):
+    _check_ring_axioms(_build(ta), _build(tb), _build(tc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaussian_op_terms, gaussian_op_terms, gaussian_op_terms)
+def test_ring_axioms_on_gaussian_coefficients(ta, tb, tc):
+    _check_ring_axioms(_build(ta), _build(tb), _build(tc))
 
 
 def _apply(op, laurent):
@@ -189,14 +214,144 @@ def _apply(op, laurent):
     return {power: v for power, v in out.items() if v}
 
 
+def _check_composition(a, b):
+    # a product of theta-degree d <= 6 has z-parts of degree <= d in s, so
+    # agreeing on seven monomials z^s decides each: an operator identity
+    assert (a * b).theta_degree <= 6
+    for s in range(-3, 4):
+        assert _apply(a * b, {s: Q(1)}) == _apply(a, _apply(b, {s: Q(1)}))
+
+
 @settings(max_examples=60, deadline=None)
 @given(op_terms, op_terms)
 def test_product_acts_as_composition(ta, tb):
-    # a product has theta-degree <= 4, so agreeing on seven monomials z^s
-    # decides each z-part: the check is an operator identity
-    a, b = _build(ta), _build(tb)
-    for s in range(-3, 4):
-        assert _apply(a * b, {s: Q(1)}) == _apply(a, _apply(b, {s: Q(1)}))
+    _check_composition(_build(ta), _build(tb))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaussian_op_terms, gaussian_op_terms)
+def test_product_acts_as_composition_on_gaussian_coefficients(ta, tb):
+    _check_composition(_build(ta), _build(tb))
+
+
+def storage(op):
+    return op.den, op.grid
+
+
+def _is_reduced(op):
+    """True when the grid is in its reduced form: tuples, no zero part, no
+    trailing zero, im None or nonzero, den coprime to every entry."""
+    rows = op.grid.values()
+    return gcd(op.den, *(x for re, im in rows for x in [*re, *(im or ())])) == 1 and all(
+        type(re) is tuple and re and (re[-1] or im and im[-1])
+        and (im is None or type(im) is tuple and len(im) == len(re) and any(im))
+        for re, im in rows)
+
+
+GAUSSIAN_D = HGParams((Q("1/2+i"), Q(-6), Q("7/3-1/3*i")), (Q("7/4-2*i"), Q(-1), Q(-3)))
+REAL_D = HGParams((Q("1/2"), Q(2)), (Q("3/4"), Q(1)))
+
+
+def _stored_values():
+    """Operators as products and sums leave them: zero parts, trailing
+    zeros and a common factor of den and the entries still in."""
+    return [
+        T - T,
+        (2 * T + 2) * Q("1/2"),
+        (T + Z) * (T - Z) - T * T,
+        build_D(GAUSSIAN_D) * ThetaOperator.theta_plus(Q("1/3+i")),
+        ThetaOperator.z(-2) * build_D(REAL_D) * Z**2,
+    ]
+
+
+@pytest.mark.parametrize("first", ["nothing", "hashed", "read"])
+def test_copy_deepcopy_and_pickle_keep_the_storage(first):
+    # a copy holds the grid as it was, reduced or not, and equals and
+    # hashes as the original once both are reduced
+    for op in _stored_values():
+        if first == "hashed":
+            hash(op)
+        elif first == "read":
+            op.terms()
+        assert _is_reduced(op) == (first != "nothing")
+        stored = storage(op)
+        copies = (copy.copy(op), copy.deepcopy(op), pickle.loads(pickle.dumps(op)))
+        assert all(type(again) is ThetaOperator and storage(again) == stored for again in copies)
+        for again in copies:
+            assert again == op and hash(again) == hash(op) and again.terms() == op.terms()
+            assert _is_reduced(again) and storage(again) == storage(op)
+
+
+def test_reduction_is_once_and_in_place():
+    op, one = (2 * T + 2) * Q("1/2"), T + 1
+    assert storage(op) == (2, {0: ([2, 2], None)})
+    assert op == one and storage(op) == storage(one) == (1, {0: ((1, 1), None)})
+    grid = op.grid
+    assert hash(op) == hash(one) and str(op) == "t + 1" and op.grid is grid
+
+
+def test_one_denominator_compares_the_grids_and_reduces_neither():
+    # over one den, == is the equality of the grids, trailing zeros and
+    # zero parts aside: exact with no gcd; over two dens both are reduced
+    a, b = (2 * T + 2) * Q("1/2"), (T + Z - Z + 1) * Q("1/2") * 2
+    c = (T * T - T * T + T + 2) * Q("1/2") * 2
+    assert a.den == b.den == c.den == 2
+    assert a == b and b == a and a != c and not b == c
+    assert not any(_is_reduced(op) for op in (a, b, c))
+    assert a == T + 1 and _is_reduced(a) and storage(a) == (1, {0: ((1, 1), None)})
+
+
+def test_one_value_reached_three_ways_is_one_storage():
+    # an unreduced product, the term map and the Polys of the z-parts
+    h = Q("1/2-1/3*i")
+    cases = [
+        ((2 * T + 2) * Q("1/2"), {(0, 1): 1, (0, 0): 1}, {0: Poly([1, 1])}),
+        ((T + h) * (Z - 3) - Z * T + 3 * T, {(1, 0): h + 1, (0, 0): -3 * h},
+         {1: Poly([h + 1]), 0: Poly([-3 * h])}),
+        (ThetaOperator.z(-1) * (Q("2/3") * T**2 - Q(0, 5)) * Z * Q("3/2"),
+         {(0, 2): 1, (0, 1): 2, (0, 0): Q("1-15/2*i")}, {0: Poly([Q("1-15/2*i"), 2, 1])}),
+    ]
+    for product, terms, parts in cases:
+        ways = [product, ThetaOperator(terms), ThetaOperator.from_parts(parts)]
+        assert all(a == b and hash(a) == hash(b) for a in ways for b in ways)
+        assert all(_is_reduced(op) and storage(op) == storage(product) for op in ways)
+        assert len(set(ways)) == 1 and product.terms() == terms
+
+
+def test_unreduced_constants_hash_as_their_scalar():
+    for op, c in (((2 * ONE_OP) * Q("1/2"), 1), (T - T + 3, 3), (T - T, 0),
+                  (Z * ThetaOperator.z(-1) * Q("1/2-i"), Q("1/2-i")),
+                  ((T + Q(0, 1)) * (T - Q(0, 1)) - T * T, 1)):
+        assert op == c and hash(op) == hash(c) and len({op, c}) == 1
+
+
+def test_operators_one_coefficient_apart_compare_unequal():
+    # a negative control for the grid's ==: moving any one coefficient, by
+    # 1/den (so that den can stay), i, 1/7 or -1, or adding one term
+    for op in (build_D(GAUSSIAN_D), build_D(REAL_D), (T - Q("1/3")) * (Z * T + Q(0, 1))):
+        hash(op)  # reduced, so that 1/op.den is its finest step
+        keys = set(op.terms()) | {(op.z_degree + 1, 0), (0, op.theta_degree + 1)}
+        for j, k in keys:
+            for c in (Q(Fraction(1, op.den)), Q(0, 1), Q("1/7"), Q(-1)):
+                moved = op + ThetaOperator.monomial(c, j, k)
+                assert moved != op and op != moved and not moved == op
+        assert op == op * 1 and op != op * 2
+
+
+def test_perturbing_one_parameter_breaks_a_contiguity_identity():
+    # beta_raise at j: D(a; b)·(t + b_j) == (t + b_j - 1)·D(a; ..b_j + 1..);
+    # moving any one parameter of the right-hand D by 1/7 or by i breaks it
+    n, j = GAUSSIAN_D.n, 1
+    b = GAUSSIAN_D.beta[j]
+    lhs = build_D(GAUSSIAN_D) * ThetaOperator.theta_plus(b)
+    raised = list(GAUSSIAN_D.alpha + GAUSSIAN_D.beta)
+    raised[n + j] += 1
+    assert lhs == ThetaOperator.theta_plus(b - 1) * build_D(HGParams(raised[:n], raised[n:]))
+    for k in range(2 * n):
+        for step in (Q("1/7"), Q(0, 1)):
+            moved = list(raised)
+            moved[k] += step
+            assert lhs != ThetaOperator.theta_plus(b - 1) * build_D(HGParams(moved[:n], moved[n:]))
 
 
 def test_parse_render_round_trip():
