@@ -9,8 +9,9 @@ canonical scalars, coeffs, are built when first read.  Sums, products,
 shifts, from_roots, division, monic, evaluate and the gcd of real
 operands (a primitive pseudo-remainder sequence) run on the stored
 integers; a Gaussian gcd keeps Euclid's loop.  The sum, product, shift
-and from_roots kernels (_lincomb, _convolve, _taylor, _int_roots) are the
-ones the theta operators run on their own integer grid.
+and from_roots kernels (_lincomb, _convolve, _taylor, _int_roots) and
+the trimming rule (_trim) are the ones the theta operators run on their
+own integer grid.
 """
 
 from itertools import zip_longest
@@ -297,11 +298,7 @@ def _from_ints(den, re, im=None):
     None or no longer than re, stored reduced: im padded to the length of
     re, or None when zero; trailing zeros stripped; den > 0 and coprime to
     the entries."""
-    n = len(re)
-    im = tuple(im) + (0,) * (n - len(im)) if im is not None and any(im) else None
-    while n and not (re[n - 1] or im and im[n - 1]):
-        n -= 1
-    re, im = tuple(re[:n]), im and im[:n]
+    re, im = _trim(re, im and tuple(im) + (0,) * (len(re) - len(im)))
     g = gcd(den, *re, *(im or ()))
     g = -g if den < 0 else g
     if g != 1:
@@ -310,6 +307,15 @@ def _from_ints(den, re, im=None):
     for set_slot, value in zip(_SETTERS, (den, re, im, None)):
         set_slot(p, value)
     return p
+
+
+def _trim(re, im):
+    """(re, im) as tuples, im None when zero, trailing zeros dropped."""
+    im = im if im is not None and any(im) else None
+    n = len(re)
+    while n and not (re[n - 1] or im and im[n - 1]):
+        n -= 1
+    return tuple(re[:n]), im and tuple(im[:n])
 
 
 def power_text(symbol, e):

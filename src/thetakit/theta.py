@@ -12,10 +12,11 @@ conjugation z^s needs for s < 0.
 
 An operator is stored as polynomials.Poly is, one level up: one
 denominator for the whole operator and integer coefficients per z-power.
-Products and sums run on these integers, with Poly's kernels, and leave
-them unreduced; an operator is reduced once, when it is first hashed,
-read, or compared with an operator over another denominator (see
-ThetaOperator).
+That grid is its only representation.  Products and sums run on these
+integers, with Poly's kernels, and leave them unreduced; an operator is
+reduced once, when it is first hashed, read, or compared with an
+operator over another denominator (see ThetaOperator), and is read as
+scalars, not Polys.  Only the division routines build Polys, in z.
 
 The ring is therefore C[z, 1/z][t], and division stays in it, with no
 linear system to solve: right_divide is a pseudo-division, c*p = q*d + r
@@ -33,9 +34,9 @@ import re
 from functools import reduce
 from math import gcd, inf, lcm
 
-from .polynomials import (Poly, _convolve, _from_ints, _lincomb, _taylor, poly_gcd, power_text,
+from .polynomials import (Poly, _convolve, _lincomb, _taylor, _trim, poly_gcd, power_text,
                           render_terms)
-from .scalars import Q, GaussianRational
+from .scalars import Q, GaussianRational, integer_row, rational_row
 
 
 class ThetaOperator:
@@ -50,8 +51,8 @@ class ThetaOperator:
     den and the entries divided by their gcd, lists made tuples.  Equality
     and hashing are then structural.  Two operators over one denominator
     are equal exactly when their grids are, trailing zeros and zero parts
-    aside, so that comparison reduces neither.  _parts, the Polys p_j, is
-    built on first read.
+    aside, so that comparison reduces neither.  The grid is the only
+    state: terms and coefficients are read off it as scalars.
 
     The ring rule z^j p(t) · z^l q(t) = z^(j+l) p(t+l) q(t) makes the
     product one Taylor shift and one convolution per pair of z-parts,
@@ -66,18 +67,25 @@ class ThetaOperator:
     True
     """
 
-    __slots__ = ("den", "grid", "_reduced", "_polys")
+    __slots__ = ("den", "grid", "_reduced")
 
     def __init__(self, terms=None):
-        rows = {}
-        for (j, k), c in (terms or {}).items():
+        terms, keys, width = terms or {}, [], {}
+        for j, k in terms:
+            if isinstance(j, bool) or isinstance(k, bool):
+                raise TypeError("a power is an int, not a bool")
             j, k = operator.index(j), operator.index(k)  # 1.5 is not a power
             if k < 0:
                 raise ValueError("negative theta powers are not operators")
-            rows.setdefault(j, {})[k] = c
-        op = ThetaOperator.from_parts(
-            {j: Poly([row.get(k, 0) for k in range(max(row) + 1)]) for j, row in rows.items()})
-        _set(self, op.den, op.grid)
+            keys.append((j, k))
+            width[j] = max(width.get(j, 0), k + 1)
+        den, re, im = integer_row([Q(c) for c in terms.values()])  # cleared once
+        grid = {j: ([0] * n, im and [0] * n) for j, n in width.items()}
+        for (j, k), x, y in zip(keys, re, im or re):
+            grid[j][0][k] = x
+            if im:
+                grid[j][1][k] = y
+        _set(self, den, grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaOperator is immutable")
@@ -97,28 +105,7 @@ class ThetaOperator:
             _set(self, self.den // g, grid, True)
         return self
 
-    @property
-    def _parts(self):
-        """{z_power: Poly in theta}, built from the reduced grid on first read."""
-        if self._polys is None:
-            grid = self._reduce().grid
-            _set_polys(self, {j: _from_ints(self.den, re, im) for j, (re, im) in grid.items()})
-        return self._polys
-
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_parts(cls, parts):
-        """The operator sum_j z^j parts[j](t) from {z_power: Poly in theta}.
-
-        >>> ThetaOperator.from_parts({0: Poly([0, 1]), 1: Poly([1])})
-        t + z
-        """
-        den = lcm(*(p.den for p in parts.values()))
-        return _from_grid(den, {
-            j: ([x * (den // p.den) for x in p.re], p.im and [x * (den // p.den) for x in p.im])
-            for j, p in parts.items()
-        })
 
     @classmethod
     def zero(cls):
@@ -153,12 +140,9 @@ class ThetaOperator:
 
     def terms(self):
         """Copy of the term map {(z_degree, theta_degree): coefficient}."""
-        return {
-            (j, k): c
-            for j, p in self._parts.items()
-            for k, c in enumerate(p.coeffs)
-            if c
-        }
+        op = self._reduce()
+        return {(j, k): c for j, (re, im) in op.grid.items()
+                for k, c in enumerate(rational_row(re, op.den, im)) if c}
 
     def is_zero(self):
         return not self
@@ -182,8 +166,10 @@ class ThetaOperator:
         return min(self._reduce().grid, default=inf)
 
     def coefficient(self, z_power, theta_power):
-        p = self._parts.get(z_power)
-        return p.coefficient(theta_power) if p is not None else Q(0)
+        re, im = self._reduce().grid.get(z_power, ((), None))
+        if not 0 <= theta_power < len(re):
+            return Q(0)
+        return rational_row([re[theta_power]], self.den, im and [im[theta_power]])[0]
 
     def __eq__(self, other):
         o = _coerce_theta(other)
@@ -249,10 +235,9 @@ class ThetaOperator:
             raise TypeError("operator exponent must be an int")
         if e < 0:
             # only single-term z-monomials are invertible in the Laurent ring
-            if len(self._parts) == 1:
-                (j, p), = self._parts.items()
-                if p.degree == 0:
-                    return ThetaOperator({(j * e, 0): p.leading() ** e})
+            j = self.z_order
+            if j == self.z_degree and self.theta_degree == 0:  # one theta-free z-part
+                return ThetaOperator({(j * e, 0): self.coefficient(j, 0) ** e})
             raise ValueError("negative power of a non-invertible operator")
         result = ThetaOperator.one()
         for _ in range(e):
@@ -272,7 +257,7 @@ class ThetaOperator:
 
 
 _new = object.__new__
-_set_den, _set_grid, _set_reduced, _set_polys = (
+_set_den, _set_grid, _set_reduced = (
     getattr(ThetaOperator, name).__set__ for name in ThetaOperator.__slots__)
 
 
@@ -280,7 +265,6 @@ def _set(op, den, grid, reduced=False):
     _set_den(op, den)
     _set_grid(op, grid)
     _set_reduced(op, reduced)
-    _set_polys(op, None)
 
 
 def _from_grid(den, grid):
@@ -292,17 +276,10 @@ def _from_grid(den, grid):
 
 
 def _trimmed(grid):
-    """The grid with zero parts and trailing zeros dropped, a zero im made
-    None, and the coefficients made tuples."""
-    out = {}
-    for j, (re, im) in grid.items():
-        im = im if im and any(im) else None
-        n = len(re)
-        while n and not (re[n - 1] or im and im[n - 1]):
-            n -= 1
-        if n:
-            out[j] = tuple(re[:n]), im and tuple(im[:n])
-    return out
+    """The grid with each part trimmed as polynomials._trim does and the
+    zero parts dropped."""
+    parts = ((j, _trim(re, im)) for j, (re, im) in grid.items())
+    return {j: part for j, part in parts if part[0]}
 
 
 def _coerce_theta(x):
@@ -470,10 +447,7 @@ def _in_z(op):
     rows, low = {}, op.z_order
     for (j, k), c in op.terms().items():
         rows.setdefault(k, {})[j - low] = c
-    return {
-        k: Poly([row.get(j, 0) for j in range(max(row) + 1)])
-        for k, row in rows.items()
-    }
+    return {k: Poly([row.get(j, 0) for j in range(max(row) + 1)]) for k, row in rows.items()}
 
 
 def _primitive(op):
@@ -484,9 +458,8 @@ def _primitive(op):
     coeffs = _in_z(op)
     g = reduce(poly_gcd, coeffs.values())
     g = g * (coeffs[max(coeffs)] // g).leading()
-    return ThetaOperator(
-        {(j, k): c for k, f in coeffs.items() for j, c in enumerate((f // g).coeffs)}
-    )
+    return ThetaOperator({(j, k): c for k, f in coeffs.items()
+                          for j, c in enumerate((f // g).coeffs)})
 
 
 def right_divide(p, d):
@@ -562,11 +535,11 @@ def left_factor_check(p, f):
     >>> left_factor_check(t, z) is None
     True
     """
-    f = _coerce_theta(f)
-    if f is None or f.is_zero():
+    r, f = _as_operator(p), _as_operator(f)
+    if f.is_zero():
         raise ValueError("left factor must be a nonzero operator")
     lead = _leading(f)
-    q, r = ThetaOperator.zero(), _as_operator(p)
+    q = ThetaOperator.zero()
     while r.theta_degree >= f.theta_degree:
         c = _laurent_quotient(_leading(r), lead)
         if c is None or c.z_order < 0:

@@ -339,8 +339,8 @@ def test_certificate_factors_match_the_scalar_roots():
         a, b = p.alpha[i], p.beta[j]
         right = Poly.from_roots([-(b + l) for l in range(m)])
         left = Poly.from_roots([1 - b - l for l in range(m)] + [1 - a])
-        assert step.right == ThetaOperator.from_parts({0: right})
-        assert step.left == ThetaOperator.from_parts({0: left})
+        assert step.right == ThetaOperator({(0, k): c for k, c in enumerate(right.coeffs)})
+        assert step.left == ThetaOperator({(0, k): c for k, c in enumerate(left.coeffs)})
 
 
 def test_negative_gaps_have_no_chain():

@@ -22,8 +22,9 @@ def test_all_names_resolve_once():
 
 
 def test_every_module_level_definition_is_used_or_exported():
-    # no code that nothing calls: each function and class at module level
-    # in the package is read by name outside its own body, or exported
+    # no code that nothing calls: each function, class and assigned name
+    # at module level in the package is loaded by name outside its own
+    # definition, or exported
     package = os.path.dirname(thetakit.__file__)
     trees = []
     for name in sorted(os.listdir(package)):
@@ -34,7 +35,7 @@ def test_every_module_level_definition_is_used_or_exported():
     def references(node):
         found = Counter()
         for n in ast.walk(node):
-            if isinstance(n, ast.Name):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 found[n.id] += 1
             elif isinstance(n, ast.Attribute):
                 found[n.attr] += 1
@@ -42,15 +43,23 @@ def test_every_module_level_definition_is_used_or_exported():
                 found.update(alias.name for alias in n.names)
         return found
 
+    def defined(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return [node.name]
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        return []
+
     everywhere = sum((references(tree) for _, tree in trees), Counter())
     unused = [
-        "%s:%s" % (module, node.name)
+        "%s:%s" % (module, name)
         for module, tree in trees
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in thetakit.__all__
-        and everywhere[node.name] == references(node)[node.name]
+        for name in defined(node)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in thetakit.__all__
+        and everywhere[name] == references(node)[name]
     ]
     assert unused == []
 

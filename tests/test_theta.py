@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from thetakit import polynomials
 from thetakit.hypergeometric import HGParams, build_D
 from thetakit.polynomials import Poly
 from thetakit.scalars import Q
@@ -70,11 +71,17 @@ def test_negative_theta_power_rejected():
         lambda: ThetaOperator.monomial(3, 0.9, 1.2),
         lambda: ThetaOperator.monomial(3, 1, 0.5),
         lambda: ThetaOperator({(0.5, 0): Q(1)}),
+        lambda: ThetaOperator.z(True),
+        lambda: ThetaOperator.theta(False),
+        lambda: ThetaOperator.monomial(2, True, True),
+        lambda: ThetaOperator({(0, False): 1}),
     ],
-    ids=["z", "z-scalar", "theta", "monomial-both", "monomial-theta", "terms"],
+    ids=["z", "z-scalar", "theta", "monomial-both", "monomial-theta", "terms",
+         "z-true", "theta-false", "monomial-true", "terms-false"],
 )
 def test_non_integer_powers_are_refused(build):
-    # int() would truncate without a word: z(1.5) would be z
+    # int() would truncate without a word: z(1.5) would be z; a bool is
+    # refused as __pow__ and Poly.shift refuse it, not read as 1 or 0
     with pytest.raises(TypeError):
         build()
 
@@ -302,7 +309,8 @@ def test_one_denominator_compares_the_grids_and_reduces_neither():
 
 
 def test_one_value_reached_three_ways_is_one_storage():
-    # an unreduced product, the term map and the Polys of the z-parts
+    # an unreduced product, the term map and the coefficients of the
+    # Polys of the z-parts
     h = Q("1/2-1/3*i")
     cases = [
         ((2 * T + 2) * Q("1/2"), {(0, 1): 1, (0, 0): 1}, {0: Poly([1, 1])}),
@@ -312,7 +320,8 @@ def test_one_value_reached_three_ways_is_one_storage():
          {(0, 2): 1, (0, 1): 2, (0, 0): Q("1-15/2*i")}, {0: Poly([Q("1-15/2*i"), 2, 1])}),
     ]
     for product, terms, parts in cases:
-        ways = [product, ThetaOperator(terms), ThetaOperator.from_parts(parts)]
+        ways = [product, ThetaOperator(terms),
+                ThetaOperator({(j, k): c for j, p in parts.items() for k, c in enumerate(p.coeffs)})]
         assert all(a == b and hash(a) == hash(b) for a in ways for b in ways)
         assert all(_is_reduced(op) and storage(op) == storage(product) for op in ways)
         assert len(set(ways)) == 1 and product.terms() == terms
@@ -373,7 +382,8 @@ def test_poly_text_parses_back(coefficients):
     # Poly and render share one term renderer; the operator grammar reads
     # a Poly's text once X is named t
     p = Poly(coefficients)
-    assert parse(str(p).replace("X", "t")) == ThetaOperator.from_parts({0: p})
+    assert parse(str(p).replace("X", "t")) == ThetaOperator(
+        {(0, k): c for k, c in enumerate(p.coeffs)})
 
 
 def test_parse_examples():
@@ -398,6 +408,39 @@ def test_parse_refuses_deep_nesting():
             parse(text)
     nested = "(" * MAX_NESTING + "1-z" + ")" * MAX_NESTING
     assert parse(nested + "*" + nested + "^2") == parse("(1-z)^3")
+
+
+def test_building_and_reading_an_operator_builds_no_polynomial(monkeypatch):
+    # the term map is cleared onto the grid and read back off it as
+    # scalars: no Poly is made, canonical or not
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator built or read a Poly")
+
+    monkeypatch.setattr(polynomials, "_new", refuse)
+    monkeypatch.setattr(Poly, "__new__", refuse)
+    for c, text in ((Q("-2/3"), "t^2 + 3/4*z^-1*t - 2/3*z"),
+                    (Q("1/2-3*i"), "t^2 + 3/4*z^-1*t + (1/2-3*i)*z")):
+        terms = {(0, 2): 1, (1, 0): c, (-1, 1): Q("3/4")}
+        op = ThetaOperator(terms)
+        assert op.terms() == terms and op.coefficient(1, 0) == c
+        assert op.coefficient(0, 1) == 0 and op.coefficient(5, 0) == 0
+        assert str(op) == text
+        assert hash(ThetaOperator({(0, 0): c})) == hash(c)
+        assert (c * Z) ** -2 == ThetaOperator({(-2, 0): c ** -2})
+
+
+def test_every_division_routine_refuses_a_non_operator_with_a_type_error():
+    # a string or a Poly is not an operator, whichever argument it is; a
+    # zero operator is the wrong value, not the wrong type
+    for bad in ("x", Poly([1])):
+        for call in (lambda: right_divide(T, bad), lambda: right_divide(bad, T),
+                     lambda: right_gcd(T, bad), lambda: right_gcd(bad, T),
+                     lambda: left_factor_check(T, bad), lambda: left_factor_check(bad, T)):
+            with pytest.raises(TypeError, match="^expected a theta operator, got "):
+                call()
+    for zero in (ThetaOperator.zero(), 0, Q(0)):
+        with pytest.raises(ValueError, match="^left factor must be a nonzero operator$"):
+            left_factor_check(T, zero)
 
 
 def test_str_shows_normal_form():
