@@ -39,8 +39,8 @@ VERIFICATION_FAILURE = 1
 # theta-degree n + m (0.31 s at n = 32, every gap 100), and monodromy an
 # O(n²) exact reducibility test and 3·n² number pairs.  rigidity's algebra
 # span is an O(p·n⁶) search: three 8×8 one-digit members, the largest tuple
-# the bounds admit, took 0.58 s real and 8.8 s 30 % Gaussian.  Whole runs,
-# medians of five (2-vCPU Xeon VM, Python 3.11).
+# the bounds admit, took 0.14 s real and 1.35 s 30 % Gaussian.  Whole runs,
+# medians of five (2-vCPU Xeon VM, Python 3.11.7).
 MAX_COUNT = {"counts": 100, "verify-identities": 1000}
 MAX_GAP = 100
 MAX_ORDER = 32

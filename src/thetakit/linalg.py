@@ -8,7 +8,7 @@ An ExactMatrix is stored on integers: one positive denominator den and the
 integer rows re and im of den times the real and the imaginary parts, im
 None when every entry is real, reduced by the gcd of den and all entries,
 so equality and hashing are structural.  Its rows of canonical scalars are
-built when first read.  Products with matrices, vectors and scalars, sums,
+built anew on each read.  Products with matrices, vectors and scalars, sums,
 negation, transposes and vstack run on the integers through the kernels of
 scalars, and so does char_poly (Berkowitz's division-free algorithm) on
 den times a real or a complex matrix.  One fraction-free step, _insert,
@@ -106,14 +106,14 @@ class ExactMatrix:
     True
     """
 
-    __slots__ = ("den", "re", "im", "nrows", "ncols", "_rows")
+    __slots__ = ("den", "re", "im", "nrows", "ncols")
 
     def __new__(cls, rows):
-        data = tuple(tuple(map(Q, row)) for row in rows)
-        if len(set(map(len, data))) > 1:
+        rows = [list(map(Q, row)) for row in rows]
+        if len(set(map(len, rows))) > 1:
             raise ValueError("ragged rows")
-        s, re, im = integer_row([x for row in data for x in row])
-        return _matrix(s, _cut(re, len(data)), im and _cut(im, len(data)), data)
+        s, re, im = integer_row([x for row in rows for x in row])
+        return _matrix(s, _cut(re, len(rows)), im and _cut(im, len(rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -145,22 +145,18 @@ class ExactMatrix:
 
     @property
     def rows(self):
-        """The entries, rows of canonical scalars built on first read."""
-        if self._rows is None:
-            ims = self.im or (None,) * self.nrows
-            rows = tuple(tuple(rational_row(r, self.den, i)) for r, i in zip(self.re, ims))
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
+        """The entries, rows of canonical scalars built on each read."""
+        return tuple(map(self.row, range(self.nrows)))
 
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
+        return self.row(i)[j]
 
     def row(self, i):
-        return self.rows[i]
+        return tuple(rational_row(self.re[i], self.den, self.im and self.im[i]))
 
     def column(self, j):
-        return tuple(r[j] for r in self.rows)
+        return self.transpose().row(j)
 
     def transpose(self):
         return _matrix(self.den, _columns(self.re), _columns(self.im))
@@ -358,7 +354,7 @@ def _pair_dot(u, v):
     return re, im
 
 
-def _matrix(den, re, im=None, rows=None):
+def _matrix(den, re, im=None):
     """The ExactMatrix (re + i*im)/den of integer rows, den nonzero, stored
     reduced: im None when zero, den > 0 and coprime to the entries."""
     if not re or not re[0]:
@@ -371,7 +367,7 @@ def _matrix(den, re, im=None, rows=None):
     else:
         parts = (p and tuple(tuple(x // g for x in r) for r in p) for p in (re, im))
     m = object.__new__(ExactMatrix)
-    for name, value in zip(m.__slots__, (den // g, *parts, len(re), len(re[0]), rows)):
+    for name, value in zip(m.__slots__, (den // g, *parts, len(re), len(re[0]))):
         object.__setattr__(m, name, value)
     return m
 
@@ -431,7 +427,7 @@ class Subspace:
 
     @property
     def basis(self):
-        """The RREF rows as scalars, built on first read."""
+        """The RREF rows as scalars, built on each read."""
         return () if self._rref is None else self._rref.rows
 
     @property

@@ -1,23 +1,24 @@
 """Univariate polynomials over the Gaussian rationals, in the variable X.
 
-A Poly is stored as linalg.ExactMatrix is: one positive denominator den
-and the ascending integer coefficients re and im of den times the real
-and the imaginary parts, im None when every coefficient is real, with no
-trailing zeros (the zero polynomial has re == ()), reduced by the gcd of
-den and every entry, so equality and hashing are structural.  Its
-canonical scalars, coeffs, are built when first read.  Sums, products,
-shifts, from_roots, division, monic, evaluate and the gcd of real
-operands (a primitive pseudo-remainder sequence) run on the stored
-integers; a Gaussian gcd keeps Euclid's loop.  The sum, product, shift
-and from_roots kernels (_lincomb, _convolve, _taylor, _int_roots) and
-the trimming rule (_trim) are the ones the theta operators run on their
-own integer grid.
+A Poly is stored as linalg.ExactMatrix is: one positive denominator den and
+the ascending integer coefficients re and im of den times the real and the
+imaginary parts, im None when every coefficient is real, with no trailing
+zeros (the zero polynomial has re == ()), reduced by the gcd of den and
+every entry, so equality and hashing are structural.  Those integers are its
+only state: coeffs, coefficient and leading build their scalars on each
+read.  Sums, products, shifts, from_roots, evaluate, division and monic run
+on the stored integers over Q(i) as over Q, a Gaussian leading entry made
+real by its integer conjugate, so the gcd (a primitive pseudo-remainder
+sequence on real operands, Euclid's loop on Gaussian ones) does no scalar
+arithmetic.  The sum, product, shift and from_roots kernels (_lincomb,
+_convolve, _taylor, _int_roots) and the trimming rule (_trim) are the ones
+the theta operators run on their own integer grid.
 """
 
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .scalars import Q, GaussianRational, integer_row, rational_row
+from .scalars import Q, GaussianRational, _power, integer_row, rational_row
 
 
 def _convolve(ar, ai, br, bi):
@@ -96,7 +97,7 @@ class Poly:
     (X-2, 0)
     """
 
-    __slots__ = ("den", "re", "im", "_coeffs")
+    __slots__ = ("den", "re", "im")
 
     def __new__(cls, coefficients=()):
         return _from_ints(*integer_row([c if isinstance(c, GaussianRational) else Q(c)
@@ -127,10 +128,8 @@ class Poly:
 
     @property
     def coeffs(self):
-        """The ascending coefficients, canonical scalars built on first read."""
-        if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", tuple(rational_row(self.re, self.den, self.im)))
-        return self._coeffs
+        """The ascending coefficients, canonical scalars built on each read."""
+        return tuple(rational_row(self.re, self.den, self.im))
 
     @property
     def degree(self):
@@ -146,10 +145,12 @@ class Poly:
     def leading(self):
         if not self.re:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coefficient(len(self.re) - 1)
 
     def coefficient(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.re) else Q(0)
+        if not 0 <= k < len(self.re):
+            return Q(0)
+        return rational_row([self.re[k]], self.den, self.im and [self.im[k]])[0]
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -205,10 +206,7 @@ class Poly:
             raise TypeError("polynomial exponent must be an int, not %r" % (e,))
         if e < 0:
             raise ValueError("polynomial exponent must be nonnegative")
-        result = Poly([1])
-        for _ in range(e):
-            result = result * self
-        return result
+        return _power(self, e, _from_ints(1, [1]))
 
     def __divmod__(self, other):
         """The unique (q, r) with self = q*other + r and deg r < deg other.
@@ -216,7 +214,7 @@ class Poly:
         With self = P/s, other = D/t and D's leading entry L real, the long
         division of L^k*P by D (k the length of q) is exact on the integers,
         L^k*P = Q*D + R, so q = Q*t/(s*L^k) and r = R/(s*L^k).  A complex
-        leading coefficient c is made real first: other times conj(c).
+        leading entry a + b*i is made real first: other times a - b*i.
 
         >>> divmod(Poly([1, 0, 0, 2]), Poly([1, 1]))
         (2*X^2-2*X+2, -1)
@@ -227,7 +225,7 @@ class Poly:
         if not o.re:
             raise ZeroDivisionError("polynomial division by zero")
         if o.im and o.im[-1]:
-            c = o.leading().conjugate()
+            c = _from_ints(1, [o.re[-1]], [-o.im[-1]])
             q, r = divmod(self, o * c)
             return q * c, r
         m, lead, k = len(o.re) - 1, o.re[-1], max(len(self.re) - len(o.re) + 1, 0)
@@ -251,9 +249,8 @@ class Poly:
     def monic(self):
         if not self.re:
             raise ValueError("zero polynomial cannot be made monic")
-        if self.im and self.im[-1]:
-            return self * self.leading().inverse()
-        return _from_ints(self.re[-1], self.re, self.im)
+        a, b = self.re[-1], (self.im or (0,))[-1]
+        return _from_ints(a * a + b * b, *_convolve(self.re, self.im, [a], [-b] if b else None))
 
     def shift(self, l):
         """The Taylor shift p(X + l) by an integer l, by repeated synthetic
@@ -280,11 +277,9 @@ class Poly:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
-        return render_terms(
-            (self.coeffs[k], power_text("X", k) if k else "")
-            for k in range(self.degree, -1, -1)
-            if self.coeffs[k]
-        )
+        coeffs = self.coeffs
+        return render_terms((coeffs[k], power_text("X", k) if k else "")
+                            for k in range(self.degree, -1, -1) if coeffs[k])
 
     __repr__ = __str__
 
@@ -304,7 +299,7 @@ def _from_ints(den, re, im=None):
     if g != 1:
         den, re, im = den // g, tuple(x // g for x in re), im and tuple(x // g for x in im)
     p = _new(Poly)
-    for set_slot, value in zip(_SETTERS, (den, re, im, None)):
+    for set_slot, value in zip(_SETTERS, (den, re, im)):
         set_slot(p, value)
     return p
 

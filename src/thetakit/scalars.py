@@ -201,15 +201,7 @@ class GaussianRational:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = GaussianRational(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, ONE)
 
     def conjugate(self):
         return _make(self.re, -self.im)
@@ -256,6 +248,18 @@ def _make(re, im):
     _set_re(x, re)
     _set_im(x, im)
     return x
+
+
+def _power(base, e, one):
+    """base**e for an int e >= 0 by repeated squaring, one the unit."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 def _dot(u, v):

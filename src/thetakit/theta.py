@@ -36,7 +36,7 @@ from math import gcd, inf, lcm
 
 from .polynomials import (Poly, _convolve, _lincomb, _taylor, _trim, poly_gcd, power_text,
                           render_terms)
-from .scalars import Q, GaussianRational, integer_row, rational_row
+from .scalars import Q, GaussianRational, _power, integer_row, rational_row
 
 
 class ThetaOperator:
@@ -239,10 +239,7 @@ class ThetaOperator:
             if j == self.z_degree and self.theta_degree == 0:  # one theta-free z-part
                 return ThetaOperator({(j * e, 0): self.coefficient(j, 0) ** e})
             raise ValueError("negative power of a non-invertible operator")
-        result = ThetaOperator.one()
-        for _ in range(e):
-            result = result * self
-        return result
+        return _power(self, e, ThetaOperator.one())
 
     # -- rendering -----------------------------------------------------------
 

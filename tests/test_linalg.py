@@ -649,6 +649,31 @@ def test_reduced_and_unreduced_integers_give_one_storage():
                 assert type(part) is tuple and all(type(r) is tuple for r in part)
 
 
+def test_the_integers_are_the_only_state_and_a_read_builds_what_it_returns(monkeypatch):
+    assert ExactMatrix.__slots__ == ("den", "re", "im", "nrows", "ncols")
+    built = []
+    row = thetakit.linalg.rational_row
+
+    def counting(re, den, im=None):
+        built.append(len(re))
+        return row(re, den, im)
+
+    monkeypatch.setattr(thetakit.linalg, "rational_row", counting)
+    for m in (ExactMatrix([[1, "1/2+i", 0], ["-3/7", 2, "i"]]), ExactMatrix([[Q(1, 2)] * 3] * 2)):
+        stored, rows = (m.den, m.re, m.im), m.rows
+        for i in range(2):
+            for j in range(3):
+                built.clear()
+                assert m[i, j] == rows[i][j] and built == [3]  # one row
+            built.clear()
+            assert m.row(i) == rows[i] and built == [3]
+        built.clear()
+        assert m.column(1) == (rows[0][1], rows[1][1]) and built == [2]
+        built.clear()
+        assert m.rows == rows and built == [3, 3]  # built again on each read
+        assert (m.den, m.re, m.im) == stored
+
+
 def test_real_vstack_builds_no_imaginary_rows(monkeypatch):
     rng = random.Random(37)
     stacks = []
@@ -660,9 +685,9 @@ def test_real_vstack_builds_no_imaginary_rows(monkeypatch):
     seen = []
     matrix = thetakit.linalg._matrix
 
-    def recording(den, re, im=None, rows=None):
+    def recording(den, re, im=None):
         seen.append(im)
-        return matrix(den, re, im, rows)
+        return matrix(den, re, im)
 
     monkeypatch.setattr(thetakit.linalg, "_matrix", recording)
     for a, b in stacks:

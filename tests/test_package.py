@@ -23,7 +23,8 @@ def test_all_names_resolve_once():
 
 def test_every_module_level_definition_is_used_or_exported():
     # no code that nothing calls: each function, class and assigned name
-    # at module level in the package is loaded by name outside its own
+    # at module level in the package, and each private method or property
+    # (_x, not a dunder) of its classes, is loaded by name outside its own
     # definition, or exported
     package = os.path.dirname(thetakit.__file__)
     trees = []
@@ -51,12 +52,20 @@ def test_every_module_level_definition_is_used_or_exported():
             return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         return []
 
+    def definitions(tree):
+        for node in tree.body:
+            for name in defined(node):
+                yield node, name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and member.name.startswith("_"):
+                        yield member, member.name
+
     everywhere = sum((references(tree) for _, tree in trees), Counter())
     unused = [
         "%s:%s" % (module, name)
         for module, tree in trees
-        for node in tree.body
-        for name in defined(node)
+        for node, name in definitions(tree)
         if not (name.startswith("__") and name.endswith("__"))
         and name not in thetakit.__all__
         and everywhere[name] == references(node)[name]

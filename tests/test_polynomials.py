@@ -317,12 +317,16 @@ def test_contiguity_builds_no_coefficient_scalars(monkeypatch):
 
 
 def rational_poly_gcd(p, q):
-    """The reference: Euclid's loop on scalars, each remainder made monic."""
+    """The reference: Euclid's loop, each remainder made monic on scalars."""
+    def monic(r):
+        inverse = r.leading().inverse()
+        return Poly([c * inverse for c in r.coeffs])
+
     a, b = p, q
     while not b.is_zero():
         r = a % b
-        a, b = b, (r.monic() if not r.is_zero() else r)
-    return a.monic()
+        a, b = b, (monic(r) if not r.is_zero() else r)
+    return monic(a)
 
 
 def gcd_cases(seed, count):
@@ -363,15 +367,47 @@ def test_gcd_matches_the_rational_euclid_loop():
 
 
 def test_real_gcd_takes_no_scalar_arithmetic(monkeypatch):
+    # nor does a Gaussian gcd, monic or division by a Gaussian-led divisor
     def refuse(*args):
-        raise AssertionError("scalar arithmetic in a real poly_gcd")
+        raise AssertionError("scalar arithmetic in poly_gcd, monic or divmod")
 
-    cases = [pair for pair in gcd_cases(5, 60)
-             if all(c.is_real() for x in pair for c in x.coeffs)]
-    assert len(cases) > 30
+    cases = gcd_cases(5, 60)
+    real = [pair for pair in cases if all(c.is_real() for x in pair for c in x.coeffs)]
+    assert len(real) > 30 and len(cases) - len(real) == 16
     expected = [rational_poly_gcd(p, q) for p, q in cases]
+    divisor = Poly([Q(1, 5), Q("-1/3+2*i"), Q("-7/2+1/3*i")])
+    quotient, remainder = Poly([Q("1/3-i"), Q(0, 2), 2]), Poly([Q("5/7+i"), Q(-4, 9)])
+    dividend = quotient * divisor + remainder
+    lead = divisor.leading()
+    expected_monic = Poly([c / lead for c in divisor.coeffs])
     with monkeypatch.context() as patched:
-        for name in ("__mul__", "__sub__", "inverse"):
+        for name in ("__add__", "__mul__", "__sub__", "__neg__", "__pow__", "__truediv__",
+                     "inverse", "conjugate"):
             patched.setattr(GaussianRational, name, refuse)
         got = [poly_gcd(p, q) for p, q in cases]
+        monic, division = divisor.monic(), divmod(dividend, divisor)
     assert got == expected
+    assert monic == expected_monic and division == (quotient, remainder)
+
+
+def test_the_integers_are_the_only_state_and_a_read_builds_what_it_returns(monkeypatch):
+    assert Poly.__slots__ == ("den", "re", "im")
+    built = []
+    row = polynomials.rational_row
+
+    def counting(re, den, im=None):
+        built.append(len(re))
+        return row(re, den, im)
+
+    monkeypatch.setattr(polynomials, "rational_row", counting)
+    for p in (Poly([1, Q("1/2+i"), Q(-3, 7)]), Poly([Q(2, 3)] * 5 + [Q("-1/4")])):
+        stored, n = (p.den, p.re, p.im), len(p.re)
+        coeffs = p.coeffs
+        built.clear()
+        assert p.leading() == coeffs[-1] and built == [1]
+        built.clear()
+        assert [p.coefficient(k) for k in range(-1, n + 1)] == [0, *coeffs, 0]
+        assert built == [1] * n
+        built.clear()
+        assert p.coeffs == coeffs and str(p) and built == [n, n]  # built again on each read
+        assert (p.den, p.re, p.im) == stored

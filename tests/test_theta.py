@@ -410,6 +410,31 @@ def test_parse_refuses_deep_nesting():
     assert parse(nested + "*" + nested + "^2") == parse("(1-z)^3")
 
 
+def test_powers_square_repeatedly(monkeypatch):
+    # op**e takes at most 2*ceil(log2(e)) + 1 products, and agrees with
+    # the linear product for operators, polynomials and scalars
+    op, p, c = (1 - Z) * T + Q("1/2+i"), Poly([Q("1/2-i"), 0, -3]), Q("2/3-i")
+    for e in range(9):
+        linear = [ONE_OP, Poly([1]), Q(1)]
+        for _ in range(e):
+            linear = [linear[0] * op, linear[1] * p, linear[2] * c]
+        assert [op**e, p**e, c**e] == linear
+    calls = []
+    product = ThetaOperator.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monomial = ThetaOperator.monomial(Q("1/2+i"), 1)
+    with monkeypatch.context() as patched:
+        patched.setattr(ThetaOperator, "__mul__", counting)
+        got = monomial**1000
+    assert len(calls) <= 2 * 10 + 1
+    assert got == ThetaOperator.monomial(Q("1/2+i") ** 1000, 1000)
+    assert parse("z^100000000") == ThetaOperator.z(100000000)
+
+
 def test_building_and_reading_an_operator_builds_no_polynomial(monkeypatch):
     # the term map is cleared onto the grid and read back off it as
     # scalars: no Poly is made, canonical or not
