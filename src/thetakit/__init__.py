@@ -12,8 +12,8 @@ The package is organised in layers:
 - ``extension``: one-step extension blocks and parameter counting;
 - ``rigidity``: pseudo-reflection tuples, common frames, invariant
   subspaces, companion normal forms and irreducibility tests;
-- ``monodromy``: double-precision monodromy triples and numeric
-  rigidity checks; the only module that needs numpy;
+- ``monodromy``: double-precision monodromy triples and the margins of
+  numeric rigidity checks; the only module that needs numpy;
 - ``cli``: the ``thetakit`` command.
 
 ``import thetakit`` executes no layer.  Each one is registered in
@@ -65,9 +65,9 @@ _LAYERS = {
         "levelt_normal_form", "levelt_tuple", "tuple_conjugator",
     ),
     "monodromy": (
-        "LocalSpectra", "MonodromyTriple", "build_monodromy",
-        "check_pseudo_reflection_numeric", "companion_eigenvalues",
-        "local_spectra", "multiset_close", "rigidity_check_numeric",
+        "LocalSpectra", "MonodromyTriple", "RoundTripMargins", "build_monodromy",
+        "companion_eigenvalues", "local_spectra", "multiset_distance",
+        "pseudo_reflection_margins", "rigidity_margins",
     ),
 }
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names}

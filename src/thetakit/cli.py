@@ -36,11 +36,12 @@ VERIFICATION_FAILURE = 1
 
 # work bounds: counts builds count² entries, verify-identities count sets
 # (0.45 s at 1000), analyze up to n chain steps, one of gap m at
-# theta-degree n + m (0.31 s at n = 32, every gap 100), and monodromy an
-# O(n²) exact reducibility test and 3·n² number pairs.  rigidity's algebra
-# span is an O(p·n⁶) search: three 8×8 one-digit members, the largest tuple
-# the bounds admit, took 0.14 s real and 1.35 s 30 % Gaussian.  Whole runs,
-# medians of five (2-vCPU Xeon VM, Python 3.11.7).
+# theta-degree n + m (0.31 s at n = 32, every gap 100, but only for small
+# denominators such as beta_k = k/33: their digits are not bounded), and
+# monodromy an O(n²) exact reducibility test and 3·n² number pairs.
+# rigidity's algebra span is an O(p·n⁶) search: three 8×8 one-digit
+# members, the largest tuple the bounds admit, took 0.14 s real and 1.35 s
+# 30 % Gaussian.  Whole runs, medians of five (2-vCPU Xeon VM, Python 3.11.7).
 MAX_COUNT = {"counts": 100, "verify-identities": 1000}
 MAX_GAP = 100
 MAX_ORDER = 32
@@ -165,14 +166,8 @@ def cmd_analyze(args) -> int:
     if reducible:
         for i, j, m in hypergeometric.greedy_matching(p):
             if m > MAX_GAP:
-                pair = "alpha_%d - beta_%d" % (i + 1, j + 1)
-                try:
-                    pair += " = %d" % m
-                except ValueError:  # a gap over the int-string digit limit
-                    pass
-                raise InputError(
-                    "%s exceeds the factorization gap bound %d" % (pair, MAX_GAP)
-                )
+                raise InputError("%s exceeds the factorization gap bound %d"
+                                 % (hypergeometric._pair_gap(i, j, m), MAX_GAP))
         try:
             steps = hypergeometric.factorization_certificate(p)
         except ValueError as exc:

@@ -290,6 +290,15 @@ def _greedy(gaps):
     return chosen
 
 
+def _pair_gap(i: int, j: int, gap: int) -> str:
+    """'alpha_i - beta_j = gap', 1-based; the gap is left out past the digit limit."""
+    pair = "alpha_%d - beta_%d" % (i + 1, j + 1)
+    try:
+        return pair + " = %d" % gap
+    except ValueError:
+        return pair
+
+
 class FactorStep(
     namedtuple("FactorStep", "pair gap linear_factor left right params_after")
 ):
@@ -323,12 +332,8 @@ def factorization_certificate(p: HGParams):
         if not gaps:
             raise ValueError("no admissible matching: no integer difference")
         (i, j), gap = min(gaps.items())  # every gap is negative
-        pair = "alpha_%d - beta_%d" % (i + 1, j + 1)
-        try:
-            pair += " = %d" % gap
-        except ValueError:  # a difference over the int-string digit limit
-            pass
-        raise ValueError("no admissible matching: %s is a negative integer" % pair)
+        raise ValueError("no admissible matching: %s is a negative integer"
+                         % _pair_gap(i, j, gap))
     steps = []
     removed_i, removed_j = set(), set()
     for i, j, m in chosen:

@@ -23,10 +23,10 @@ from thetakit.hypergeometric import (
 from thetakit.linalg import ExactMatrix
 from thetakit.monodromy import (
     build_monodromy,
-    check_pseudo_reflection_numeric,
     local_spectra,
-    multiset_close,
-    rigidity_check_numeric,
+    multiset_distance,
+    pseudo_reflection_margins,
+    rigidity_margins,
 )
 from thetakit.polynomials import Poly, poly_gcd
 from thetakit.rigidity import (
@@ -49,7 +49,9 @@ from util import (
     gaussian_rational,
     invertible_matrix,
     irreducible_params,
+    one_above,
     params as random_params,
+    round_trip_holds,
 )
 
 T = ThetaOperator.theta()
@@ -298,7 +300,7 @@ def _companion_spectrum_matches(m, expected, tol) -> bool:
         default=1.0,
     )
     if sep > 1e-3:
-        return multiset_close(np.roots(coeffs), expected, tol)
+        return multiset_distance(np.roots(coeffs), expected) <= tol
     return True
 
 
@@ -317,7 +319,7 @@ def test_monodromy_numeric_suite():
         s = local_spectra(p)
         assert _companion_spectrum_matches(t.minf, s.at_infinity, 1e-8), p
 
-        assert check_pseudo_reflection_numeric(t.m1, 1e-8), p
+        assert one_above(pseudo_reflection_margins(t.m1), 1e-8), p
 
         shift = sum(float(b.re) for b in p.beta) - sum(
             float(a.re) for a in p.alpha
@@ -325,7 +327,7 @@ def test_monodromy_numeric_suite():
         target = complex(np.exp(2j * np.pi * shift))
         assert abs(np.linalg.det(t.m1) - target) <= 1e-8, p
 
-        assert rigidity_check_numeric(t, 1e-8, seed=trial), p
+        assert round_trip_holds(rigidity_margins(t, seed=trial), 1e-8), p
     print(
         "PASS monodromy numeric suite: 50 sets, worst residual %.2e"
         % worst_residual
@@ -369,7 +371,7 @@ def test_exact_and_numeric_layers_agree():
             # exact one does, and on an irreducible pair both must
             pair = MatrixTuple((a, b))
             exact = _succeeds(lambda: levelt_normal_form(pair, common_frame(pair)))
-            numeric = _succeeds(lambda: rigidity_check_numeric(t, 1e-8))
+            numeric = round_trip_holds(rigidity_margins(t), 1e-8)
             assert exact and numeric, (p, exact, numeric)
     assert seen[True] >= 10 and seen[False] >= 10, seen
     print(

@@ -82,6 +82,30 @@ def test_analyze_reducible_witness(capsys, reducible_file):
     assert "integer" in report["canonical_class_reason"]
 
 
+def test_analyze_failed_verification_exits_1(capsys, reducible_file, monkeypatch):
+    # a chain whose one step has a wrong left factor fails the exact check:
+    # exit 1 with the full report, verified false, on stdout
+    import thetakit.hypergeometric
+
+    _, good, _ = run(capsys, ["analyze", "--input", reducible_file])
+    build = thetakit.hypergeometric.factorization_certificate
+
+    def wrong_left(p):
+        (step,) = build(p)
+        return [step._replace(left=step.left + 1)]
+
+    monkeypatch.setattr(thetakit.hypergeometric, "factorization_certificate", wrong_left)
+    code, out, err = run(capsys, ["analyze", "--input", reducible_file])
+    assert code == 1 and err == ""
+    report, expected = json.loads(out), json.loads(good)
+    assert report["factorization"]["verified"] is False
+    step = report["factorization"]["steps"][0]
+    good_left = expected["factorization"]["steps"][0]["left"]
+    assert step["left"] != good_left
+    step["left"], report["factorization"]["verified"] = good_left, True
+    assert report == expected
+
+
 def test_analyze_empty_lists_error(capsys, tmp_path):
     path = write_json(tmp_path, "empty.json", {"alpha": [], "beta": []})
     code, out, err = run(capsys, ["analyze", "--input", path])

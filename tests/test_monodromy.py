@@ -8,15 +8,15 @@ from thetakit.monodromy import (
     LocalSpectra,
     MonodromyTriple,
     build_monodromy,
-    check_pseudo_reflection_numeric,
     companion_eigenvalues,
     local_spectra,
-    multiset_close,
-    rigidity_check_numeric,
+    multiset_distance,
+    pseudo_reflection_margins,
+    rigidity_margins,
 )
 from thetakit.scalars import Q
 
-from util import irreducible_params
+from util import irreducible_params, one_above, round_trip_holds
 
 GAUSS = HGParams(("1/4", "3/4"), ("1/2", "1"))
 
@@ -37,9 +37,9 @@ def test_fixture_determinant():
 
 def test_local_spectra_values():
     s = local_spectra(GAUSS)
-    assert multiset_close(s.at_infinity, [1j, -1j], 1e-12)
-    assert multiset_close(s.at_zero, [-1, 1], 1e-12)
-    assert multiset_close(s.at_one, [1, -1], 1e-12)
+    assert multiset_distance(s.at_infinity, [1j, -1j]) <= 1e-12
+    assert multiset_distance(s.at_zero, [-1, 1]) <= 1e-12
+    assert multiset_distance(s.at_one, [1, -1]) <= 1e-12
 
 
 def test_local_spectra_multiplicity_at_one():
@@ -75,20 +75,14 @@ def test_nan_tolerance_rejected():
     nan = float("nan")
     with pytest.raises(ValueError, match="tolerance"):
         build_monodromy(GAUSS, tol=nan)
-    with pytest.raises(ValueError, match="tolerance"):
-        check_pseudo_reflection_numeric(np.eye(2), nan)
-    with pytest.raises(ValueError, match="tolerance"):
-        rigidity_check_numeric(build_monodromy(GAUSS), nan)
 
 
 def test_pseudo_reflection_svd():
-    assert check_pseudo_reflection_numeric(np.diag([1.0, 1.0, -1.0]), 1e-8)
-    assert not check_pseudo_reflection_numeric(np.eye(3), 1e-8)
-    assert not check_pseudo_reflection_numeric(np.diag([2.0, 3.0, 1.0]), 1e-8)
+    assert one_above(pseudo_reflection_margins(np.diag([1.0, 1.0, -1.0])), 1e-8)
+    assert not one_above(pseudo_reflection_margins(np.eye(3)), 1e-8)
+    assert not one_above(pseudo_reflection_margins(np.diag([2.0, 3.0, 1.0])), 1e-8)
     transvection = np.array([[1.0, 5.0], [0.0, 1.0]])
-    assert check_pseudo_reflection_numeric(transvection, 1e-8)
-    with pytest.raises(ValueError):
-        check_pseudo_reflection_numeric(np.eye(2), 0.0)
+    assert one_above(pseudo_reflection_margins(transvection), 1e-8)
 
 
 def test_triple_invariant_enforced():
@@ -108,8 +102,8 @@ def test_triple_invariant_enforced():
 
 def test_rigidity_round_trip_fixture():
     t = build_monodromy(GAUSS)
-    assert rigidity_check_numeric(t, 1e-8)
-    assert rigidity_check_numeric(t, 1e-8, seed=5)
+    assert round_trip_holds(rigidity_margins(t), 1e-8)
+    assert round_trip_holds(rigidity_margins(t, seed=5), 1e-8)
 
 
 def test_rigidity_round_trip_random():
@@ -118,20 +112,30 @@ def test_rigidity_round_trip_random():
         n = rng.randrange(2, 7)
         p = irreducible_params(rng, n)
         t = build_monodromy(p)
-        assert rigidity_check_numeric(t, 1e-8, seed=trial), p
+        assert round_trip_holds(rigidity_margins(t, seed=trial), 1e-8), p
+
+
+def test_rank_two_difference_is_measured_not_refused():
+    # A - B = diag(-3, -4) has rank two, so the pair is not a Levelt pair:
+    # the round trip reports the difference's singular values and fails
+    a, b = np.diag([2.0, 3.0]), np.diag([5.0, 7.0])
+    t = MonodromyTriple(m0=np.linalg.inv(b), m1=np.linalg.inv(a) @ b, minf=a)
+    margins = rigidity_margins(t)
+    assert np.allclose(margins.difference, [4.0, 3.0], atol=1e-12)
+    assert not round_trip_holds(margins, 1e-8)
 
 
 def test_companion_eigenvalues_round_trip():
     t = build_monodromy(GAUSS)
     got = companion_eigenvalues(t.minf)
-    assert multiset_close(got, [1j, -1j], 1e-10)
+    assert multiset_distance(got, [1j, -1j]) <= 1e-10
 
 
-def test_multiset_close_edges():
-    assert multiset_close([], [], 1e-8)
-    assert not multiset_close([1.0], [], 1e-8)
-    assert not multiset_close([1.0], [1.0 + 1e-6], 1e-8)
-    assert multiset_close([1.0, 1j], [1j, 1.0], 1e-12)
+def test_multiset_distance_edges():
+    assert multiset_distance([], []) <= 1e-8
+    assert not multiset_distance([1.0], []) <= 1e-8
+    assert not multiset_distance([1.0], [1.0 + 1e-6]) <= 1e-8
+    assert multiset_distance([1.0, 1j], [1j, 1.0]) <= 1e-12
 
 
 def test_local_spectra_is_frozen():

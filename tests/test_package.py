@@ -123,7 +123,7 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from thetakit import *", namespace)
     assert [n for n in thetakit.__all__ if n not in namespace] == []
-    assert namespace["rigidity_check_numeric"] is thetakit.monodromy.rigidity_check_numeric
+    assert namespace["rigidity_margins"] is thetakit.monodromy.rigidity_margins
 
 
 def test_unknown_attribute_raises():
@@ -170,6 +170,12 @@ RECORDS = {
     "MonodromyTriple": (
         lambda: thetakit.build_monodromy(thetakit.HGParams(("1/4", "3/4"), ("1/2", 1))),
         ("m0", "m1", "minf", "tolerance"),
+    ),
+    "RoundTripMargins": (
+        lambda: thetakit.rigidity_margins(
+            thetakit.build_monodromy(thetakit.HGParams(("1/4", "3/4"), ("1/2", 1)))
+        ),
+        ("difference", "normals", "condition", "companion", "error"),
     ),
 }
 

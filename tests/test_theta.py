@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -396,6 +397,16 @@ def test_parse_examples():
         parse("q")
     with pytest.raises(ValueError, match="unexpected character '/' at position 1"):
         parse("3/")
+    for text, message in (
+        ("t^(2)", "exponent must be an integer"),
+        ("t^1/2", "exponent must be an integer"),
+        ("(t z", "expected ')'"),
+        (")", "unexpected token ')'"),
+        ("*t", "unexpected token '*'"),
+        ("t)", "trailing input at position 1"),
+    ):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            parse(text)
 
 
 def test_parse_refuses_deep_nesting():

@@ -157,6 +157,28 @@ def conjugated_levelt(rng, p, n):
     return spectra, g, conj
 
 
+def one_above(sv, tol) -> bool:
+    """Exactly one singular value above tol: a numeric pseudo-reflection,
+    read off pseudo_reflection_margins."""
+    return sum(s > tol for s in sv) == 1
+
+
+def round_trip_holds(m, tol) -> bool:
+    """The numeric companion round trip succeeds at tol, read off its
+    RoundTripMargins m: the difference is rank one, the stacked normals
+    have full rank, the cyclic basis is well conditioned, and both
+    rebuilt members are the original companions."""
+    d, normals = m.difference, m.normals
+    return (
+        d[0] > tol
+        and (len(d) < 2 or d[1] <= tol * max(1.0, d[0]))
+        and normals[-1] > tol * max(1.0, normals[0])
+        and m.condition <= 1.0 / tol
+        and m.companion <= tol
+        and m.error <= tol
+    )
+
+
 def env_with_src() -> dict:
     """os.environ with the directory holding thetakit first on PYTHONPATH."""
     env = dict(os.environ)
