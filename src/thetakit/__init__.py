@@ -50,9 +50,8 @@ _LAYERS = {
     "hypergeometric": (
         "CONTIGUITY_KINDS", "FactorStep", "HGParams", "LocalExponents",
         "ReducibilityPartition", "build_D", "canonical_shift_class",
-        "contiguity_check", "exponents", "factor_reducible",
-        "factorization_certificate", "greedy_matching", "is_reducible",
-        "partition", "verify_certificate",
+        "contiguity_check", "exponents", "factorization_certificate",
+        "greedy_matching", "is_reducible", "partition", "verify_certificate",
     ),
     "extension": (
         "ExtensionBlock", "ext_dimension", "extension_block", "parameter_counts",
@@ -61,12 +60,11 @@ _LAYERS = {
     "rigidity": (
         "CommonFrame", "MatrixTuple", "Spectrum", "algebra_span_dimension",
         "common_frame", "common_spectrum_certificate", "companion_from_spectrum",
-        "find_stabilized_subspace", "is_irreducible_pair", "is_pseudo_reflection",
-        "levelt_normal_form", "levelt_tuple", "tuple_conjugator",
+        "find_stabilized_subspace", "is_irreducible_pair", "levelt_normal_form",
+        "levelt_tuple", "tuple_conjugator",
     ),
     "monodromy": (
-        "LocalSpectra", "MonodromyTriple", "RoundTripMargins", "build_monodromy",
-        "companion_eigenvalues", "local_spectra", "multiset_distance",
+        "MonodromyTriple", "RoundTripMargins", "build_monodromy", "multiset_distance",
         "pseudo_reflection_margins", "rigidity_margins",
     ),
 }

@@ -360,22 +360,6 @@ def factorization_certificate(p: HGParams):
     return steps
 
 
-def factor_reducible(p: HGParams):
-    """Peel first-order factors off a reducible operator.
-
-    Returns (linear_factors, reduced): parameters a'_k with the left
-    factors (t + a'_k - 1) in chain order, and the reduced parameter
-    lists with the matched pairs removed.  The exact content of the
-    claim is the per-step identity recorded by factorization_certificate.
-
-    >>> factors, reduced = factor_reducible(HGParams(("1/2", "1/3"), (1, "1/3")))
-    >>> [str(f) for f in factors], str(reduced)
-    (['1/3'], 'D(1/2; 1)')
-    """
-    steps = factorization_certificate(p)
-    return [s.linear_factor for s in steps], steps[-1].params_after
-
-
 def verify_certificate(p: HGParams) -> bool:
     """Exact expansion check of every link of the factorization chain."""
     return _verify_steps(p, factorization_certificate(p))

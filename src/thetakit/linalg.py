@@ -131,10 +131,6 @@ class ExactMatrix:
     def zeros(cls, nrows, ncols=None):
         return _matrix(1, [[0] * (nrows if ncols is None else ncols)] * nrows)
 
-    @classmethod
-    def from_columns(cls, columns):
-        return cls(columns).transpose()
-
     @property
     def n(self):
         if self.nrows != self.ncols:
@@ -154,9 +150,6 @@ class ExactMatrix:
 
     def row(self, i):
         return tuple(rational_row(self.re[i], self.den, self.im and self.im[i]))
-
-    def column(self, j):
-        return self.transpose().row(j)
 
     def transpose(self):
         return _matrix(self.den, _columns(self.re), _columns(self.im))
@@ -267,14 +260,9 @@ class ExactMatrix:
     def rank(self):
         return len(self._reduce()[0])
 
-    def kernel_vectors(self):
-        """Basis vectors of the right kernel, from the RREF free columns."""
-        k = self.kernel_matrix()
-        return [] if k is None else list(k.rows)
-
     def kernel_matrix(self):
-        """The kernel_vectors as the rows of one matrix, None when the
-        kernel is zero: for each free column f, d at f and minus the
+        """A basis of the right kernel as the rows of one matrix, None when
+        the kernel is zero: for each free column f, d at f and minus the
         entries in column f of the RREF rows at their pivots."""
         pivots, d, re, im = self._reduce()
         free = [j for j in range(self.ncols) if j not in pivots]

@@ -47,29 +47,6 @@ def _circle_point(x: float) -> complex:
     return complex(np.exp(2j * np.pi * x))
 
 
-class LocalSpectra(namedtuple("LocalSpectra", "at_zero at_one at_infinity")):
-    """Eigenvalue multisets of the three local monodromies."""
-
-    __slots__ = ()
-
-
-def local_spectra(p: HGParams) -> LocalSpectra:
-    """Exponentials of the local exponents at 0, 1 and infinity.
-
-    >>> s = local_spectra(HGParams(("1/2", "1/2"), (1, 1)))
-    >>> np.allclose(s.at_infinity, (-1, -1)) and np.allclose(s.at_zero, (1, 1))
-    True
-    """
-    alphas, betas = _real_parameter_floats(p)
-    shift = sum(betas) - sum(alphas)
-    at_one = (1.0 + 0.0j,) * (p.n - 1) + (_circle_point(shift),)
-    return LocalSpectra(
-        at_zero=tuple(_circle_point(-b) for b in betas),
-        at_one=at_one,
-        at_infinity=tuple(_circle_point(a) for a in alphas),
-    )
-
-
 def _companion(roots) -> np.ndarray:
     """Companion matrix of prod (X - r) over the given roots."""
     coeffs = np.atleast_1d(np.poly(np.asarray(roots, dtype=complex)))
@@ -83,24 +60,11 @@ def _companion(roots) -> np.ndarray:
     return m
 
 
-def companion_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a companion matrix via its own polynomial.
-
-    Reads the last column (the polynomial's coefficients) and calls the
-    root finder on it; no general eigensolver is involved.
-    """
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    coeffs = np.ones(n + 1, dtype=complex)
-    for i in range(n):
-        coeffs[n - i] = -m[i, n - 1]
-    return np.roots(coeffs)
-
-
 def multiset_distance(xs, ys) -> float:
     """Largest distance in a greedy matching of two complex multisets.
 
-    Each x is matched to its nearest unused y; inf when the sizes differ.
+    Each x is matched to its nearest unused y; inf when the sizes differ,
+    nan when a value is nan, so that no tolerance accepts it.
 
     >>> multiset_distance([1, 1j], [1j, 1.5])
     0.5
@@ -109,11 +73,11 @@ def multiset_distance(xs, ys) -> float:
     ys = list(np.asarray(ys, dtype=complex))
     if len(xs) != len(ys):
         return float("inf")
-    worst = 0.0
+    distances = []
     for x in xs:
         k = min(range(len(ys)), key=lambda j: abs(x - ys[j]))
-        worst = max(worst, float(abs(x - ys.pop(k))))
-    return worst
+        distances.append(abs(x - ys.pop(k)))
+    return float(np.max(distances, initial=0.0))  # np.max keeps a nan
 
 
 class MonodromyTriple:

@@ -54,9 +54,6 @@ class MatrixTuple(tuple):
     def n(self) -> int:
         return self[0].n
 
-    def char_polys(self):
-        return list(self._char_polys)
-
     # Facts derived from the (immutable) members are kept in the instance
     # dict, so that one run asks each of them once, whatever asks first.
 
@@ -125,19 +122,16 @@ class Spectrum(tuple):
     def n(self) -> int:
         return len(self)
 
-    def polynomial(self) -> Poly:
-        return Poly.from_roots(self)
-
 
 class CommonFrame(
     namedtuple("CommonFrame", "basis_change side shared_indices inverse")
 ):
     """A change of basis exhibiting n-1 shared rows or columns.
 
-    In the new basis, member A becomes U·A·U^{-1} (see apply); all
-    tuple members then agree exactly on the rows (side == "rows") or
-    columns (side == "columns") listed in shared_indices, distinct
-    indices below n.  The frame carries U^{-1} as inverse; the side,
+    In the new basis, member A becomes U·A·U^{-1}; all tuple members
+    then agree exactly on the rows (side == "rows") or columns
+    (side == "columns") listed in shared_indices, distinct indices
+    below n.  The frame carries U^{-1} as inverse; the side,
     the indices and the inverse are checked on construction.
     """
 
@@ -157,10 +151,6 @@ class CommonFrame(
     @classmethod
     def _make(cls, iterable):  # _replace builds through _make: both check
         return cls(*iterable)
-
-    def apply(self, t: MatrixTuple):
-        u, u_inv = self.basis_change, self.inverse
-        return [u * m * u_inv for m in t]
 
     def verify(self, t: MatrixTuple) -> bool:
         """Exact check of the shared rows/columns across all members.
@@ -191,17 +181,6 @@ def _frame_selection(frame):
     if frame.side == "rows":
         return _rows_at(frame.basis_change, frame.shared_indices)
     return _rows_at(frame.inverse.transpose(), frame.shared_indices).transpose()
-
-
-def is_pseudo_reflection(h: ExactMatrix) -> bool:
-    """True when h - I has rank exactly 1.
-
-    >>> is_pseudo_reflection(ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 5]]))
-    True
-    >>> is_pseudo_reflection(ExactMatrix.identity(3))
-    False
-    """
-    return (h - ExactMatrix.identity(h.n)).rank() == 1
 
 
 def pseudo_reflection_pairs(t: MatrixTuple) -> dict:
@@ -377,7 +356,7 @@ def companion_from_spectrum(s: Spectrum) -> ExactMatrix:
     """
     if any(not v for v in s):
         raise ValueError("spectrum values must be nonzero")
-    return companion_of_operator(s.polynomial())
+    return companion_of_operator(Poly.from_roots(s))
 
 
 def levelt_tuple(spectra) -> MatrixTuple:
@@ -486,7 +465,7 @@ def tuple_conjugator(a: MatrixTuple, b: MatrixTuple):
     """
     if a.p != b.p or a.n != b.n:
         raise ValueError("tuples must share length and dimension")
-    if a.char_polys() != b.char_polys():
+    if a._char_polys != b._char_polys:
         return None
     u_a, _ = levelt_normal_form(a, common_frame(a))
     u_b, _ = levelt_normal_form(b, common_frame(b))

@@ -128,11 +128,6 @@ class GaussianRational:
         """True when the value lies in Z (zero imaginary part, denominator 1)."""
         return not self.im and self.re.denominator == 1
 
-    def as_int(self):
-        if not self.is_integer():
-            raise ValueError("%s is not an integer" % self)
-        return int(self.re)
-
     def floor_real(self):
         """Floor of the real part, as a Python int."""
         return self.re.numerator // self.re.denominator

@@ -23,7 +23,6 @@ from thetakit.hypergeometric import (
 from thetakit.linalg import ExactMatrix
 from thetakit.monodromy import (
     build_monodromy,
-    local_spectra,
     multiset_distance,
     pseudo_reflection_margins,
     rigidity_margins,
@@ -39,6 +38,7 @@ from thetakit.rigidity import (
     find_stabilized_subspace,
     is_irreducible_pair,
     levelt_normal_form,
+    tuple_conjugator,
 )
 from thetakit.scalars import Q
 from thetakit.theta import ThetaOperator, right_divide
@@ -47,8 +47,10 @@ from util import (
     conjugated_levelt,
     disjoint_spectra,
     gaussian_rational,
+    integer_levelt_pair,
     invertible_matrix,
     irreducible_params,
+    local_spectra,
     one_above,
     params as random_params,
     round_trip_holds,
@@ -168,13 +170,13 @@ def test_frame_recovery_suite():
         assert len(frame.shared_indices) == n - 1
         assert frame.verify(conj)
         # re-check the shared lines explicitly in the transformed members
-        changed = frame.apply(conj)
+        u, u_inv = frame.basis_change, frame.inverse
+        changed = [u * m * u_inv for m in conj]
+        if frame.side == "columns":
+            changed = [m.transpose() for m in changed]
         for other in changed[1:]:
             for k in frame.shared_indices:
-                if frame.side == "rows":
-                    assert changed[0].row(k) == other.row(k)
-                else:
-                    assert changed[0].column(k) == other.column(k)
+                assert changed[0].row(k) == other.row(k)
     print("PASS frame recovery: 100 families, both sides")
 
 
@@ -246,8 +248,8 @@ def test_invariant_subspace_certificates():
         cert = common_spectrum_certificate(t, frame, space)
         assert cert.degree >= 1
         assert cert == cert.monic()
-        for q in t.char_polys():
-            assert q % cert == Poly([])
+        for m in t:
+            assert m.char_poly() % cert == Poly([])
         assert cert.evaluate(shared) == Q(0)
     assert lines > 0 and hyperplanes > 0
     print(
@@ -378,6 +380,62 @@ def test_exact_and_numeric_layers_agree():
         "PASS exact vs numeric: %d reducible, %d irreducible pairs agree"
         % (seen[True], seen[False])
     )
+
+
+def test_integer_levelt_pairs_agree():
+    """Parameters that are whole Galois orbits k/d, d <= 30, n = 2..8: the
+    Levelt pair is the pair of integer companions of products of
+    cyclotomic polynomials, and the exact tests and the numeric triple
+    describe one group, 30 draws for each n."""
+    rng = random.Random(1989)
+    seen = {True: 0, False: 0}
+    started = time.monotonic()
+    for n in range(2, 9):
+        for _ in range(30):
+            p, a, b = integer_levelt_pair(rng, n)
+            if a == b:
+                continue  # equal spectra: the ratio is I, not a pseudo-reflection
+            reducible = is_reducible(p)[0]
+            assert reducible == (not is_irreducible_pair(a, b)), p
+            pair = MatrixTuple((a, b))
+            span = algebra_span_dimension(pair)
+            assert reducible == (span < n * n), (p, span)
+            seen[reducible] += 1
+            if not reducible:
+                t = build_monodromy(p)
+                assert np.max(np.abs(t.minf - _to_complex(a))) <= 1e-8, p
+                assert np.max(np.abs(np.linalg.inv(t.m0) - _to_complex(b))) <= 1e-8, p
+                u, canon = levelt_normal_form(pair, common_frame(pair))
+                assert canon == pair and u * a == a * u, p
+    elapsed = time.monotonic() - started
+    assert seen[True] >= 20 and seen[False] >= 20, seen
+    print(
+        "PASS integer Levelt pairs: %d reducible, %d irreducible pairs agree, %.1fs"
+        % (seen[True], seen[False], elapsed)
+    )
+
+
+def test_integer_levelt_pairs_survive_unimodular_conjugation():
+    """An irreducible integer Levelt pair conjugated by a unimodular integer
+    matrix g: tuple_conjugator finds the conjugator back to the companions,
+    and the normal form returns them, 5 pairs for each n = 2..8."""
+    rng = random.Random(95)
+    for n in range(2, 9):
+        done = 0
+        while done < 5:
+            p, a, b = integer_levelt_pair(rng, n)
+            if a == b or is_reducible(p)[0]:
+                continue
+            pair = MatrixTuple((a, b))
+            g = invertible_matrix(rng, n)
+            assert g.den == 1 and g.det() in (1, -1)
+            conj = MatrixTuple((g * a * g.inverse(), g * b * g.inverse()))
+            u = tuple_conjugator(conj, pair)
+            assert u is not None and all(u * c == m * u for c, m in zip(conj, pair))
+            _, canon = levelt_normal_form(conj, common_frame(conj))
+            assert canon == pair, p
+            done += 1
+    print("PASS integer Levelt pairs: 35 unimodular conjugations undone")
 
 
 def _succeeds(compute) -> bool:

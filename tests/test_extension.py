@@ -69,8 +69,8 @@ def test_section_embeds_lower_block():
     block = extension_block(Poly.from_roots([Q(1), Q(2)]), Poly.from_roots([Q(5)]))
     s = block.section
     assert s.nrows == 3 and s.ncols == 2
-    assert s.column(0) == (Q(0), Q(1), Q(0))
-    assert s.column(1) == (Q(0), Q(0), Q(1))
+    assert s.transpose().row(0) == (Q(0), Q(1), Q(0))
+    assert s.transpose().row(1) == (Q(0), Q(0), Q(1))
 
 
 def test_psi_map_extracts_last_coordinate():

@@ -15,7 +15,6 @@ from thetakit.hypergeometric import (
     canonical_shift_class,
     contiguity_check,
     exponents,
-    factor_reducible,
     factorization_certificate,
     greedy_matching,
     is_reducible,
@@ -355,7 +354,8 @@ def test_negative_gaps_have_no_chain():
 def test_certificate_full_consumption():
     # every alpha is matched: the reduced operator is the empty product 1-z
     p = HGParams((Q(2), Q(3)), (Q(1), Q(1)))
-    removed, reduced = factor_reducible(p)
+    steps = factorization_certificate(p)
+    removed, reduced = [s.linear_factor for s in steps], steps[-1].params_after
     assert len(removed) == 2
     assert reduced.n == 0
     assert build_D(reduced) == ONE_OP - Z
@@ -369,7 +369,8 @@ def test_certificate_requires_reducible_input():
 
 def test_factor_reducible_removes_matched_alphas():
     p = HGParams((Q(3), Q("1/2")), (Q(1), Q("1/3")))
-    removed, reduced = factor_reducible(p)
+    steps = factorization_certificate(p)
+    removed, reduced = [s.linear_factor for s in steps], steps[-1].params_after
     assert removed == [Q(3)]
     assert reduced == HGParams((Q("1/2"),), (Q("1/3"),))
 

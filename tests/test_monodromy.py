@@ -5,18 +5,18 @@ import pytest
 
 from thetakit.hypergeometric import HGParams
 from thetakit.monodromy import (
-    LocalSpectra,
     MonodromyTriple,
     build_monodromy,
-    companion_eigenvalues,
-    local_spectra,
     multiset_distance,
     pseudo_reflection_margins,
     rigidity_margins,
 )
 from thetakit.scalars import Q
 
-from util import irreducible_params, one_above, round_trip_holds
+from util import (
+    LocalSpectra, companion_eigenvalues, irreducible_params, local_spectra, one_above,
+    round_trip_holds,
+)
 
 GAUSS = HGParams(("1/4", "3/4"), ("1/2", "1"))
 
@@ -136,6 +136,13 @@ def test_multiset_distance_edges():
     assert not multiset_distance([1.0], []) <= 1e-8
     assert not multiset_distance([1.0], [1.0 + 1e-6]) <= 1e-8
     assert multiset_distance([1.0, 1j], [1j, 1.0]) <= 1e-12
+
+
+def test_a_nan_distance_is_no_match():
+    nan = float("nan")
+    for xs, ys in (([nan], [1.0]), ([1.0, nan], [1.0, 5.0]), ([1.0, 5.0], [nan, 1.0])):
+        distance = multiset_distance(xs, ys)
+        assert np.isnan(distance) and not distance <= 1e-8
 
 
 def test_local_spectra_is_frozen():

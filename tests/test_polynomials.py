@@ -24,6 +24,7 @@ def test_constructors():
 def test_from_roots():
     p = Poly.from_roots([Q(1), Q(2)])
     assert p == X * X - 3 * X + Poly.constant(Q(2))
+    assert 2 - p == Poly.constant(Q(2)) - p == -(p - 2)  # Poly.__rsub__
     assert p.evaluate(Q(1)) == Q(0)
     assert p.evaluate(Q(2)) == Q(0)
     assert p.evaluate(Q(3)) == Q(2)

@@ -17,7 +17,6 @@ from thetakit.rigidity import (
     companion_from_spectrum,
     find_stabilized_subspace,
     is_irreducible_pair,
-    is_pseudo_reflection,
     levelt_normal_form,
     levelt_tuple,
     pseudo_reflection_pairs,
@@ -27,6 +26,7 @@ from thetakit.scalars import GaussianRational, Q
 
 from util import (
     complete_basis, conjugated_levelt, disjoint_spectra, gaussian_rational, invertible_matrix,
+    is_pseudo_reflection,
     rational,
 )
 
@@ -69,7 +69,7 @@ class TestMatrixTuple:
 
     def test_char_polys(self):
         t = companion_pair((1, 2), (3, 4))
-        assert t.char_polys()[0] == Poly.from_roots([Q(1), Q(2)])
+        assert t._char_polys[0] == Poly.from_roots([Q(1), Q(2)]) == t[0].char_poly()
 
 
 def test_ratio_table_names_a_singular_member():
@@ -83,10 +83,12 @@ def test_ratio_table_names_a_singular_member():
 
 
 def test_pseudo_reflection_rank_criterion():
-    assert is_pseudo_reflection(m_([[1, 0], [0, 5]]))
-    assert is_pseudo_reflection(m_([[1, 3], [0, 1]]))  # transvection
-    assert not is_pseudo_reflection(ExactMatrix.identity(2))
-    assert not is_pseudo_reflection(m_([[2, 0], [0, 5]]))
+    cases = [m_([[1, 0], [0, 5]]), m_([[1, 3], [0, 1]]),  # the second a transvection
+             ExactMatrix.identity(2), m_([[2, 0], [0, 5]])]
+    assert [is_pseudo_reflection(h) for h in cases] == [True, True, False, False]
+    # the ratio table reads the same rank off h - I, the ratio of h to I
+    assert [pseudo_reflection_pairs(MatrixTuple((h, ExactMatrix.identity(2))))[(0, 1)]
+            for h in cases] == [True, True, False, False]
 
 
 class TestCommonFrame:
@@ -210,9 +212,9 @@ def scalar_frame(t):
         vectors, side, shared = kernels[0].basis, "columns", tuple(range(n - 1))
     else:
         d = t[0] - t[1]
-        vectors = Subspace([d.column(j) for j in range(n)]).basis
+        vectors = Subspace(d.transpose().rows).basis
         side, shared = "rows", tuple(range(1, n))
-    basis = ExactMatrix.from_columns(complete_basis(vectors, n))
+    basis = ExactMatrix(complete_basis(vectors, n)).transpose()
     return basis.inverse(), side, shared, basis
 
 
@@ -341,11 +343,11 @@ class TestFrameInverse:
             frame, t = framed_pair(rng, n, side, agree)
             assert frame.verify(t) is agree
             # the definition: conjugated members agree on the shared part
-            a, b = frame.apply(t)
-            if side == "rows":
+            a, b = (frame.basis_change * m * frame.inverse for m in t)
+            if side == "columns":
                 a, b = a.transpose(), b.transpose()
             shared = frame.shared_indices
-            assert agree == all(a.column(k) == b.column(k) for k in shared)
+            assert agree == all(a.row(k) == b.row(k) for k in shared)
 
 
 def vector_verify(frame, t):
@@ -356,7 +358,7 @@ def vector_verify(frame, t):
         vectors = [frame.basis_change.row(k) for k in frame.shared_indices]
         members = [m.transpose() for m in t]
     else:
-        vectors = [frame.inverse.column(k) for k in frame.shared_indices]
+        vectors = [frame.inverse.transpose().row(k) for k in frame.shared_indices]
         members = list(t)
     return all(m.apply(v) == members[0].apply(v) for v in vectors for m in members)
 
@@ -552,7 +554,7 @@ def framed_reference(t, frame, lam):
     member, transpose for a column frame, read the candidate off the
     shared rows of A_0 - lam and map it back through U."""
     n, shared = t.n, frame.shared_indices
-    changed = frame.apply(t)
+    changed = [frame.basis_change * m * frame.inverse for m in t]
     if frame.side == "columns":
         changed = [m.transpose() for m in changed]
     restriction = ExactMatrix(
@@ -693,8 +695,8 @@ def test_spectrum_certificate():
     cert = common_spectrum_certificate(t, frame, w)
     assert cert.degree >= 1
     assert cert == cert.monic()
-    for q in t.char_polys():
-        assert q % cert == Poly([])
+    for m in t:
+        assert m.char_poly() % cert == Poly([])
 
 
 def test_spectrum_certificate_coprime_error():
@@ -810,7 +812,7 @@ class TestNormalForm:
         base = levelt_tuple(spectra)
         g = m_([[1, 2, 0], [0, 1, -1], [1, 0, 1]])
         t = MatrixTuple(tuple(g * m * g.inverse() for m in base))
-        polys = t.char_polys()
+        polys = [m.char_poly() for m in t]
         assert all(poly_gcd(polys[i], polys[j]).degree == 1
                    for i, j in ((0, 1), (1, 2), (0, 2)))
         u, canon = levelt_normal_form(t, common_frame(t))
@@ -896,6 +898,18 @@ class TestTupleConjugator:
         a = companion_pair((1, 2), (3, 4))
         b = companion_pair((1, 5), (3, 4))
         assert tuple_conjugator(a, b) is None
+
+    def test_a_wrong_normal_form_fails_the_conjugator_check(self, monkeypatch):
+        # the composed conjugator is checked member by member: a normal form
+        # that returns a wrong u is an AssertionError, not a wrong answer
+        rng = random.Random(13)
+        spectra, _, conj = conjugated_levelt(rng, 2, 3)
+        base = levelt_tuple(spectra)
+        assert tuple_conjugator(base, conj) is not None
+        monkeypatch.setattr(thetakit.rigidity, "levelt_normal_form",
+                            lambda t, frame: (ExactMatrix.identity(t.n), t))
+        with pytest.raises(AssertionError, match="conjugator verification failed"):
+            tuple_conjugator(base, conj)
 
     def test_dimension_mismatch(self):
         a = companion_pair((1, 2), (3, 4))
@@ -1049,6 +1063,6 @@ def test_algebra_span_takes_no_scalar_arithmetic(monkeypatch):
 
 def test_gcd_certificate_matches_direct_gcd():
     t = companion_pair((1, 2), (2, 5))
-    polys = t.char_polys()
+    polys = [m.char_poly() for m in t]
     g = poly_gcd(polys[0], polys[1])
     assert g == Poly.from_roots([Q(2)])

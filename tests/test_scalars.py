@@ -47,9 +47,7 @@ def test_integer_predicates():
     assert Q(4).is_integer()
     assert not Q(4, 1).is_integer()
     assert not Q("1/2").is_integer()
-    assert Q(-3).as_int() == -3
-    with pytest.raises(ValueError):
-        Q("1/2").as_int()
+    assert Q(-3).is_integer() and int(Q(-3).re) == -3
 
 
 def test_floor_real():
@@ -64,6 +62,9 @@ def test_inverse_and_division():
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
     assert (x / x) == ONE
+    assert 2 / Q(3) == Q("2/3") and 1 / Q(0, 2) == Q("-1/2*i")  # __rtruediv__
+    with pytest.raises(TypeError):
+        "2" / Q(3)
 
 
 def test_powers():
@@ -125,7 +126,7 @@ def test_a_real_hashes_as_its_rational_part(x):
     if x.is_real():
         assert hash(x) == hash(x.re)
     if x.is_integer():
-        assert x == x.as_int() and len({x, x.as_int()}) == 1
+        assert x == int(x.re) and len({x, int(x.re)}) == 1
 
 
 def test_equal_ints_and_bools_hash_equal():

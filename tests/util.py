@@ -1,11 +1,18 @@
-"""Seeded generators and subprocess helpers shared across the test modules."""
+"""Seeded generators, test-side reference oracles and subprocess helpers
+shared across the test modules."""
 
 import os
 import random
+from collections import namedtuple
+from math import gcd, prod
+
+import numpy as np
 
 import thetakit
 from thetakit.hypergeometric import HGParams
-from thetakit.linalg import ExactMatrix, Subspace
+from thetakit.linalg import ExactMatrix, Subspace, companion_of_operator
+from thetakit.monodromy import _circle_point, _real_parameter_floats
+from thetakit.polynomials import X, Poly
 from thetakit.rigidity import MatrixTuple, Spectrum, levelt_tuple
 from thetakit.scalars import Q
 
@@ -123,7 +130,7 @@ def scalar_greedy_matching(p):
     reference for hypergeometric.greedy_matching."""
     zero, positive, _ = scalar_partition(p)
     used_i, used_j, chosen = set(), set(), []
-    for m, i, j in sorted(((p.alpha[i] - p.beta[j]).as_int(), i, j) for i, j in zero | positive):
+    for m, i, j in sorted((int((p.alpha[i] - p.beta[j]).re), i, j) for i, j in zero | positive):
         if i not in used_i and j not in used_j:
             used_i.add(i)
             used_j.add(j)
@@ -155,6 +162,98 @@ def conjugated_levelt(rng, p, n):
     g = invertible_matrix(rng, n)
     conj = MatrixTuple(tuple(g * m * g.inverse() for m in base))
     return spectra, g, conj
+
+
+def is_pseudo_reflection(h):
+    """True when h - I has rank exactly 1: the reference for the ratio
+    table of pseudo_reflection_pairs.
+
+    >>> is_pseudo_reflection(ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 5]]))
+    True
+    >>> is_pseudo_reflection(ExactMatrix.identity(3))
+    False
+    """
+    return (h - ExactMatrix.identity(h.n)).rank() == 1
+
+
+class LocalSpectra(namedtuple("LocalSpectra", "at_zero at_one at_infinity")):
+    """Eigenvalue multisets of the three local monodromies."""
+
+    __slots__ = ()
+
+
+def local_spectra(p):
+    """Exponentials of the local exponents at 0, 1 and infinity, the
+    spectra the numeric monodromy triple must have.
+
+    >>> s = local_spectra(HGParams(("1/2", "1/2"), (1, 1)))
+    >>> np.allclose(s.at_infinity, (-1, -1)) and np.allclose(s.at_zero, (1, 1))
+    True
+    """
+    alphas, betas = _real_parameter_floats(p)
+    shift = sum(betas) - sum(alphas)
+    at_one = (1.0 + 0.0j,) * (p.n - 1) + (_circle_point(shift),)
+    return LocalSpectra(
+        at_zero=tuple(_circle_point(-b) for b in betas),
+        at_one=at_one,
+        at_infinity=tuple(_circle_point(a) for a in alphas),
+    )
+
+
+def companion_eigenvalues(m):
+    """Eigenvalues of a companion matrix via its own polynomial.
+
+    Reads the last column (the polynomial's coefficients) and calls the
+    root finder on it; no general eigensolver is involved.
+    """
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[0]
+    coeffs = np.ones(n + 1, dtype=complex)
+    for i in range(n):
+        coeffs[n - i] = -m[i, n - 1]
+    return np.roots(coeffs)
+
+
+def cyclotomic(d):
+    """Phi_d, by exact division of X^d - 1 by Phi_e for every proper
+    divisor e of d.
+
+    >>> cyclotomic(1), cyclotomic(6)
+    (X-1, X^2-X+1)
+    """
+    divisors = [cyclotomic(e) for e in range(1, d) if d % e == 0]
+    q, r = divmod(X ** d - 1, prod(divisors, start=Poly([1])))
+    assert not r
+    return q
+
+
+def galois_orbits(rng, n, max_order=30):
+    """n parameters that form whole Galois orbits {k/d : gcd(k, d) = 1}
+    mod 1, so prod (X - e^{2 pi i a}) is the integer polynomial prod Phi_d.
+    Returns (parameters, orders): orders are drawn until their totients
+    sum to n, and each parameter is moved by an integer in -2..2, which
+    changes no exponential but gives nonzero integer differences."""
+    while True:
+        orders, size = [], 0
+        while size < n:
+            d = rng.randrange(1, max_order + 1)
+            orders.append(d)
+            size += sum(gcd(k, d) == 1 for k in range(1, d + 1))
+        if size == n:
+            values = [Q(k) / Q(d) + rng.randrange(-2, 3)
+                      for d in orders for k in range(1, d + 1) if gcd(k, d) == 1]
+            return tuple(values), orders
+
+
+def integer_levelt_pair(rng, n, max_order=30):
+    """(params, A, B): Galois-stable parameters and the integer companions
+    A of prod Phi_d over the alpha orders and B over the beta orders,
+    which are m_inf and m0^{-1} of the monodromy triple."""
+    alpha, a_orders = galois_orbits(rng, n, max_order)
+    beta, b_orders = galois_orbits(rng, n, max_order)
+    a, b = (companion_of_operator(prod(map(cyclotomic, orders), start=Poly([1])))
+            for orders in (a_orders, b_orders))
+    return HGParams(alpha, beta), a, b
 
 
 def one_above(sv, tol) -> bool:
