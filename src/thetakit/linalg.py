@@ -6,8 +6,9 @@ that equal subspaces compare equal structurally.
 
 An ExactMatrix is stored on integers: one positive denominator den and the
 integer rows re and im of den times the real and the imaginary parts, im
-None when every entry is real, reduced by the gcd of den and all entries,
-so equality and hashing are structural.  Its rows of canonical scalars are
+None when every entry is real, reduced by the gcd of den and all entries
+(none is taken when den is 1, which is already coprime to them), so
+equality and hashing are structural.  Its rows of canonical scalars are
 built anew on each read.  Products with matrices, vectors and scalars, sums,
 negation, transposes and vstack run on the integers through the kernels of
 scalars, and so does char_poly (Berkowitz's division-free algorithm) on
@@ -342,21 +343,24 @@ def _pair_dot(u, v):
     return re, im
 
 
+_SETTERS = [getattr(ExactMatrix, name).__set__ for name in ExactMatrix.__slots__]
+
+
 def _matrix(den, re, im=None):
     """The ExactMatrix (re + i*im)/den of integer rows, den nonzero, stored
     reduced: im None when zero, den > 0 and coprime to the entries."""
     if not re or not re[0]:
         raise ValueError("matrix must have at least one row and column")
     im = im if im and any(map(any, im)) else None
-    g = gcd(den, *chain(*re), *chain(*(im or ())))
+    g = 1 if den == 1 else gcd(den, *chain(*re), *chain(*(im or ())))
     g = -g if den < 0 else g
     if g == 1:  # already reduced, as most products are
         parts = (p and tuple(map(tuple, p)) for p in (re, im))
     else:
         parts = (p and tuple(tuple(x // g for x in r) for r in p) for p in (re, im))
     m = object.__new__(ExactMatrix)
-    for name, value in zip(m.__slots__, (den // g, *parts, len(re), len(re[0]))):
-        object.__setattr__(m, name, value)
+    for set_slot, value in zip(_SETTERS, (den // g, *parts, len(re), len(re[0]))):
+        set_slot(m, value)
     return m
 
 

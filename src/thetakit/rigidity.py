@@ -25,10 +25,10 @@ from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import chain
 
-from .linalg import (ExactMatrix, Subspace, _insert, _matrix, _realified, companion_of_operator,
-                     kernel)
+from .linalg import (ExactMatrix, Subspace, _columns, _insert, _matrix, _realified,
+                     companion_of_operator, kernel)
 from .polynomials import Poly, poly_gcd
-from .scalars import Q
+from .scalars import Q, _matmul, _product, rational_row
 
 
 class MatrixTuple(tuple):
@@ -181,6 +181,11 @@ def _frame_selection(frame):
     if frame.side == "rows":
         return _rows_at(frame.basis_change, frame.shared_indices)
     return _rows_at(frame.inverse.transpose(), frame.shared_indices).transpose()
+
+
+def _stacked(parts, weights):
+    """(re, im) of the rows w*r of a chain's one-row integer parts; im None when they are real."""
+    return (p[0] and [[w * a for a in r] for w, (r,) in zip(weights, p)] for p in zip(*parts))
 
 
 def pseudo_reflection_pairs(t: MatrixTuple) -> dict:
@@ -411,10 +416,18 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     Krylov vectors is A_0-invariant; of dimension d < n, it would be
     spanned by x, .., A_0^{d-1}·x and so lie in W.
 
+    Both chains run on the integers of M = e·A_0, e = den(A_0).  The rows
+    y·M^k are positive multiples of y·A_0^k, with the same RREF and so
+    the same x.  Column k of the integer basis, M^k·(den(x)·x) times
+    e^(n-1-k), is den(x)·e^(n-1) times A_0^k·x: a positive factor that
+    the scale below absorbs.
+
     U is unique up to a scalar: x is scaled so that, over the shared
     indices k in the frame's order, the first nonzero entry of
     (U_frame·A_0^{n-2}·x)_k is 1.  Each member is checked by one product,
     A_i·X = X·canon[i], which holds exactly when U·A_i·U^{-1} = canon[i].
+    X·canon[i] is X's columns 1..n-1 followed by X times canon[i]'s last
+    column, as canon[i] is a companion: one matrix-vector product.
     """
     if frame.side != "columns":
         raise ValueError("normal form requires a column frame")
@@ -430,24 +443,32 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
             "spectrum-intersection hypothesis violated: "
             "common characteristic factor of degree %d" % g.degree
         )
-    a0 = t[0]
-    u_frame = frame.basis_change
+    a0, u_frame, e = t[0], frame.basis_change, t[0].den
+    zero = None if a0.im is None and u_frame.im is None else [[0] * n]  # a complex chain's im
     free = next(k for k in range(n) if k not in frame.shared_indices)
-    rows = [_rows_at(u_frame, [free])]
+    rows = [([u_frame.re[free]], u_frame.im and [u_frame.im[free]] or zero)]
+    columns = _columns(a0.re), _columns(a0.im)
     for _ in range(n - 2):
-        rows.append(rows[-1] * a0)  # y·A_0^k
-    vectors = [reduce(ExactMatrix.vstack, rows).kernel_matrix()]  # a line, see the docstring
-    a0_t = a0.transpose()
+        rows.append(_product(_matmul, *rows[-1], *columns))  # y·M^k
+    x = _matrix(1, *_stacked(rows, [1] * (n - 1))).kernel_matrix()  # a line, see the docstring
+    vectors = [(x.re, x.im or zero)]
     for _ in range(n - 1):
-        vectors.append(vectors[-1] * a0_t)  # (A_0^k·x)^T
-    anchor = u_frame * vectors[n - 2].transpose()
-    scale = next(anchor[k, 0] for k in frame.shared_indices if anchor[k, 0]).inverse()
-    basis = reduce(ExactMatrix.vstack, vectors).transpose() * scale
+        vectors.append(_product(_matmul, *vectors[-1], a0.re, a0.im))  # (M^k·x)^T
+    re, im = _stacked(vectors, [e ** (n - 1 - k) for k in range(n)])
+    basis = _matrix(1, _columns(re), _columns(im))  # den(x)·e^(n-1)·X, see the docstring
+    anchor = u_frame * _matrix(1, *(p and [[z] for z in p[n - 2]] for p in (re, im)))
+    k = next(k for k in frame.shared_indices if anchor.re[k][0] or anchor.im and anchor.im[k][0])
+    a, b = anchor.re[k][0], anchor.im[k][0] if anchor.im else 0  # the scale is 1/anchor[k, 0]
+    basis = basis * rational_row([anchor.den * a], a * a + b * b, [-anchor.den * b])[0]
     u = basis.inverse()
     canon = []
     for idx, (m, cp) in enumerate(zip(t, t._char_polys)):
         c = companion_of_operator(cp)
-        if m * basis != basis * c:
+        last = (p and [[r[-1] for r in p]] for p in (c.re, c.im))
+        tail = _product(_matmul, basis.re, basis.im, *last)  # X times c's last column
+        shifted = (q and [[c.den * z for z in r[1:]] + v for r, v in zip(h or [[0] * n] * n, q)]
+                   for h, q in zip((basis.re, basis.im), tail))
+        if m * basis != _matrix(basis.den * c.den, *shifted):
             raise ValueError(
                 "normal form verification failed for member %d" % (idx + 1,)
             )

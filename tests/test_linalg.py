@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import thetakit.linalg
@@ -632,6 +632,48 @@ def test_equal_matrices_over_different_denominators_are_equal():
     h = ExactMatrix([["1/7", 0], ["2/7", "1/7"]])
     for x in ((g + h) - h, g * 6 * (Q(1) / Q(6)), -(-g), (g * h) * h.inverse()):
         assert x == g and hash(x) == hash(g)
+
+
+def matrix_cases():
+    entries = st.integers(-60, 60)
+    dens = st.one_of(st.integers(-60, -1), st.just(1), st.sampled_from([4, 6, 12, 30, 36, 60]))
+
+    @st.composite
+    def case(draw):
+        nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        part = st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                        min_size=nrows, max_size=nrows)
+        return draw(dens), draw(part), draw(st.one_of(st.none(), part))
+
+    return case()
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_cases())
+def test_matrix_reduces_like_its_entries_as_fractions(case):
+    # each entry reduced on its own as a Fraction: den is the lcm of their
+    # denominators, positive, and im is None when every imaginary part is 0
+    den, re, im = case
+    parts = [[[Fraction(x, den) for x in r] for r in p] for p in (re, im or ())]
+    lcd = lcm(*(x.denominator for p in parts for r in p for x in r))
+    expected = [tuple(tuple(int(x * lcd) for x in r) for r in p) for p in parts]
+    m = _matrix(den, re, im)
+    assert m.den == lcd
+    assert m.re == expected[0]
+    assert m.im == (expected[1] if im and any(map(any, im)) else None)
+    assert (m.nrows, m.ncols) == (len(re), len(re[0]))
+
+
+def test_shape_and_length_mismatches_are_refused():
+    row, column = m_([[1, 2]]), m_([[1], [2]])
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        row + column
+    with pytest.raises(ValueError, match="^shape mismatch in product$"):
+        row * row
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        row.apply((Q(1),))
+    with pytest.raises(ValueError, match="^operator has no coefficients$"):
+        companion_of_operator([])
 
 
 def test_reduced_and_unreduced_integers_give_one_storage():

@@ -5,7 +5,7 @@ import pytest
 
 import thetakit.linalg
 import thetakit.rigidity
-from thetakit.linalg import ExactMatrix, Subspace, kernel
+from thetakit.linalg import ExactMatrix, Subspace, companion_of_operator, kernel
 from thetakit.polynomials import Poly, X, poly_gcd
 from thetakit.rigidity import (
     CommonFrame,
@@ -25,8 +25,8 @@ from thetakit.rigidity import (
 from thetakit.scalars import GaussianRational, Q
 
 from util import (
-    complete_basis, conjugated_levelt, disjoint_spectra, gaussian_rational, invertible_matrix,
-    is_pseudo_reflection,
+    complete_basis, conjugated_levelt, disjoint_spectra, gaussian_conjugated_levelt,
+    gaussian_rational, invertible_matrix, is_pseudo_reflection,
     rational,
 )
 
@@ -867,6 +867,65 @@ class TestNormalForm:
         assert (len(lines), len(text)) == (155, 8483)
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "aab15e983c3d0350f6dc2b59a40e1548830ee752b820700969d1690c20d04ecf"
+
+    def test_golden_u_and_canon_over_gaussian_and_rational_tuples(self):
+        # the str of U and of each canon member for 30 tuples, n = 2..6 and
+        # p = 2..4, with non-integer entries: Gaussian spectra under rational
+        # conjugators alternate with rational spectra under Gaussian ones;
+        # taken when the Krylov chains were built as matrix products
+        rng = random.Random(1989)
+        lines, complex_cases = [], 0
+        for k in range(30):
+            n, p = 2 + k % 5, 2 + (k // 5) % 3
+            t = gaussian_conjugated_levelt(rng, p, n, *((0, 0.5) if k % 2 else (0.3, 0)))
+            assert any(m.den != 1 for m in t)
+            complex_cases += any(m.im is not None for m in t)
+            u, canon = levelt_normal_form(t, common_frame(t))
+            lines.append(str(u))
+            lines.extend(map(str, canon))
+        text = "\n".join(lines)
+        assert complex_cases == 27
+        assert lines[1] == "[0 -1-13/9*i; 1 -2/3+1/3*i]"
+        assert (len(lines), len(text)) == (120, 9693)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "825e3a1c6815b4a54cf914ab986c94e64e47dde38434a58d2304617622b2d328"
+
+    def test_a_wrong_companion_fails_the_verification_of_its_member(self, monkeypatch):
+        # A_i·X = X·C_i is checked member by member: a companion of another
+        # member's polynomial for member 2 is named in the error
+        rng = random.Random(29)
+        for n in (2, 3, 5):
+            _, _, t = conjugated_levelt(rng, 3, n)
+            frame = common_frame(t)
+            companion = thetakit.rigidity.companion_of_operator
+            calls = []
+
+            def wrong_for_member_2(cp):
+                calls.append(cp)
+                return companion(t._char_polys[0] if len(calls) == 2 else cp)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(thetakit.rigidity, "companion_of_operator", wrong_for_member_2)
+                with pytest.raises(ValueError) as raised:
+                    levelt_normal_form(t, frame)
+            assert str(raised.value) == "normal form verification failed for member 2"
+            assert len(calls) == 2
+
+    def test_normal_form_stacks_no_matrices(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("a vstack in the normal form")
+
+        rng = random.Random(83)
+        cases = [conjugated_levelt(rng, 2 + k % 3, 2 + k % 5)[2] for k in range(10)]
+        cases += [gaussian_conjugated_levelt(rng, 2 + k % 3, 2 + k % 5, 0.3, 0.3)
+                  for k in range(10)]
+        frames = [common_frame(t) for t in cases]  # common_frame stacks its basis
+        with monkeypatch.context() as patched:
+            patched.setattr(ExactMatrix, "vstack", staticmethod(refuse))
+            results = [levelt_normal_form(t, f) for t, f in zip(cases, frames)]
+        for t, (u, canon) in zip(cases, results):
+            assert list(canon) == [companion_of_operator(m.char_poly()) for m in t]
+            assert all(u * m == c * u for m, c in zip(t, canon))
 
     def test_pipeline_takes_no_matrix_vector_product(self, monkeypatch):
         def refuse(self, vector):

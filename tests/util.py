@@ -164,6 +164,25 @@ def conjugated_levelt(rng, p, n):
     return spectra, g, conj
 
 
+def gaussian_conjugated_levelt(rng, p, n, spectrum_chance, conjugator_chance):
+    """A Levelt tuple of nonzero Gaussian-rational spectra with empty total
+    intersection, conjugated by a product of 3n elementary matrices whose
+    multipliers are Gaussian rationals; each chance is that of a non-real
+    value (gaussian_rational)."""
+    while True:
+        spectra = [[x for x in (gaussian_rational(rng, spectrum_chance) for _ in range(4 * n)) if x][:n]
+                   for _ in range(p)]
+        if all(len(s) == n for s in spectra) and not set.intersection(*map(set, spectra)):
+            break
+    rows = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j, c = rng.randrange(n), rng.randrange(n), gaussian_rational(rng, conjugator_chance)
+        if i != j and c:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    g = ExactMatrix(rows)
+    return MatrixTuple(tuple(g * m * g.inverse() for m in levelt_tuple(map(Spectrum, spectra))))
+
+
 def is_pseudo_reflection(h):
     """True when h - I has rank exactly 1: the reference for the ratio
     table of pseudo_reflection_pairs.
