@@ -91,8 +91,8 @@ class ReducibilityPartition(
 def build_D(p: HGParams) -> ThetaOperator:
     """Expanded normal form of D(alpha; beta).
 
-    >>> D = build_D(HGParams((0, 0, -2), (1, 1, -1)))
-    >>> D == ThetaOperator.parse("(1-z)*t^2*(t-2)")
+    >>> from thetakit.theta import parse
+    >>> build_D(HGParams((0, 0, -2), (1, 1, -1))) == parse("(1-z)*t^2*(t-2)")
     True
     """
     return _D(*_cleared(p.alpha + p.beta))

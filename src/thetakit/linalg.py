@@ -14,12 +14,12 @@ negation, transposes and vstack run on the integers through the kernels of
 scalars, and so does char_poly (Berkowitz's division-free algorithm) on
 den times a real or a complex matrix.  One fraction-free step, _insert,
 reduces an integer row against the rows kept so far: _eliminate runs it
-row by row for rref, rank, kernel_matrix and inverse (on the realified
-rows of a complex matrix), and rigidity.algebra_span_dimension on its
-words; det is the constant term of char_poly.  A Subspace is one _reduce
-of the integer rows of its vectors or of a kernel_matrix, its nonzero rows
-kept as one matrix: membership is one product with them, and dim,
-equality and hashing read that matrix and its pivots.
+row by row for rref, kernel_matrix and inverse (on the realified rows
+of a complex matrix), and rigidity.algebra_span_dimension on its words;
+det is the constant term of char_poly.  A Subspace is one _reduce of the
+integer rows of its vectors or of a kernel_matrix, its nonzero rows kept
+as one matrix: invariance is one product with them, and dim, equality and
+hashing read that matrix and its pivots.
 companion_of_operator is the one companion-matrix builder, for extension
 and rigidity alike; it writes its integer rows over the coefficients' lcm.
 """
@@ -99,8 +99,6 @@ class ExactMatrix:
     (re + i*im)/den on integer rows.
 
     >>> m = ExactMatrix([[1, 2], [3, 4]])
-    >>> m.rank()
-    2
     >>> m.det()
     -2
     >>> m.inverse() * m == ExactMatrix.identity(2)
@@ -258,9 +256,6 @@ class ExactMatrix:
         pivots, d, re, im = self._reduce()
         return _matrix(d, re, im), tuple(pivots)
 
-    def rank(self):
-        return len(self._reduce()[0])
-
     def kernel_matrix(self):
         """A basis of the right kernel as the rows of one matrix, None when
         the kernel is zero: for each free column f, d at f and minus the
@@ -394,8 +389,8 @@ class Subspace:
     >>> a = Subspace([(2, 4, 0), (1, 2, 1)])
     >>> a
     span{(1, 2, 0), (0, 0, 1)}
-    >>> a == Subspace([(1, 2, 5), (0, 0, 3)]), a.contains((1, 2, 3))
-    (True, True)
+    >>> a == Subspace([(1, 2, 5), (0, 0, 3)])
+    True
     """
 
     __slots__ = ("ambient", "_pivots", "_rref")
@@ -428,11 +423,6 @@ class Subspace:
 
     def is_zero(self):
         return not self._pivots
-
-    def contains(self, vector):
-        if len(vector) != self.ambient:
-            raise ValueError("ambient dimension mismatch")
-        return not any(map(Q, vector)) if self._rref is None else self._spans(ExactMatrix([vector]))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -6,13 +6,13 @@ imaginary parts, im None when every coefficient is real, with no trailing
 zeros (the zero polynomial has re == ()), reduced by the gcd of den and
 every entry, so equality and hashing are structural.  Those integers are its
 only state: coeffs, coefficient and leading build their scalars on each
-read.  Sums, products, shifts, from_roots, evaluate, division and monic run
-on the stored integers over Q(i) as over Q, a Gaussian leading entry made
-real by its integer conjugate, so the gcd (a primitive pseudo-remainder
-sequence on real operands, Euclid's loop on Gaussian ones) does no scalar
-arithmetic.  The sum, product, shift and from_roots kernels (_lincomb,
-_convolve, _taylor, _int_roots) and the trimming rule (_trim) are the ones
-the theta operators run on their own integer grid.
+read.  Sums, products, from_roots, evaluate, division and monic run on the
+stored integers over Q(i) as over Q, a Gaussian leading entry made real by
+its integer conjugate, so the gcd (a primitive pseudo-remainder sequence on
+real operands, Euclid's loop on Gaussian ones) does no scalar arithmetic.
+The sum and product kernels (_lincomb, _convolve) and the trimming rule
+(_trim) are the ones the theta operators run on their own integer grid,
+with the Taylor shift kernel _taylor that their product needs.
 """
 
 from itertools import zip_longest
@@ -108,10 +108,6 @@ class Poly:
 
     def __reduce__(self):
         return _from_ints, (self.den, self.re, self.im)
-
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
 
     @classmethod
     def variable(cls):
@@ -251,19 +247,6 @@ class Poly:
             raise ValueError("zero polynomial cannot be made monic")
         a, b = self.re[-1], (self.im or (0,))[-1]
         return _from_ints(a * a + b * b, *_convolve(self.re, self.im, [a], [-b] if b else None))
-
-    def shift(self, l):
-        """The Taylor shift p(X + l) by an integer l, by repeated synthetic
-        division on the stored integers.
-
-        >>> Poly([0, 0, 1]).shift(1)
-        X^2+2*X+1
-        """
-        if not isinstance(l, int) or isinstance(l, bool):
-            raise TypeError("shift takes an int, not %r" % (l,))
-        if not l:
-            return self
-        return _from_ints(self.den, _taylor(self.re, l), self.im and _taylor(self.im, l))
 
     def evaluate(self, x):
         """p(x) by Horner's rule on the integers: with x = (u + v*i)/s,

@@ -82,12 +82,6 @@ class MatrixTuple(tuple):
         _check_invertible(self)
         return {pair: len(pivots) == 1 for pair, (_, pivots) in self._difference_rrefs.items()}
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "matrices": [[[str(x) for x in row] for row in m.rows] for m in self],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "MatrixTuple":
         ms = data["matrices"]

@@ -39,9 +39,9 @@ _MIXED_RE = _re.compile(
 
 
 def _to_rat(x):
-    """Coerce x to a Fraction: an int (not a bool), a real string of the
-    grammar ('3', '-7/3') or anything with numerator and denominator.  A
-    string outside the grammar or with a zero denominator is a ValueError.
+    """Coerce x to a Fraction: a Fraction, an int (not a bool) or a real
+    string of the grammar ('3', '-7/3').  A string outside the grammar or
+    with a zero denominator is a ValueError, any other type a TypeError.
     """
     if isinstance(x, Fraction):
         return x
@@ -57,10 +57,6 @@ def _to_rat(x):
             return Fraction(m.group(1))
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % (x,)) from None
-    num = getattr(x, "numerator", None)
-    den = getattr(x, "denominator", None)
-    if num is not None and den is not None:
-        return Fraction(int(num), int(den))
     raise TypeError("cannot interpret %r as a rational number" % (x,))
 
 
@@ -71,8 +67,6 @@ class GaussianRational:
     5
     >>> Q("1/2") + Q("1/3")
     5/6
-    >>> Q("1/2+1/3*i").conjugate()
-    1/2-1/3*i
     >>> Q(1) / Q(0, 1)
     -1*i
     """
@@ -123,10 +117,6 @@ class GaussianRational:
 
     def is_real(self):
         return not self.im
-
-    def is_integer(self):
-        """True when the value lies in Z (zero imaginary part, denominator 1)."""
-        return not self.im and self.re.denominator == 1
 
     def floor_real(self):
         """Floor of the real part, as a Python int."""
@@ -197,9 +187,6 @@ class GaussianRational:
         if exponent < 0:
             return self.inverse() ** (-exponent)
         return _power(self, exponent, ONE)
-
-    def conjugate(self):
-        return _make(self.re, -self.im)
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -314,9 +301,7 @@ def Q(x=0, y=0):
 
     Q(3) -> 3, Q("5/6") -> 5/6, Q("1/2+1/3*i") -> 1/2+1/3*i, Q(1, 2) -> 1+2*i.
     """
-    if isinstance(x, GaussianRational):
-        if y:
-            return x + GaussianRational(0, _to_rat(y))
+    if isinstance(x, GaussianRational) and not y:
         return x
     if isinstance(x, str) and ("i" in x):
         if y:

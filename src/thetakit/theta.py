@@ -63,7 +63,7 @@ class ThetaOperator:
     z*t + z
     >>> (t + 4) * z
     z*t + 5*z
-    >>> ThetaOperator.parse("(1-z)*t^2*(t-2)") == t**2*(t-2) - z*t**2*(t-2)
+    >>> parse("(1-z)*t^2*(t-2)") == t**2*(t-2) - z*t**2*(t-2)
     True
     """
 
@@ -131,10 +131,6 @@ class ThetaOperator:
     def theta_plus(cls, c):
         """The first-order factor t + c."""
         return cls({(0, 1): Q(1), (0, 0): Q(c)})
-
-    @classmethod
-    def monomial(cls, coefficient, z_power=0, theta_power=0):
-        return cls({(z_power, theta_power): Q(coefficient)})
 
     # -- structure -----------------------------------------------------------
 
@@ -247,10 +243,6 @@ class ThetaOperator:
         return render(self)
 
     __repr__ = __str__
-
-    @classmethod
-    def parse(cls, text):
-        return parse(text)
 
 
 _new = object.__new__

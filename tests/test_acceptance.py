@@ -50,6 +50,7 @@ from util import (
     integer_levelt_pair,
     invertible_matrix,
     irreducible_params,
+    is_integer,
     local_spectra,
     one_above,
     params as random_params,
@@ -104,10 +105,10 @@ def test_gauss_reducibility_grid():
         for b in fifths:
             for c in cs:
                 expected = (
-                    a.is_integer()
-                    or b.is_integer()
-                    or (a - c).is_integer()
-                    or (b - c).is_integer()
+                    is_integer(a)
+                    or is_integer(b)
+                    or is_integer(a - c)
+                    or is_integer(b - c)
                 )
                 got, _ = is_reducible(HGParams((a, b), (Q(1), c)))
                 assert got == expected, (a, b, c)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from thetakit.cli import main
 from thetakit.scalars import Q
-from util import LAYERS, conjugated_levelt, env_with_src
+from util import LAYERS, conjugated_levelt, env_with_src, to_dict
 
 
 def write_json(tmp_path, name, payload):
@@ -167,6 +167,8 @@ PAIR = [[["0", "-2"], ["1", "3"]], [["0", "-12"], ["1", "7"]]]
         ("normal-form", {"n": 2.9, "matrices": PAIR}, "declared dimension"),
         ("rigidity", {"n": "2", "matrices": PAIR}, "declared dimension"),
         ("rigidity", {"n": 2.0, "matrices": PAIR}, "declared dimension"),
+        ("rigidity", {"matrices": [[["1"]], [["2"]]]},
+         "invalid matrix tuple file: members must have dimension at least 2"),
     ],
 )
 def test_malformed_shapes_exit_2(capsys, tmp_path, command, payload, message):
@@ -1138,7 +1140,7 @@ def test_monodromy_order_refused_before_the_numeric_layer():
 
 def levelt_payload(n, p, seed=8):
     _, _, t = conjugated_levelt(random.Random(seed), p, n)
-    return t.to_dict()
+    return to_dict(t)
 
 
 @pytest.mark.parametrize("command", ["rigidity", "normal-form"])

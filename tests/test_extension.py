@@ -119,6 +119,8 @@ def test_parameter_counts_fixtures():
     assert parameter_counts(2, 3) == (5, 5, True)
     assert parameter_counts(1, 5) == (4, 4, True)
     assert parameter_counts(3, 3) == (9, 10, False)
+    with pytest.raises(ValueError, match="^n and s must be at least 1$"):
+        parameter_counts(0, 1)
 
 
 def test_parameter_counts_equality_classification():

@@ -98,6 +98,8 @@ def test_triple_invariant_enforced():
         )
     with pytest.raises(ValueError, match="square"):
         MonodromyTriple(m0=np.ones((2, 3)), m1=np.eye(2), minf=np.eye(2))
+    with pytest.raises(ValueError, match="^members must share one dimension$"):
+        MonodromyTriple(m0=np.eye(2), m1=np.eye(3), minf=np.eye(3))
 
 
 def test_rigidity_round_trip_fixture():

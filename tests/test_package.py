@@ -16,7 +16,9 @@ import util
 from thetakit.scalars import Q
 from util import LAYERS, env_with_src
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
+BENCHMARK = os.path.join(ROOT, "benchmark")
 
 
 def test_all_names_resolve_once():
@@ -26,17 +28,21 @@ def test_all_names_resolve_once():
     assert missing == []
 
 
+def _package_trees():
+    """(file name, syntax tree) of each module of the package."""
+    package = os.path.dirname(thetakit.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                yield name, ast.parse(f.read())
+
+
 def test_every_module_level_definition_is_used_or_exported():
     # no code that nothing calls: each function, class and assigned name
     # at module level in the package, and each private method or property
     # (_x, not a dunder) of its classes, is loaded by name outside its own
     # definition, or exported
-    package = os.path.dirname(thetakit.__file__)
-    trees = []
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name)) as f:
-                trees.append((name, ast.parse(f.read())))
+    trees = list(_package_trees())
 
     def references(node):
         found = Counter()
@@ -76,6 +82,82 @@ def test_every_module_level_definition_is_used_or_exported():
         and everywhere[name] == references(node)[name]
     ]
     assert unused == []
+
+
+def _attribute_loads(tree, owner=None):
+    """(names, qualified): a Counter of the attribute names loaded in tree
+    and one of the (qualifier, name) pairs, the qualifier being the name
+    or attribute the attribute is read from, and cls meaning owner."""
+    names, qualified = Counter(), Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names[n.attr] += 1
+            base = getattr(n.value, "id", None) or getattr(n.value, "attr", None)
+            qualified[owner if base == "cls" else base, n.attr] += 1
+    return names, qualified
+
+
+def _readme_examples():
+    with open(README, encoding="utf-8") as f:
+        blocks = re.findall(r"```pycon\n(.*?)```", f.read(), re.S)
+    return ast.parse("\n".join(line[4:] for block in blocks for line in block.splitlines()
+                               if line.startswith((">>> ", "... "))))
+
+
+def _benchmark_loads():
+    """(names, qualified) of every tk. attribute chain in the benchmark's
+    code and of each SPAN_POINTS entry."""
+    names, qualified = Counter(), Counter()
+    for name in sorted(os.listdir(BENCHMARK)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(BENCHMARK, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "SPAN_POINTS":
+                for _, _, path in ast.literal_eval(node.value):
+                    chain = [None] + path.split(".")
+                    names[chain[-1]] += 1
+                    qualified[chain[-2], chain[-1]] += 1
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if chain and getattr(node, "id", "") == "tk":
+                names.update(chain)
+                qualified.update(zip(["tk"] + chain, chain))
+    return names, qualified
+
+
+def test_every_public_member_is_reached_outside_the_tests():
+    # no code that nothing calls, for class members: each public method or
+    # property of a package class is loaded as an attribute in the package
+    # outside its own body, in a README example, or by the benchmark (a tk.
+    # attribute chain or a SPAN_POINTS entry).  A classmethod or
+    # staticmethod counts only when read through its class: Poly.variable,
+    # rigidity.MatrixTuple.from_dict, cls.z.
+    names, qualified = _attribute_loads(_readme_examples())
+    for counts, more in zip((names, qualified), _benchmark_loads()):
+        counts.update(more)
+    members = []
+    for module, tree in _package_trees():
+        for node in tree.body:
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            for counts, more in zip((names, qualified), _attribute_loads(node, owner)):
+                counts.update(more)
+            if owner:
+                members += [(module, owner, m) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+
+    def reached(owner, member):
+        own_names, own_qualified = _attribute_loads(member, owner)
+        if {"classmethod", "staticmethod"} & {getattr(d, "id", "") for d in member.decorator_list}:
+            return qualified[owner, member.name] > own_qualified[owner, member.name]
+        return names[member.name] > own_names[member.name]
+
+    unreached = ["%s:%s.%s" % (module, owner, member.name)
+                 for module, owner, member in members if not reached(owner, member)]
+    assert unreached == []
 
 
 def test_readme_examples_run():
@@ -262,6 +344,30 @@ VALUES = {
     "ExactMatrix": lambda: thetakit.ExactMatrix([[Q("1/2"), Q(0, 1)], [3, 4]]),
     "Subspace": lambda: thetakit.Subspace([(1, 2, 0), (0, Q(0, 1), 1)]),
 }
+
+# each binary operator, by its method, applied with a string on the side
+# that the method serves
+STRING_OPERANDS = {
+    "__add__": lambda x: x + "s", "__radd__": lambda x: "s" + x,
+    "__sub__": lambda x: x - "s", "__rsub__": lambda x: "s" - x,
+    "__mul__": lambda x: x * "s", "__rmul__": lambda x: "s" * x,
+    "__truediv__": lambda x: x / "s", "__rtruediv__": lambda x: "s" / x,
+    "__floordiv__": lambda x: x // "s", "__mod__": lambda x: x % "s",
+    "__divmod__": lambda x: divmod(x, "s"), "__pow__": lambda x: x ** "s",
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_refuse_assignment_and_string_operands(name):
+    value = VALUES[name]()
+    with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+        value.anything = 1
+    defined = [op for op in STRING_OPERANDS if hasattr(type(value), op)]
+    assert defined or name == "Subspace"
+    for op in defined:
+        with pytest.raises(TypeError):
+            STRING_OPERANDS[op](value)
+    assert (value == "s") is False and (value != "s") is True
 
 
 @pytest.mark.parametrize("name", [*RECORDS, *VALUES])

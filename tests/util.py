@@ -23,6 +23,36 @@ LAYERS = (
 )
 
 
+def is_integer(x):
+    """True when the scalar x lies in Z: zero imaginary part, denominator 1."""
+    return not x.im and x.re.denominator == 1
+
+
+def rank(m):
+    """The number of pivots of the ExactMatrix m's RREF.
+
+    >>> rank(ExactMatrix([[1, 2], [2, 4]]))
+    1
+    """
+    return len(m.rref()[1])
+
+
+def contains(space, vector):
+    """Whether the Subspace space holds vector, one product with its basis.
+
+    >>> contains(Subspace([(2, 4, 0), (1, 2, 1)]), (1, 2, 3))
+    True
+    """
+    if len(vector) != space.ambient:
+        raise ValueError("ambient dimension mismatch")
+    return not any(map(Q, vector)) if space.is_zero() else space._spans(ExactMatrix([vector]))
+
+
+def to_dict(t):
+    """The matrix tuple t as the JSON object the CLI reads."""
+    return {"n": t.n, "matrices": [[[str(x) for x in row] for row in m.rows] for m in t]}
+
+
 def rational(rng, lo=-8, hi=8, den=4):
     return Q(rng.randrange(lo, hi + 1)) / Q(rng.randrange(1, den + 1))
 
@@ -46,7 +76,7 @@ def irreducible_params(rng, n, den=12, span=48):
     while True:
         al = [Q(rng.randrange(0, span)) / Q(rng.randrange(1, den + 1)) for _ in range(n)]
         be = [Q(rng.randrange(0, span)) / Q(rng.randrange(1, den + 1)) for _ in range(n)]
-        if all(not (a - b).is_integer() for a in al for b in be):
+        if all(not is_integer(a - b) for a in al for b in be):
             return HGParams(tuple(al), tuple(be))
 
 
@@ -81,7 +111,7 @@ def complete_basis(vectors, ambient):
         raise ValueError("ambient dimension mismatch")
     for k in range(ambient):
         e = tuple(Q(int(i == k)) for i in range(ambient))
-        if not Subspace(chosen, ambient).contains(e):
+        if not contains(Subspace(chosen, ambient), e):
             chosen.append(e)
     if len(chosen) != ambient:
         raise ValueError("could not complete to a basis")
@@ -119,7 +149,7 @@ def scalar_partition(p):
     for i, a in enumerate(p.alpha):
         for j, b in enumerate(p.beta):
             d = a - b
-            if d.is_integer():
+            if is_integer(d):
                 (zero if not d else positive if d.re > 0 else negative).add((i, j))
     return zero, positive, negative
 
@@ -192,7 +222,7 @@ def is_pseudo_reflection(h):
     >>> is_pseudo_reflection(ExactMatrix.identity(3))
     False
     """
-    return (h - ExactMatrix.identity(h.n)).rank() == 1
+    return rank(h - ExactMatrix.identity(h.n)) == 1
 
 
 class LocalSpectra(namedtuple("LocalSpectra", "at_zero at_one at_infinity")):
