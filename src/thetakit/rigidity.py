@@ -28,7 +28,7 @@ from itertools import chain
 from .linalg import (ExactMatrix, Subspace, _columns, _insert, _matrix, _realified,
                      companion_of_operator, kernel)
 from .polynomials import Poly, poly_gcd
-from .scalars import Q, _matmul, _product, rational_row
+from .scalars import Q, _matmul, _product, _scale, rational_row
 
 
 class MatrixTuple(tuple):
@@ -66,11 +66,11 @@ class MatrixTuple(tuple):
         return char_poly_gcd(self._char_polys)
 
     @cached_property
-    def _difference_rrefs(self):
-        # (rref, pivots) of A_i - A_j for i < j, one elimination per pair:
-        # the ratio table and common_frame read it
+    def _difference_rows(self):
+        # _rank_one_row of A_i - A_j for i < j, one reading per pair: the
+        # ratio table and common_frame read it
         return {
-            (i, j): (self[i] - self[j]).rref()
+            (i, j): _rank_one_row(self[i] - self[j])
             for i in range(self.p)
             for j in range(i + 1, self.p)
         }
@@ -78,9 +78,9 @@ class MatrixTuple(tuple):
     @cached_property
     def _ratio_table(self):
         # for invertible A_j, A_i·A_j^{-1} - I = (A_i - A_j)·A_j^{-1} has the
-        # rank of A_i - A_j, its number of pivots
+        # rank of A_i - A_j
         _check_invertible(self)
-        return {pair: len(pivots) == 1 for pair, (_, pivots) in self._difference_rrefs.items()}
+        return {pair: row is not None for pair, row in self._difference_rows.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "MatrixTuple":
@@ -164,17 +164,15 @@ class CommonFrame(
         return all(image == images[0] for image in images[1:])
 
 
-def _rows_at(m, indices):
-    """The rows of m at the indices, as a matrix on m's integers."""
-    return _matrix(m.den, [m.re[k] for k in indices], m.im and [m.im[k] for k in indices])
-
-
 def _frame_selection(frame):
     """The frame's shared part: the rows S of U, E_S^T·U, on a row frame
     and the columns S of U^{-1}, U^{-1}·E_S, on a column frame."""
+    s = frame.shared_indices
     if frame.side == "rows":
-        return _rows_at(frame.basis_change, frame.shared_indices)
-    return _rows_at(frame.inverse.transpose(), frame.shared_indices).transpose()
+        m, cut = frame.basis_change, lambda p: [p[k] for k in s]
+    else:
+        m, cut = frame.inverse, lambda p: [[r[k] for k in s] for r in p]
+    return _matrix(m.den, cut(m.re), m.im and cut(m.im))
 
 
 def _stacked(parts, weights):
@@ -211,6 +209,41 @@ def _check_invertible(t: MatrixTuple):
             raise ValueError("member %d is singular" % (idx + 1,))
 
 
+def _rank_one_row(d):
+    """(w, pc, column) for a matrix d of rank 1, None for any other rank:
+    w the one RREF row as a 1×n matrix, pc its pivot and column the
+    integers (re, im) of d's column pc.  With r the first nonzero row and
+    pc its first nonzero entry, d has rank 1 exactly when every row h is
+    h[pc]/r[pc] times r: d·r[pc] equals the outer product of column and r,
+    two Gaussian products on d's integers."""
+    re, im = d.re, d.im
+    k = next((k for k in range(d.nrows) if any(re[k]) or im and any(im[k])), None)
+    if k is None:
+        return None
+    r, ri = re[k], im and im[k]
+    pc = next(j for j in range(d.ncols) if r[j] or ri and ri[j])
+    column = [h[pc] for h in re], im and [h[pc] for h in im]
+    outer = _product(lambda c, v: [[x * y for y in v] for x in c], *column, r, ri)
+    if _product(_scale, re, im, r[pc], ri and ri[pc]) != outer:
+        return None
+    s, u, ui = _over(r, ri, pc)
+    return _matrix(s, [u], ui and [ui]), pc, column
+
+
+def _over(re, im, k):
+    """(s, re', im'): the integer row re + i*im over its entry k is
+    (re' + i*im')/s, s that entry's squared modulus; im' None when im is."""
+    a, b = re[k], im[k] if im else 0
+    (u,), ui = _product(_scale, [re], im and [im], a, im and -b)
+    return a * a + b * b, u, ui and ui[0]
+
+
+def _sheared(s, y, t, last):
+    """The integer rows s·e_j - y_j·t for j != last, in order."""
+    n = len(t)
+    return [[s * (k == j) - y[j] * t[k] for k in range(n)] for j in range(n) if j != last]
+
+
 def common_frame(t: MatrixTuple) -> CommonFrame:
     """A basis in which the tuple members share n-1 rows or columns.
 
@@ -224,24 +257,25 @@ def common_frame(t: MatrixTuple) -> CommonFrame:
     w_1 ∦ w_2, then v_1 ∥ v_2, and each further v_j is parallel to v_1
     (if w_j ∦ w_1) or to v_2 (if w_j ∥ w_1, so w_j ∦ w_2).
 
-    Each difference A_i - A_j is reduced once, on its integers, to its
-    rref.  Its one nonzero row is the pair's w, scaled to 1 at its pivot,
-    and its kernel is the hyperplane {x : w·x = 0}, so two differences
-    have the same kernel exactly when their rrefs are equal.
+    Each difference A_i - A_j is read once, on its integers, by
+    _rank_one_row: its first nonzero row, scaled to 1 at its first
+    nonzero entry pc, is its one RREF row w, and its kernel is the
+    hyperplane {x : w·x = 0}, so two differences have the same kernel
+    exactly when their w are equal.  No elimination follows: X = U^{-1}
+    and U are written down, last the last index where w, or v, is nonzero.
 
     * all difference kernels equal one hyperplane W = ker w, as they do
-      when the w are parallel: the members agree on W, so the rref basis
-      of W, then e_pc, pc the pivot of w, are the columns of U^{-1} and
-      exhibit n-1 shared columns.  e_k lies outside W exactly when
-      w_k != 0, and pc is the first such k: e_pc completes W, and it is
-      the first unit vector that does;
+      when the w are parallel: the members agree on W, so the columns of
+      X, the rref basis e_j - (w_j/w_last)·e_last of W for j != last
+      (w·x = 0 fixes x_last, and w_j = 0 past last), then e_pc, outside W
+      as w_pc = 1, exhibit n-1 shared columns.  U's rows are
+      e_j - [j = pc]·w for j != last, then w;
     * otherwise the w are not all parallel, so the v are, and every
-      difference image is the one line span(v), v the first row of
-      rref((A_0 - A_1)^T): with U·v = e_0, every U·(A_i - A_j) is
-      supported in row 0, so the members share the remaining n-1 rows.
-      The columns of U^{-1} are v, then every e_k but e_last, last the
-      last index with v_last != 0: e_last is the one unit vector in the
-      span of v and the e_k before it.
+      difference image is the one line span(v), v the column pc of
+      A_0 - A_1 scaled to 1 at its first nonzero entry: with U·v = e_0,
+      every U·(A_i - A_j) is supported in row 0, so the members share the
+      remaining n-1 rows.  X = [v, e_k for k != last], and U's rows are
+      e_last/v_last, then e_k - (v_k/v_last)·e_last for k != last.
 
     Either way the frame holds by construction, and frame.verify(t) is
     left to the functions that take a frame from their caller.
@@ -252,21 +286,28 @@ def common_frame(t: MatrixTuple) -> CommonFrame:
                 "ratio of members %d and %d is not a pseudo-reflection"
                 % (i + 1, j + 1)
             )
-    n = t.n
-    rrefs = list(t._difference_rrefs.values())
-    if all(r == rrefs[0] for r in rrefs[1:]):
-        w, (pc,) = rrefs[0]
-        top, units = w.kernel_matrix().rref()[0], [pc]
+    n, table = t.n, list(t._difference_rows.values())
+    w, pc, column = table[0]
+    columns = all(row[0] == w for row in table[1:])  # one kernel, ker w
+    p, pi = (w.re[0], w.im and w.im[0]) if columns else column
+    nonzero = [k for k in range(n) if p[k] or pi and pi[k]]
+    first, last = nonzero[0], nonzero[-1]
+    e, zero = [int(k == last) for k in range(n)], [0] * n
+    s, z, zi = _over(p, pi, last)  # p/p_last = (z + i*zi)/s
+    sheared = _sheared(s, z, e, last), zi and _sheared(0, zi, e, last)
+    if columns:
+        f = [int(k == pc) for k in range(n)]  # e_pc, as e is e_last
+        x = s, sheared[0] + [[s * g for g in f]], zi and sheared[1] + [zero]
+        u = w.den, _sheared(w.den, f, p, last) + [p], pi and _sheared(0, f, pi, last) + [pi]
         side, shared = "columns", tuple(range(n - 1))
     else:  # every difference has the image of A_0 - A_1
-        top = _rows_at((t[0] - t[1]).transpose().rref()[0], [0])
-        last = max(k for k in range(n) if top.re[0][k] or top.im and top.im[0][k])
-        units = [k for k in range(n) if k != last]
+        y, v, vi = _over(p, pi, first)  # v/y is p scaled to 1 at first
+        x = y, [v] + _sheared(y, zero, e, last), vi and [vi] + [zero] * (n - 1)
+        u = (s, [[z[first] * g for g in e]] + sheared[0],
+             zi and [[zi[first] * g for g in e]] + sheared[1])
         side, shared = "rows", tuple(range(1, n))
-    basis = ExactMatrix.vstack(top, _rows_at(ExactMatrix.identity(n), units)).transpose()
-    return CommonFrame(
-        basis_change=basis.inverse(), side=side, shared_indices=shared, inverse=basis
-    )
+    basis = _matrix(x[0], *map(_columns, x[1:]))
+    return CommonFrame(basis_change=_matrix(*u), side=side, shared_indices=shared, inverse=basis)
 
 
 def find_stabilized_subspace(t: MatrixTuple, frame: CommonFrame, lam) -> dict:

@@ -22,7 +22,7 @@ from thetakit.rigidity import (
     pseudo_reflection_pairs,
     tuple_conjugator,
 )
-from thetakit.scalars import GaussianRational, Q
+from thetakit.scalars import GaussianRational, Q, rational_row
 
 from util import (
     complete_basis, conjugated_levelt, disjoint_spectra, gaussian_conjugated_levelt,
@@ -251,15 +251,25 @@ def rank_one_tuples(rng, count):
     return found
 
 
+def is_permutation(m):
+    """Whether the ExactMatrix m, invertible, has one 1 and zeros in each row."""
+    return m.den == 1 and m.im is None and all(sorted(r) == [0] * (m.n - 1) + [1] for r in m.re)
+
+
 def test_integer_frame_matches_the_scalar_construction():
     tuples = rank_one_tuples(random.Random(20), 160)
-    sides, gaussian = set(), 0
+    sides, gaussian, permutations = set(), 0, set()
     for t in tuples:
         frame = common_frame(t)
         assert tuple(frame) == scalar_frame(t)
         sides.add(frame.side)
         gaussian += any(m.im for m in t)
+        if is_permutation(frame.inverse):
+            permutations.add(frame.side)
     assert sides == {"columns", "rows"} and gaussian
+    # the degenerate closed forms ran: X is a permutation exactly when the
+    # column frame's w, or the row frame's v, has one nonzero entry
+    assert permutations == {"columns", "rows"}
 
 
 def test_frame_takes_no_scalar_elimination(monkeypatch):
@@ -281,6 +291,56 @@ def test_frame_takes_no_scalar_elimination(monkeypatch):
         frames = [common_frame(t) for t in tuples]
     assert {f.side for f in frames} == {"columns", "rows"}
     assert all(f.verify(t) for f, t in zip(frames, tuples))
+
+
+def test_frame_takes_no_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination in the ratio table or common_frame")
+
+    # fresh tuples, so that the ratio table is read under the patches too
+    tuples = [MatrixTuple(tuple(t)) for t in rank_one_tuples(random.Random(22), 40)]
+    with monkeypatch.context() as patched:
+        for name in ("_insert", "_eliminate"):
+            patched.setattr(thetakit.linalg, name, refuse)
+        frames = [common_frame(t) for t in tuples]
+    kinds = {(f.side, any(m.im for m in t)) for f, t in zip(frames, tuples)}
+    assert kinds == {(side, gaussian) for side in ("columns", "rows") for gaussian in (False, True)}
+    assert all(f.verify(t) for f, t in zip(frames, tuples))
+
+
+def low_rank(rng, n, r, gaussian):
+    """An n×n matrix of rank at most r: a sum of r outer products of sparse
+    integer (or Gaussian-integer) vectors, divided by 1, 2 or 6."""
+    def entry():
+        if rng.random() < 0.4:
+            return Q(0)
+        return Q(rng.randrange(-3, 4), rng.randrange(-2, 3) if gaussian and rng.random() < 0.5 else 0)
+
+    m = ExactMatrix.zeros(n)
+    for _ in range(r):
+        m = m + ExactMatrix([[entry()] for _ in range(n)]) * ExactMatrix([[entry() for _ in range(n)]])
+    return m * (Q(1) / Q(rng.choice((1, 2, 6))))
+
+
+def test_rank_one_row_matches_the_rref():
+    rng = random.Random(71)
+    ranks, real_pivots = set(), 0
+    for trial in range(400):
+        n, gaussian = 2 + trial % 4, trial // 4 % 2 == 1
+        d = low_rank(rng, n, rng.randrange(3), gaussian)
+        row, d_rank = thetakit.rigidity._rank_one_row(d), rank(d)
+        ranks.add(d_rank)
+        assert (row is None) == (d_rank != 1)
+        if row is None:
+            continue
+        w, pc, (column, column_im) = row
+        reduced, pivots = d.rref()
+        assert pivots == (pc,) and w == ExactMatrix([reduced.row(0)])
+        assert rational_row(column, d.den, column_im) == [d[h, pc] for h in range(n)]
+        k = next(h for h in range(n) if any(d.row(h)))
+        real_pivots += bool(d.im and any(d.im[k]) and not d.im[k][pc])
+    assert ranks == {0, 1, 2}
+    assert real_pivots  # a complex first row whose pivot entry is real
 
 
 def framed_pair(rng, n, side, agree):
