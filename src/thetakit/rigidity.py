@@ -23,12 +23,13 @@ programmatic indices are 0-based.
 
 from collections import namedtuple
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, combinations
+from math import lcm
 
 from .linalg import (ExactMatrix, Subspace, _columns, _insert, _matrix, _realified,
                      companion_of_operator, kernel)
-from .polynomials import Poly, poly_gcd
-from .scalars import Q, _matmul, _product, _scale, rational_row
+from .polynomials import Poly, _from_ints, poly_gcd
+from .scalars import Q, _lin, _matmul, _product, _scale, rational_row
 
 
 class MatrixTuple(tuple):
@@ -55,11 +56,36 @@ class MatrixTuple(tuple):
         return self[0].n
 
     # Facts derived from the (immutable) members are kept in the instance
-    # dict, so that one run asks each of them once, whatever asks first.
+    # dict, so that one run asks each of them once, whatever asks first; the
+    # difference readings come first, as the other facts read them.
 
     @cached_property
     def _char_polys(self):
-        return tuple(m.char_poly() for m in self)
+        # Berkowitz on A_0, and on A_j when A_0 - A_j has rank >= 2.  Else, with
+        # A_0 - A_j = c·w, chi_j = chi_0 + w·adj(X - A_0)·c (determinant lemma),
+        # adj(X - A_0) = sum_k X^k sum_m a_{k+1+m}·A_0^m, chi_0 = sum_i a_i·X^i.  With
+        # M = e·A_0, W = den(w)·w, C = den·c, P = den(chi_0)·chi_0 and K = den(w)·den·e^(n-1),
+        # den(chi_0)·K·chi_j has X^k coefficient K·P_k + sum_m P_{k+1+m}·e^(n-1-m)·W·M^m·C.
+        a0, n = self[0], self.n
+        cp, e = a0.char_poly(), a0.den
+        weights = [q and [[x * e ** (n - 1 - m) for m, x in enumerate(q[k + 1:])]
+                          for k in range(n)] for q in (cp.re, cp.im)]
+        columns = _columns(a0.re), _columns(a0.im)
+        polys, chains = [cp], {}  # members with one w, as on a column frame, share W·M^m
+        for j, m in enumerate(self[1:], 1):
+            reading = self._difference_rows[0, j]
+            if reading is None:
+                polys.append(cp if m == a0 else m.char_poly())
+                continue
+            w, _, (c, ci), den = reading
+            if w not in chains:
+                chains[w] = tuple(_chain((w.re, w.im), columns, n))
+            (t,), ti = _product(_matmul, [c], ci and [ci], *chains[w])
+            k = w.den * den * e ** (n - 1)
+            re, im = (_lin(q and [q], s and [s[0] + [0]], k) for q, s in
+                      zip((cp.re, cp.im), _product(_matmul, [t], ti, *weights)))
+            polys.append(_from_ints(cp.den * k, re[0], im and im[0]))
+        return tuple(polys)
 
     @cached_property
     def _char_poly_gcd(self):
@@ -67,13 +93,15 @@ class MatrixTuple(tuple):
 
     @cached_property
     def _difference_rows(self):
-        # _rank_one_row of A_i - A_j for i < j, one reading per pair: the
-        # ratio table and common_frame read it
-        return {
-            (i, j): _rank_one_row(self[i] - self[j])
-            for i in range(self.p)
-            for j in range(i + 1, self.p)
-        }
+        # _rank_one_row of A_i - A_j for i < j, one reading per pair on the
+        # integer rows over lcm(den(A_i), den(A_j)), with no ExactMatrix
+        readings = {}
+        for i, j in combinations(range(self.p), 2):
+            a, b = self[i], self[j]
+            den = lcm(a.den, b.den)
+            x, y = den // a.den, -(den // b.den)
+            readings[i, j] = _rank_one_row(den, _lin(a.re, b.re, x, y), _lin(a.im, b.im, x, y))
+        return readings
 
     @cached_property
     def _ratio_table(self):
@@ -149,19 +177,33 @@ class CommonFrame(
     def verify(self, t: MatrixTuple) -> bool:
         """Exact check of the shared rows/columns across all members.
 
-        With E_S the selection of the shared indices S, U·A_i·U^{-1} and
-        U·A_0·U^{-1} agree on the columns S exactly when A_i·U^{-1}·E_S =
-        A_0·U^{-1}·E_S, and on the rows S exactly when E_S^T·U·A_i =
-        E_S^T·U·A_0: one product per member.  A frame of another
-        dimension than the members is not shared.
+        With E_S the selection of the shared indices S and X_S = U^{-1}·E_S,
+        U·A_j·U^{-1} and U·A_0·U^{-1} agree on the columns S exactly when
+        (A_0 - A_j)·X_S = 0, and on the rows S when E_S^T·U·(A_0 - A_j) = 0.
+        When |S| >= n-1, X_S and E_S^T·U have rank >= n-1, so the (0, j)
+        reading A_0 - A_j = c_j·w_j decides: a zero difference is shared, one
+        of rank >= 2 is not, and one of rank 1 is exactly when w_j·X_S = 0
+        (columns) or E_S^T·U·c_j = 0 (rows).  For a smaller S, one product per
+        member.  A frame of another dimension than the members is not shared.
         """
         if self.basis_change.n != t.n:
             return False
         if not self.shared_indices:  # nothing shared, nothing to check
             return True
-        e = _frame_selection(self)
-        images = [e * m for m in t] if self.side == "rows" else [m * e for m in t]
-        return all(image == images[0] for image in images[1:])
+        e, rows = _frame_selection(self), self.side == "rows"
+        if len(self.shared_indices) < t.n - 1:
+            images = [e * m for m in t] if rows else [m * e for m in t]
+            return all(image == images[0] for image in images[1:])
+        readings = [t._difference_rows[0, j] for j in range(1, t.p)]
+        if any(r is None and m != t[0] for r, m in zip(readings, t[1:])):
+            return False  # A_0 - A_j has rank >= 2
+        columns = _columns(e.re), _columns(e.im)
+        for w, _, (c, ci), _ in filter(None, readings):
+            re, im = (_product(_matmul, e.re, e.im, [c], ci and [ci]) if rows  # E_S^T·U·c_j
+                      else _product(_matmul, w.re, w.im, *columns))  # w_j·U^{-1}·E_S
+            if any(chain(*re, *(im or ()))):
+                return False
+        return True
 
 
 def _frame_selection(frame):
@@ -175,9 +217,14 @@ def _frame_selection(frame):
     return _matrix(m.den, cut(m.re), m.im and cut(m.im))
 
 
-def _stacked(parts, weights):
-    """(re, im) of the rows w*r of a chain's one-row integer parts; im None when they are real."""
-    return (p[0] and [[w * a for a in r] for w, (r,) in zip(weights, p)] for p in zip(*parts))
+def _chain(start, columns, length):
+    """(re, im) of the integer rows r·M^k for k < length, start the one-row part
+    (r, ri) and columns the (re, im) columns of M; im None when all are real."""
+    r, ri = start
+    parts = [(r, ri or columns[1] and [[0] * len(r[0])])]  # complex from the start when M is
+    for _ in range(length - 1):
+        parts.append(_product(_matmul, *parts[-1], *columns))
+    return (p[0] and [q for (q,) in p] for p in zip(*parts))
 
 
 def pseudo_reflection_pairs(t: MatrixTuple) -> dict:
@@ -209,25 +256,24 @@ def _check_invertible(t: MatrixTuple):
             raise ValueError("member %d is singular" % (idx + 1,))
 
 
-def _rank_one_row(d):
-    """(w, pc, column) for a matrix d of rank 1, None for any other rank:
-    w the one RREF row as a 1×n matrix, pc its pivot and column the
-    integers (re, im) of d's column pc.  With r the first nonzero row and
-    pc its first nonzero entry, d has rank 1 exactly when every row h is
-    h[pc]/r[pc] times r: d·r[pc] equals the outer product of column and r,
-    two Gaussian products on d's integers."""
-    re, im = d.re, d.im
-    k = next((k for k in range(d.nrows) if any(re[k]) or im and any(im[k])), None)
+def _rank_one_row(den, re, im):
+    """(w, pc, column, den) for d = (re + i*im)/den of rank 1, None for any
+    other rank: w the one RREF row as a 1×n matrix, pc its pivot and column
+    the integers (re, im) of d's column pc, so that d = (column/den)·w.  With
+    r the first nonzero row and pc its first nonzero entry, d has rank 1
+    exactly when every row h is h[pc]/r[pc] times r: den·d·r[pc] equals the
+    outer product of column and r, two Gaussian products on the integers."""
+    k = next((k for k in range(len(re)) if any(re[k]) or im and any(im[k])), None)
     if k is None:
         return None
     r, ri = re[k], im and im[k]
-    pc = next(j for j in range(d.ncols) if r[j] or ri and ri[j])
+    pc = next(j for j, x in enumerate(r) if x or ri and ri[j])
     column = [h[pc] for h in re], im and [h[pc] for h in im]
     outer = _product(lambda c, v: [[x * y for y in v] for x in c], *column, r, ri)
     if _product(_scale, re, im, r[pc], ri and ri[pc]) != outer:
         return None
     s, u, ui = _over(r, ri, pc)
-    return _matrix(s, [u], ui and [ui]), pc, column
+    return _matrix(s, [u], ui and [ui]), pc, column, den
 
 
 def _over(re, im, k):
@@ -286,8 +332,8 @@ def common_frame(t: MatrixTuple) -> CommonFrame:
                 "ratio of members %d and %d is not a pseudo-reflection"
                 % (i + 1, j + 1)
             )
-    n, table = t.n, list(t._difference_rows.values())
-    w, pc, column = table[0]
+    n, table = t.n, [t._difference_rows[0, j] for j in range(1, t.p)]
+    w, pc, column, _ = table[0]
     columns = all(row[0] == w for row in table[1:])  # one kernel, ker w
     p, pi = (w.re[0], w.im and w.im[0]) if columns else column
     nonzero = [k for k in range(n) if p[k] or pi and pi[k]]
@@ -479,17 +525,11 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
             "common characteristic factor of degree %d" % g.degree
         )
     a0, u_frame, e = t[0], frame.basis_change, t[0].den
-    zero = None if a0.im is None and u_frame.im is None else [[0] * n]  # a complex chain's im
     free = next(k for k in range(n) if k not in frame.shared_indices)
-    rows = [([u_frame.re[free]], u_frame.im and [u_frame.im[free]] or zero)]
-    columns = _columns(a0.re), _columns(a0.im)
-    for _ in range(n - 2):
-        rows.append(_product(_matmul, *rows[-1], *columns))  # y·M^k
-    x = _matrix(1, *_stacked(rows, [1] * (n - 1))).kernel_matrix()  # a line, see the docstring
-    vectors = [(x.re, x.im or zero)]
-    for _ in range(n - 1):
-        vectors.append(_product(_matmul, *vectors[-1], a0.re, a0.im))  # (M^k·x)^T
-    re, im = _stacked(vectors, [e ** (n - 1 - k) for k in range(n)])
+    y = [u_frame.re[free]], u_frame.im and [u_frame.im[free]]  # x spans the kernel of y·M^k
+    x = _matrix(1, *_chain(y, (_columns(a0.re), _columns(a0.im)), n - 1)).kernel_matrix()
+    re, im = (p and [[e ** (n - 1 - k) * z for z in r] for k, r in enumerate(p)]
+              for p in _chain((x.re, x.im), (a0.re, a0.im), n))  # (M^k·x)^T·e^(n-1-k)
     basis = _matrix(1, _columns(re), _columns(im))  # den(x)·e^(n-1)·X, see the docstring
     anchor = u_frame * _matrix(1, *(p and [[z] for z in p[n - 2]] for p in (re, im)))
     k = next(k for k in frame.shared_indices if anchor.re[k][0] or anchor.im and anchor.im[k][0])

@@ -889,6 +889,7 @@ def count_calls(monkeypatch, module, name):
 
 def test_rigidity_builds_the_ratio_table_once(capsys, tmp_path, monkeypatch):
     import thetakit.rigidity
+    from thetakit.linalg import _matrix
     from thetakit.rigidity import MatrixTuple
 
     t = MatrixTuple.from_dict(RIGIDITY_TRIPLE)
@@ -897,7 +898,7 @@ def test_rigidity_builds_the_ratio_table_once(capsys, tmp_path, monkeypatch):
     path = write_json(tmp_path, "triple.json", RIGIDITY_TRIPLE)
     code, out, _ = run(capsys, ["rigidity", "--input", path])
     assert code == 0 and out == GOLDEN_RIGIDITY_TRIPLE
-    read = [m for m, *_ in calls if m in differences]
+    read = [m for m in (_matrix(*args) for args in calls) if m in differences]  # (den, re, im)
     assert len(differences) == 3
     assert len(read) == 3 and set(read) == differences  # one per pair
 

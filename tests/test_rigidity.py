@@ -82,6 +82,59 @@ def test_ratio_table_names_a_singular_member():
         common_frame(t)
 
 
+def char_poly_path(t, j):
+    """Where t._char_polys takes chi_j from: the (0, j) difference reading,
+    chi_0 for a repeated A_0, or Berkowitz for a difference of rank >= 2."""
+    if t._difference_rows[0, j] is not None:
+        return "reading"
+    return "repeat" if t[j] == t[0] else "berkowitz"
+
+
+def test_char_polys_match_berkowitz_on_every_member():
+    rng = random.Random(37)
+    paths = set()
+    for trial in range(90):
+        n, p, kind = 2 + trial % 4, 2 + trial // 4 % 3, trial % 3
+        if kind == 0:
+            _, _, t = conjugated_levelt(rng, p, n)  # integer entries
+        else:  # rational entries, or Gaussian ones
+            t = gaussian_conjugated_levelt(rng, p, n, 0.3 * (kind - 1), 0.3 * (kind - 1))
+        m = rng.randrange(t.p)
+        variants = [t, MatrixTuple(tuple(t) + (t[m],))]  # a repeated member
+        # A_j moved off the rank-one pattern by a difference of rank 2
+        j = rng.randrange(1, t.p)
+        bump = low_rank(rng, n, 2, kind == 2)
+        variants.append(MatrixTuple(tuple(a + bump if k == j else a for k, a in enumerate(t))))
+        for v in variants:
+            v = MatrixTuple(tuple(v))  # nothing cached
+            assert v._char_polys == tuple(a.char_poly() for a in v)
+            paths |= {(char_poly_path(v, j), kind) for j in range(1, v.p)}
+    assert paths == {(path, kind) for path in ("reading", "repeat", "berkowitz") for kind in range(3)}
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_a_singular_member_read_off_a_difference_is_named_first(gaussian):
+    # member 2 differs from member 1 in rank one and has the eigenvalue 0;
+    # member 3 repeats member 1, so the ratio of members 1 and 3 fails too,
+    # but the singular member is named before any ratio verdict
+    rng = random.Random(41)
+    for n in (2, 3, 5):
+        spectra = disjoint_spectra(rng, 2, n)
+        zero = companion_of_operator(Poly.from_roots([Q(0)] + list(spectra[1])[1:]))
+        g = gaussian_conjugator(rng, n) if gaussian else invertible_matrix(rng, n)
+        g_inv = g.inverse()
+        a0 = g * companion_from_spectrum(spectra[0]) * g_inv
+        t = MatrixTuple((a0, g * zero * g_inv, a0))
+        assert char_poly_path(t, 1) == "reading"
+        for call in (pseudo_reflection_pairs, common_frame):
+            with pytest.raises(ValueError, match="^member 2 is singular$"):
+                call(MatrixTuple(tuple(t)))
+        assert t._char_polys == tuple(a.char_poly() for a in t)
+        b = g * companion_from_spectrum(spectra[1]) * g_inv  # invertible in place of member 2
+        with pytest.raises(ValueError, match="^ratio of members 1 and 3 is not"):
+            common_frame(MatrixTuple((a0, b, a0)))
+
+
 def test_pseudo_reflection_rank_criterion():
     cases = [m_([[1, 0], [0, 5]]), m_([[1, 3], [0, 1]]),  # the second a transvection
              ExactMatrix.identity(2), m_([[2, 0], [0, 5]])]
@@ -328,15 +381,26 @@ def test_rank_one_row_matches_the_rref():
     for trial in range(400):
         n, gaussian = 2 + trial % 4, trial // 4 % 2 == 1
         d = low_rank(rng, n, rng.randrange(3), gaussian)
-        row, d_rank = thetakit.rigidity._rank_one_row(d), rank(d)
+        row, d_rank = thetakit.rigidity._rank_one_row(d.den, d.re, d.im), rank(d)
         ranks.add(d_rank)
         assert (row is None) == (d_rank != 1)
+        # the rows as _difference_rows hands them over: not reduced, and
+        # with zero imaginary rows when both members of a pair are complex
+        scale = 2 + trial % 2
+        again = thetakit.rigidity._rank_one_row(
+            scale * d.den, [[scale * x for x in r] for r in d.re],
+            [[scale * x for x in r] for r in d.im or [[0] * n] * n])
+        assert (again is None) == (row is None)
         if row is None:
             continue
-        w, pc, (column, column_im) = row
+        w, pc, (column, column_im), den = row
         reduced, pivots = d.rref()
         assert pivots == (pc,) and w == ExactMatrix([reduced.row(0)])
-        assert rational_row(column, d.den, column_im) == [d[h, pc] for h in range(n)]
+        assert den == d.den
+        assert rational_row(column, den, column_im) == [d[h, pc] for h in range(n)]
+        w2, pc2, (column2, column2_im), den2 = again
+        assert (w2, pc2, den2) == (w, pc, scale * d.den)
+        assert rational_row(column2, den2, column2_im) == [d[h, pc] for h in range(n)]
         k = next(h for h in range(n) if any(d.row(h)))
         real_pivots += bool(d.im and any(d.im[k]) and not d.im[k][pc])
     assert ranks == {0, 1, 2}
@@ -460,6 +524,70 @@ def test_matrix_form_verify_matches_the_vector_definition(side):
         off = MatrixTuple(tuple(ExactMatrix(rows) if x == k else m for x, m in enumerate(t)))
         assert not frame.verify(off) and not vector_verify(frame, off)
     assert side in sides
+
+
+@pytest.mark.parametrize("side", ["columns", "rows"])
+def test_verify_agrees_with_the_vector_definition_on_every_frame_size(side):
+    # |S| >= n - 1 is decided by the (0, j) difference readings, a smaller S
+    # by one product per member: frames that hold and fail, of every size,
+    # on tuples with and without a repeated member
+    rng = random.Random(67 if side == "columns" else 68)
+    seen = set()
+    for trial in range(40):
+        n, p = 2 + trial % 4, 2 + trial // 4 % 3
+        if trial % 2:
+            t = gaussian_conjugated_levelt(rng, p, n, 0.3, 0.3)
+        else:
+            _, _, t = conjugated_levelt(rng, p, n)
+        if side == "rows":
+            t = MatrixTuple(m.transpose() for m in t)
+        frame = common_frame(t)
+        shared = list(frame.shared_indices)
+        frames = [frame, frame._replace(shared_indices=tuple(range(n)))]
+        if n > 2:
+            frames.append(frame._replace(shared_indices=tuple(rng.sample(shared, rng.randrange(1, n - 1)))))
+        for f in frames:
+            i, j = breaking_entry(rng, f, n) if len(f.shared_indices) < n else (0, 0)
+            k = rng.randrange(t.p)
+            rows = [list(r) for r in t[k].rows]
+            rows[i][j] = rows[i][j] + Q(rng.choice([-2, -1, 1, 3]))
+            off = tuple(ExactMatrix(rows) if x == k else m for x, m in enumerate(t))
+            for members in (tuple(t), off, tuple(t) + (t[rng.randrange(t.p)],), off + (off[0],)):
+                x = MatrixTuple(members)  # nothing cached
+                verdict = f.verify(x)
+                assert verdict == vector_verify(f, x)
+                size = len(f.shared_indices)
+                seen.add((f.side, "n - 1" if size == n - 1 else "n" if size == n else "< n - 1", verdict))
+    assert seen >= {(side, size, verdict) for size in ("n - 1", "< n - 1") for verdict in (False, True)}
+    assert (side, "n", False) in seen
+    # members that differ by rank 2 off n - 2 shared columns or rows share them
+    for n in (3, 4, 5):
+        u = invertible_matrix(rng, n)
+        shared = tuple(range(n - 2)) if side == "columns" else tuple(range(2, n))
+        frame = CommonFrame(basis_change=u, side=side, shared_indices=shared, inverse=u.inverse())
+        base = [[Q(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
+        other = [[x + Q(rng.randrange(1, 4)) if (j if side == "columns" else i) not in shared else x
+                  for j, x in enumerate(r)] for i, r in enumerate(base)]
+        t = MatrixTuple(tuple(frame.inverse * ExactMatrix(c) * u for c in (base, other, base)))
+        assert rank(t[0] - t[1]) == 2 and frame.verify(t) and vector_verify(frame, t)
+
+
+def test_verify_sees_a_difference_off_the_frame_only_in_its_imaginary_part():
+    # A_0 - A_1' = col·(w + i·e_k), with col and w read off a real Levelt
+    # pair, w·X_S = 0 and e_k·X_S != 0: the product is i·col·(e_k·X_S), real part zero
+    rng = random.Random(73)
+    for n in (3, 4, 5):
+        _, _, t = conjugated_levelt(rng, 2, n)
+        frame = common_frame(t)
+        assert frame.side == "columns" and frame.shared_indices == tuple(range(n - 1))
+        pc = t._difference_rows[0, 1][1]
+        col = ExactMatrix([[x] for x in (t[0] - t[1]).transpose().row(pc)])
+        x_s = [frame.inverse.row(k)[:n - 1] for k in range(n)]
+        k = next(k for k in range(n) if k != pc and any(x_s[k]))
+        e_k = ExactMatrix([[Q(int(h == k)) for h in range(n)]])
+        off = MatrixTuple((t[0], t[1] - col * e_k * Q(0, 1)))
+        assert t._difference_rows[0, 1] is not None and off._difference_rows[0, 1] is not None
+        assert not frame.verify(off) and not vector_verify(frame, off)
 
 
 class TestFrameMismatch:
@@ -1014,6 +1142,35 @@ class TestNormalForm:
         for (spectra, _, t), (u, canon) in zip(cases, results):
             assert list(canon) == [companion_from_spectrum(s) for s in spectra]
             assert all(u * m == c * u for m, c in zip(t, canon))
+
+
+    def test_pipeline_work_is_pinned(self, monkeypatch):
+        # on a real Levelt tuple: one Berkowitz run, on A_0; common_frame's
+        # characteristic polynomials take n - 1 products for the one chain
+        # W·M^m and two per member after the first; the normal form takes
+        # one per member difference in the frame check, n - 2 and n - 1 in
+        # the Krylov chains and one per member in the member check
+        rng = random.Random(89)
+        for trial in range(15):
+            n, p = 2 + trial % 5, 2 + trial % 3
+            _, _, t = conjugated_levelt(rng, p, n)
+            berkowitz, products = [], []
+            char_poly, matmul = ExactMatrix.char_poly, thetakit.rigidity._matmul
+            with monkeypatch.context() as patched:
+                patched.setattr(ExactMatrix, "char_poly", lambda m: berkowitz.append(m) or char_poly(m))
+                patched.setattr(thetakit.rigidity, "_matmul",
+                                lambda a, b: products.append(a) or matmul(a, b))
+                frame = common_frame(t)
+                framed = len(products)
+                levelt_normal_form(t, frame)
+            assert berkowitz == [t[0]]
+            assert framed == (n - 1) + 2 * (p - 1)
+            assert len(products) - framed == (p - 1) + (n - 2) + (n - 1) + p
+            # a repeated A_0 takes chi_0, with no Berkowitz run of its own
+            with monkeypatch.context() as patched:
+                patched.setattr(ExactMatrix, "char_poly", lambda m: berkowitz.append(m) or char_poly(m))
+                repeated = MatrixTuple(tuple(t) + (t[0],))._char_polys
+            assert berkowitz == [t[0], t[0]] and repeated == t._char_polys + t._char_polys[:1]
 
 
 class TestTupleConjugator:
