@@ -29,7 +29,7 @@ from math import lcm
 from .linalg import (ExactMatrix, Subspace, _columns, _insert, _matrix, _realified,
                      companion_of_operator, kernel)
 from .polynomials import Poly, _from_ints, poly_gcd
-from .scalars import Q, _lin, _matmul, _product, _scale, rational_row
+from .scalars import Q, _lin, _matmul, _product, _scale
 
 
 class MatrixTuple(tuple):
@@ -68,24 +68,26 @@ class MatrixTuple(tuple):
         # den(chi_0)·K·chi_j has X^k coefficient K·P_k + sum_m P_{k+1+m}·e^(n-1-m)·W·M^m·C.
         a0, n = self[0], self.n
         cp, e = a0.char_poly(), a0.den
-        weights = [q and [[x * e ** (n - 1 - m) for m, x in enumerate(q[k + 1:])]
-                          for k in range(n)] for q in (cp.re, cp.im)]
-        columns = _columns(a0.re), _columns(a0.im)
-        polys, chains = [cp], {}  # members with one w, as on a column frame, share W·M^m
+        weights, polys = _hankel(cp, e), [cp]
         for j, m in enumerate(self[1:], 1):
             reading = self._difference_rows[0, j]
             if reading is None:
                 polys.append(cp if m == a0 else m.char_poly())
                 continue
             w, _, (c, ci), den = reading
-            if w not in chains:
-                chains[w] = tuple(_chain((w.re, w.im), columns, n))
-            (t,), ti = _product(_matmul, [c], ci and [ci], *chains[w])
+            (t,), ti = _product(_matmul, [c], ci and [ci], *self._chains[w])
             k = w.den * den * e ** (n - 1)
             re, im = (_lin(q and [q], s and [s[0] + [0]], k) for q, s in
                       zip((cp.re, cp.im), _product(_matmul, [t], ti, *weights)))
             polys.append(_from_ints(cp.den * k, re[0], im and im[0]))
         return tuple(polys)
+
+    @cached_property
+    def _chains(self):
+        # {w: (re, im) of the rows W·M^m, m < n}, one per distinct w of the (0, j) readings
+        columns, rows = (_columns(self[0].re), _columns(self[0].im)), self._difference_rows
+        ws = dict.fromkeys(r[0] for r in (rows[0, j] for j in range(1, self.p)) if r)
+        return {w: tuple(_chain((w.re, w.im), columns, self.n)) for w in ws}
 
     @cached_property
     def _char_poly_gcd(self):
@@ -227,6 +229,23 @@ def _chain(start, columns, length):
     return (p[0] and [q for (q,) in p] for p in zip(*parts))
 
 
+def _hankel(cp, e):
+    """(re, im) of the Hankel rows P_{k+1+m}·e^(n-1-m), k < n, m < n - k, of
+    the integers P = den(cp)·cp of a monic cp of degree n."""
+    n = len(cp.re) - 1
+    return [q and [[x * e ** (n - 1 - m) for m, x in enumerate(q[k + 1:])] for k in range(n)]
+            for q in (cp.re, cp.im)]
+
+
+def _vanishes(*terms):
+    """Whether sum k·(re + i*im) over the terms (k, (re, im)) of integer rows is 0."""
+    for part in (0, 1):
+        total = reduce(lambda acc, term: _lin(acc, term[1][part], 1, term[0]), terms, None)
+        if total and any(chain(*total)):
+            return False
+    return True
+
+
 def pseudo_reflection_pairs(t: MatrixTuple) -> dict:
     """{(i, j): whether A_i·A_j^{-1} is a pseudo-reflection} for i < j,
     in lexicographic order.  Every member must be invertible; a
@@ -269,11 +288,15 @@ def _rank_one_row(den, re, im):
     r, ri = re[k], im and im[k]
     pc = next(j for j, x in enumerate(r) if x or ri and ri[j])
     column = [h[pc] for h in re], im and [h[pc] for h in im]
-    outer = _product(lambda c, v: [[x * y for y in v] for x in c], *column, r, ri)
+    outer = _product(_outer, *column, r, ri)
     if _product(_scale, re, im, r[pc], ri and ri[pc]) != outer:
         return None
     s, u, ui = _over(r, ri, pc)
     return _matrix(s, [u], ui and [ui]), pc, column, den
+
+
+def _outer(column, row):
+    return [[x * y for y in row] for x in column]
 
 
 def _over(re, im, k):
@@ -482,9 +505,10 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
 
     U^{-1} = X = [x, A_0·x, .., A_0^{n-1}·x] is the Krylov basis of a
     cyclic vector x (Beukers-Heckman, Invent. Math. 95, 1989, §3).  The
-    members agree on the hyperplane W = {w : y·w = 0}, y the row of the
-    frame's U at its one non-shared index.  x spans the kernel of the
-    n-1 rows y·A_0^k, k = 0..n-2, so A_0^k·x lies in W and
+    members agree on the hyperplane W = {v : y·v = 0}, y the row of the
+    frame's U at its one non-shared index, so every nonzero difference
+    A_0 - A_j = c_j·w_j has w_j = w, the RREF row of y.  x spans the
+    kernel of the n-1 rows w·A_0^k, k = 0..n-2, so A_0^k·x lies in W and
     A_i·A_0^k·x = A_0^{k+1}·x for k < n-1: in the basis X every member
     has the companion's first n-1 columns.
 
@@ -497,18 +521,25 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     Krylov vectors is A_0-invariant; of dimension d < n, it would be
     spanned by x, .., A_0^{d-1}·x and so lie in W.
 
-    Both chains run on the integers of M = e·A_0, e = den(A_0).  The rows
-    y·M^k are positive multiples of y·A_0^k, with the same RREF and so
-    the same x.  Column k of the integer basis, M^k·(den(x)·x) times
-    e^(n-1-k), is den(x)·e^(n-1) times A_0^k·x: a positive factor that
-    the scale below absorbs.
+    U is written down, not inverted: with chi_0 = sum a_i·X^i, a_n = 1,
+    u_{n-1} = w/(w·A_0^{n-1}·x) and u_k = sum_m a_{k+1+m}·u_{n-1}·A_0^m,
+    u_k·A_0 = u_{k-1} - a_k·u_{n-1} (at k = 0 by Cayley-Hamilton), so
+    U·A_0 = C_0·U; and U·x = e_0, as w·A_0^k·x = 0 for k < n-1, so
+    U·A_0^k·x = C_0^k·e_0 = e_k: U·X = I.  On the integers U is H·R over
+    a scalar, R the chain W·M^k, k < n, of MatrixTuple._chains (M = e·A_0,
+    e = den(A_0), W = den(w)·w) and H the Hankel matrix of
+    den(chi_0)·chi_0 with column m weighted by e^(n-1-m).  x is scaled so
+    that, over the shared indices k in the frame's order, the first
+    nonzero entry of (U_frame·A_0^{n-2}·x)_k is 1.
 
-    U is unique up to a scalar: x is scaled so that, over the shared
-    indices k in the frame's order, the first nonzero entry of
-    (U_frame·A_0^{n-2}·x)_k is 1.  Each member is checked by one product,
-    A_i·X = X·canon[i], which holds exactly when U·A_i·U^{-1} = canon[i].
-    X·canon[i] is X's columns 1..n-1 followed by X times canon[i]'s last
-    column, as canon[i] is a companion: one matrix-vector product.
+    U is invertible, as H is zero below its nonzero antidiagonal and R
+    is invertible when x is its only kernel row and w·A_0^{n-1}·x != 0,
+    both checked.  So checks on U are complete.  Member 0: U·A_0 = C_0·U,
+    one product, C_0·U being U's rows shifted down plus l_0⊗u_{n-1}, l
+    the companion's last column.  Given that, member j passes exactly
+    when (U·c_j)⊗w = (l_0 - l_j)⊗u_{n-1}; read at w's pivot pc, that is
+    u_{n-1} ∥ w (checked once) and U·c_j = (l_0 - l_j)·u_{n-1}[pc], one
+    matrix-vector product.  A member equal to A_0 needs C_j = C_0.
     """
     if frame.side != "columns":
         raise ValueError("normal form requires a column frame")
@@ -524,29 +555,41 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
             "spectrum-intersection hypothesis violated: "
             "common characteristic factor of degree %d" % g.degree
         )
-    a0, u_frame, e = t[0], frame.basis_change, t[0].den
-    free = next(k for k in range(n) if k not in frame.shared_indices)
-    y = [u_frame.re[free]], u_frame.im and [u_frame.im[free]]  # x spans the kernel of y·M^k
-    x = _matrix(1, *_chain(y, (_columns(a0.re), _columns(a0.im)), n - 1)).kernel_matrix()
-    re, im = (p and [[e ** (n - 1 - k) * z for z in r] for k, r in enumerate(p)]
-              for p in _chain((x.re, x.im), (a0.re, a0.im), n))  # (M^k·x)^T·e^(n-1-k)
-    basis = _matrix(1, _columns(re), _columns(im))  # den(x)·e^(n-1)·X, see the docstring
-    anchor = u_frame * _matrix(1, *(p and [[z] for z in p[n - 2]] for p in (re, im)))
-    k = next(k for k in frame.shared_indices if anchor.re[k][0] or anchor.im and anchor.im[k][0])
-    a, b = anchor.re[k][0], anchor.im[k][0] if anchor.im else 0  # the scale is 1/anchor[k, 0]
-    basis = basis * rational_row([anchor.den * a], a * a + b * b, [-anchor.den * b])[0]
-    u = basis.inverse()
-    canon = []
-    for idx, (m, cp) in enumerate(zip(t, t._char_polys)):
+    a0, u_frame, e, cps = t[0], frame.basis_change, t[0].den, t._char_polys
+    readings = [t._difference_rows[0, j] for j in range(1, t.p)]
+    w, pc, *_ = next(filter(None, readings))  # all A_j = A_0 would leave the gcd chi_0
+    r, ri = t._chains[w]
+    x = _matrix(1, r[:-1], ri and ri[:-1]).kernel_matrix()  # the one elimination
+    (s,), si = _product(_matmul, [r[-1]], ri and [ri[-1]], x.re, x.im)  # sigma, one per row
+    s, si = s[0], si[0][0] if si else 0
+    if x.nrows > 1 or not (s or si):
+        raise ValueError("normal form verification failed: the Krylov rows are not a basis")
+    v, vi = (p and p[-1] for p in _chain((x.re, x.im), (a0.re, a0.im), n - 1))  # M^(n-2)·x
+    q, qi = _product(_matmul, u_frame.re, u_frame.im, [v], vi and [vi])
+    a, b = next((q[k][0], qi[k][0] if qi else 0) for k in frame.shared_indices
+                if q[k][0] or qi and qi[k][0])  # U = H·R·(a + i*b)/(s + i*si) over positive dens
+    h = _product(_matmul, *_hankel(cps[0], e), _columns(r), _columns(ri))
+    u = _matrix(cps[0].den * u_frame.den * e ** (n - 2) * (s * s + si * si),
+                *_product(_scale, *h, a * s + b * si, b * s - a * si or None))
+    canon, last = [], (u.re[-1], u.im and u.im[-1])  # u_{n-1}
+    at = last[0][pc], last[1] and last[1][pc] or None  # den(U)·u_{n-1}[pc], where w is 1
+    parallel = _vanishes((w.den, [p and [p] for p in last]), (-1, _product(_scale, w.re, w.im, *at)))
+    for j, (m, cp, reading) in enumerate(zip(t, cps, [None, *readings])):
         c = companion_of_operator(cp)
-        last = (p and [[r[-1] for r in p]] for p in (c.re, c.im))
-        tail = _product(_matmul, basis.re, basis.im, *last)  # X times c's last column
-        shifted = (q and [[c.den * z for z in r[1:]] + v for r, v in zip(h or [[0] * n] * n, q)]
-                   for h, q in zip((basis.re, basis.im), tail))
-        if m * basis != _matrix(basis.den * c.den, *shifted):
-            raise ValueError(
-                "normal form verification failed for member %d" % (idx + 1,)
-            )
+        d, l = c.den, [p and [[z[-1] for z in p]] for p in (c.re, c.im)]  # C_j's last column l/d
+        if not j:  # d·U·A_0 = e·(d·(U's rows shifted down) + l⊗u_{n-1})
+            d0, l0, ua = d, l, _product(_matmul, u.re, u.im, _columns(a0.re), _columns(a0.im))
+            ok = _vanishes((d, ua), (-d * e, [p and [[0] * n, *p[:-1]] for p in (u.re, u.im)]),
+                           (-e, _product(_outer, *(p and p[0] for p in l), *last)))
+        elif reading is None:
+            ok = m == a0 and c == canon[0]
+        else:  # A_0 - A_j = (C/dd)·w and u_{n-1} ∥ w: U·C/dd = (l_0/d0 - l/d)·u_{n-1}[pc]
+            wj, _, (cj, ci), dd = reading
+            (uc,), uci = _product(_matmul, [cj], ci and [ci], u.re, u.im)  # (U·C)^T
+            right = _product(_scale, *(_lin(p, q, d, -d0) for p, q in zip(l0, l)), *at)
+            ok = parallel and wj == w and _vanishes((d0 * d, ([uc], uci)), (-dd, right))
+        if not ok:
+            raise ValueError("normal form verification failed for member %d" % (j + 1,))
         canon.append(c)
     return u, MatrixTuple(tuple(canon))
 

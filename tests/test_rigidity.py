@@ -26,7 +26,7 @@ from thetakit.scalars import GaussianRational, Q, rational_row
 
 from util import (
     complete_basis, conjugated_levelt, disjoint_spectra, gaussian_conjugated_levelt,
-    gaussian_rational, invertible_matrix, is_pseudo_reflection, rank,
+    gaussian_rational, invertible_matrix, is_pseudo_reflection, krylov_conjugator, rank,
     rational, to_dict,
 )
 
@@ -929,6 +929,24 @@ def test_levelt_tuple_rejects_common_value():
         Spectrum(())
 
 
+def test_levelt_generators_draw_pairwise_distinct_spectra():
+    # two equal spectra give two equal members, whose ratio is the identity;
+    # values in 1..4 (span 5) at n = 2 and p = 4 repeat a spectrum in most
+    # draws, and the Gaussian generator at n = 2, p = 4 in about one in a
+    # hundred, so both are drawn again until the spectra differ
+    rng = random.Random(5)
+    for _ in range(50):
+        spectra = disjoint_spectra(rng, 4, 2, span=5)
+        assert len(set(spectra)) == 4 and not set.intersection(*map(set, spectra))
+    for _ in range(400):
+        t = gaussian_conjugated_levelt(rng, 4, 2, 0, 0)
+        assert len(set(t)) == 4
+    # values in 1..3 make three sets of two, and any two of them meet
+    for p, n in ((4, 2), (2, 2), (2, 4)):
+        with pytest.raises(ValueError, match="^no %d distinct spectra of %d values in 1..3$" % (p, n)):
+            disjoint_spectra(rng, p, n, span=4)
+
+
 class TestNormalForm:
     def test_round_trip_exact(self):
         rng = random.Random(77)
@@ -1094,25 +1112,125 @@ class TestNormalForm:
         assert digest == "825e3a1c6815b4a54cf914ab986c94e64e47dde38434a58d2304617622b2d328"
 
     def test_a_wrong_companion_fails_the_verification_of_its_member(self, monkeypatch):
-        # A_i·X = X·C_i is checked member by member: a companion of another
-        # member's polynomial for member 2 is named in the error
-        rng = random.Random(29)
-        for n in (2, 3, 5):
+        # each member is checked on U: member 1 by U·A_0 = C_0·U, a member
+        # with a rank-one difference from A_0 by that difference, and a
+        # repeat of A_0 by C_j = C_0.  A companion of another member's
+        # polynomial for member `wrong` is named in the error, and no
+        # companion past it is built; member 4 repeats A_0 or A_1
+        for wrong, repeat in ((2, None), (1, None), (4, 0), (4, 1)):
+            rng = random.Random(29)
+            for n in (2, 3, 5):
+                _, _, t = conjugated_levelt(rng, 3, n)
+                frame = common_frame(t)
+                if repeat is not None:
+                    t = MatrixTuple(tuple(t) + (t[repeat],))
+                polys = t._char_polys
+                other = polys[1] if polys[wrong - 1] == polys[0] else polys[0]
+                companion = thetakit.rigidity.companion_of_operator
+                calls = []
+
+                def wrong_companion(cp):
+                    calls.append(cp)
+                    return companion(other if len(calls) == wrong else cp)
+
+                with monkeypatch.context() as patched:
+                    patched.setattr(thetakit.rigidity, "companion_of_operator", wrong_companion)
+                    with pytest.raises(ValueError) as raised:
+                        levelt_normal_form(t, frame)
+                assert str(raised.value) == "normal form verification failed for member %d" % wrong
+                assert len(calls) == wrong
+
+    def test_closed_form_u_matches_the_krylov_inverse(self):
+        # U written from the cached chain equals the inverse of the scaled
+        # Krylov basis on integer, rational and Gaussian tuples, n = 2..6 and
+        # p = 2..4, each also with a repeat of A_0 (a zero difference) and
+        # of A_1 (the difference of A_1)
+        rng = random.Random(61)
+        complex_cases = 0
+        for trial in range(45):
+            n, p, kind = 2 + trial % 5, 2 + trial // 5 % 3, trial // 15
+            if kind == 0:
+                _, _, t = conjugated_levelt(rng, p, n)
+            else:  # rational entries, then Gaussian ones
+                t = gaussian_conjugated_levelt(rng, p, n, 0.3 * (kind - 1), 0.5 * (kind - 1))
+            complex_cases += any(m.im is not None for m in t)
+            frame = common_frame(t)
+            for v in (t, MatrixTuple(tuple(t) + (t[0],)), MatrixTuple(tuple(t) + (t[1],))):
+                u, canon = levelt_normal_form(v, frame)
+                assert u == krylov_conjugator(v, frame)
+                assert list(canon) == [companion_of_operator(m.char_poly()) for m in v]
+        assert complex_cases >= 12
+
+    def test_closed_form_u_on_caller_made_column_frames(self):
+        # frames that common_frame does not write: the free index moved to 0,
+        # the shared indices listed in another order, and the rows of U scaled
+        # by non-real scalars, which scales U by the one at the anchor
+        rng = random.Random(67)
+        for trial in range(20):
+            n, p = 2 + trial % 5, 2 + trial // 5 % 3
+            if trial % 2:
+                t = gaussian_conjugated_levelt(rng, p, n, 0.3, 0.5)
+            else:
+                _, _, t = conjugated_levelt(rng, p, n)
+            frame = common_frame(t)
+            u0, x0, shared = frame.basis_change, frame.inverse, frame.shared_indices
+            shift = ExactMatrix([[int(r == (k + 1) % n) for k in range(n)] for r in range(n)])
+            scale = ExactMatrix([[Q(1 + k, (-1) ** k) if r == k else 0 for k in range(n)]
+                                 for r in range(n)])
+            frames = [
+                CommonFrame(shift * u0, "columns", tuple(range(1, n)), x0 * shift.inverse()),
+                CommonFrame(u0, "columns", shared[::-1], x0),
+                CommonFrame(scale * u0, "columns", shared, x0 * scale.inverse()),
+            ]
+            base, _ = levelt_normal_form(t, frame)
+            for f in frames:
+                assert f.verify(t)
+                u, canon = levelt_normal_form(t, f)
+                assert u == krylov_conjugator(t, f)
+                assert all(u * m == c * u for m, c in zip(t, canon))
+            assert u != base
+
+    def test_a_corrupt_chain_fails_the_checks(self):
+        # the checks do not trust the cached chain W·M^k: rows that are no
+        # basis are refused before U is built, and the chain of W·M in place
+        # of W's builds a U with U·A_0 = C_0·U whose last row is not ∥ w,
+        # which member 2 (a rank-one difference from A_0) does not pass
+        rng = random.Random(73)
+        for n in (2, 3, 4):
             _, _, t = conjugated_levelt(rng, 3, n)
             frame = common_frame(t)
-            companion = thetakit.rigidity.companion_of_operator
-            calls = []
-
-            def wrong_for_member_2(cp):
-                calls.append(cp)
-                return companion(t._char_polys[0] if len(calls) == 2 else cp)
-
-            with monkeypatch.context() as patched:
-                patched.setattr(thetakit.rigidity, "companion_of_operator", wrong_for_member_2)
-                with pytest.raises(ValueError) as raised:
+            (w,) = t._chains
+            r, _ = t._chains[w]
+            step = ExactMatrix([r[-1]]) * (t[0] * t[0].den)  # W·M^n
+            for rows, message in (([r[0]] * n, "the Krylov rows are not a basis"),
+                                  ([*r[1:], step.re[0]], "for member 2")):
+                vars(t)["_chains"] = {w: (rows, None)}
+                with pytest.raises(ValueError, match="^normal form verification failed.*" + message):
                     levelt_normal_form(t, frame)
-            assert str(raised.value) == "normal form verification failed for member 2"
-            assert len(calls) == 2
+
+    def test_normal_form_takes_no_inverse(self, monkeypatch):
+        # on tuples with nothing cached, the whole normal form, characteristic
+        # polynomials and frame check included, inverts nothing and runs one
+        # elimination, the kernel of the Krylov rows
+        def refuse(self):
+            raise AssertionError("an inverse in the normal form")
+
+        rng = random.Random(71)
+        cases = [conjugated_levelt(rng, 2 + k % 3, 2 + k % 5)[2] for k in range(10)]
+        cases += [gaussian_conjugated_levelt(rng, 2 + k % 3, 2 + k % 5, 0.3, 0.3)
+                  for k in range(10)]
+        frames = [common_frame(t) for t in cases]
+        eliminate, eliminations, results = thetakit.linalg._eliminate, [], []
+        with monkeypatch.context() as patched:
+            patched.setattr(ExactMatrix, "inverse", refuse)
+            patched.setattr(thetakit.linalg, "_eliminate",
+                            lambda work: eliminations.append(work) or eliminate(work))
+            for t, f in zip(cases, frames):
+                results.append(levelt_normal_form(MatrixTuple(tuple(t)), f))
+                assert len(eliminations) == len(results)
+        for t, f, (u, canon) in zip(cases, frames, results):
+            assert u == krylov_conjugator(t, f)
+            assert list(canon) == [companion_of_operator(m.char_poly()) for m in t]
 
     def test_normal_form_stacks_no_matrices(self, monkeypatch):
         def refuse(a, b):
@@ -1148,8 +1266,9 @@ class TestNormalForm:
         # on a real Levelt tuple: one Berkowitz run, on A_0; common_frame's
         # characteristic polynomials take n - 1 products for the one chain
         # W·M^m and two per member after the first; the normal form takes
-        # one per member difference in the frame check, n - 2 and n - 1 in
-        # the Krylov chains and one per member in the member check
+        # one per member difference in the frame check, one for sigma,
+        # n - 2 in the chain M^k·x and one for the anchor, one for H·R, one
+        # for U·A_0 and one U·c_j per member after the first
         rng = random.Random(89)
         for trial in range(15):
             n, p = 2 + trial % 5, 2 + trial % 3
@@ -1165,7 +1284,7 @@ class TestNormalForm:
                 levelt_normal_form(t, frame)
             assert berkowitz == [t[0]]
             assert framed == (n - 1) + 2 * (p - 1)
-            assert len(products) - framed == (p - 1) + (n - 2) + (n - 1) + p
+            assert len(products) - framed == (p - 1) + 1 + (n - 2) + 1 + 1 + 1 + (p - 1)
             # a repeated A_0 takes chi_0, with no Berkowitz run of its own
             with monkeypatch.context() as patched:
                 patched.setattr(ExactMatrix, "char_poly", lambda m: berkowitz.append(m) or char_poly(m))

@@ -4,13 +4,13 @@ shared across the test modules."""
 import os
 import random
 from collections import namedtuple
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import numpy as np
 
 import thetakit
 from thetakit.hypergeometric import HGParams
-from thetakit.linalg import ExactMatrix, Subspace, companion_of_operator
+from thetakit.linalg import ExactMatrix, Subspace, companion_of_operator, kernel
 from thetakit.monodromy import _circle_point, _real_parameter_floats
 from thetakit.polynomials import X, Poly
 from thetakit.rigidity import MatrixTuple, Spectrum, levelt_tuple
@@ -169,7 +169,13 @@ def scalar_greedy_matching(p):
 
 
 def disjoint_spectra(rng, p, n, span=40):
-    """p spectra of size n with an empty total intersection."""
+    """p pairwise distinct spectra of n values in 1..span-1 with an empty
+    total intersection; a draw is repeated only when it fails that.  Such
+    spectra exist exactly when there are p sets of n values and every value
+    can be missing from one of them; otherwise this is a ValueError, not an
+    endless loop."""
+    if comb(span - 1, n) < p or p * (span - 1 - n) < span - 1:
+        raise ValueError("no %d distinct spectra of %d values in 1..%d" % (p, n, span - 1))
     while True:
         spectra = []
         for _ in range(p):
@@ -181,7 +187,7 @@ def disjoint_spectra(rng, p, n, span=40):
         common = set(spectra[0])
         for s in spectra[1:]:
             common &= set(s)
-        if not common:
+        if not common and len(set(spectra)) == p:
             return spectra
 
 
@@ -195,14 +201,15 @@ def conjugated_levelt(rng, p, n):
 
 
 def gaussian_conjugated_levelt(rng, p, n, spectrum_chance, conjugator_chance):
-    """A Levelt tuple of nonzero Gaussian-rational spectra with empty total
-    intersection, conjugated by a product of 3n elementary matrices whose
-    multipliers are Gaussian rationals; each chance is that of a non-real
-    value (gaussian_rational)."""
+    """A Levelt tuple of pairwise distinct nonzero Gaussian-rational spectra
+    with empty total intersection, conjugated by a product of 3n elementary
+    matrices whose multipliers are Gaussian rationals; each chance is that
+    of a non-real value (gaussian_rational)."""
     while True:
         spectra = [[x for x in (gaussian_rational(rng, spectrum_chance) for _ in range(4 * n)) if x][:n]
                    for _ in range(p)]
-        if all(len(s) == n for s in spectra) and not set.intersection(*map(set, spectra)):
+        if (all(len(s) == n for s in spectra) and not set.intersection(*map(set, spectra))
+                and len(set(map(Spectrum, spectra))) == p):
             break
     rows = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(3 * n):
@@ -211,6 +218,27 @@ def gaussian_conjugated_levelt(rng, p, n, spectrum_chance, conjugator_chance):
             rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
     g = ExactMatrix(rows)
     return MatrixTuple(tuple(g * m * g.inverse() for m in levelt_tuple(map(Spectrum, spectra))))
+
+
+def krylov_conjugator(t, frame):
+    """U = X^{-1} for the Krylov basis X = [x, A_0·x, .., A_0^{n-1}·x]: x spans
+    the kernel of the rows y·A_0^k, k < n - 1, y the row of the frame's U at
+    its non-shared index, and is scaled so that the first nonzero entry of
+    U_frame·A_0^{n-2}·x over the shared indices, in the frame's order, is 1.
+    The scalar reference for the U of levelt_normal_form, on a column frame
+    sharing n - 1 indices."""
+    n, a0, u_frame = t.n, t[0], frame.basis_change
+    (free,) = set(range(n)) - set(frame.shared_indices)
+    rows = [u_frame.row(free)]
+    for _ in range(n - 2):
+        rows.append(a0.transpose().apply(rows[-1]))
+    (x,) = kernel(ExactMatrix(rows)).basis
+    columns = [x]
+    for _ in range(n - 1):
+        columns.append(a0.apply(columns[-1]))
+    anchor = u_frame.apply(columns[n - 2])
+    mu = next(anchor[k] for k in frame.shared_indices if anchor[k])
+    return ExactMatrix([[c[i] / mu for c in columns] for i in range(n)]).inverse()
 
 
 def is_pseudo_reflection(h):
