@@ -49,7 +49,7 @@ _LAYERS = {
     ),
     "hypergeometric": (
         "CONTIGUITY_KINDS", "FactorStep", "HGParams", "LocalExponents",
-        "ReducibilityPartition", "build_D", "canonical_shift_class",
+        "ReducibilityPartition", "analysis_report", "build_D", "canonical_shift_class",
         "contiguity_check", "exponents", "factorization_certificate",
         "greedy_matching", "is_reducible", "partition", "verify_certificate",
     ),
@@ -61,7 +61,7 @@ _LAYERS = {
         "CommonFrame", "MatrixTuple", "Spectrum", "algebra_span_dimension",
         "common_frame", "common_spectrum_certificate", "companion_from_spectrum",
         "find_stabilized_subspace", "is_irreducible_pair", "levelt_normal_form",
-        "levelt_tuple", "tuple_conjugator",
+        "levelt_tuple", "rigidity_report", "tuple_conjugator",
     ),
     "monodromy": (
         "MonodromyTriple", "RoundTripMargins", "build_monodromy", "multiset_distance",

@@ -10,9 +10,11 @@ verify-identities  seeded sweep over the five contiguity identities
 counts             equation vs monodromy parameter counts over a grid
 
 Each command builds its report from exact values (scalars, Poly,
-ThetaOperator, matrix rows); _emit makes each one its canonical string
-in one walk and writes the report with sorted keys, so identical
-invocations are byte-identical.  A value past Python's int-string digit
+ThetaOperator, matrix rows), analyze and rigidity from the record of one
+public call each (hypergeometric.analysis_report, rigidity.rigidity_report),
+whose pairs and indices they make 1-based; _emit makes each value its
+canonical string in one walk and writes the report with sorted keys, so
+identical invocations are byte-identical.  A value past Python's int-string digit
 limit cannot be printed, an input error naming its JSON path.  Exit
 status: 0 when all requested verifications pass, 1 when a verification
 fails on valid input, 2 for malformed input or usage errors.
@@ -40,8 +42,9 @@ VERIFICATION_FAILURE = 1
 # denominators such as beta_k = k/33: their digits are not bounded), and
 # monodromy an O(n²) exact reducibility test and 3·n² number pairs.
 # rigidity's algebra span is an O(p·n⁶) search: three 8×8 one-digit
-# members, the largest tuple the bounds admit, took 0.14 s real and 1.35 s
-# 30 % Gaussian.  Whole runs, medians of five (2-vCPU Xeon VM, Python 3.11.7).
+# members took 0.14 s real and 1.35 s 30 % Gaussian, but the bounds do not
+# limit the digits of the entries: a three-digit 8×8 pair took 77.2 s.
+# Whole runs (2-vCPU Xeon VM, Python 3.11.7), the one-digit ones medians of five.
 MAX_COUNT = {"counts": 100, "verify-identities": 1000}
 MAX_GAP = 100
 MAX_ORDER = 32
@@ -124,7 +127,7 @@ def _load_tuple(path: str) -> rigidity.MatrixTuple:
     if t.p > MAX_MEMBERS:
         raise InputError("p = %d members exceed the bound %d" % (t.p, MAX_MEMBERS))
     try:
-        rigidity._check_invertible(t)  # from the char polys, which the commands reuse
+        rigidity.pseudo_reflection_pairs(t)  # names a singular member; the table is cached
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return t
@@ -151,32 +154,21 @@ def _pairs_1based(pairs) -> list:
 
 def cmd_analyze(args) -> int:
     p = _load_params(args.input)
-    ex = hypergeometric.exponents(p)
-    reducible, witness = hypergeometric.is_reducible(p)
-    part = hypergeometric.partition(p)
-
     try:
-        canonical = hypergeometric.canonical_shift_class(p).to_dict()
-        reason = None
+        r = hypergeometric.analysis_report(p, MAX_GAP)
     except ValueError as exc:
-        canonical, reason = None, str(exc)
-
-    status = 0
-    factorization = None
-    if reducible:
-        for i, j, m in hypergeometric.greedy_matching(p):
-            if m > MAX_GAP:
-                raise InputError("%s exceeds the factorization gap bound %d"
-                                 % (hypergeometric._pair_gap(i, j, m), MAX_GAP))
-        try:
-            steps = hypergeometric.factorization_certificate(p)
-        except ValueError as exc:
-            # every integer difference is negative: out of the chain's domain
-            raise InputError(str(exc)) from exc
-        verified = hypergeometric._verify_steps(p, steps)
-        if not verified:
-            status = VERIFICATION_FAILURE
-        factorization = {
+        # a gap over the bound, or every integer difference negative
+        raise InputError(str(exc)) from exc
+    ex, part, steps = r.exponents, r.partition, r.factorization
+    report = {
+        "canonical_class": r.canonical_class and r.canonical_class.to_dict(),
+        "canonical_class_reason": r.canonical_class_reason,
+        "exponents": {
+            "at_infinity": ex.at_infinity,
+            "at_one": ex.at_one,
+            "at_zero": ex.at_zero,
+        },
+        "factorization": steps and {
             "reduced": steps[-1].params_after.to_dict(),
             "removed_alphas": [s.linear_factor for s in steps],
             "steps": [
@@ -189,29 +181,19 @@ def cmd_analyze(args) -> int:
                 }
                 for s in steps
             ],
-            "verified": verified,
-        }
-
-    report = {
-        "canonical_class": canonical,
-        "canonical_class_reason": reason,
-        "exponents": {
-            "at_infinity": ex.at_infinity,
-            "at_one": ex.at_one,
-            "at_zero": ex.at_zero,
+            "verified": r.verified,
         },
-        "factorization": factorization,
         "parameters": p.to_dict(),
         "partition": {
             "negative": _pairs_1based(part.negative),
             "positive": _pairs_1based(part.positive),
             "zero": _pairs_1based(part.zero),
         },
-        "reducible": reducible,
-        "witness": _pair_1based(witness) if witness is not None else None,
+        "reducible": r.reducible,
+        "witness": r.witness and _pair_1based(r.witness),
     }
     _emit(report, args.pretty)
-    return status
+    return VERIFICATION_FAILURE if r.verified is False else 0
 
 
 def cmd_monodromy(args) -> int:
@@ -231,54 +213,22 @@ def _normal_form_report(u, canon) -> dict:
 
 
 def cmd_rigidity(args) -> int:
-    t = _load_tuple(args.input)
-    table = rigidity.pseudo_reflection_pairs(t)
-
-    frame_rep = frame = None
-    frame_reason = None
-    try:
-        frame = rigidity.common_frame(t)
-        frame_rep = {
-            "basis_change": frame.basis_change.rows,
-            "shared_indices": [k + 1 for k in frame.shared_indices],
-            "side": frame.side,
-        }
-    except ValueError as exc:
-        frame_reason = str(exc)
-
-    gcd = t._char_poly_gcd
-    certificate = _string("certificate", gcd) if gcd.degree >= 1 else None
-
-    normal_form = None
-    normal_form_reason = None
-    if certificate is not None:
-        normal_form_reason = "members share the characteristic factor %s" % (
-            certificate,
-        )
-    elif frame is None:
-        normal_form_reason = frame_reason
-    elif frame.side != "columns":
-        normal_form_reason = (
-            "frame lies on the rows side; the companion form applies to the"
-            " transposed tuple"
-        )
-    else:
-        u, canon = rigidity.levelt_normal_form(t, frame)
-        normal_form = _normal_form_report(u, canon)
-
+    r = rigidity.rigidity_report(_load_tuple(args.input))
     report = {
-        "algebra_dimension": rigidity.algebra_span_dimension(t),
-        "certificate": certificate,
-        "common_frame": frame_rep,
-        "common_frame_reason": frame_reason,
-        "irreducible": (
-            rigidity._irreducible_pair(t) if t.p == 2 and table[(0, 1)] else None
-        ),
-        "normal_form": normal_form,
-        "normal_form_reason": normal_form_reason,
+        "algebra_dimension": r.algebra_dimension,
+        "certificate": r.certificate,
+        "common_frame": r.frame and {
+            "basis_change": r.frame.basis_change.rows,
+            "shared_indices": [k + 1 for k in r.frame.shared_indices],
+            "side": r.frame.side,
+        },
+        "common_frame_reason": r.frame_reason,
+        "irreducible": r.irreducible,
+        "normal_form": r.normal_form and _normal_form_report(*r.normal_form),
+        "normal_form_reason": r.normal_form_reason,
         "pseudo_reflection_pairs": [
             {"pair": _pair_1based(pair), "value": value}
-            for pair, value in table.items()
+            for pair, value in r.pairs.items()
         ],
     }
     _emit(report, args.pretty)

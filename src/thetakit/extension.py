@@ -21,7 +21,7 @@ dimension count h1 = (cardS - 2)*n + irr + h0.
 
 from collections import namedtuple
 
-from .linalg import ExactMatrix, companion_of_operator
+from .linalg import ExactMatrix, _matrix, companion_of_operator
 from .scalars import Q
 
 
@@ -60,9 +60,7 @@ def extension_block(L, Lp) -> ExtensionBlock:
     rows = [list(r) + [0] * k for r in a_Lp.rows] + [[0] * kp + list(r) for r in a_L.rows]
     rows[0][-1] = 1  # the coupling C
     a_M = ExactMatrix(rows)
-    section = ExactMatrix.vstack(
-        ExactMatrix.zeros(kp, k), ExactMatrix.identity(k)
-    )
+    section = _matrix(1, [[int(i == kp + j) for j in range(k)] for i in range(kp + k)])
     return ExtensionBlock(a_L=a_L, a_Lp=a_Lp, a_M=a_M, section=section)
 
 

@@ -153,12 +153,15 @@ def partition(p: HGParams) -> ReducibilityPartition:
     >>> sorted(part.zero), sorted(part.positive), sorted(part.negative)
     ([(0, 0)], [(1, 0)], [(0, 1), (1, 1)])
     """
+    return _partition(_gaps(*_cleared(p.alpha + p.beta)))
+
+
+def _partition(gaps):
+    """partition on the table of _gaps."""
     zero, positive, negative = set(), set(), set()
-    for pair, d in _gaps(*_cleared(p.alpha + p.beta)).items():
+    for pair, d in gaps.items():
         (negative if d < 0 else positive if d else zero).add(pair)
-    return ReducibilityPartition(
-        frozenset(zero), frozenset(positive), frozenset(negative)
-    )
+    return ReducibilityPartition(frozenset(zero), frozenset(positive), frozenset(negative))
 
 
 def _gaps(s, re, im):
@@ -252,20 +255,15 @@ def canonical_shift_class(p: HGParams) -> HGParams:
     >>> canonical_shift_class(HGParams(("5/2", "7/3"), ("1/5", "1/7")))
     HGParams(alpha=(1/2, 1/3), beta=(1/5, 1/7))
     """
-    red, pair = is_reducible(p)
-    if red:
-        i, j = pair
-        raise ValueError(
-            "shift class undefined: alpha_%d - beta_%d is an integer"
-            % (i + 1, j + 1)
-        )
+    return _shift_class(p, is_reducible(p)[1])
 
-    def reduce(x):
-        return x - x.floor_real()
 
-    return HGParams(
-        tuple(reduce(a) for a in p.alpha), tuple(reduce(b) for b in p.beta)
-    )
+def _shift_class(p: HGParams, witness) -> HGParams:
+    """canonical_shift_class, witness the pair of is_reducible(p) or None."""
+    if witness is not None:
+        raise ValueError("shift class undefined: alpha_%d - beta_%d is an integer"
+                         % (witness[0] + 1, witness[1] + 1))
+    return HGParams(*((x - x.floor_real() for x in xs) for xs in p))
 
 
 def greedy_matching(p: HGParams):
@@ -325,9 +323,15 @@ def factorization_certificate(p: HGParams):
     alpha_i - beta_j is a nonnegative integer; when some difference is a
     negative integer, the message names the first such pair 1-based.
     """
-    s, re, im = _cleared(p.alpha + p.beta)
-    gaps = _gaps(s, re, im)
-    chosen = _greedy(gaps)
+    cleared = _cleared(p.alpha + p.beta)
+    gaps = _gaps(*cleared)
+    return _factor_chain(p, cleared, gaps, _greedy(gaps))
+
+
+def _factor_chain(p: HGParams, cleared, gaps, chosen):
+    """factorization_certificate from _cleared(alpha + beta), the table of
+    _gaps and its greedy matching."""
+    s, re, im = cleared
     if not chosen:
         if not gaps:
             raise ValueError("no admissible matching: no integer difference")
@@ -374,3 +378,36 @@ def _verify_steps(p: HGParams, steps) -> bool:
             return False
         D = after
     return True
+
+
+AnalysisReport = namedtuple("AnalysisReport", "exponents reducible witness partition"
+                            " canonical_class canonical_class_reason factorization verified")
+
+
+def analysis_report(p: HGParams, max_gap: int) -> AnalysisReport:
+    """exponents(p) and what one table of the integer differences
+    alpha_i - beta_j (_gaps) decides: reducibility and its witness, as
+    is_reducible; the partition; the canonical shift class, or the reason it
+    is undefined; and, for reducible p, the factorization chain with whether
+    its expansion check passes (else None).  A gap of the greedy matching
+    past max_gap is a ValueError naming its pair, raised before the chain is
+    built; so is a reducible p whose integer differences are all negative.
+    """
+    cleared = _cleared(p.alpha + p.beta)
+    gaps = _gaps(*cleared)
+    witness = min(gaps) if gaps else None
+    try:
+        canonical, reason = _shift_class(p, witness), None
+    except ValueError as exc:
+        canonical, reason = None, str(exc)
+    steps = verified = None
+    if gaps:
+        chosen = _greedy(gaps)
+        for i, j, m in chosen:
+            if m > max_gap:
+                raise ValueError("%s exceeds the factorization gap bound %d"
+                                 % (_pair_gap(i, j, m), max_gap))
+        steps = _factor_chain(p, cleared, gaps, chosen)
+        verified = _verify_steps(p, steps)
+    return AnalysisReport(exponents(p), bool(gaps), witness, _partition(gaps), canonical,
+                          reason, steps, verified)

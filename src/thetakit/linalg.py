@@ -10,7 +10,7 @@ None when every entry is real, reduced by the gcd of den and all entries
 (none is taken when den is 1, which is already coprime to them), so
 equality and hashing are structural.  Its rows of canonical scalars are
 built anew on each read.  Products with matrices, vectors and scalars, sums,
-negation, transposes and vstack run on the integers through the kernels of
+negation and transposes run on the integers through the kernels of
 scalars, and so does char_poly (Berkowitz's division-free algorithm) on
 den times a real or a complex matrix.  One fraction-free step, _insert,
 reduces an integer row against the rows kept so far: _eliminate runs it
@@ -126,10 +126,6 @@ class ExactMatrix:
     def identity(cls, n):
         return _matrix(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, nrows, ncols=None):
-        return _matrix(1, [[0] * (nrows if ncols is None else ncols)] * nrows)
-
     @property
     def n(self):
         if self.nrows != self.ncols:
@@ -152,21 +148,6 @@ class ExactMatrix:
 
     def transpose(self):
         return _matrix(self.den, _columns(self.re), _columns(self.im))
-
-    @staticmethod
-    def vstack(a, b):
-        """a above b, both parts over the lcm of their denominators; the
-        imaginary part only when one of them has it."""
-        if a.ncols != b.ncols:
-            raise ValueError("column count mismatch")
-        den = lcm(a.den, b.den)
-        real = a.im is None and b.im is None
-        re, im = [], []
-        for m in (a, b):
-            re += _scale(m.re, den // m.den)
-            if not real:
-                im += _scale(m.im or [[0] * m.ncols] * m.nrows, den // m.den)
-        return _matrix(den, re, None if real else im)
 
     # -- arithmetic ---------------------------------------------------------
 

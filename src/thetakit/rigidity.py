@@ -91,7 +91,8 @@ class MatrixTuple(tuple):
 
     @cached_property
     def _char_poly_gcd(self):
-        return char_poly_gcd(self._char_polys)
+        # monic, and nonconstant exactly when the spectra share a value
+        return reduce(poly_gcd, self._char_polys)
 
     @cached_property
     def _difference_rows(self):
@@ -256,16 +257,6 @@ def pseudo_reflection_pairs(t: MatrixTuple) -> dict:
     {(0, 1): True}
     """
     return dict(t._ratio_table)
-
-
-def char_poly_gcd(char_polys) -> Poly:
-    """Monic gcd of two or more characteristic polynomials; it is
-    nonconstant exactly when the spectra share a value.
-
-    >>> char_poly_gcd([Poly.from_roots([1, 2]), Poly.from_roots([2, 3])])
-    X-2
-    """
-    return reduce(poly_gcd, char_polys)
 
 
 def _check_invertible(t: MatrixTuple):
@@ -628,12 +619,7 @@ def is_irreducible_pair(a: ExactMatrix, b: ExactMatrix) -> bool:
     >>> is_irreducible_pair(a, b)
     True
     """
-    return _irreducible_pair(MatrixTuple((a, b)))
-
-
-def _irreducible_pair(t: MatrixTuple) -> bool:
-    """is_irreducible_pair(t[0], t[1]) for a pair of invertible members,
-    from the ratio table and char-poly gcd that t already holds."""
+    t = MatrixTuple((a, b))
     if not t._ratio_table[(0, 1)]:
         raise ValueError("the ratio is not a pseudo-reflection")
     return t._char_poly_gcd.degree == 0
@@ -668,3 +654,41 @@ def algebra_span_dimension(t: MatrixTuple) -> int:
             if add(candidate := g * x):
                 words.append(candidate)
     return len(rows) if real else len(rows) // 2
+
+
+RigidityReport = namedtuple("RigidityReport", "pairs frame frame_reason certificate"
+                            " normal_form normal_form_reason irreducible algebra_dimension")
+
+
+def rigidity_report(t: MatrixTuple) -> RigidityReport:
+    """Levelt's chain of facts for t, each computed once from what t caches:
+    the ratio table pairs (pseudo_reflection_pairs); the common_frame, or
+    frame_reason; the shared characteristic factor certificate, which makes t
+    reducible, or None; the (U, canon) of levelt_normal_form, or
+    normal_form_reason; irreducible, for a pseudo-reflection pair only
+    (disjoint spectra, Beukers-Heckman 1989, §3), else None; and
+    algebra_dimension, algebra_span_dimension(t).
+    """
+    pairs = pseudo_reflection_pairs(t)
+    frame = frame_reason = normal_form = normal_form_reason = None
+    try:
+        frame = common_frame(t)
+    except ValueError as exc:
+        frame_reason = str(exc)
+    g = t._char_poly_gcd
+    certificate = g if g.degree >= 1 else None
+    if certificate is not None:
+        try:
+            normal_form_reason = "members share the characteristic factor %s" % (g,)
+        except ValueError:  # past the int-string digit limit
+            normal_form_reason = "members share a characteristic factor of degree %d" % g.degree
+    elif frame is None:
+        normal_form_reason = frame_reason
+    elif frame.side != "columns":
+        normal_form_reason = ("frame lies on the rows side; the companion form applies to"
+                              " the transposed tuple")
+    else:
+        normal_form = levelt_normal_form(t, frame)
+    irreducible = certificate is None if t.p == 2 and pairs[0, 1] else None
+    return RigidityReport(pairs, frame, frame_reason, certificate, normal_form,
+                          normal_form_reason, irreducible, algebra_span_dimension(t))

@@ -88,13 +88,13 @@ def test_analyze_failed_verification_exits_1(capsys, reducible_file, monkeypatch
     import thetakit.hypergeometric
 
     _, good, _ = run(capsys, ["analyze", "--input", reducible_file])
-    build = thetakit.hypergeometric.factorization_certificate
+    build = thetakit.hypergeometric._factor_chain
 
-    def wrong_left(p):
-        (step,) = build(p)
+    def wrong_left(*args):
+        (step,) = build(*args)
         return [step._replace(left=step.left + 1)]
 
-    monkeypatch.setattr(thetakit.hypergeometric, "factorization_certificate", wrong_left)
+    monkeypatch.setattr(thetakit.hypergeometric, "_factor_chain", wrong_left)
     code, out, err = run(capsys, ["analyze", "--input", reducible_file])
     assert code == 1 and err == ""
     report, expected = json.loads(out), json.loads(good)
@@ -930,7 +930,19 @@ def test_rigidity_checks_the_frame_once(capsys, tmp_path, monkeypatch):
 def test_analyze_builds_the_factorization_chain_once(capsys, tmp_path, monkeypatch):
     import thetakit.hypergeometric
 
-    calls = count_calls(monkeypatch, thetakit.hypergeometric, "factorization_certificate")
+    calls = count_calls(monkeypatch, thetakit.hypergeometric, "_factor_chain")
+    path = write_json(tmp_path, "gap3.json", GAP_3_PARAMS)
+    code, out, _ = run(capsys, ["analyze", "--input", path])
+    assert code == 0 and out == GOLDEN_ANALYZE_GAP_3
+    assert len(calls) == 1
+
+
+def test_analyze_builds_the_gap_table_once(capsys, tmp_path, monkeypatch):
+    import thetakit.hypergeometric
+
+    # reducibility, its witness, the partition, the matching and the chain
+    # read one table of the integer differences
+    calls = count_calls(monkeypatch, thetakit.hypergeometric, "_gaps")
     path = write_json(tmp_path, "gap3.json", GAP_3_PARAMS)
     code, out, _ = run(capsys, ["analyze", "--input", path])
     assert code == 0 and out == GOLDEN_ANALYZE_GAP_3

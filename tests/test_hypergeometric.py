@@ -11,6 +11,7 @@ from thetakit import hypergeometric, polynomials, theta
 from thetakit.hypergeometric import (
     CONTIGUITY_KINDS,
     HGParams,
+    analysis_report,
     build_D,
     canonical_shift_class,
     contiguity_check,
@@ -154,6 +155,41 @@ def test_reducibility_matches_the_scalar_differences(p):
     assert greedy_matching(p) == scalar_greedy_matching(p)
     pairs = zero | positive | negative
     assert is_reducible(p) == ((True, min(pairs)) if pairs else (False, None))
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_params())
+def test_analysis_report_agrees_with_the_public_functions(p):
+    # one table of differences gives what each public function computes alone
+    reducible, witness = is_reducible(p)
+    try:
+        steps = factorization_certificate(p) if reducible else None
+    except ValueError as exc:  # every integer difference is negative
+        with pytest.raises(ValueError) as refused:
+            analysis_report(p, 10**9)
+        assert str(refused.value) == str(exc)
+        return
+    r = analysis_report(p, 10**9)
+    assert (r.exponents, r.reducible, r.witness) == (exponents(p), reducible, witness)
+    assert r.partition == partition(p)
+    try:
+        assert (r.canonical_class, r.canonical_class_reason) == (canonical_shift_class(p), None)
+    except ValueError as exc:
+        assert (r.canonical_class, r.canonical_class_reason) == (None, str(exc))
+    assert r.factorization == steps
+    assert r.verified == (verify_certificate(p) if reducible else None)
+
+
+def test_analysis_report_checks_the_gap_bound_before_the_chain(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a chain step built past the gap bound")
+
+    p = HGParams(("7/2", "1/3"), ("1/2", "1/4"))  # alpha_1 - beta_1 = 3
+    assert [s.gap for s in analysis_report(p, 3).factorization] == [3]
+    monkeypatch.setattr(hypergeometric, "_factor_chain", refuse)
+    with pytest.raises(ValueError) as refused:
+        analysis_report(p, 2)
+    assert str(refused.value) == "alpha_1 - beta_1 = 3 exceeds the factorization gap bound 2"
 
 
 def test_reducibility_takes_no_scalar_arithmetic(monkeypatch):

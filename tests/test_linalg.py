@@ -27,7 +27,7 @@ def m_(rows):
 
 def test_identity_and_zero():
     e = ExactMatrix.identity(3)
-    z = ExactMatrix.zeros(3, 3)
+    z = m_([[0, 0, 0]] * 3)
     assert e * e == e
     assert e + z == e
     assert rank(z) == 0
@@ -44,7 +44,7 @@ def test_arithmetic():
     a = m_([[1, 2], [3, 4]])
     b = m_([[0, 1], [1, 0]])
     assert a * b == m_([[2, 1], [4, 3]])
-    assert a - a == ExactMatrix.zeros(2, 2)
+    assert a - a == m_([[0, 0], [0, 0]])
     assert a + b == m_([[1, 3], [4, 4]])
     assert 2 * a == a * 2 == a + a and Q(0, 1) * a == a * Q(0, 1)  # __rmul__
     with pytest.raises(TypeError):
@@ -104,29 +104,11 @@ def test_char_poly_annihilates():
             [[Q(rng.randrange(-2, 3)) for _ in range(n)] for _ in range(n)]
         )
         p = m.char_poly()
-        acc, power = ExactMatrix.zeros(n, n), ExactMatrix.identity(n)
+        zero = m_([[0] * n] * n)
+        acc, power = zero, ExactMatrix.identity(n)
         for c in p.coeffs:
             acc, power = acc + power * c, power * m
-        assert acc == ExactMatrix.zeros(n, n)
-
-
-def test_vstack():
-    assert ExactMatrix.vstack(m_([[1, 2]]), m_([[3, 4]])) == m_([[1, 2], [3, 4]])
-
-
-@pytest.mark.parametrize("kinds", [("real", "real"), ("gaussian", "gaussian"),
-                                   ("real", "gaussian"), ("mixed", "zero")])
-def test_vstack_on_the_integers_matches_the_stacked_rows(kinds):
-    rng = random.Random(kinds[0] + kinds[1])
-    for _ in range(40):
-        ncols = rng.randrange(1, 5)
-        a, b = (ExactMatrix(random_rows(rng, rng.randrange(1, 4), ncols, k)) for k in kinds)
-        for top, bottom in ((a, b), (b, a)):
-            got = ExactMatrix.vstack(top, bottom)
-            expected = ExactMatrix(list(top.rows) + list(bottom.rows))
-            assert got == expected and got.rows == expected.rows
-    with pytest.raises(ValueError, match="column count"):
-        ExactMatrix.vstack(m_([[1, 2]]), m_([[1, 2, 3]]))
+        assert acc == zero
 
 
 def test_companion_on_the_integers_matches_the_scalar_rows():
@@ -491,7 +473,7 @@ def test_complex_elimination_matches_the_rational_loop(rows):
         assert k is None
     else:
         assert (k.nrows, rank(k)) == (n - len(pivots), n - len(pivots))
-        assert m * k.transpose() == ExactMatrix.zeros(m.nrows, k.nrows)
+        assert m * k.transpose() == m_([[0] * k.nrows] * m.nrows)
     if m.nrows == n and len(pivots) == n:
         assert m.inverse() * m == ExactMatrix.identity(n) == m * m.inverse()
 
@@ -545,7 +527,7 @@ def test_real_matrices_take_the_integer_kernels(monkeypatch):
     expected = [list(r) for r in wide.rows]
     assert w_rref[1] == tuple(rational_gauss_jordan(expected, 3)) == (0, 1)
     assert w_rref[0] == ExactMatrix(expected)
-    assert w_kernel.nrows == 1 and wide * w_kernel.transpose() == ExactMatrix.zeros(2, 1)
+    assert w_kernel.nrows == 1 and wide * w_kernel.transpose() == m_([[0], [0]])
 
 
 def test_char_poly_takes_no_scalar_arithmetic(monkeypatch):
@@ -627,7 +609,7 @@ def test_equal_matrices_over_different_denominators_are_equal():
         c = _matrix(den, re)
         assert c == a and hash(c) == hash(a) and (c.den, c.re) == (2, ((1, 2),))
     z = _matrix(5, [[0, 0]], [[0, 0]])
-    assert z == ExactMatrix.zeros(1, 2) and z.den == 1 and z.im is None
+    assert z == m_([[0, 0]]) and z.den == 1 and z.im is None
     g = ExactMatrix([["1/2+1/3*i", "1/4"], [0, "-i"]])
     h = ExactMatrix([["1/7", 0], ["2/7", "1/7"]])
     for x in ((g + h) - h, g * 6 * (Q(1) / Q(6)), -(-g), (g * h) * h.inverse()):
@@ -717,29 +699,6 @@ def test_the_integers_are_the_only_state_and_a_read_builds_what_it_returns(monke
         built.clear()
         assert m.rows == rows and built == [3, 3]  # built again on each read
         assert (m.den, m.re, m.im) == stored
-
-
-def test_real_vstack_builds_no_imaginary_rows(monkeypatch):
-    rng = random.Random(37)
-    stacks = []
-    for _ in range(40):
-        ncols = rng.randrange(1, 5)
-        a, b = (ExactMatrix(random_rows(rng, rng.randrange(1, 4), ncols, "real"))
-                for _ in range(2))
-        stacks.append((a, b))
-    seen = []
-    matrix = thetakit.linalg._matrix
-
-    def recording(den, re, im=None):
-        seen.append(im)
-        return matrix(den, re, im)
-
-    monkeypatch.setattr(thetakit.linalg, "_matrix", recording)
-    for a, b in stacks:
-        seen.clear()
-        got = ExactMatrix.vstack(a, b)
-        assert seen == [None]  # the stack is built without imaginary rows
-        assert got.im is None and got == ExactMatrix(a.rows + b.rows)
 
 
 # the reference: scalars as (re, im) pairs of Fractions, one operation at a time

@@ -84,6 +84,20 @@ def test_every_module_level_definition_is_used_or_exported():
     assert unused == []
 
 
+def test_cli_reads_no_private_name():
+    # the CLI turns the library's public reports into JSON: it reads no
+    # _-prefixed attribute but a dunder, and imports no _ name from thetakit
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    (tree,) = [tree for name, tree in _package_trees() if name == "cli.py"]
+    read = [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and private(n.attr)]
+    imported = [alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                and (n.level or (n.module or "").split(".")[0] == "thetakit")
+                for alias in n.names if private(alias.name)]
+    assert read == imported == []
+
+
 def _attribute_loads(tree, owner=None):
     """(names, qualified): a Counter of the attribute names loaded in tree
     and one of the (qualifier, name) pairs, the qualifier being the name

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+from functools import reduce
 
 import pytest
 
@@ -20,6 +22,7 @@ from thetakit.rigidity import (
     levelt_normal_form,
     levelt_tuple,
     pseudo_reflection_pairs,
+    rigidity_report,
     tuple_conjugator,
 )
 from thetakit.scalars import GaussianRational, Q, rational_row
@@ -286,7 +289,7 @@ def rank_one_tuples(rng, count):
         def vector(shape):
             while True:
                 m = ExactMatrix([[entry() for _ in range(shape[1])] for _ in range(shape[0])])
-                if m != ExactMatrix.zeros(*shape):
+                if m != ExactMatrix([[0] * shape[1]] * shape[0]):
                     return m
 
         a0 = ExactMatrix([[entry() for _ in range(n)] for _ in range(n)])
@@ -369,7 +372,7 @@ def low_rank(rng, n, r, gaussian):
             return Q(0)
         return Q(rng.randrange(-3, 4), rng.randrange(-2, 3) if gaussian and rng.random() < 0.5 else 0)
 
-    m = ExactMatrix.zeros(n)
+    m = ExactMatrix([[0] * n] * n)
     for _ in range(r):
         m = m + ExactMatrix([[entry()] for _ in range(n)]) * ExactMatrix([[entry() for _ in range(n)]])
     return m * (Q(1) / Q(rng.choice((1, 2, 6))))
@@ -1232,22 +1235,6 @@ class TestNormalForm:
             assert u == krylov_conjugator(t, f)
             assert list(canon) == [companion_of_operator(m.char_poly()) for m in t]
 
-    def test_normal_form_stacks_no_matrices(self, monkeypatch):
-        def refuse(a, b):
-            raise AssertionError("a vstack in the normal form")
-
-        rng = random.Random(83)
-        cases = [conjugated_levelt(rng, 2 + k % 3, 2 + k % 5)[2] for k in range(10)]
-        cases += [gaussian_conjugated_levelt(rng, 2 + k % 3, 2 + k % 5, 0.3, 0.3)
-                  for k in range(10)]
-        frames = [common_frame(t) for t in cases]  # common_frame stacks its basis
-        with monkeypatch.context() as patched:
-            patched.setattr(ExactMatrix, "vstack", staticmethod(refuse))
-            results = [levelt_normal_form(t, f) for t, f in zip(cases, frames)]
-        for t, (u, canon) in zip(cases, results):
-            assert list(canon) == [companion_of_operator(m.char_poly()) for m in t]
-            assert all(u * m == c * u for m, c in zip(t, canon))
-
     def test_pipeline_takes_no_matrix_vector_product(self, monkeypatch):
         def refuse(self, vector):
             raise AssertionError("a matrix-vector product in the normal form")
@@ -1395,9 +1382,7 @@ def closure_dimension(t):
     ]
     span = ExactMatrix([[int(i == j) for i in range(n) for j in range(n)]])
     while True:
-        stacked = span
-        for lift in lifts:
-            stacked = ExactMatrix.vstack(stacked, span * lift)
+        stacked = ExactMatrix(span.rows + sum(((span * lift).rows for lift in lifts), ()))
         r, pivots = stacked.rref()
         if len(pivots) == span.nrows:
             return len(pivots)
@@ -1476,3 +1461,49 @@ def test_gcd_certificate_matches_direct_gcd():
     polys = [m.char_poly() for m in t]
     g = poly_gcd(polys[0], polys[1])
     assert g == Poly.from_roots([Q(2)])
+
+
+def test_rigidity_report_agrees_with_the_public_functions():
+    # each fact of the report, computed alone on a fresh tuple: Levelt
+    # tuples (a normal form), their transposes (a row frame), a shared
+    # eigenvalue (a certificate) and a rank-2 difference (no frame)
+    rng = random.Random(97)
+    cases = [conjugated_levelt(rng, 2 + k % 2, 2 + k % 3)[2] for k in range(6)]
+    cases += [gaussian_conjugated_levelt(rng, 2, 2 + k % 3, 0.3, 0.3) for k in range(3)]
+    cases += [MatrixTuple(tuple(m.transpose() for m in t)) for t in cases[:3]]
+    cases += [companion_pair((1, 2), (2, 5)),
+              MatrixTuple((m_([[1, 0], [0, 2]]), m_([[3, 0], [0, 4]])))]
+    reasons = set()
+    for t in cases:
+        r = rigidity_report(MatrixTuple(tuple(t)))
+        assert r.pairs == pseudo_reflection_pairs(t)
+        try:
+            assert (r.frame, r.frame_reason) == (common_frame(t), None)
+        except ValueError as exc:
+            assert (r.frame, r.frame_reason) == (None, str(exc))
+        g = reduce(poly_gcd, [m.char_poly() for m in t])
+        assert r.certificate == (g if g.degree >= 1 else None)
+        assert (r.normal_form is None) == (r.normal_form_reason is not None)
+        if r.normal_form is not None:
+            assert r.normal_form == levelt_normal_form(t, common_frame(t))
+        reasons.add(r.normal_form_reason and r.normal_form_reason.split()[0])
+        pair = t.p == 2 and r.pairs[0, 1]
+        assert r.irreducible == (is_irreducible_pair(*t) if pair else None)
+        assert r.algebra_dimension == algebra_span_dimension(t)
+    assert reasons == {None, "members", "frame", "ratio"}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-string digit limit")
+def test_rigidity_report_names_a_long_shared_factor_by_its_degree():
+    # the members share the eigenvalue 10^700 + 1, past the least digit limit
+    big = 10**700 + 1
+    t = MatrixTuple((m_([[big, 0], [0, 1]]), m_([[big, 0], [0, 2]])))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        r = rigidity_report(t)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert r.certificate == Poly.from_roots([big])
+    assert r.normal_form_reason == "members share a characteristic factor of degree 1"
