@@ -10,7 +10,9 @@ local exponents at 0, 1 and infinity, decides reducibility (some
 a_i - b_j an integer), verifies the contiguity identities that move
 parameters by integer steps, reduces parameters to a canonical shift
 class, and peels first-order left factors off reducible operators with
-an exactly checkable certificate chain.
+an exactly checkable certificate chain.  What these read off a parameter
+set, its integers over one denominator, the table of the integer
+differences a_i - b_j and the chain, is cached on the HGParams.
 
 Index pairs are 0-based throughout this module; presentation layers
 that print pairs 1-based do their own conversion.
@@ -18,6 +20,7 @@ that print pairs 1-based do their own conversion.
 
 import operator
 from collections import namedtuple
+from functools import cached_property
 
 from .polynomials import _int_roots
 from .scalars import Q, integer_row
@@ -33,8 +36,6 @@ class HGParams(namedtuple("HGParams", "alpha beta")):
     D(a; b) = (t+b-1) - z(t+a) and D(;) = 1 - z.
     """
 
-    __slots__ = ()
-
     def __new__(cls, alpha, beta):
         alpha, beta = tuple(map(Q, alpha)), tuple(map(Q, beta))
         if len(alpha) != len(beta):
@@ -48,6 +49,22 @@ class HGParams(namedtuple("HGParams", "alpha beta")):
     @property
     def n(self) -> int:
         return len(self.alpha)
+
+    # Facts derived from the (immutable) parameters are kept in the instance
+    # dict, so that one run asks each of them once, whatever asks first.
+
+    @cached_property
+    def _cleared(self):
+        s, re, im = _cleared(self.alpha + self.beta)
+        return s, tuple(re), tuple(im)
+
+    @cached_property
+    def _gaps(self):
+        return _gaps(*self._cleared)
+
+    @cached_property
+    def _chain(self):
+        return tuple(_factor_chain(self))
 
     def to_dict(self) -> dict:
         return {
@@ -95,7 +112,7 @@ def build_D(p: HGParams) -> ThetaOperator:
     >>> build_D(HGParams((0, 0, -2), (1, 1, -1))) == parse("(1-z)*t^2*(t-2)")
     True
     """
-    return _D(*_cleared(p.alpha + p.beta))
+    return _D(*p._cleared)
 
 
 def _cleared(values):
@@ -142,8 +159,7 @@ def is_reducible(p: HGParams):
     >>> is_reducible(HGParams(("5/2", "1/3"), ("1/2", "1/4")))
     (True, (0, 0))
     """
-    gaps = _gaps(*_cleared(p.alpha + p.beta))
-    return (True, min(gaps)) if gaps else (False, None)
+    return (True, min(p._gaps)) if p._gaps else (False, None)
 
 
 def partition(p: HGParams) -> ReducibilityPartition:
@@ -153,13 +169,8 @@ def partition(p: HGParams) -> ReducibilityPartition:
     >>> sorted(part.zero), sorted(part.positive), sorted(part.negative)
     ([(0, 0)], [(1, 0)], [(0, 1), (1, 1)])
     """
-    return _partition(_gaps(*_cleared(p.alpha + p.beta)))
-
-
-def _partition(gaps):
-    """partition on the table of _gaps."""
     zero, positive, negative = set(), set(), set()
-    for pair, d in gaps.items():
+    for pair, d in p._gaps.items():
         (negative if d < 0 else positive if d else zero).add(pair)
     return ReducibilityPartition(frozenset(zero), frozenset(positive), frozenset(negative))
 
@@ -255,12 +266,8 @@ def canonical_shift_class(p: HGParams) -> HGParams:
     >>> canonical_shift_class(HGParams(("5/2", "7/3"), ("1/5", "1/7")))
     HGParams(alpha=(1/2, 1/3), beta=(1/5, 1/7))
     """
-    return _shift_class(p, is_reducible(p)[1])
-
-
-def _shift_class(p: HGParams, witness) -> HGParams:
-    """canonical_shift_class, witness the pair of is_reducible(p) or None."""
-    if witness is not None:
+    reducible, witness = is_reducible(p)
+    if reducible:
         raise ValueError("shift class undefined: alpha_%d - beta_%d is an integer"
                          % (witness[0] + 1, witness[1] + 1))
     return HGParams(*((x - x.floor_real() for x in xs) for xs in p))
@@ -273,13 +280,8 @@ def greedy_matching(p: HGParams):
     Each alpha index and each beta index is used at most once; later
     candidates touching a used index are skipped rather than re-matched.
     """
-    return _greedy(_gaps(*_cleared(p.alpha + p.beta)))
-
-
-def _greedy(gaps):
-    """greedy_matching on the table of _gaps."""
     used_i, used_j, chosen = set(), set(), []
-    for m, i, j in sorted((m, i, j) for (i, j), m in gaps.items() if m >= 0):
+    for m, i, j in sorted((m, i, j) for (i, j), m in p._gaps.items() if m >= 0):
         if i in used_i or j in used_j:
             continue
         used_i.add(i)
@@ -317,25 +319,23 @@ class FactorStep(
 
 
 def factorization_certificate(p: HGParams):
-    """The chain of FactorSteps realizing the greedy factorization.
+    """The chain of FactorSteps realizing the greedy factorization: a new
+    list of the chain p caches, which verify_certificate(p) checks.
 
     Raises ValueError starting "no admissible matching" when no
     alpha_i - beta_j is a nonnegative integer; when some difference is a
     negative integer, the message names the first such pair 1-based.
     """
-    cleared = _cleared(p.alpha + p.beta)
-    gaps = _gaps(*cleared)
-    return _factor_chain(p, cleared, gaps, _greedy(gaps))
+    return list(p._chain)
 
 
-def _factor_chain(p: HGParams, cleared, gaps, chosen):
-    """factorization_certificate from _cleared(alpha + beta), the table of
-    _gaps and its greedy matching."""
-    s, re, im = cleared
+def _factor_chain(p: HGParams):
+    """The chain of factorization_certificate, built on p's cleared integers."""
+    (s, re, im), chosen = p._cleared, greedy_matching(p)
     if not chosen:
-        if not gaps:
+        if not p._gaps:
             raise ValueError("no admissible matching: no integer difference")
-        (i, j), gap = min(gaps.items())  # every gap is negative
+        (i, j), gap = min(p._gaps.items())  # every gap is negative
         raise ValueError("no admissible matching: %s is a negative integer"
                          % _pair_gap(i, j, gap))
     steps = []
@@ -366,13 +366,8 @@ def _factor_chain(p: HGParams, cleared, gaps, chosen):
 
 def verify_certificate(p: HGParams) -> bool:
     """Exact expansion check of every link of the factorization chain."""
-    return _verify_steps(p, factorization_certificate(p))
-
-
-def _verify_steps(p: HGParams, steps) -> bool:
-    """verify_certificate on a chain already built for p."""
     D = build_D(p)
-    for step in steps:  # each step's right-hand D is the next step's left-hand one
+    for step in p._chain:  # each step's right-hand D is the next step's left-hand one
         after = build_D(step.params_after)
         if D * step.right != step.left * after:
             return False
@@ -385,29 +380,25 @@ AnalysisReport = namedtuple("AnalysisReport", "exponents reducible witness parti
 
 
 def analysis_report(p: HGParams, max_gap: int) -> AnalysisReport:
-    """exponents(p) and what one table of the integer differences
-    alpha_i - beta_j (_gaps) decides: reducibility and its witness, as
-    is_reducible; the partition; the canonical shift class, or the reason it
-    is undefined; and, for reducible p, the factorization chain with whether
-    its expansion check passes (else None).  A gap of the greedy matching
-    past max_gap is a ValueError naming its pair, raised before the chain is
-    built; so is a reducible p whose integer differences are all negative.
+    """exponents(p) and what the differences alpha_i - beta_j decide, each
+    from its public function on the facts p caches: is_reducible; the
+    partition; the canonical shift class, or the reason it is undefined;
+    and, for reducible p, the factorization chain with whether its check
+    passes (else None).  A gap of the greedy matching past max_gap is a
+    ValueError naming its pair, raised before the chain is built; so is a
+    reducible p whose integer differences are all negative.
     """
-    cleared = _cleared(p.alpha + p.beta)
-    gaps = _gaps(*cleared)
-    witness = min(gaps) if gaps else None
+    reducible, witness = is_reducible(p)
     try:
-        canonical, reason = _shift_class(p, witness), None
+        canonical, reason = canonical_shift_class(p), None
     except ValueError as exc:
         canonical, reason = None, str(exc)
     steps = verified = None
-    if gaps:
-        chosen = _greedy(gaps)
-        for i, j, m in chosen:
+    if reducible:
+        for i, j, m in greedy_matching(p):
             if m > max_gap:
                 raise ValueError("%s exceeds the factorization gap bound %d"
                                  % (_pair_gap(i, j, m), max_gap))
-        steps = _factor_chain(p, cleared, gaps, chosen)
-        verified = _verify_steps(p, steps)
-    return AnalysisReport(exponents(p), bool(gaps), witness, _partition(gaps), canonical,
+        steps, verified = factorization_certificate(p), verify_certificate(p)
+    return AnalysisReport(exponents(p), reducible, witness, partition(p), canonical,
                           reason, steps, verified)

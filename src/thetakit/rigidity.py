@@ -106,13 +106,6 @@ class MatrixTuple(tuple):
             readings[i, j] = _rank_one_row(den, _lin(a.re, b.re, x, y), _lin(a.im, b.im, x, y))
         return readings
 
-    @cached_property
-    def _ratio_table(self):
-        # for invertible A_j, A_i·A_j^{-1} - I = (A_i - A_j)·A_j^{-1} has the
-        # rank of A_i - A_j
-        _check_invertible(self)
-        return {pair: row is not None for pair, row in self._difference_rows.items()}
-
     @classmethod
     def from_dict(cls, data: dict) -> "MatrixTuple":
         ms = data["matrices"]
@@ -256,7 +249,8 @@ def pseudo_reflection_pairs(t: MatrixTuple) -> dict:
     >>> pseudo_reflection_pairs(t)
     {(0, 1): True}
     """
-    return dict(t._ratio_table)
+    _check_invertible(t)  # A_i·A_j^{-1} - I = (A_i - A_j)·A_j^{-1}: the rank of A_i - A_j
+    return {pair: row is not None for pair, row in t._difference_rows.items()}
 
 
 def _check_invertible(t: MatrixTuple):
@@ -340,7 +334,7 @@ def common_frame(t: MatrixTuple) -> CommonFrame:
     Either way the frame holds by construction, and frame.verify(t) is
     left to the functions that take a frame from their caller.
     """
-    for (i, j), ok in t._ratio_table.items():
+    for (i, j), ok in pseudo_reflection_pairs(t).items():
         if not ok:
             raise ValueError(
                 "ratio of members %d and %d is not a pseudo-reflection"
@@ -524,13 +518,17 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     nonzero entry of (U_frame·A_0^{n-2}·x)_k is 1.
 
     U is invertible, as H is zero below its nonzero antidiagonal and R
-    is invertible when x is its only kernel row and w·A_0^{n-1}·x != 0,
-    both checked.  So checks on U are complete.  Member 0: U·A_0 = C_0·U,
-    one product, C_0·U being U's rows shifted down plus l_0⊗u_{n-1}, l
-    the companion's last column.  Given that, member j passes exactly
-    when (U·c_j)⊗w = (l_0 - l_j)⊗u_{n-1}; read at w's pivot pc, that is
-    u_{n-1} ∥ w (checked once) and U·c_j = (l_0 - l_j)·u_{n-1}[pc], one
-    matrix-vector product.  A member equal to A_0 needs C_j = C_0.
+    is invertible when x is its only kernel row and λ = w·A_0^{n-1}·x != 0,
+    both checked.  Member 0 is checked as U·A_0 = C_0·U, one product, C_0·U
+    being U's rows shifted down plus l_0⊗u_{n-1}, l the companion's last
+    column; member j as U·c_j = (l_0 - l_j)·u_{n-1}[pc], pc w's pivot, one
+    matrix-vector product; a member equal to A_0 as C_j = C_0.  That is
+    complete: as A_0 is cyclic, the first makes U = q(C_0)·X^{-1} for a
+    polynomial q, and as X^{-1}·c_j = (l_0 - l_j)/λ, the others read
+    q(C_0)·(l_0 - l_j) = κ·(l_0 - l_j), κ = λ·u_{n-1}[pc].  With e_k read as
+    X^k in ℚ(i)[X]/(chi_0), where C_0 acts as X, l_0 - l_j is chi_j, and the
+    chi_j generate the ring, their gcd being 1: so q(C_0) = κ, U = κ·X^{-1}
+    and u_{n-1} = (κ/λ)·w, which gives U·A_j·U^{-1} = C_j for every j.
     """
     if frame.side != "columns":
         raise ValueError("normal form requires a column frame")
@@ -564,21 +562,20 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
                 *_product(_scale, *h, a * s + b * si, b * s - a * si or None))
     canon, last = [], (u.re[-1], u.im and u.im[-1])  # u_{n-1}
     at = last[0][pc], last[1] and last[1][pc] or None  # den(U)·u_{n-1}[pc], where w is 1
-    parallel = _vanishes((w.den, [p and [p] for p in last]), (-1, _product(_scale, w.re, w.im, *at)))
-    for j, (m, cp, reading) in enumerate(zip(t, cps, [None, *readings])):
+    for j, (cp, reading) in enumerate(zip(cps, [None, *readings])):
         c = companion_of_operator(cp)
         d, l = c.den, [p and [[z[-1] for z in p]] for p in (c.re, c.im)]  # C_j's last column l/d
         if not j:  # d·U·A_0 = e·(d·(U's rows shifted down) + l⊗u_{n-1})
             d0, l0, ua = d, l, _product(_matmul, u.re, u.im, _columns(a0.re), _columns(a0.im))
             ok = _vanishes((d, ua), (-d * e, [p and [[0] * n, *p[:-1]] for p in (u.re, u.im)]),
                            (-e, _product(_outer, *(p and p[0] for p in l), *last)))
-        elif reading is None:
-            ok = m == a0 and c == canon[0]
-        else:  # A_0 - A_j = (C/dd)·w and u_{n-1} ∥ w: U·C/dd = (l_0/d0 - l/d)·u_{n-1}[pc]
-            wj, _, (cj, ci), dd = reading
+        elif reading is None:  # A_j = A_0: the frame check refuses a rank >= 2 difference
+            ok = c == canon[0]
+        else:  # A_0 - A_j = (C/dd)·w: U·C/dd = (l_0/d0 - l/d)·u_{n-1}[pc]
+            _, _, (cj, ci), dd = reading
             (uc,), uci = _product(_matmul, [cj], ci and [ci], u.re, u.im)  # (U·C)^T
             right = _product(_scale, *(_lin(p, q, d, -d0) for p, q in zip(l0, l)), *at)
-            ok = parallel and wj == w and _vanishes((d0 * d, ([uc], uci)), (-dd, right))
+            ok = _vanishes((d0 * d, ([uc], uci)), (-dd, right))
         if not ok:
             raise ValueError("normal form verification failed for member %d" % (j + 1,))
         canon.append(c)
@@ -620,7 +617,7 @@ def is_irreducible_pair(a: ExactMatrix, b: ExactMatrix) -> bool:
     True
     """
     t = MatrixTuple((a, b))
-    if not t._ratio_table[(0, 1)]:
+    if not pseudo_reflection_pairs(t)[0, 1]:
         raise ValueError("the ratio is not a pseudo-reflection")
     return t._char_poly_gcd.degree == 0
 

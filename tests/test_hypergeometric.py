@@ -192,6 +192,49 @@ def test_analysis_report_checks_the_gap_bound_before_the_chain(monkeypatch):
     assert str(refused.value) == "alpha_1 - beta_1 = 3 exceeds the factorization gap bound 2"
 
 
+def test_the_public_functions_build_the_table_and_the_chain_once(monkeypatch):
+    # the facts are cached on the parameter set, whichever function asks
+    # first: one table of differences and one chain per HGParams
+    def count(name):
+        calls, original = [], getattr(hypergeometric, name)
+        monkeypatch.setattr(hypergeometric, name,
+                            lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    def shift_class(p):
+        try:
+            return canonical_shift_class(p)
+        except ValueError as exc:
+            return str(exc)
+
+    gaps, chains = count("_gaps"), count("_factor_chain")
+    readers = [is_reducible, partition, greedy_matching, shift_class,
+               factorization_certificate, verify_certificate]
+    values = ((2, "7/2", "1/3"), (1, "1/2", "1/4"))
+    for order in (readers, readers[::-1]):
+        p = HGParams(*values)
+        first, again = ({f: f(p) for f in order} for _ in "12")
+        assert first == again
+        assert first[shift_class] == "shift class undefined: alpha_1 - beta_1 is an integer"
+        assert first[verify_certificate] is True and len(first[factorization_certificate]) == 2
+        assert (len(gaps), len(chains)) == (1, 1)
+        del gaps[:], chains[:]
+    # an equal parameter set and one made by _replace compute their own
+    p = HGParams(*values)
+    factorization_certificate(p)
+    for other in (HGParams(*values), p._replace(beta=p.beta)):
+        assert other == p
+        factorization_certificate(other)
+    assert (len(gaps), len(chains)) == (3, 3)
+    # the returned list is a copy: changing it changes no later answer
+    steps = factorization_certificate(p)
+    kept = list(steps)
+    steps[0] = steps[0]._replace(left=steps[0].left + 1)
+    steps.append(steps[0])
+    assert factorization_certificate(p) == kept and verify_certificate(p) is True
+    assert (len(gaps), len(chains)) == (3, 3)
+
+
 def test_reducibility_takes_no_scalar_arithmetic(monkeypatch):
     # the differences are read on the parameters' cleared integers
     def refuse(*args, **kwargs):
@@ -401,6 +444,11 @@ def test_certificate_full_consumption():
 def test_certificate_requires_reducible_input():
     with pytest.raises(ValueError, match="matching"):
         factorization_certificate(HGParams(("1/2", "1/2"), (1, 1)))
+    # every alpha_i - beta_j a negative integer: the lexicographically first
+    # pair is named, not the smallest or largest gap
+    with pytest.raises(ValueError, match="^no admissible matching: "
+                                         "alpha_1 - beta_1 = -2 is a negative integer$"):
+        factorization_certificate(HGParams((1, 2), (3, 5)))
 
 
 def test_factor_reducible_removes_matched_alphas():

@@ -294,23 +294,36 @@ RECORDS = {
 }
 
 
+def _params_with_facts():
+    """_params() with the facts HGParams caches in its instance dict computed."""
+    p = _params()
+    assert thetakit.verify_certificate(p) and vars(p)
+    return p
+
+
+# records that cache derived facts, built with those facts computed: the
+# record and copy tests take them as a second input
+WITH_FACTS = {"HGParams": _params_with_facts}
+
+
 @pytest.mark.parametrize("name", RECORDS)
 def test_record_contract(name):
     make, fields = RECORDS[name]
-    record = make()
-    assert type(record) is (getattr(thetakit, name, None) or getattr(util, name))
-    for field in fields or ("n",):
-        with pytest.raises(AttributeError):
-            setattr(record, field, None)
-    if not fields:
-        assert record == tuple(record[k] for k in range(len(record)))
-        return
-    values = tuple(getattr(record, field) for field in fields)
-    if name == "MonodromyTriple":  # float arrays: equal only to itself
-        assert record == record
-        assert record != values and record != type(record)(*values)
-    else:
-        assert record == values
+    for build in filter(None, (make, WITH_FACTS.get(name))):
+        record = build()
+        assert type(record) is (getattr(thetakit, name, None) or getattr(util, name))
+        for field in fields or ("n",):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        if not fields:
+            assert record == tuple(record[k] for k in range(len(record)))
+            continue
+        values = tuple(getattr(record, field) for field in fields)
+        if name == "MonodromyTriple":  # float arrays: equal only to itself
+            assert record == record
+            assert record != values and record != type(record)(*values)
+        else:
+            assert record == values
 
 
 # a field value each checking constructor refuses; every record refuses a
@@ -386,13 +399,18 @@ def test_values_refuse_assignment_and_string_operands(name):
 
 @pytest.mark.parametrize("name", [*RECORDS, *VALUES])
 def test_copy_deepcopy_and_pickle_rebuild_an_equal_object(name):
-    original = VALUES[name]() if name in VALUES else RECORDS[name][0]()
-    for again in (copy.copy(original), copy.deepcopy(original),
-                  pickle.loads(pickle.dumps(original))):
-        assert type(again) is type(original)
-        if name == "MonodromyTriple":  # float arrays: compare them
-            for field in ("m0", "m1", "minf"):
-                assert np.array_equal(getattr(again, field), getattr(original, field))
-            assert again.tolerance == original.tolerance
-        else:
-            assert again == original
+    make = VALUES[name] if name in VALUES else RECORDS[name][0]
+    for build in filter(None, (make, WITH_FACTS.get(name))):
+        original = build()
+        for again in (copy.copy(original), copy.deepcopy(original),
+                      pickle.loads(pickle.dumps(original))):
+            assert type(again) is type(original)
+            if name == "MonodromyTriple":  # float arrays: compare them
+                for field in ("m0", "m1", "minf"):
+                    assert np.array_equal(getattr(again, field), getattr(original, field))
+                assert again.tolerance == original.tolerance
+            else:
+                assert again == original
+            if build is not make:  # the copy reads the same facts, cached or not
+                assert thetakit.factorization_certificate(again) == \
+                    thetakit.factorization_certificate(original)

@@ -1211,6 +1211,82 @@ class TestNormalForm:
                 with pytest.raises(ValueError, match="^normal form verification failed.*" + message):
                     levelt_normal_form(t, frame)
 
+    @staticmethod
+    def skewed_normal_form(monkeypatch, t, frame, q):
+        """levelt_normal_form(t, frame) with U replaced by q(C_0)·U, which
+        still has U·A_0 = C_0·U: _hankel returns Q·H for the Hankel rows H
+        of U = H·R, after the characteristic polynomials that also read it."""
+        n, c0 = t.n, companion_of_operator(t._char_polys[0])
+        power, qc = ExactMatrix.identity(n), ExactMatrix.identity(n) * 0
+        for c in q:  # q(C_0), coefficients from the constant term up
+            qc, power = qc + power * c, power * c0
+        hankel = thetakit.rigidity._hankel
+
+        def skewed(cp, e):
+            re, im = (p and [row + [0] * (n - len(row)) for row in p] for p in hankel(cp, e))
+            qh = qc * thetakit.linalg._matrix(1, re, im)
+            return qh.re, qh.im
+
+        with monkeypatch.context() as patched:
+            patched.setattr(thetakit.rigidity, "_hankel", skewed)
+            return levelt_normal_form(t, frame)
+
+    def test_a_u_off_by_a_polynomial_in_c0_fails_its_first_rank_one_member(self, monkeypatch):
+        # U' = q(C_0)·U passes member 1's check U'·A_0 = C_0·U' for every q;
+        # for q of degree 1..n-1 (non-scalar), the first member whose
+        # difference from A_0 has rank one refuses it, with no separate check
+        # that U's last row is parallel to w.  Real and Gaussian tuples, with
+        # and without a repeat of A_0 at member 2, and p = 3 tuples whose
+        # spectra meet pairwise, so that no one chi_j is coprime to chi_0
+        rng = random.Random(97)
+        cases = []
+        for k in range(24):
+            n, p, kind = 2 + k % 4, 2 + k // 4 % 2, k // 8
+            if kind == 0:
+                t = conjugated_levelt(rng, p, n)[2]
+            elif kind == 1:
+                t = gaussian_conjugated_levelt(rng, p, n, 0.5, 0.5)
+            else:  # {a, b, ..}, {b, c, ..}, {c, a, ..}, the rest distinct
+                vals = rng.sample([v for v in range(-30, 31) if v], 3 * n - 3)
+                vals = [Q(v, rng.choice((0, 0, 1))) for v in vals]
+                spectra = [Spectrum([vals[k], vals[(k + 1) % 3], *vals[3 + k * (n - 2):][:n - 2]])
+                           for k in range(3)]
+                g = gaussian_conjugator(rng, n) if k % 2 else invertible_matrix(rng, n)
+                t = MatrixTuple(tuple(g * m * g.inverse() for m in levelt_tuple(spectra)))
+                polys = t._char_polys
+                assert all(poly_gcd(polys[i], polys[j]).degree >= 1
+                           for i, j in ((0, 1), (1, 2), (0, 2)))
+            frame = common_frame(t)
+            cases += [(t, frame, 2), (MatrixTuple((t[0], *t)), frame, 3)]
+        for t, frame, first in cases:
+            levelt_normal_form(t, frame)  # the unskewed U passes
+            q = [gaussian_rational(rng, 0.5) for _ in range(t.n)]
+            q[rng.randrange(1, t.n)] = Q(rng.randrange(1, 5))  # a nonzero term past the constant
+            with pytest.raises(ValueError) as refused:
+                self.skewed_normal_form(monkeypatch, t, frame, q)
+            assert str(refused.value) == "normal form verification failed for member %d" % first
+
+    def test_a_u_that_passes_one_member_fails_the_next(self, monkeypatch):
+        # spectra {1,2,3,4}, {1,2,5,6}, {3,4,5,6} meet pairwise in two values:
+        # q = 1 + r·h, h = (X-3)(X-4) the part of chi_0 not in chi_1, kills
+        # nothing of chi_1 mod chi_0, and r = a_1 - a_0·X, a_k the entry of
+        # e_{n-1}·X^k·h(C_0)·U at w's pivot, keeps u_{n-1} there.  So q(C_0)·U
+        # passes members 1 and 2, and member 3, with chi_2 coprime to h's
+        # cofactor, refuses it: the checks are complete only together
+        base = levelt_tuple([Spectrum((1, 2, 3, 4)), Spectrum((1, 2, 5, 6)),
+                             Spectrum((3, 4, 5, 6))])
+        g = m_([[1, 1, 0, 0], [0, 1, 2, 0], [1, 0, 1, 1], [0, 0, 1, 3]])
+        t = MatrixTuple(tuple(g * m * g.inverse() for m in base))
+        frame = common_frame(t)
+        u, canon = levelt_normal_form(t, frame)
+        c0, identity, pc = canon[0], ExactMatrix.identity(4), t._difference_rows[0, 1][1]
+        h = (c0 - identity * 3) * (c0 - identity * 4)
+        a0, a1 = ((m * u).row(3)[pc] for m in (h, c0 * h))
+        q = [1 - 12 * a1, 7 * a1 + 12 * a0, -(a1 + 7 * a0), a0]  # 1 + (a_1 - a_0·X)(X^2 - 7X + 12)
+        with pytest.raises(ValueError) as refused:
+            self.skewed_normal_form(monkeypatch, t, frame, q)
+        assert str(refused.value) == "normal form verification failed for member 3"
+
     def test_normal_form_takes_no_inverse(self, monkeypatch):
         # on tuples with nothing cached, the whole normal form, characteristic
         # polynomials and frame check included, inverts nothing and runs one
