@@ -46,6 +46,9 @@ class HGParams(namedtuple("HGParams", "alpha beta")):
     def _make(cls, iterable):  # _replace builds through _make: both check
         return cls(*iterable)
 
+    def __reduce__(self):  # copies and pickles carry the fields, not the facts
+        return HGParams, tuple(self)
+
     @property
     def n(self) -> int:
         return len(self.alpha)

@@ -47,6 +47,9 @@ class MatrixTuple(tuple):
             raise ValueError("members must share one dimension")
         return ms
 
+    def __reduce__(self):  # copies and pickles carry the members, not the facts
+        return MatrixTuple, (tuple(self),)
+
     @property
     def p(self) -> int:
         return len(self)
@@ -61,33 +64,36 @@ class MatrixTuple(tuple):
 
     @cached_property
     def _char_polys(self):
-        # Berkowitz on A_0, and on A_j when A_0 - A_j has rank >= 2.  Else, with
-        # A_0 - A_j = c·w, chi_j = chi_0 + w·adj(X - A_0)·c (determinant lemma),
-        # adj(X - A_0) = sum_k X^k sum_m a_{k+1+m}·A_0^m, chi_0 = sum_i a_i·X^i.  With
-        # M = e·A_0, W = den(w)·w, C = den·c, P = den(chi_0)·chi_0 and K = den(w)·den·e^(n-1),
-        # den(chi_0)·K·chi_j has X^k coefficient K·P_k + sum_m P_{k+1+m}·e^(n-1-m)·W·M^m·C.
-        a0, n = self[0], self.n
-        cp, e = a0.char_poly(), a0.den
-        weights, polys = _hankel(cp, e), [cp]
+        # chi_0 from _adjugate, Berkowitz on A_j when A_0 - A_j has rank >= 2.  Else, with
+        # A_0 - A_j = c·w and C = den·c, chi_j = chi_0 + w·adj(X - A_0)·c (determinant
+        # lemma) gives den(chi_0)·K·chi_j = K·P + Y·C for K = den(w)·den·e^(n-1) and w's Y
+        a0, (cp, adjugate) = self[0], self._adjugate
+        polys = [cp]
         for j, m in enumerate(self[1:], 1):
             reading = self._difference_rows[0, j]
             if reading is None:
                 polys.append(cp if m == a0 else m.char_poly())
                 continue
             w, _, (c, ci), den = reading
-            (t,), ti = _product(_matmul, [c], ci and [ci], *self._chains[w])
-            k = w.den * den * e ** (n - 1)
+            k = w.den * den * a0.den ** (self.n - 1)
             re, im = (_lin(q and [q], s and [s[0] + [0]], k) for q, s in
-                      zip((cp.re, cp.im), _product(_matmul, [t], ti, *weights)))
+                      zip((cp.re, cp.im), _product(_matmul, [c], ci and [ci], *adjugate[w])))
             polys.append(_from_ints(cp.den * k, re[0], im and im[0]))
         return tuple(polys)
 
     @cached_property
-    def _chains(self):
-        # {w: (re, im) of the rows W·M^m, m < n}, one per distinct w of the (0, j) readings
-        columns, rows = (_columns(self[0].re), _columns(self[0].im)), self._difference_rows
+    def _adjugate(self):
+        # (chi_0, {w: (re, im) of the rows Y}), one per distinct w of the (0, j) readings.
+        # w·adj(X - A_0) = sum_k X^k sum_m a_{k+1+m}·w·A_0^m for chi_0 = sum_i a_i·X^i, and
+        # den(chi_0)·den(w)·e^(n-1) times it is Y = H·R: H the Hankel rows P_{k+1+m}·e^(n-1-m)
+        # of P = den(chi_0)·chi_0, R the chain W·M^m, W = den(w)·w, M = e·A_0, e = den(A_0)
+        a0, n, rows = self[0], self.n, self._difference_rows
+        cp, e, columns = a0.char_poly(), a0.den, (_columns(a0.re), _columns(a0.im))
+        h = [q and [[x * e ** (n - 1 - m) for m, x in enumerate(q[k + 1:])] for k in range(n)]
+             for q in (cp.re, cp.im)]
         ws = dict.fromkeys(r[0] for r in (rows[0, j] for j in range(1, self.p)) if r)
-        return {w: tuple(_chain((w.re, w.im), columns, self.n)) for w in ws}
+        return cp, {w: _product(_matmul, *h, *map(_columns, _chain((w.re, w.im), columns, n)))
+                    for w in ws}
 
     @cached_property
     def _char_poly_gcd(self):
@@ -221,14 +227,6 @@ def _chain(start, columns, length):
     for _ in range(length - 1):
         parts.append(_product(_matmul, *parts[-1], *columns))
     return (p[0] and [q for (q,) in p] for p in zip(*parts))
-
-
-def _hankel(cp, e):
-    """(re, im) of the Hankel rows P_{k+1+m}·e^(n-1-m), k < n, m < n - k, of
-    the integers P = den(cp)·cp of a monic cp of degree n."""
-    n = len(cp.re) - 1
-    return [q and [[x * e ** (n - 1 - m) for m, x in enumerate(q[k + 1:])] for k in range(n)]
-            for q in (cp.re, cp.im)]
 
 
 def _vanishes(*terms):
@@ -506,29 +504,23 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     Krylov vectors is A_0-invariant; of dimension d < n, it would be
     spanned by x, .., A_0^{d-1}·x and so lie in W.
 
-    U is written down, not inverted: with chi_0 = sum a_i·X^i, a_n = 1,
-    u_{n-1} = w/(w·A_0^{n-1}·x) and u_k = sum_m a_{k+1+m}·u_{n-1}·A_0^m,
-    u_k·A_0 = u_{k-1} - a_k·u_{n-1} (at k = 0 by Cayley-Hamilton), so
-    U·A_0 = C_0·U; and U·x = e_0, as w·A_0^k·x = 0 for k < n-1, so
-    U·A_0^k·x = C_0^k·e_0 = e_k: U·X = I.  On the integers U is H·R over
-    a scalar, R the chain W·M^k, k < n, of MatrixTuple._chains (M = e·A_0,
-    e = den(A_0), W = den(w)·w) and H the Hankel matrix of
-    den(chi_0)·chi_0 with column m weighted by e^(n-1-m).  x is scaled so
-    that, over the shared indices k in the frame's order, the first
-    nonzero entry of (U_frame·A_0^{n-2}·x)_k is 1.
+    U is Y/σ, not an inverse, Y = w·adj(X - A_0) read as the rows y_k of
+    its X^k coefficients: y_{n-1} = w, Y·A_0 = C_0·Y by Cayley-Hamilton,
+    and y_1, .., y_{n-1} recombine the w·A_0^k, k <= n-2, triangularly, so
+    x spans their kernel; σ = y_0·x.  On the integers Y is the rows of
+    MatrixTuple._adjugate for w, and x is scaled so that, over the shared
+    indices k in the frame's order, the first nonzero entry of
+    (U_frame·A_0^{n-2}·x)_k is 1.
 
-    U is invertible, as H is zero below its nonzero antidiagonal and R
-    is invertible when x is its only kernel row and λ = w·A_0^{n-1}·x != 0,
-    both checked.  Member 0 is checked as U·A_0 = C_0·U, one product, C_0·U
-    being U's rows shifted down plus l_0⊗u_{n-1}, l the companion's last
-    column; member j as U·c_j = (l_0 - l_j)·u_{n-1}[pc], pc w's pivot, one
-    matrix-vector product; a member equal to A_0 as C_j = C_0.  That is
-    complete: as A_0 is cyclic, the first makes U = q(C_0)·X^{-1} for a
-    polynomial q, and as X^{-1}·c_j = (l_0 - l_j)/λ, the others read
-    q(C_0)·(l_0 - l_j) = κ·(l_0 - l_j), κ = λ·u_{n-1}[pc].  With e_k read as
-    X^k in ℚ(i)[X]/(chi_0), where C_0 acts as X, l_0 - l_j is chi_j, and the
-    chi_j generate the ring, their gcd being 1: so q(C_0) = κ, U = κ·X^{-1}
-    and u_{n-1} = (κ/λ)·w, which gives U·A_j·U^{-1} = C_j for every j.
+    The checks certify (U, canon) from the exact readings alone, trusting
+    neither the characteristic polynomials nor the cached rows.  U·x = e_0
+    (x the one kernel row of U's last n-1 rows, σ != 0) and U·A_0 = C_0·U
+    (one product; C_0·U is U's rows shifted down plus l_0⊗u_{n-1}, l a
+    companion's last column) give U·A_0^k·x = e_k: U·X = I.  Then
+    u_{n-1} = α·w, α = u_{n-1}[pc] at w's pivot pc, gives
+    w·U^{-1} = e_{n-1}^T/α, so U·A_j·U^{-1} = C_0 - (U·c_j/α)⊗e_{n-1},
+    whose last column member j's check U·c_j = α·(l_0 - l_j), one
+    matrix-vector product, makes l_j; a member equal to A_0 needs C_j = C_0.
     """
     if frame.side != "columns":
         raise ValueError("normal form requires a column frame")
@@ -547,19 +539,18 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
     a0, u_frame, e, cps = t[0], frame.basis_change, t[0].den, t._char_polys
     readings = [t._difference_rows[0, j] for j in range(1, t.p)]
     w, pc, *_ = next(filter(None, readings))  # all A_j = A_0 would leave the gcd chi_0
-    r, ri = t._chains[w]
-    x = _matrix(1, r[:-1], ri and ri[:-1]).kernel_matrix()  # the one elimination
-    (s,), si = _product(_matmul, [r[-1]], ri and [ri[-1]], x.re, x.im)  # sigma, one per row
+    y, yi = t._adjugate[1][w]
+    x = _matrix(1, y[1:], yi and yi[1:]).kernel_matrix()  # the one elimination
+    (s,), si = _product(_matmul, [y[0]], yi and [yi[0]], x.re, x.im)  # sigma, one per row
     s, si = s[0], si[0][0] if si else 0
     if x.nrows > 1 or not (s or si):
         raise ValueError("normal form verification failed: the Krylov rows are not a basis")
     v, vi = (p and p[-1] for p in _chain((x.re, x.im), (a0.re, a0.im), n - 1))  # M^(n-2)·x
     q, qi = _product(_matmul, u_frame.re, u_frame.im, [v], vi and [vi])
     a, b = next((q[k][0], qi[k][0] if qi else 0) for k in frame.shared_indices
-                if q[k][0] or qi and qi[k][0])  # U = H·R·(a + i*b)/(s + i*si) over positive dens
-    h = _product(_matmul, *_hankel(cps[0], e), _columns(r), _columns(ri))
-    u = _matrix(cps[0].den * u_frame.den * e ** (n - 2) * (s * s + si * si),
-                *_product(_scale, *h, a * s + b * si, b * s - a * si or None))
+                if q[k][0] or qi and qi[k][0])  # U = Y·(a + i*b)/(s + i*si) over positive dens
+    u = _matrix(u_frame.den * e ** (n - 2) * (s * s + si * si),
+                *_product(_scale, y, yi, a * s + b * si, b * s - a * si or None))
     canon, last = [], (u.re[-1], u.im and u.im[-1])  # u_{n-1}
     at = last[0][pc], last[1] and last[1][pc] or None  # den(U)·u_{n-1}[pc], where w is 1
     for j, (cp, reading) in enumerate(zip(cps, [None, *readings])):
@@ -579,6 +570,9 @@ def levelt_normal_form(t: MatrixTuple, frame: CommonFrame):
         if not ok:
             raise ValueError("normal form verification failed for member %d" % (j + 1,))
         canon.append(c)
+    if not _vanishes((w.den, ([last[0]], last[1] and [last[1]])),
+                     (-1, _product(_scale, w.re, w.im, *at))):  # den(w)·u_{n-1} = at·den(w)·w
+        raise ValueError("normal form verification failed: the last row of U is not parallel to w")
     return u, MatrixTuple(tuple(canon))
 
 

@@ -301,9 +301,16 @@ def _params_with_facts():
     return p
 
 
+def _pair_with_facts():
+    """_pair() with the facts MatrixTuple caches in its instance dict computed."""
+    t = _pair()
+    assert thetakit.rigidity_report(t).normal_form and vars(t)
+    return t
+
+
 # records that cache derived facts, built with those facts computed: the
 # record and copy tests take them as a second input
-WITH_FACTS = {"HGParams": _params_with_facts}
+WITH_FACTS = {"HGParams": _params_with_facts, "MatrixTuple": _pair_with_facts}
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -411,6 +418,8 @@ def test_copy_deepcopy_and_pickle_rebuild_an_equal_object(name):
                 assert again.tolerance == original.tolerance
             else:
                 assert again == original
-            if build is not make:  # the copy reads the same facts, cached or not
-                assert thetakit.factorization_certificate(again) == \
-                    thetakit.factorization_certificate(original)
+            if name in WITH_FACTS:  # the copy carries no fact, and reads the same ones
+                assert vars(again) == {}
+                assert all(getattr(again, fact) == value for fact, value in vars(original).items())
+        if name in WITH_FACTS:
+            assert len(pickle.dumps(original)) == len(pickle.dumps(make()))

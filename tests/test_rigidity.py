@@ -113,6 +113,14 @@ def test_char_polys_match_berkowitz_on_every_member():
             assert v._char_polys == tuple(a.char_poly() for a in v)
             paths |= {(char_poly_path(v, j), kind) for j in range(1, v.p)}
     assert paths == {(path, kind) for path in ("reading", "repeat", "berkowitz") for kind in range(3)}
+    # rank-one tuples with a shared v have several w, so the cached rows
+    # Y = w·adj(X - A_0) are read for each of them
+    held = []
+    for t in rank_one_tuples(random.Random(38), 40):
+        v = MatrixTuple(tuple(t))  # nothing cached
+        assert v._char_polys == tuple(a.char_poly() for a in v)
+        held.append(len(v._adjugate[1]))
+    assert max(held) >= 2
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -1193,42 +1201,78 @@ class TestNormalForm:
                 assert all(u * m == c * u for m, c in zip(t, canon))
             assert u != base
 
-    def test_a_corrupt_chain_fails_the_checks(self):
-        # the checks do not trust the cached chain W·M^k: rows that are no
-        # basis are refused before U is built, and the chain of W·M in place
-        # of W's builds a U with U·A_0 = C_0·U whose last row is not ∥ w,
-        # which member 2 (a rank-one difference from A_0) does not pass
+    def test_a_corrupt_chain_fails_the_checks(self, monkeypatch):
+        # the checks do not trust the cached rows Y = w·adj(X - A_0): rows
+        # that are no basis are refused before U is built, also when a
+        # repeated row leaves a kernel plane whose first row does not vanish
+        # on y_0, and the rows of W·M in place of W's, Y·M, build a U with
+        # U·A_0 = C_0·U whose last row is not ∥ w, which member 2 (a
+        # rank-one difference from A_0) does not pass
         rng = random.Random(73)
         for n in (2, 3, 4):
             _, _, t = conjugated_levelt(rng, 3, n)
             frame = common_frame(t)
-            (w,) = t._chains
-            r, _ = t._chains[w]
-            step = ExactMatrix([r[-1]]) * (t[0] * t[0].den)  # W·M^n
-            for rows, message in (([r[0]] * n, "the Krylov rows are not a basis"),
-                                  ([*r[1:], step.re[0]], "for member 2")):
-                vars(t)["_chains"] = {w: (rows, None)}
+            cp, ((w, (y, _)),) = t._adjugate[0], t._adjugate[1].items()
+            step = ExactMatrix(y) * (t[0] * t[0].den)  # Y·M
+            for rows, message in (([y[0]] * n, "the Krylov rows are not a basis"),
+                                  ([*y[:-1], y[-2]], "the Krylov rows are not a basis"),
+                                  (step.re, "for member 2")):
+                vars(t)["_adjugate"] = cp, {w: (rows, None)}
                 with pytest.raises(ValueError, match="^normal form verification failed.*" + message):
+                    levelt_normal_form(t, frame)
+        # rows built from W + δ, δ zero at w's pivot, before the characteristic
+        # polynomials read them: those polynomials and the member checks
+        # read the same wrong rows and agree, and only the check u_{n-1} ∥ w
+        # refuses the U they build
+        chain = thetakit.rigidity._chain
+        for trial in range(30):
+            n, p = 3 + trial % 3, 2 + trial // 3 % 2
+            _, _, t = conjugated_levelt(rng, p, n)
+            w, pc, *_ = t._difference_rows[0, 1]
+            delta = [0 if k == pc else rng.choice((-2, -1, 1, 2)) for k in range(n)]
+
+            def skewed(start, columns, length):
+                (r,), ri = start
+                return chain(([[x + d for x, d in zip(r, delta)]], ri), columns, length)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(thetakit.rigidity, "_chain", skewed)
+                t._adjugate
+            with pytest.raises(ValueError, match="^normal form verification failed: "
+                                                 "the last row of U is not parallel to w$"):
+                levelt_normal_form(t, common_frame(t))
+
+    def test_polynomials_off_by_one_shared_term_fail_member_1(self):
+        # every chi_j moved by the same X^(n-1) keeps each difference
+        # l_0 - l_j of companion columns, so the members after the first
+        # pass, and U's last row stays ∥ w; only row n - 1 of U·A_0 = C_0·U
+        # tells the companions apart, and member 1 is refused
+        rng = random.Random(67)
+        for n in (2, 3, 4, 5):
+            for t in (conjugated_levelt(rng, 3, n)[2],
+                      gaussian_conjugated_levelt(rng, 3, n, 0.3, 0.4)):
+                frame = common_frame(t)
+                vars(t)["_char_polys"] = tuple(cp + X ** (n - 1) for cp in t._char_polys)
+                with pytest.raises(ValueError, match="^normal form verification failed "
+                                                     "for member 1$"):
                     levelt_normal_form(t, frame)
 
     @staticmethod
     def skewed_normal_form(monkeypatch, t, frame, q):
         """levelt_normal_form(t, frame) with U replaced by q(C_0)·U, which
-        still has U·A_0 = C_0·U: _hankel returns Q·H for the Hankel rows H
-        of U = H·R, after the characteristic polynomials that also read it."""
+        still has U·A_0 = C_0·U: the cached rows Y of U, Y over a scalar,
+        become q(C_0)·Y after the characteristic polynomials read them."""
         n, c0 = t.n, companion_of_operator(t._char_polys[0])
         power, qc = ExactMatrix.identity(n), ExactMatrix.identity(n) * 0
         for c in q:  # q(C_0), coefficients from the constant term up
             qc, power = qc + power * c, power * c0
-        hankel = thetakit.rigidity._hankel
-
-        def skewed(cp, e):
-            re, im = (p and [row + [0] * (n - len(row)) for row in p] for p in hankel(cp, e))
-            qh = qc * thetakit.linalg._matrix(1, re, im)
-            return qh.re, qh.im
-
+        cp, adjugate = t._adjugate
+        skewed = {}
+        for w, rows in adjugate.items():
+            qy = qc * thetakit.linalg._matrix(1, *rows)
+            skewed[w] = qy.re, qy.im  # q(C_0)·Y times den(qy): U is Y over a scalar
         with monkeypatch.context() as patched:
-            patched.setattr(thetakit.rigidity, "_hankel", skewed)
+            patched.setitem(vars(t), "_adjugate", (cp, skewed))
             return levelt_normal_form(t, frame)
 
     def test_a_u_off_by_a_polynomial_in_c0_fails_its_first_rank_one_member(self, monkeypatch):
@@ -1328,10 +1372,10 @@ class TestNormalForm:
     def test_pipeline_work_is_pinned(self, monkeypatch):
         # on a real Levelt tuple: one Berkowitz run, on A_0; common_frame's
         # characteristic polynomials take n - 1 products for the one chain
-        # W·M^m and two per member after the first; the normal form takes
-        # one per member difference in the frame check, one for sigma,
-        # n - 2 in the chain M^k·x and one for the anchor, one for H·R, one
-        # for U·A_0 and one U·c_j per member after the first
+        # W·M^m, one for the rows Y = H·R and one Y·C per member after the
+        # first; the normal form takes one per member difference in the
+        # frame check, one for sigma, n - 2 in the chain M^k·x and one for
+        # the anchor, one for U·A_0 and one U·c_j per member after the first
         rng = random.Random(89)
         for trial in range(15):
             n, p = 2 + trial % 5, 2 + trial % 3
@@ -1346,8 +1390,8 @@ class TestNormalForm:
                 framed = len(products)
                 levelt_normal_form(t, frame)
             assert berkowitz == [t[0]]
-            assert framed == (n - 1) + 2 * (p - 1)
-            assert len(products) - framed == (p - 1) + 1 + (n - 2) + 1 + 1 + 1 + (p - 1)
+            assert framed == (n - 1) + 1 + (p - 1)
+            assert len(products) - framed == (p - 1) + 1 + (n - 2) + 1 + 1 + (p - 1)
             # a repeated A_0 takes chi_0, with no Berkowitz run of its own
             with monkeypatch.context() as patched:
                 patched.setattr(ExactMatrix, "char_poly", lambda m: berkowitz.append(m) or char_poly(m))
